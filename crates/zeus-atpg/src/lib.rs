@@ -37,7 +37,7 @@
 //! first; an answer that fails replay is discarded, so SAT can widen
 //! coverage but never corrupt a report.
 //!
-//! The emitted set is finally **re-graded** by a full scalar fault
+//! The emitted set is finally **re-graded** by a full (packed) fault
 //! campaign replaying it — the claimed coverage *is* that campaign's
 //! report, so `zeusc fault --vectors-file` on the emitted file
 //! reproduces the grade byte for byte.
@@ -62,8 +62,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use zeus_elab::{Design, Fault, Limits, NodeOp};
 use zeus_fault::{
-    enumerate_faults, run_campaign, run_campaign_packed, CampaignConfig, Engine, FaultKind,
-    FaultListOptions, Outcome,
+    enumerate_faults, run_campaign_packed, CampaignConfig, Engine, FaultKind, FaultListOptions,
+    Outcome,
 };
 use zeus_sema::Value;
 use zeus_sim::{VectorSet, VectorStream};
@@ -249,17 +249,9 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     continue;
                 }
                 stats.podem_attempts += 1;
-                let outcome = if budget.overall.is_some() {
-                    // Campaign deadline: each fault searches under a
-                    // fair slice of what is left, so one hard fault
-                    // aborts alone instead of starving the rest.
-                    let mut fgov = budget.fault_governor(&gov, total - fi);
-                    let o = podem.generate(fault, cfg.backtrack_limit, &mut fgov);
-                    budget.settle(&mut gov, &fgov);
-                    o
-                } else {
-                    podem.generate(fault, cfg.backtrack_limit, &mut gov)
-                };
+                let outcome = budget.solve(&mut gov, total - fi, |g| {
+                    podem.generate(fault, cfg.backtrack_limit, g)
+                });
                 match outcome {
                     PodemOutcome::Test(bits) => {
                         set.push(bits);
@@ -304,14 +296,9 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                         continue;
                     }
                     ss.solves += 1;
-                    let answer = if budget.overall.is_some() {
-                        let mut fgov = budget.fault_governor(&gov, pending);
-                        let a = sat::check(design, fault, 1, None, None, cfg, &mut fgov);
-                        budget.settle(&mut gov, &fgov);
-                        a
-                    } else {
-                        sat::check(design, fault, 1, None, None, cfg, &mut gov)
-                    };
+                    let answer = budget.solve(&mut gov, pending, |g| {
+                        sat::check(design, fault, 1, None, None, cfg, g)
+                    });
                     pending -= 1;
                     match answer {
                         sat::SatAnswer::Undetectable(dimacs) => {
@@ -364,7 +351,10 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
             set
         }
         Mode::Sequence => {
-            let mut hcfg = CampaignConfig::new(Engine::Graph, cfg.max_vectors as u32, cfg.seed);
+            // The harvest campaign counts vectors in a u32; a larger cap
+            // saturates rather than wrapping.
+            let rounds = u32::try_from(cfg.max_vectors).unwrap_or(u32::MAX);
+            let mut hcfg = CampaignConfig::new(Engine::Graph, rounds, cfg.seed);
             hcfg.limits = cfg.limits.clone();
             hcfg.cancel = cfg.cancel;
             let campaign = run_campaign_packed(design, &list, &hcfg, 1)?;
@@ -385,7 +375,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
             for _ in 0..prefix {
                 set.push_assignment(&stream.next_vector());
             }
-            stats.harvest_rounds = cfg.max_vectors as u64;
+            stats.harvest_rounds = u64::from(rounds);
             stats.harvest_vectors = set.len();
             stats.harvest_detected = campaign.detected();
 
@@ -433,14 +423,9 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     // can observe the fault — promote it to redundant
                     // and skip the unroll entirely.
                     ss.solves += 1;
-                    let locked = if budget.overall.is_some() {
-                        let mut fgov = budget.fault_governor(&gov, share);
-                        let l = sat::check_lockstep(design, fault, cfg, &mut fgov);
-                        budget.settle(&mut gov, &fgov);
-                        l
-                    } else {
-                        sat::check_lockstep(design, fault, cfg, &mut gov)
-                    };
+                    let locked = budget.solve(&mut gov, share, |g| {
+                        sat::check_lockstep(design, fault, cfg, g)
+                    });
                     if let Some(dimacs) = locked {
                         if let Some(dir) = &cfg.emit_cnf {
                             sat::write_cnf(dir, cnf_seq, &dimacs)?;
@@ -476,30 +461,10 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     while frames <= cfg.max_frames && set.len() + frames as usize <= cfg.max_vectors
                     {
                         ss.solves += 1;
-                        let answer = if budget.overall.is_some() {
-                            let mut fgov = budget.fault_governor(&gov, share);
-                            let a = sat::check(
-                                design,
-                                fault,
-                                frames,
-                                Some(init_g.clone()),
-                                Some(init_f.clone()),
-                                cfg,
-                                &mut fgov,
-                            );
-                            budget.settle(&mut gov, &fgov);
-                            a
-                        } else {
-                            sat::check(
-                                design,
-                                fault,
-                                frames,
-                                Some(init_g.clone()),
-                                Some(init_f.clone()),
-                                cfg,
-                                &mut gov,
-                            )
-                        };
+                        let answer = budget.solve(&mut gov, share, |g| {
+                            let (init_g, init_f) = (Some(init_g.clone()), Some(init_f.clone()));
+                            sat::check(design, fault, frames, init_g, init_f, cfg, g)
+                        });
                         match answer {
                             sat::SatAnswer::Vectors(decoded) => {
                                 match sat::verify_frames(
@@ -541,15 +506,15 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
         }
     };
 
-    // The authoritative grade: a scalar campaign replaying the emitted
-    // set, exactly what `zeusc fault --vectors-file` will run.
+    // The authoritative grade: a campaign replaying the emitted set,
+    // exactly what `zeusc fault --vectors-file` will run.
     let mut gcfg = CampaignConfig::replay(Engine::Graph, set.clone());
     gcfg.limits = cfg.limits.clone();
     if cfg.campaign_deadline.is_some() {
         // Grading spends whatever wall budget generation left over.
         gcfg.campaign_deadline = budget.remaining();
     }
-    let grade = run_campaign(design, &list, &gcfg)?;
+    let grade = run_campaign_packed(design, &list, &gcfg, 1)?;
     partial |= grade.partial.is_some();
 
     Ok(AtpgReport {
@@ -591,6 +556,7 @@ fn detect_mode(design: &Design, list: &zeus_fault::FaultList) -> Mode {
 mod tests {
     use super::*;
     use zeus_elab::elaborate;
+    use zeus_fault::run_campaign;
     use zeus_syntax::parse_program;
 
     fn design(src: &str, top: &str) -> Design {

@@ -351,7 +351,7 @@ fn synopsis(cmd: &str) -> &'static str {
         "elab" => "zeusc elab <file.zeus> <top> [type args...] [limit flags]",
         "sim" => {
             "zeusc sim <file.zeus> <top> [type args...] [--cycles N] [--seed S] \
-             [--set port=value ...] [--packed] [--opt] [limit flags]"
+             [--set port=value ...] [--opt] [limit flags]"
         }
         "layout" => "zeusc layout <file.zeus> <top> [type args...] [limit flags]",
         "svg" => "zeusc svg <file.zeus> <top> [type args...] [limit flags]",
@@ -361,7 +361,7 @@ fn synopsis(cmd: &str) -> &'static str {
         "fault" => {
             "zeusc fault <file.zeus> <top> [type args...] [--vectors N] [--seed S] \
              [--engine graph|switch] [--bridges] [--transients C] [--json] \
-             [--packed] [--jobs N] [--checkpoint FILE] [--resume] \
+             [--jobs N] [--checkpoint FILE] [--resume] \
              [--campaign-timeout MS] [--vectors-file FILE] [--opt] [limit flags]"
         }
         "atpg" => {
@@ -403,8 +403,8 @@ fn detail(cmd: &str) -> &'static str {
         "sim" => {
             "Simulates <top> for --cycles clock cycles (default 8) and prints the\n\
              final port values. --set forces an IN port each cycle; --seed seeds\n\
-             the RANDOM source (default 0x2E051983). --packed runs the 64-lane\n\
-             bit-parallel engine (same output; used for cross-checking).\n\
+             the RANDOM source (default 0x2E051983). --packed is accepted\n\
+             and changes nothing (sim has one engine).\n\
              --opt runs the equivalence-gated optimizer first and simulates\n\
              the optimized netlist (gate/depth deltas echoed on stderr)."
         }
@@ -420,10 +420,11 @@ fn detail(cmd: &str) -> &'static str {
             "Enumerates stuck-at (--bridges, --transients add more) faults,\n\
              runs a differential campaign against the fault-free design, and\n\
              prints a coverage report (--json for machine-readable output).\n\
-             --packed simulates 64 faults per pass with the bit-parallel\n\
-             engine; --jobs N shards the fault list over N threads (implies\n\
-             --packed). Reports are byte-identical to the scalar engine for\n\
-             the same seed.\n\
+             The graph engine simulates 64 faults per pass with the\n\
+             bit-parallel engine; the switch engine runs them one at a time.\n\
+             --jobs N shards the fault words over N threads on either engine\n\
+             (default: one per core); the report is byte-identical for any N.\n\
+             --packed is accepted and changes nothing.\n\
              --checkpoint FILE journals completed work after every 64-fault\n\
              word; --resume skips the journaled words (the final report is\n\
              byte-identical to an uninterrupted run, and the seed is\n\
@@ -531,7 +532,7 @@ fn detail(cmd: &str) -> &'static str {
              budget (exit 3). No input panics the importer.\n\
              Netlist files are accepted directly by sim/fault/atpg/opt/elab\n\
              in place of a .zeus program (the top is read from the file):\n\
-             `zeusc sim design.znl`, `zeusc fault design.znl --packed`."
+             `zeusc sim design.znl`, `zeusc fault design.znl`."
         }
         "export" => {
             "Exports a design in an interchange format: `zeus netlist v1` text\n\
@@ -617,6 +618,20 @@ impl Parsed {
             Some(0) => Err(Failure::Usage(format!("{flag} must be at least 1"))),
             other => Ok(other),
         }
+    }
+
+    /// A count flag that must fit a `u32`: a value below `min` (0 or 1)
+    /// or past `u32::MAX` is a usage error, never a silent clamp or wrap.
+    fn u32_count(&self, flag: &str, min: u32) -> Result<Option<u32>, Failure> {
+        let Some(n) = self.u64_value(flag)? else {
+            return Ok(None);
+        };
+        if n < u64::from(min) {
+            return Err(Failure::Usage(format!("{flag} must be at least {min}")));
+        }
+        u32::try_from(n)
+            .map(Some)
+            .map_err(|_| Failure::Usage(format!("{flag} {n} is too large (max {})", u32::MAX)))
     }
 
     fn values(&self, flag: &str) -> &[String] {
@@ -1282,7 +1297,7 @@ fn cmd_elaborating(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
         }
         "opt" => cmd_opt(p, sess, design, &budgeted),
         "fault" => cmd_fault(p, sess, design, &limits, &src, dkey),
-        "atpg" => cmd_atpg(p, sess, design, &budgeted, &src, dkey),
+        "atpg" => cmd_atpg(p, sess, design, &budgeted, &src),
         _ => {
             let sw = zeus::SwitchSim::with_limits(&design, &budgeted);
             wln!(sess.out, "transistors : {}", sw.transistor_count());
@@ -1514,53 +1529,24 @@ fn cmd_sim(
         .collect::<Result<_, Failure>>()?;
 
     let ports = design.ports.clone();
+    let mut sim = zeus::Simulator::with_limits(design, limits).map_err(|e| diag_failure(&e))?;
+    if let Some(s) = seed {
+        sim.reseed(s);
+    }
+    for (port, val) in &forcings {
+        sim.set_port_num(port, *val)
+            .map_err(|e| Failure::Usage(e.to_string()))?;
+    }
     let mut violations = 0u64;
-    let mut values: Vec<(String, String)> = Vec::new();
-    if p.has("--packed") {
-        // The 64-lane engine with every lane driven identically: output
-        // must be byte-identical to the scalar run below.
-        let mut sim = zeus::PackedSim::with_limits(design, limits).map_err(|e| diag_failure(&e))?;
-        if let Some(s) = seed {
-            sim.reseed(s);
-        }
-        for (port, val) in &forcings {
-            sim.set_port_num(port, *val)
-                .map_err(|e| Failure::Usage(e.to_string()))?;
-        }
-        for _ in 0..cycles {
-            let r = sim.try_step().map_err(|e| diag_failure(&e))?;
-            violations += r.conflicts.iter().filter(|c| c.lanes & 1 == 1).count() as u64;
-        }
-        for port in &ports {
-            let vals: String = sim
-                .port_lane(&port.name, 0)
-                .iter()
-                .map(|v| v.to_string())
-                .collect();
-            values.push((port.name.clone(), vals));
-        }
-    } else {
-        let mut sim = zeus::Simulator::with_limits(design, limits).map_err(|e| diag_failure(&e))?;
-        if let Some(s) = seed {
-            sim.reseed(s);
-        }
-        for (port, val) in &forcings {
-            sim.set_port_num(port, *val)
-                .map_err(|e| Failure::Usage(e.to_string()))?;
-        }
-        for _ in 0..cycles {
-            let r = sim.try_step().map_err(|e| diag_failure(&e))?;
-            violations += r.conflicts.len() as u64;
-        }
-        for port in &ports {
-            let vals: String = sim.port(&port.name).iter().map(|v| v.to_string()).collect();
-            values.push((port.name.clone(), vals));
-        }
+    for _ in 0..cycles {
+        let r = sim.try_step().map_err(|e| diag_failure(&e))?;
+        violations += r.conflicts.len() as u64;
     }
     wln!(sess.out, "cycles    : {cycles}");
     wln!(sess.out, "conflicts : {violations}");
-    for (name, vals) in values {
-        wln!(sess.out, "{name:<10}: {vals}");
+    for port in &ports {
+        let vals: String = sim.port(&port.name).iter().map(|v| v.to_string()).collect();
+        wln!(sess.out, "{:<10}: {vals}", port.name);
     }
     // A completed sim is a golden port trace: deterministic for its key
     // (the default seed is fixed), so cache the whole report.
@@ -1577,16 +1563,7 @@ fn cmd_fault(
     dkey: u64,
 ) -> Result<(), Failure> {
     let marks = (sess.out.len(), sess.err.len());
-    let vectors = match p.u64_nonzero("--vectors")? {
-        Some(n) if n > u32::MAX as u64 => {
-            return Err(Failure::Usage(format!(
-                "--vectors {n} is too large (max {})",
-                u32::MAX
-            )))
-        }
-        Some(n) => n as u32,
-        None => 64,
-    };
+    let vectors = p.u32_count("--vectors", 1)?.unwrap_or(64);
     let vector_text = match p.str_value("--vectors-file") {
         None => None,
         Some(path) => {
@@ -1673,15 +1650,9 @@ fn cmd_fault(
             )))
         }
     };
-    // --jobs implies the packed engine (sharding is a packed feature).
-    let packed = p.has("--packed") || p.has("--jobs");
-    if packed && engine == zeus::Engine::Switch {
-        return Err(Failure::Usage(
-            "--packed/--jobs support the graph engine only".to_string(),
-        ));
-    }
-    let jobs = match p.u64_value("--jobs")? {
-        Some(0) => return Err(Failure::Usage("--jobs must be at least 1".to_string())),
+    // Every campaign runs on the packed runner, so --packed is accepted
+    // and changes nothing; --jobs shards either engine.
+    let jobs = match p.u64_nonzero("--jobs")? {
         Some(n) => n as usize,
         None => std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
@@ -1738,12 +1709,8 @@ fn cmd_fault(
     };
     let journal = checkpoint.as_ref().or(auto_journal.as_ref());
 
-    let report = if packed {
-        zeus::run_campaign_packed_with(&design, &list, &cfg, jobs, journal)
-            .map_err(|e| diag_failure(&e))?
-    } else {
-        zeus::run_campaign_with(&design, &list, &cfg, journal).map_err(|e| diag_failure(&e))?
-    };
+    let report = zeus::run_campaign_packed_with(&design, &list, &cfg, jobs, journal)
+        .map_err(|e| diag_failure(&e))?;
     if p.has("--json") {
         wln!(sess.out, "{}", report.to_json());
     } else {
@@ -1775,7 +1742,6 @@ fn cmd_atpg(
     design: zeus::Design,
     limits: &Limits,
     src: &str,
-    dkey: u64,
 ) -> Result<(), Failure> {
     let marks = (sess.out.len(), sess.err.len());
     let mut cfg = zeus::AtpgConfig {
@@ -1819,7 +1785,7 @@ fn cmd_atpg(
     if let Some(t) = target {
         cfg.coverage_target = t;
     }
-    if let Some(n) = p.u64_value("--max-vectors")? {
+    if let Some(n) = p.u32_count("--max-vectors", 0)? {
         cfg.max_vectors = n as usize;
     }
     if let Some(n) = p.u64_value("--backtrack-limit")? {
@@ -1832,8 +1798,8 @@ fn cmd_atpg(
     };
     cfg.cancel = sess.cancel;
     cfg.sat = p.has("--sat");
-    if let Some(k) = p.u64_value("--max-frames")? {
-        cfg.max_frames = k as u32;
+    if let Some(k) = p.u32_count("--max-frames", 0)? {
+        cfg.max_frames = k;
     }
     if let Some(n) = p.u64_value("--sat-conflicts")? {
         cfg.sat_conflicts = n;
@@ -1867,7 +1833,6 @@ fn cmd_atpg(
             }
         );
     }
-    let _ = dkey;
     if let Some(path) = p.str_value("--emit-vectors") {
         let mut text = report.vectors.to_text();
         if report.partial {
@@ -1964,22 +1929,21 @@ fn cmd_fuzz(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
         p.u64_nonzero("--budget")?.unwrap_or(100),
         fuzz_scratch(seed),
     );
-    cfg.jobs = match p.u64_value("--jobs")? {
-        Some(0) => return Err(Failure::Usage("--jobs must be at least 1".to_string())),
+    cfg.jobs = match p.u64_nonzero("--jobs")? {
         Some(n) => n as usize,
         None => std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
-    if let Some(n) = p.u64_value("--size")? {
-        cfg.size = n as u32;
+    if let Some(n) = p.u32_count("--size", 0)? {
+        cfg.size = n;
     }
-    if let Some(n) = p.u64_nonzero("--cycles")? {
-        cfg.cycles = n as u32;
+    if let Some(n) = p.u32_count("--cycles", 1)? {
+        cfg.cycles = n;
     }
-    if let Some(n) = p.u64_nonzero("--vectors")? {
-        cfg.campaign_vectors = n as u32;
+    if let Some(n) = p.u32_count("--vectors", 1)? {
+        cfg.campaign_vectors = n;
     }
-    if let Some(n) = p.u64_nonzero("--shrink-evals")? {
-        cfg.max_shrink_evals = n as u32;
+    if let Some(n) = p.u32_count("--shrink-evals", 1)? {
+        cfg.max_shrink_evals = n;
     }
     if let Some(name) = p.str_value("--chaos") {
         let oracle = zeus_fuzz::Oracle::from_name(name).ok_or_else(|| {

@@ -31,10 +31,6 @@ use zeus_syntax::ast::{AssignOp, Mode};
 use zeus_syntax::diag::{codes, Diagnostic, Diagnostics};
 use zeus_syntax::span::Span;
 
-/// Tunable limits for elaboration — the historical name for [`Limits`],
-/// kept as an alias now that the same struct governs the whole pipeline.
-pub type ElabOptions = Limits;
-
 /// Elaborates component type `top` of `program`, with actual numeric type
 /// parameters `args`.
 ///
@@ -43,7 +39,7 @@ pub type ElabOptions = Limits;
 /// Returns all diagnostics when the program violates the static rules, a
 /// combinational loop exists, or elaboration does not terminate.
 pub fn elaborate(program: &ast::Program, top: &str, args: &[i64]) -> Result<Design, Diagnostics> {
-    elaborate_with(program, top, args, &ElabOptions::default())
+    elaborate_with(program, top, args, &Limits::default())
 }
 
 /// [`elaborate`] with explicit limits.
@@ -55,7 +51,7 @@ pub fn elaborate_with(
     program: &ast::Program,
     top: &str,
     args: &[i64],
-    opts: &ElabOptions,
+    opts: &Limits,
 ) -> Result<Design, Diagnostics> {
     let mut e = Elab::new(opts.clone());
     e.run(program, TopSpec::Type(top, args))
@@ -68,7 +64,7 @@ pub fn elaborate_with(
 ///
 /// See [`elaborate`]; additionally errors when no such signal exists.
 pub fn elaborate_signal(program: &ast::Program, signal: &str) -> Result<Design, Diagnostics> {
-    elaborate_signal_with(program, signal, &ElabOptions::default())
+    elaborate_signal_with(program, signal, &Limits::default())
 }
 
 /// [`elaborate_signal`] with explicit limits.
@@ -79,7 +75,7 @@ pub fn elaborate_signal(program: &ast::Program, signal: &str) -> Result<Design, 
 pub fn elaborate_signal_with(
     program: &ast::Program,
     signal: &str,
-    opts: &ElabOptions,
+    opts: &Limits,
 ) -> Result<Design, Diagnostics> {
     let mut e = Elab::new(opts.clone());
     e.run(program, TopSpec::Signal(signal))
@@ -277,7 +273,7 @@ struct Elab<'a> {
     nl: Netlist,
     errs: Diagnostics,
     warns: Diagnostics,
-    opts: ElabOptions,
+    opts: Limits,
     touched: Vec<u8>,
     drivers: Vec<DriverRec>,
     dedup: HashSet<(u32, u64, u64)>,
@@ -304,7 +300,7 @@ struct Elab<'a> {
 type R<T> = Result<T, Diagnostic>;
 
 impl<'a> Elab<'a> {
-    fn new(opts: ElabOptions) -> Self {
+    fn new(opts: Limits) -> Self {
         Elab {
             nl: Netlist::new(),
             errs: Diagnostics::new(),

@@ -44,7 +44,7 @@ pub mod serdes;
 pub mod shape;
 
 pub use design::{Design, Direction, InstanceNode, LayoutItem, Orientation, Port};
-pub use elab::{elaborate, elaborate_signal, elaborate_signal_with, elaborate_with, ElabOptions};
+pub use elab::{elaborate, elaborate_signal, elaborate_signal_with, elaborate_with};
 pub use fault::{Fault, FaultKind};
 pub use hash::{design_digest, StableHasher};
 pub use limits::{Governor, Limits};

@@ -18,11 +18,10 @@ use zeus_syntax::span::Span;
 
 /// Unified resource limits for elaboration and simulation.
 ///
-/// `Limits` subsumes the old `ElabOptions` (which remains as a type alias)
-/// and adds netlist-size, fuel, deadline and simulation budgets. All
-/// budgets are *cooperative*: the pipeline checks them at loop boundaries,
-/// so exceeding one yields a clean diagnostic with all partial results
-/// intact rather than an abort.
+/// `Limits` covers instance and netlist-size, fuel, deadline and
+/// simulation budgets. All budgets are *cooperative*: the pipeline
+/// checks them at loop boundaries, so exceeding one yields a clean
+/// diagnostic with all partial results intact rather than an abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Limits {
     /// Maximum number of component instances before elaboration is

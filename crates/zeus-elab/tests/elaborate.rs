@@ -1,6 +1,6 @@
 //! Elaboration tests against paper constructs (§3, §4, §6.4).
 
-use zeus_elab::{elaborate, elaborate_signal, elaborate_with, Design, ElabOptions, NodeOp};
+use zeus_elab::{elaborate, elaborate_signal, elaborate_with, Design, Limits, NodeOp};
 use zeus_syntax::parse_program;
 
 fn elab(src: &str, top: &str, args: &[i64]) -> Design {
@@ -349,9 +349,9 @@ fn unbounded_recursion_reports_error() {
          BEGIN sub.a := a; s := sub.s END;",
     )
     .expect("parse");
-    let opts = ElabOptions {
+    let opts = Limits {
         max_instances: 500,
-        ..ElabOptions::default()
+        ..Limits::default()
     };
     let e = elaborate_with(&p, "bad", &[0], &opts)
         .map(|_| ())

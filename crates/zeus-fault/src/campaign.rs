@@ -1,28 +1,32 @@
 //! Deterministic differential fault campaigns.
 //!
 //! For every fault in the list, a *golden* (fault-free) and a *faulty*
-//! simulator are built from the same design, reseeded identically, reset
-//! (when the design uses RSET), and then driven with the same seeded
-//! pseudo-random vector stream. The first cycle in which any OUT port
-//! disagrees detects the fault; a fault whose injected circuit
-//! oscillates is *hyperactive*; a fault that survives the whole budget
-//! unobserved is *undetected*. Every faulty run is bounded by a
-//! [`Limits`] budget, so a pathological fault exhausts its budget and is
-//! classified — it never hangs or aborts the campaign.
+//! circuit are driven with the same seeded pseudo-random vector stream
+//! (after a reset pulse when the design uses RSET). The first cycle in
+//! which any OUT port disagrees detects the fault; a fault whose
+//! injected circuit oscillates is *hyperactive*; a fault that survives
+//! the whole budget unobserved is *undetected*. Every faulty run is
+//! bounded by a [`Limits`] budget, so a pathological fault exhausts its
+//! budget and is classified — it never hangs or aborts the campaign.
 //!
 //! Campaigns execute in *words* of up to 64 faults (the packed engine's
-//! lane width), which is also the granularity of crash-safe
+//! lane width) on one runner, [`run_words`], which owns crash-safe
 //! checkpointing ([`crate::checkpoint`]), per-word panic isolation (a
 //! poisoned word is retried once on a fresh simulator and then
 //! classified [`Outcome::ToolError`] instead of killing the campaign),
-//! and graceful interruption (a cancellation flag or campaign deadline
-//! stops the run between words and yields a partial report).
+//! graceful interruption (a cancellation flag or campaign deadline
+//! stops the run between words and yields a partial report) and
+//! sharding over threads. An engine supplies only the function that
+//! simulates one word. The scalar runner here, one golden/faulty pair
+//! per fault, is the reference the production packed runner
+//! ([`crate::run_campaign_packed`]) is checked against.
 
 use crate::checkpoint::{CheckpointOptions, Journal};
 use crate::list::FaultList;
 use crate::report::CoverageReport;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use zeus_elab::{Design, Fault, Limits};
 use zeus_sim::{run_differential, Simulator, VectorSet, VectorStream, LANES};
@@ -212,7 +216,11 @@ pub struct FaultResult {
     pub outcome: Outcome,
 }
 
-/// Runs the campaign: one golden-vs-faulty differential run per fault.
+/// Runs the campaign on the scalar reference engine: one golden-vs-faulty
+/// differential run per fault, on the calling thread. Production callers
+/// use [`run_campaign_packed`](crate::run_campaign_packed), whose report
+/// is byte-identical; this runner is what tests and oracles compare it
+/// against.
 ///
 /// # Errors
 ///
@@ -243,39 +251,132 @@ pub fn run_campaign_with(
     cfg: &CampaignConfig,
     checkpoint: Option<&CheckpointOptions>,
 ) -> Result<CoverageReport, Diagnostic> {
+    run_words(design, list, cfg, 1, checkpoint, |limits| {
+        Ok(scalar_word(design, cfg, limits))
+    })
+}
+
+/// The scalar word simulator: each fault of the word on its own
+/// golden/faulty pair of `cfg.engine`'s simulator.
+pub(crate) fn scalar_word<'a>(
+    design: &'a Design,
+    cfg: &'a CampaignConfig,
+    limits: Limits,
+) -> impl Fn(&[Fault]) -> Result<Vec<Outcome>, Diagnostic> + Sync + 'a {
+    move |faults| {
+        faults
+            .iter()
+            .map(|&fault| match cfg.engine {
+                Engine::Graph => run_one_graph(design, fault, cfg, &limits),
+                Engine::Switch => run_one_switch(design, fault, cfg, &limits),
+            })
+            .collect()
+    }
+}
+
+/// Never spawn more workers than there are pending fault words: excess
+/// workers would only sit idle on an empty queue.
+fn clamp_jobs(jobs: usize, pending_words: usize) -> usize {
+    jobs.max(1).min(pending_words.max(1))
+}
+
+/// The word runner behind every campaign entry point. `engine` receives
+/// the effective per-fault limits (after the vector set is validated)
+/// and returns the function that simulates one word of up to 64 faults,
+/// yielding their outcomes in list order.
+///
+/// Pending words (those not already in a resumed journal) run on the
+/// calling thread when `jobs` is 1, and otherwise in contiguous ranges
+/// over `jobs` scoped workers that stream finished words back, so the
+/// journal flushes while the campaign runs. Merging by word index makes
+/// the report independent of `jobs`. A first error (or interruption)
+/// makes every worker stop at its next word boundary, draining
+/// in-flight work.
+pub(crate) fn run_words<W>(
+    design: &Design,
+    list: &FaultList,
+    cfg: &CampaignConfig,
+    jobs: usize,
+    checkpoint: Option<&CheckpointOptions>,
+    engine: impl FnOnce(Limits) -> Result<W, Diagnostic>,
+) -> Result<CoverageReport, Diagnostic>
+where
+    W: Fn(&[Fault]) -> Result<Vec<Outcome>, Diagnostic> + Sync,
+{
     cfg.validate(design)?;
-    let limits = cfg.effective_limits();
+    let sim_word = engine(cfg.effective_limits())?;
     let (mut journal, mut done) = Journal::open(design, list, cfg, checkpoint)?;
     let words: Vec<&[Fault]> = list.faults.chunks(LANES).collect();
+    let pending: Vec<usize> = (0..words.len()).filter(|w| !done.contains_key(w)).collect();
+    let jobs = clamp_jobs(jobs, pending.len());
+    let run = |w: usize| run_word_isolated(w, cfg, words[w].len(), || sim_word(words[w]));
     let started = Instant::now();
     let mut partial = None;
-    for (w, faults) in words.iter().enumerate() {
-        if done.contains_key(&w) {
-            continue;
+
+    if jobs == 1 {
+        for &w in &pending {
+            if let Some(reason) = interruption(cfg, started) {
+                partial = Some(reason);
+                break;
+            }
+            let outcomes = run(w)?;
+            if let Some(j) = journal.as_mut() {
+                j.record(w, &outcomes)?;
+            }
+            done.insert(w, outcomes);
         }
-        if let Some(reason) = interruption(cfg, started) {
-            partial = Some(reason);
-            break;
+    } else {
+        let stop = AtomicBool::new(false);
+        let mut first_err: Option<Diagnostic> = None;
+        let chunk = pending.len().div_ceil(jobs);
+        let (tx, rx) = mpsc::channel::<(usize, Result<Vec<Outcome>, Diagnostic>)>();
+        std::thread::scope(|scope| {
+            for shard in pending.chunks(chunk) {
+                let tx = tx.clone();
+                let (run, stop) = (&run, &stop);
+                scope.spawn(move || {
+                    for &w in shard {
+                        if stop.load(Ordering::Relaxed) || interruption(cfg, started).is_some() {
+                            break;
+                        }
+                        let res = run(w);
+                        let failed = res.is_err();
+                        let _ = tx.send((w, res));
+                        if failed {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            for (w, res) in rx {
+                let recorded = res.and_then(|outcomes| {
+                    if let Some(j) = journal.as_mut() {
+                        j.record(w, &outcomes)?;
+                    }
+                    done.insert(w, outcomes);
+                    Ok(())
+                });
+                if let Err(e) = recorded {
+                    first_err.get_or_insert(e);
+                    stop.store(true, Ordering::Relaxed);
+                }
+            }
+        });
+        if let Some(e) = first_err {
+            return Err(e);
         }
-        let outcomes = run_word_isolated(w, cfg, faults.len(), || {
-            faults
-                .iter()
-                .map(|&fault| match cfg.engine {
-                    Engine::Graph => run_one_graph(design, fault, cfg, &limits),
-                    Engine::Switch => run_one_switch(design, fault, cfg, &limits),
-                })
-                .collect()
-        })?;
-        if let Some(j) = journal.as_mut() {
-            j.record(w, &outcomes)?;
+        if done.len() < words.len() {
+            partial = interruption(cfg, started);
+            debug_assert!(partial.is_some(), "missing words without an interruption");
         }
-        done.insert(w, outcomes);
     }
+
     Ok(assemble(design, list, cfg, done, partial))
 }
 
 /// Checks the cooperative stop conditions (between words).
-pub(crate) fn interruption(cfg: &CampaignConfig, started: Instant) -> Option<PartialReason> {
+fn interruption(cfg: &CampaignConfig, started: Instant) -> Option<PartialReason> {
     if let Some(flag) = cfg.cancel {
         if flag.load(Ordering::Relaxed) {
             return Some(PartialReason::Interrupted);
@@ -294,7 +395,7 @@ pub(crate) fn interruption(cfg: &CampaignConfig, started: Instant) -> Option<Par
 /// rebuilds all state); a second panic classifies the whole word
 /// [`Outcome::ToolError`] instead of propagating. `chaos_panic_*` inject
 /// deterministic panics for testing this very path.
-pub(crate) fn run_word_isolated(
+fn run_word_isolated(
     word: usize,
     cfg: &CampaignConfig,
     lanes: usize,
@@ -318,7 +419,7 @@ pub(crate) fn run_word_isolated(
 
 /// Assembles completed words (in word order) into a report, marking it
 /// partial when not every planned word completed.
-pub(crate) fn assemble(
+fn assemble(
     design: &Design,
     list: &FaultList,
     cfg: &CampaignConfig,
@@ -555,5 +656,13 @@ mod tests {
         let a = run_campaign(&d, &list, &cfg).unwrap().to_json();
         let b = run_campaign(&d, &list, &cfg).unwrap().to_json();
         assert_eq!(a, b, "same design+seed+vectors must be byte-identical");
+    }
+
+    #[test]
+    fn jobs_are_clamped_to_pending_words() {
+        assert_eq!(clamp_jobs(0, 5), 1, "zero jobs becomes one");
+        assert_eq!(clamp_jobs(8, 3), 3, "never more workers than words");
+        assert_eq!(clamp_jobs(2, 3), 2, "requested jobs kept when fewer");
+        assert_eq!(clamp_jobs(8, 0), 1, "nothing pending still needs one");
     }
 }

@@ -11,16 +11,18 @@
 //! {0, 1, UNDEF, NOINFL} (§8) so that partial information propagates
 //! soundly. This crate turns that machinery on the *physical* failure
 //! modes testability engineering cares about: stuck-at defects, resistive
-//! bridges and single-event upsets, executed on both the levelized
-//! reference engine (`zeus-sim`) and the switch-level engine
-//! (`zeus-switch`).
+//! bridges and single-event upsets, executed on both the semantics-graph
+//! engine (`zeus-sim`, 64 faults per packed pass) and the switch-level
+//! engine (`zeus-switch`). [`run_campaign_packed`] is the production
+//! runner; [`run_campaign`] is the scalar reference it is checked
+//! against, byte for byte.
 //!
 //! ## Example
 //!
 //! ```
 //! use zeus_syntax::parse_program;
 //! use zeus_elab::elaborate;
-//! use zeus_fault::{enumerate_faults, run_campaign, CampaignConfig, Engine, FaultListOptions};
+//! use zeus_fault::{enumerate_faults, run_campaign_packed, CampaignConfig, Engine, FaultListOptions};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let program = parse_program(
@@ -29,7 +31,7 @@
 //! )?;
 //! let design = elaborate(&program, "halfadder", &[])?;
 //! let list = enumerate_faults(&design, &FaultListOptions::default());
-//! let report = run_campaign(&design, &list, &CampaignConfig::new(Engine::Graph, 16, 1))?;
+//! let report = run_campaign_packed(&design, &list, &CampaignConfig::new(Engine::Graph, 16, 1), 1)?;
 //! assert!(report.coverage() > 0.0);
 //! # Ok(())
 //! # }

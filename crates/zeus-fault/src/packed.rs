@@ -1,12 +1,16 @@
-//! Bit-parallel, multi-threaded fault campaigns.
+//! Bit-parallel, multi-threaded fault campaigns: the production runner.
 //!
-//! [`run_campaign_packed`] produces the *same* [`CoverageReport`] as
-//! [`run_campaign`](crate::run_campaign) on the graph engine — byte for
-//! byte, for the same design, fault list, and seed — but simulates up to
-//! 64 faulty circuits per packed word ([`PackedSim`], one fault per
-//! lane) and shards the word list across `std::thread` workers.
+//! [`run_campaign_packed`] produces the *same* [`CoverageReport`] as the
+//! scalar reference [`run_campaign`](crate::run_campaign) — byte for
+//! byte, for the same design, fault list, and seed — and shards the word
+//! list across `std::thread` workers through the shared word runner. On
+//! the graph engine each word simulates up to 64 faulty circuits in one
+//! [`PackedSim`] pass, one fault per lane; packed words model only the
+//! semantics graph, so on the switch engine each word's faults run one
+//! at a time on the scalar word simulator.
 //!
-//! Three ingredients keep the output identical to the scalar path:
+//! Three ingredients keep the packed graph words identical to the
+//! scalar path:
 //!
 //! 1. **A shared golden trace.** The fault-free run is the same for
 //!    every fault, so it is executed once with the real scalar
@@ -25,25 +29,21 @@
 //!    exhausts its budget on cycle *k* scalar-side is classified
 //!    `BudgetExhausted` on cycle *k* packed-side, before any output
 //!    compare, exactly like `classify_error`. Deadlines are wall-clock
-//!    and checked once per tick per shard.
+//!    and checked once per tick per word.
 //! 3. **Deterministic merge.** Faults are packed into words in list
-//!    order and words are sharded in contiguous ranges, so concatenating
-//!    the per-word outcome vectors by word index reproduces the scalar
-//!    result order no matter how many workers ran.
+//!    order and the word runner merges finished words by index, reproducing
+//!    the scalar result order no matter how many workers ran.
 
-use crate::campaign::UndetectedReason;
 use crate::campaign::{
-    assemble, classify_error, interruption, run_word_isolated, CampaignConfig, Engine, Outcome,
+    classify_error, run_words, scalar_word, CampaignConfig, Engine, Outcome, UndetectedReason,
 };
-use crate::checkpoint::{CheckpointOptions, Journal};
+use crate::checkpoint::CheckpointOptions;
 use crate::list::FaultList;
 use crate::report::CoverageReport;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 use zeus_elab::{Design, Fault, Limits};
 use zeus_sema::Value;
-use zeus_sim::{PackedSim, Simulator, LANES};
+use zeus_sim::{PackedSim, Simulator};
 use zeus_syntax::diag::Diagnostic;
 use zeus_syntax::span::Span;
 
@@ -118,17 +118,15 @@ impl LaneBudget {
 }
 
 /// Runs a fault campaign with the packed bit-parallel engine, sharded
-/// over `jobs` worker threads. Produces a [`CoverageReport`] that is
-/// byte-identical (text and JSON) to the scalar
-/// [`run_campaign`](crate::run_campaign) for the same inputs and seed,
-/// for any `jobs >= 1`.
+/// over `jobs` worker threads (`jobs` 1 stays on the calling thread).
+/// Produces a [`CoverageReport`] that is byte-identical (text and JSON)
+/// to the scalar [`run_campaign`](crate::run_campaign) for the same
+/// inputs and seed, on either engine and for any `jobs >= 1`.
 ///
 /// # Errors
 ///
-/// Returns a diagnostic for the switch engine (packed evaluation models
-/// the semantics graph, not the transistor network), and propagates any
-/// non-budget construction or stepping error exactly like the scalar
-/// campaign.
+/// Propagates any non-budget construction or stepping error exactly
+/// like the scalar campaign.
 pub fn run_campaign_packed(
     design: &Design,
     list: &FaultList,
@@ -136,12 +134,6 @@ pub fn run_campaign_packed(
     jobs: usize,
 ) -> Result<CoverageReport, Diagnostic> {
     run_campaign_packed_with(design, list, cfg, jobs, None)
-}
-
-/// Never spawn more workers than there are pending fault words: excess
-/// workers would only sit idle on an empty queue.
-pub(crate) fn clamp_jobs(jobs: usize, pending_words: usize) -> usize {
-    jobs.max(1).min(pending_words.max(1))
 }
 
 /// [`run_campaign_packed`] with optional crash-safe checkpointing (see
@@ -164,102 +156,15 @@ pub fn run_campaign_packed_with(
     jobs: usize,
     checkpoint: Option<&CheckpointOptions>,
 ) -> Result<CoverageReport, Diagnostic> {
-    if cfg.engine == Engine::Switch {
-        return Err(Diagnostic::error(
-            Span::dummy(),
-            "packed campaigns support the graph engine only; \
-             rerun without --packed/--jobs or with --engine graph",
-        ));
+    match cfg.engine {
+        Engine::Graph => run_words(design, list, cfg, jobs, checkpoint, |limits| {
+            let golden = record_golden(design, cfg, &limits)?;
+            Ok(move |faults: &[Fault]| run_word(design, faults, cfg, &limits, &golden))
+        }),
+        Engine::Switch => run_words(design, list, cfg, jobs, checkpoint, |limits| {
+            Ok(scalar_word(design, cfg, limits))
+        }),
     }
-    cfg.validate(design)?;
-    let limits = cfg.effective_limits();
-    let golden = record_golden(design, cfg, &limits)?;
-
-    let (mut journal, mut done) = Journal::open(design, list, cfg, checkpoint)?;
-    let words: Vec<&[Fault]> = list.faults.chunks(LANES).collect();
-    let pending: Vec<usize> = (0..words.len()).filter(|w| !done.contains_key(w)).collect();
-    let jobs = clamp_jobs(jobs, pending.len());
-    let started = Instant::now();
-    let mut partial = None;
-
-    if jobs <= 1 {
-        for &w in &pending {
-            if let Some(reason) = interruption(cfg, started) {
-                partial = Some(reason);
-                break;
-            }
-            let outcomes = run_word_isolated(w, cfg, words[w].len(), || {
-                run_word(design, words[w], cfg, &limits, &golden)
-            })?;
-            if let Some(j) = journal.as_mut() {
-                j.record(w, &outcomes)?;
-            }
-            done.insert(w, outcomes);
-        }
-    } else {
-        // Contiguous word ranges per worker; merging by word index makes
-        // the result order — and therefore the report — independent of
-        // `jobs`. Workers stream finished words to the coordinator over
-        // a channel so the journal flushes while the campaign runs, and
-        // a first error (or interruption) makes every worker stop at its
-        // next word boundary, draining in-flight work.
-        let stop = AtomicBool::new(false);
-        let mut first_err: Option<Diagnostic> = None;
-        let chunk = pending.len().div_ceil(jobs);
-        let (tx, rx) = mpsc::channel::<(usize, Result<Vec<Outcome>, Diagnostic>)>();
-        std::thread::scope(|scope| {
-            for shard in pending.chunks(chunk) {
-                let tx = tx.clone();
-                let (golden, limits, words, stop) = (&golden, &limits, &words, &stop);
-                scope.spawn(move || {
-                    for &w in shard {
-                        if stop.load(Ordering::Relaxed) || interruption(cfg, started).is_some() {
-                            break;
-                        }
-                        let res = run_word_isolated(w, cfg, words[w].len(), || {
-                            run_word(design, words[w], cfg, limits, golden)
-                        });
-                        let failed = res.is_err();
-                        let _ = tx.send((w, res));
-                        if failed {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for (w, res) in rx {
-                match res {
-                    Ok(outcomes) => {
-                        if let Some(j) = journal.as_mut() {
-                            if let Err(e) = j.record(w, &outcomes) {
-                                if first_err.is_none() {
-                                    first_err = Some(e);
-                                }
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        done.insert(w, outcomes);
-                    }
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        if done.len() < words.len() {
-            partial = interruption(cfg, started);
-            debug_assert!(partial.is_some(), "missing words without an interruption");
-        }
-    }
-
-    Ok(assemble(design, list, cfg, done, partial))
 }
 
 /// Runs the fault-free simulation once under the campaign limits and
@@ -457,7 +362,7 @@ fn run_word(
     Ok(final_outcomes)
 }
 
-/// Wall-clock deadline, checked once per tick per shard (the scalar
+/// Wall-clock deadline, checked once per tick per word (the scalar
 /// governor checks every 64 fuel charges; both are approximations of
 /// "stop around this time" and only fire in wall-clock-limited runs).
 fn check_deadline(
@@ -574,22 +479,5 @@ mod tests {
             assert_eq!(one.to_json(), many.to_json(), "jobs={jobs}");
             assert_eq!(one.to_text(), many.to_text(), "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn jobs_are_clamped_to_pending_words() {
-        assert_eq!(clamp_jobs(0, 5), 1, "zero jobs becomes one");
-        assert_eq!(clamp_jobs(8, 3), 3, "never more workers than words");
-        assert_eq!(clamp_jobs(2, 3), 2, "requested jobs kept when fewer");
-        assert_eq!(clamp_jobs(8, 0), 1, "nothing pending still needs one");
-    }
-
-    #[test]
-    fn switch_engine_is_rejected() {
-        let d = design(HALFADDER, "halfadder");
-        let list = enumerate_faults(&d, &FaultListOptions::default());
-        let cfg = CampaignConfig::new(Engine::Switch, 8, 1);
-        let err = run_campaign_packed(&d, &list, &cfg, 1).unwrap_err();
-        assert!(err.message.contains("graph engine"));
     }
 }

@@ -396,10 +396,11 @@ mod tests {
             "t",
         );
         assert!(out.report.after.gates < out.report.before.gates);
-        assert!(matches!(
+        // Two boolean input bits: the check simulates 2^2 vectors.
+        assert_eq!(
             out.report.verification,
-            Verification::Exhaustive { .. }
-        ));
+            Verification::Exhaustive { vectors: 4 }
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The equivalence gate: the optimizer refuses to emit a rewritten
 //! netlist it cannot verify against the original.
 //!
-//! Small combinational designs are checked *exhaustively* — every input
-//! vector over the four-valued boolean domain, via
-//! [`zeus_sim::check_equivalent_with`]. Everything else (registers, or
+//! Small combinational designs are checked *exhaustively* — every
+//! boolean (0/1) input vector, via [`zeus_sim::check_equivalent_with`].
+//! UNDEF inputs are not enumerated. Everything else (registers, or
 //! too many input bits) runs a *packed random lockstep*: both designs
 //! simulate the same pseudo-random stimulus in 64 lanes at a time, from
 //! a common RSET pulse, and every OUT-port bit is compared after every
@@ -26,7 +26,7 @@ pub enum Verification {
     /// The pipeline changed nothing: the netlists are identical, no
     /// check was needed.
     Unchanged,
-    /// Exhaustive input enumeration over `vectors` four-valued input
+    /// Exhaustive enumeration of all `vectors` = 2^bits boolean input
     /// vectors (combinational designs within the input-bit budget).
     Exhaustive {
         /// Number of input vectors simulated on both designs.
@@ -87,8 +87,7 @@ pub(crate) fn verify_equivalent(
         limits.max_input_bits = cfg.max_exhaustive_bits;
         match check_equivalent_with(orig, opt, &limits)? {
             None => Ok(Verification::Exhaustive {
-                // 3 values per boolean input bit (0, 1, UNDEF).
-                vectors: 3u64.saturating_pow(bits),
+                vectors: 2u64.saturating_pow(bits),
             }),
             Some(ce) => Err(Diagnostic::internal(
                 Span::dummy(),

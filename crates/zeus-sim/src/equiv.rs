@@ -282,104 +282,3 @@ pub fn run_differential(
     }
     Ok(None)
 }
-
-/// Sequential equivalence by random bounded simulation: both designs are
-/// reset (RSET high for `reset_cycles`), then driven with the same
-/// pseudo-random input streams for `cycles` cycles per trial; all OUT
-/// ports must agree every cycle.
-///
-/// This is a falsifier, not a proof — it catches divergence with high
-/// probability for the register counts Zeus programs have.
-///
-/// Returns `Ok(None)` when no divergence was observed.
-///
-/// # Errors
-///
-/// Returns a diagnostic when the interfaces differ.
-pub fn check_equivalent_sequential(
-    a: &Design,
-    b: &Design,
-    trials: u32,
-    cycles: u32,
-    seed: u64,
-) -> Result<Option<CounterExample>, Diagnostic> {
-    let err = |msg: String| Diagnostic::error(Span::dummy(), msg);
-    let ins_a: Vec<_> = a.inputs().collect();
-    let ins_b: Vec<_> = b.inputs().collect();
-    if ins_a.len() != ins_b.len() {
-        return Err(err("designs have different input ports".into()));
-    }
-    for (pa, pb) in ins_a.iter().zip(&ins_b) {
-        if pa.name != pb.name || pa.width() != pb.width() {
-            return Err(err(format!(
-                "input port mismatch: {} vs {}",
-                pa.name, pb.name
-            )));
-        }
-    }
-    // One stream across all trials: each trial resets the circuits but
-    // continues the pseudo-random input sequence, so trials explore
-    // different behavior.
-    let mut stream = VectorStream::new(a, seed);
-    for _ in 0..trials {
-        let mut sa = Simulator::new(a.clone()).map_err(|e| err(e.to_string()))?;
-        let mut sb = Simulator::new(b.clone()).map_err(|e| err(e.to_string()))?;
-        sa.set_rset(true);
-        sb.set_rset(true);
-        for (name, bits) in stream.zero_vector() {
-            let _ = sa.set_port(&name, &bits);
-            let _ = sb.set_port(&name, &bits);
-        }
-        sa.step();
-        sb.step();
-        sa.set_rset(false);
-        sb.set_rset(false);
-        if let Some(d) = run_differential(&mut sa, &mut sb, &mut stream, cycles)? {
-            return Ok(Some(CounterExample {
-                inputs: d.inputs,
-                port: d.port,
-                got: d.got,
-            }));
-        }
-    }
-    Ok(None)
-}
-
-#[cfg(test)]
-mod seq_tests {
-    use super::*;
-    use zeus_elab::elaborate;
-    use zeus_syntax::parse_program;
-
-    fn design(src: &str, top: &str) -> Design {
-        elaborate(&parse_program(src).unwrap(), top, &[]).unwrap()
-    }
-
-    const TOGGLERS: &str = "TYPE t1 = COMPONENT (IN en: boolean; OUT q: boolean) IS \
-         SIGNAL r: REG; \
-         BEGIN IF RSET THEN r.in := 0 \
-               ELSIF en THEN r.in := NOT r.out END; q := r.out END; \
-         t2 = COMPONENT (IN en: boolean; OUT q: boolean) IS \
-         SIGNAL r: REG; \
-         BEGIN r.in := AND(XOR(r.out, en), NOT RSET); q := r.out END; \
-         t3 = COMPONENT (IN en: boolean; OUT q: boolean) IS \
-         SIGNAL r: REG; \
-         BEGIN r.in := AND(OR(r.out, en), NOT RSET); q := r.out END;";
-
-    #[test]
-    fn equivalent_togglers_pass() {
-        let a = design(TOGGLERS, "t1");
-        let b = design(TOGGLERS, "t2");
-        assert_eq!(check_equivalent_sequential(&a, &b, 4, 64, 1).unwrap(), None);
-    }
-
-    #[test]
-    fn divergent_state_machines_are_caught() {
-        let a = design(TOGGLERS, "t1");
-        let b = design(TOGGLERS, "t3"); // sticky, not toggling
-        let ce = check_equivalent_sequential(&a, &b, 4, 64, 1)
-            .unwrap()
-            .expect("divergence");
-        assert_eq!(ce.port, "q");
-    }
-}

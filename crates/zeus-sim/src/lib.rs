@@ -51,8 +51,7 @@ mod trace;
 mod vectors;
 
 pub use equiv::{
-    check_equivalent, check_equivalent_sequential, check_equivalent_with, run_differential,
-    CounterExample, Divergence,
+    check_equivalent, check_equivalent_with, run_differential, CounterExample, Divergence,
 };
 pub use event::EventSimulator;
 pub use packed::{PackedConflict, PackedCycleReport, PackedSim, PackedWord, LANES};

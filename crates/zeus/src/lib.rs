@@ -36,9 +36,9 @@ pub use zeus_atpg::{
     Strategy as AtpgStrategy,
 };
 pub use zeus_elab::{
-    design_digest, design_from_text, design_to_text, to_dot, Design, Direction, ElabOptions, Fault,
-    FaultKind, InstanceNode, LayoutItem, Limits, Net, NetId, Netlist, Node, NodeId, NodeOp,
-    Orientation, Port, Shape, StableHasher,
+    design_digest, design_from_text, design_to_text, to_dot, Design, Direction, Fault, FaultKind,
+    InstanceNode, LayoutItem, Limits, Net, NetId, Netlist, Node, NodeId, NodeOp, Orientation, Port,
+    Shape, StableHasher,
 };
 pub use zeus_fault::{
     campaign_digest, enumerate_faults, read_header, run_campaign, run_campaign_packed,
@@ -61,9 +61,9 @@ pub use zeus_sat::{
 };
 pub use zeus_sema::{BasicKind, ConstEnv, ConstVal, Resolution, Value};
 pub use zeus_sim::{
-    check_equivalent, check_equivalent_sequential, check_equivalent_with, run_differential,
-    Conflict, CounterExample, CycleReport, Divergence, EventSimulator, PackedConflict,
-    PackedCycleReport, PackedSim, PackedWord, Recorder, Simulator, VectorSet, VectorStream, LANES,
+    check_equivalent, check_equivalent_with, run_differential, Conflict, CounterExample,
+    CycleReport, Divergence, EventSimulator, PackedConflict, PackedCycleReport, PackedSim,
+    PackedWord, Recorder, Simulator, VectorSet, VectorStream, LANES,
 };
 pub use zeus_switch::{SwitchSim, Synth};
 pub use zeus_syntax::{

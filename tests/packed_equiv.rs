@@ -5,13 +5,16 @@
 //! stream — holds exactly the values a scalar [`Simulator`] computes.
 //! This suite drives every bundled design with random vectors through
 //! both engines and compares every port every cycle, then checks the
-//! sharded campaign runner end to end: `--jobs 1` and `--jobs 8` (and
-//! the scalar path) must produce byte-identical reports.
+//! sharded campaign runner end to end against the scalar reference
+//! `run_campaign` on every design: `--jobs 1` and `--jobs 8` (and the
+//! scalar path) must produce byte-identical reports, on the graph and
+//! the switch engine alike.
 
 use proptest::prelude::*;
 use zeus::{
-    enumerate_faults, examples, run_campaign, run_campaign_packed, CampaignConfig, Engine,
-    FaultListOptions, PackedSim, Simulator, Value, VectorStream, Zeus,
+    enumerate_faults, examples, run_campaign, run_campaign_packed, run_campaign_packed_with,
+    CampaignConfig, Engine, FaultListOptions, PackedSim, Simulator, Value, VectorStream, Zeus,
+    LANES,
 };
 
 /// (example name, top, args) — representative parameters for every
@@ -149,23 +152,55 @@ fn sharded_campaign_reports_are_job_count_invariant() {
     assert_eq!(scalar.to_text(), jobs8.to_text(), "text report parity");
 }
 
-/// Sequential designs with registers and RSET keep the parity too.
+/// Designs whose debug-build scalar campaign with bridges and transients
+/// takes seconds; they keep stuck-at parity only.
+const SLOW_WITH_BRIDGES: &[&str] = &["blackjack", "routingnetwork", "am2901"];
+
+/// Every bundled design keeps campaign-level parity with the scalar
+/// reference: stuck-at faults over 16 vectors, plus bridges and
+/// transients where the scalar run stays short.
 #[test]
-fn sharded_campaign_parity_on_sequential_designs() {
-    for &(name, top, targs) in &[
-        ("counter", "counter", &[4i64][..]),
-        ("blackjack", "blackjack", &[][..]),
-    ] {
+fn sharded_campaign_parity_on_every_bundled_design() {
+    for &(name, top, targs) in TOPS {
         let z = Zeus::parse(source(name)).unwrap();
         let d = z.elaborate(top, targs).unwrap();
-        let list = enumerate_faults(&d, &FaultListOptions::default());
         let cfg = CampaignConfig::new(Engine::Graph, 16, 11);
-        let scalar = run_campaign(&d, &list, &cfg).unwrap();
-        let packed = run_campaign_packed(&d, &list, &cfg, 4).unwrap();
-        assert_eq!(
-            scalar.to_json(),
-            packed.to_json(),
-            "{name}/{top} packed campaign must match scalar"
-        );
+        let mut lists = vec![enumerate_faults(&d, &FaultListOptions::default())];
+        if !SLOW_WITH_BRIDGES.contains(&top) {
+            let opts = FaultListOptions {
+                bridges: true,
+                transients: Some(2),
+                ..FaultListOptions::default()
+            };
+            lists.push(enumerate_faults(&d, &opts));
+        }
+        for list in &lists {
+            let scalar = run_campaign(&d, list, &cfg).unwrap();
+            let packed = run_campaign_packed(&d, list, &cfg, 4).unwrap();
+            assert_eq!(
+                scalar.to_json(),
+                packed.to_json(),
+                "{name}/{top} ({} faults): packed campaign must match scalar",
+                list.faults.len()
+            );
+        }
     }
+}
+
+/// The switch engine runs through the same word runner, one fault at a
+/// time inside each word: sharding its two words over three jobs changes
+/// nothing, and both runs match the scalar reference.
+#[test]
+fn switch_campaign_reports_are_job_count_invariant() {
+    let z = Zeus::parse(source("adders")).unwrap();
+    let d = z.elaborate("rippleCarry4", &[]).unwrap();
+    let list = enumerate_faults(&d, &FaultListOptions::default());
+    assert!(list.faults.len() > LANES, "needs two words to shard");
+    let cfg = CampaignConfig::new(Engine::Switch, 4, 3);
+    let jobs1 = run_campaign_packed_with(&d, &list, &cfg, 1, None).unwrap();
+    let jobs3 = run_campaign_packed_with(&d, &list, &cfg, 3, None).unwrap();
+    assert_eq!(jobs1.to_json(), jobs3.to_json(), "--jobs 1 vs --jobs 3");
+    assert_eq!(jobs1.to_text(), jobs3.to_text(), "text report parity");
+    let scalar = run_campaign(&d, &list, &cfg).unwrap();
+    assert_eq!(scalar.to_json(), jobs1.to_json(), "scalar vs packed runner");
 }
