@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use zeus_elab::{Design, Fault, StableHasher};
+use zeus_elab::{json, Design, Fault, StableHasher};
 use zeus_fault::CoverageReport;
 use zeus_sim::VectorSet;
 
@@ -258,9 +258,9 @@ impl AtpgReport {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         let _ = write!(s, "{{\"tool\":\"zeus-atpg\"");
-        let _ = write!(s, ",\"top\":{}", json_str(&self.top));
-        let _ = write!(s, ",\"mode\":{}", json_str(self.mode.name()));
-        let _ = write!(s, ",\"strategy\":{}", json_str(self.strategy.name()));
+        let _ = write!(s, ",\"top\":{}", json::quote(&self.top));
+        let _ = write!(s, ",\"mode\":{}", json::quote(self.mode.name()));
+        let _ = write!(s, ",\"strategy\":{}", json::quote(self.strategy.name()));
         let _ = write!(s, ",\"seed\":{}", self.seed);
         if self.partial {
             let _ = write!(s, ",\"partial\":true");
@@ -337,8 +337,8 @@ impl AtpgReport {
             let _ = write!(
                 s,
                 "{{\"site\":{},\"kind\":{}}}",
-                json_str(name),
-                json_str(&fault.kind.to_string())
+                json::quote(name),
+                json::quote(&fault.kind.to_string())
             );
         }
         let _ = write!(s, "],\"aborted\":[");
@@ -349,8 +349,8 @@ impl AtpgReport {
             let _ = write!(
                 s,
                 "{{\"site\":{},\"kind\":{}}}",
-                json_str(name),
-                json_str(&fault.kind.to_string())
+                json::quote(name),
+                json::quote(&fault.kind.to_string())
             );
         }
         let _ = write!(s, "],\"grade\":{}", self.grade.to_json());
@@ -367,37 +367,4 @@ pub(crate) fn site_label(design: &Design, fault: Fault) -> String {
 
 fn fmt_pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
-}
-
-/// Minimal JSON string escaper (duplicated per crate to keep the
-/// report modules dependency-free).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
 }

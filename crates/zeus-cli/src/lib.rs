@@ -72,7 +72,7 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use zeus::{examples, Limits, StableHasher, Zeus};
+use zeus::{examples, Json, Limits, StableHasher, Zeus};
 
 /// Appends a line to a session buffer (stdout or stderr).
 macro_rules! wln {
@@ -830,25 +830,25 @@ fn artifact_key(p: &Parsed, src: &str, seed: u64, vector_text: Option<&str>) -> 
 /// for the artifact cache.
 fn artifact_encode(out: &str, err: &str, files: &[(String, String)]) -> String {
     let mut obj = vec![
-        ("out".to_string(), proto::Json::Str(out.to_string())),
-        ("err".to_string(), proto::Json::Str(err.to_string())),
+        ("out".to_string(), Json::Str(out.to_string())),
+        ("err".to_string(), Json::Str(err.to_string())),
     ];
     let f = files
         .iter()
-        .map(|(p, c)| (p.clone(), proto::Json::Str(c.clone())))
+        .map(|(p, c)| (p.clone(), Json::Str(c.clone())))
         .collect();
-    obj.push(("files".to_string(), proto::Json::Obj(f)));
-    proto::Json::Obj(obj).encode()
+    obj.push(("files".to_string(), Json::Obj(f)));
+    Json::Obj(obj).encode()
 }
 
 /// Parses an artifact back into `(out, err, files)`.
 #[allow(clippy::type_complexity)]
 fn artifact_decode(text: &str) -> Option<(String, String, Vec<(String, String)>)> {
-    let v = proto::Json::parse(text).ok()?;
+    let v = Json::parse(text).ok()?;
     let out = v.get("out")?.as_str()?.to_string();
     let err = v.get("err")?.as_str()?.to_string();
     let mut files = Vec::new();
-    if let Some(proto::Json::Obj(fs)) = v.get("files") {
+    if let Some(Json::Obj(fs)) = v.get("files") {
         for (p, c) in fs {
             files.push((p.clone(), c.as_str()?.to_string()));
         }
@@ -1375,51 +1375,36 @@ fn cmd_opt(
     let faults_after = zeus::enumerate_faults(&out.design, &fopts).faults.len();
     if p.has("--json") {
         let m = |m: &zeus::Metrics| {
-            proto::Json::Obj(vec![
-                ("gates".to_string(), proto::Json::Num(m.gates as u64)),
-                ("depth".to_string(), proto::Json::Num(m.depth as u64)),
-                ("nets".to_string(), proto::Json::Num(m.nets as u64)),
+            Json::Obj(vec![
+                ("gates".to_string(), Json::Num(m.gates as u64)),
+                ("depth".to_string(), Json::Num(m.depth as u64)),
+                ("nets".to_string(), Json::Num(m.nets as u64)),
             ])
         };
         let passes = r
             .passes
             .iter()
             .map(|s| {
-                proto::Json::Obj(vec![
-                    ("name".to_string(), proto::Json::Str(s.name.to_string())),
-                    ("rewrites".to_string(), proto::Json::Num(s.rewrites as u64)),
+                Json::Obj(vec![
+                    ("name".to_string(), Json::Str(s.name.to_string())),
+                    ("rewrites".to_string(), Json::Num(s.rewrites as u64)),
                 ])
             })
             .collect();
-        let obj = proto::Json::Obj(vec![
-            ("top".to_string(), proto::Json::Str(design.top_type.clone())),
+        let obj = Json::Obj(vec![
+            ("top".to_string(), Json::Str(design.top_type.clone())),
             ("before".to_string(), m(&r.before)),
             ("after".to_string(), m(&r.after)),
-            (
-                "faults_before".to_string(),
-                proto::Json::Num(faults_before as u64),
-            ),
-            (
-                "faults_after".to_string(),
-                proto::Json::Num(faults_after as u64),
-            ),
-            (
-                "rewrites".to_string(),
-                proto::Json::Num(r.total_rewrites() as u64),
-            ),
-            (
-                "iterations".to_string(),
-                proto::Json::Num(r.iterations as u64),
-            ),
-            (
-                "skipped_random".to_string(),
-                proto::Json::Bool(r.skipped_random),
-            ),
+            ("faults_before".to_string(), Json::Num(faults_before as u64)),
+            ("faults_after".to_string(), Json::Num(faults_after as u64)),
+            ("rewrites".to_string(), Json::Num(r.total_rewrites() as u64)),
+            ("iterations".to_string(), Json::Num(r.iterations as u64)),
+            ("skipped_random".to_string(), Json::Bool(r.skipped_random)),
             (
                 "verified".to_string(),
-                proto::Json::Str(r.verification.to_string()),
+                Json::Str(r.verification.to_string()),
             ),
-            ("passes".to_string(), proto::Json::Arr(passes)),
+            ("passes".to_string(), Json::Arr(passes)),
         ]);
         wln!(sess.out, "{}", obj.encode());
     } else {

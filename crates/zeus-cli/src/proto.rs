@@ -1,12 +1,11 @@
 //! The `zeusd` wire protocol: line-delimited JSON over a Unix socket.
 //!
 //! One connection carries one request and one response, each a single
-//! JSON object on a single line (the value layer below forbids raw
-//! newlines inside encoded output, so a reader can frame on `\n`). The
-//! encoder/decoder here is deliberately tiny — strings, unsigned
-//! integers, booleans, arrays, objects — because that is the whole
-//! vocabulary of the protocol, and the repository's no-new-dependencies
-//! rule precludes a real JSON crate.
+//! JSON object on a single line (the workspace's one JSON codec,
+//! `zeus_elab::json`, re-exported here as [`Json`], escapes every
+//! control character and emits no whitespace, so a reader can frame on
+//! `\n`). The codec caps nesting at 128 and parses in linear time, so a
+//! hostile request line is answered `bad_request`.
 //!
 //! ## Request
 //!
@@ -41,278 +40,7 @@
 //! queue was full — retry after the hinted delay. `shutting_down` means
 //! the daemon is draining and will not accept new work.
 
-use std::fmt::Write as _;
-
-/// A JSON value restricted to the protocol's needs (numbers are
-/// unsigned 64-bit integers — nothing in the protocol is negative or
-/// fractional).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// An unsigned integer.
-    Num(u64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Serializes to a single line (no raw newlines: they are escaped
-    /// inside strings, and the encoder emits no whitespace).
-    pub fn encode(&self) -> String {
-        let mut s = String::new();
-        self.encode_into(&mut s);
-        s
-    }
-
-    fn encode_into(&self, s: &mut String) {
-        match self {
-            Json::Null => s.push_str("null"),
-            Json::Bool(true) => s.push_str("true"),
-            Json::Bool(false) => s.push_str("false"),
-            Json::Num(n) => {
-                let _ = write!(s, "{n}");
-            }
-            Json::Str(v) => encode_str(v, s),
-            Json::Arr(items) => {
-                s.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    item.encode_into(s);
-                }
-                s.push(']');
-            }
-            Json::Obj(pairs) => {
-                s.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    encode_str(k, s);
-                    s.push(':');
-                    v.encode_into(s);
-                }
-                s.push('}');
-            }
-        }
-    }
-
-    /// Parses a JSON value, rejecting trailing garbage.
-    ///
-    /// # Errors
-    ///
-    /// A short position-tagged message for malformed input.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-}
-
-fn encode_str(v: &str, s: &mut String) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                pairs.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() => {
-            let start = *pos;
-            while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-        Some(c) => Err(format!("unexpected byte {c:#04x} at byte {pos}")),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8".to_string());
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'b') => out.push(0x08),
-                    Some(b'f') => out.push(0x0c),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        // The protocol only ever emits \u00xx for
-                        // control characters; reject surrogates rather
-                        // than reassemble pairs.
-                        let c = char::from_u32(hex)
-                            .ok_or_else(|| format!("bad \\u scalar at byte {pos}"))?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(&c) => {
-                out.push(c);
-                *pos += 1;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Wire types
-// ---------------------------------------------------------------------
+pub use zeus::Json;
 
 /// One `zeusc` invocation shipped to the daemon.
 #[derive(Debug, Clone, Default)]
@@ -529,29 +257,6 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_round_trips_nesting_and_escapes() {
-        let v = Json::Obj(vec![
-            ("a\n\"b\\".to_string(), Json::Str("x\ty\u{1}z".to_string())),
-            (
-                "list".to_string(),
-                Json::Arr(vec![Json::Num(0), Json::Null, Json::Bool(true)]),
-            ),
-            ("empty".to_string(), Json::Obj(vec![])),
-        ]);
-        let text = v.encode();
-        assert!(!text.contains('\n'), "{text}");
-        assert_eq!(Json::parse(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn json_rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("{}x").is_err());
-        assert!(Json::parse("\"abc").is_err());
-        assert!(Json::parse("{\"a\" 1}").is_err());
-    }
 
     #[test]
     fn request_round_trips() {

@@ -705,6 +705,59 @@ fn fault_resume_rejects_a_mismatched_campaign() {
 }
 
 #[test]
+fn resume_rejects_a_deeply_nested_journal_header() {
+    let path = tmp_journal("deep");
+    // The hostile zeusd request line: an argv opening a million arrays.
+    let text = format!("{{\"id\":1,\"argv\":{}\n", "[".repeat(1_000_000));
+    std::fs::write(&path, text).unwrap();
+    let base = [
+        "fault",
+        "@adders",
+        "rippleCarry4",
+        "--checkpoint",
+        path.to_str().unwrap(),
+        "--resume",
+    ];
+    // Without --seed the header is read first, to recover the seed.
+    for extra in [&[][..], &["--seed", "1"]] {
+        let (code, _, stderr) = zeusc_code(&[&base[..], extra].concat());
+        assert_eq!(code, 2, "{extra:?}: {stderr}");
+        assert!(stderr.contains("corrupt header"), "{extra:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn resume_rejects_a_huge_journal_header_string_quickly() {
+    let path = tmp_journal("longtop");
+    let header = format!(
+        "{{\"zeus_fault_checkpoint\":1,\"config\":\"0000000000000000\",\"top\":\"{}\",\
+         \"engine\":\"graph\",\"vectors\":8,\"seed\":1,\"faults\":68,\"words\":2}}\n",
+        "t".repeat(1_000_000)
+    );
+    std::fs::write(&path, header).unwrap();
+    let start = std::time::Instant::now();
+    let (code, _, stderr) = zeusc_code(&[
+        "fault",
+        "@adders",
+        "rippleCarry4",
+        "--seed",
+        "1",
+        "--checkpoint",
+        path.to_str().unwrap(),
+        "--resume",
+    ]);
+    let took = start.elapsed();
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("different campaign"), "{stderr}");
+    assert!(
+        took < std::time::Duration::from_secs(5),
+        "took {took:?} to reject"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn fault_campaign_timeout_reports_partially_with_exit_3() {
     let (code, stdout, stderr) = zeusc_code(&[
         "fault",

@@ -280,18 +280,45 @@ fn handle(job: Job, store: &Store, cfg: &ServerConfig) {
     respond(&mut stream, &resp);
 }
 
-/// Reads the single request line from a fresh connection. `None` on
-/// timeout, disconnect, or unreadable bytes (the connection is simply
-/// dropped — there is nothing to answer).
-fn read_request_line(stream: &UnixStream) -> Option<String> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let mut line = String::new();
+/// How long a client may take to send its whole request line.
+const REQUEST_LINE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Reads the single request line from a fresh connection, giving the
+/// whole line one `timeout` (a socket read timeout alone restarts on
+/// every byte, so a client trickling bytes could hold the acceptor
+/// forever). `None` on timeout, disconnect, or unreadable bytes (the
+/// connection is simply dropped — there is nothing to answer).
+fn read_request_line(stream: &UnixStream, timeout: Duration) -> Option<String> {
+    let deadline = Instant::now() + timeout;
     let mut reader = BufReader::new(stream);
-    match reader.read_line(&mut line) {
-        Ok(0) => None,
-        Ok(_) => Some(line),
-        Err(_) => None,
+    let mut line = Vec::new();
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return None;
+        }
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return None,
+        };
+        if buf.is_empty() {
+            break;
+        }
+        let (take, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (buf.len(), false),
+        };
+        line.extend_from_slice(&buf[..take]);
+        reader.consume(take);
+        if done {
+            break;
+        }
     }
+    if line.is_empty() {
+        return None;
+    }
+    String::from_utf8(line).ok()
 }
 
 /// Runs the daemon until [`SHUTDOWN`] goes high, then drains. Returns
@@ -344,7 +371,7 @@ pub fn run(cfg: &ServerConfig) -> std::io::Result<()> {
                 }
                 Err(_) => continue,
             };
-            let Some(line) = read_request_line(&stream) else {
+            let Some(line) = read_request_line(&stream, REQUEST_LINE_TIMEOUT) else {
                 continue;
             };
             let req = match Request::decode(line.trim_end()) {
@@ -382,4 +409,49 @@ pub fn run(cfg: &ServerConfig) -> std::io::Result<()> {
     let _ = std::fs::remove_file(&cfg.socket);
     eprintln!("zeusd: drained, exiting");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_line_timeout_covers_the_whole_line() {
+        let (server, mut client) = UnixStream::pair().unwrap();
+        // A byte every 20 ms never trips a per-read timeout of 200 ms.
+        let trickle = std::thread::spawn(move || {
+            for _ in 0..100 {
+                if client.write_all(b"[").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let start = Instant::now();
+        assert_eq!(read_request_line(&server, Duration::from_millis(200)), None);
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "held for {took:?}");
+        drop(server);
+        trickle.join().unwrap();
+    }
+
+    #[test]
+    fn request_line_stops_at_the_newline_or_eof() {
+        let (server, mut client) = UnixStream::pair().unwrap();
+        client.write_all(b"{\"id\":1}\nrest").unwrap();
+        assert_eq!(
+            read_request_line(&server, Duration::from_secs(5)).as_deref(),
+            Some("{\"id\":1}\n")
+        );
+        let (server, mut client) = UnixStream::pair().unwrap();
+        client.write_all(b"{\"id\":").unwrap();
+        drop(client);
+        assert_eq!(
+            read_request_line(&server, Duration::from_secs(5)).as_deref(),
+            Some("{\"id\":")
+        );
+        let (server, client) = UnixStream::pair().unwrap();
+        drop(client);
+        assert_eq!(read_request_line(&server, Duration::from_secs(5)), None);
+    }
 }

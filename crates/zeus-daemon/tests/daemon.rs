@@ -112,6 +112,20 @@ fn raw(socket: &PathBuf, req: &Request) -> Response {
     Response::decode(answer.trim_end()).expect("decode response")
 }
 
+/// Sends `bytes` as the whole request (no framing added) and decodes
+/// the answer.
+fn raw_bytes(socket: &PathBuf, bytes: &[u8]) -> Response {
+    let mut stream = UnixStream::connect(socket).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream.write_all(bytes).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut answer = String::new();
+    BufReader::new(stream).read_line(&mut answer).unwrap();
+    Response::decode(answer.trim_end()).expect("decode response")
+}
+
 fn request(parts: &[&str]) -> Request {
     Request {
         id: std::process::id().into(),
@@ -400,6 +414,42 @@ fn chaos_panic_is_ignored_without_opt_in() {
     match raw(&daemon.socket, &req) {
         Response::Ok { code, .. } => assert_eq!(code, 0, "chaos honored without --chaos"),
         other => panic!("request failed: {other:?}"),
+    }
+}
+
+// -------------------------------------------------------------------
+// Hostile request lines: answered `bad_request`; the daemon lives.
+// -------------------------------------------------------------------
+
+#[test]
+fn malformed_request_lines_get_bad_request() {
+    let daemon = Daemon::spawn("badreq", &[]);
+    let deep = format!("{{\"id\":1,\"argv\":{}\n", "[".repeat(1_000_000));
+    let lines: [&[u8]; 3] = [
+        deep.as_bytes(),
+        b"{\"id\":1,\"argv\":[\"sim\",\"@add",
+        b"this is not json\n",
+    ];
+    for line in lines {
+        match raw_bytes(&daemon.socket, line) {
+            Response::BadRequest { .. } => {}
+            other => panic!(
+                "{:?}… was answered {other:?}",
+                String::from_utf8_lossy(&line[..line.len().min(40)])
+            ),
+        }
+    }
+    // The daemon still serves, byte for byte.
+    let case = argv(&["sim", "@adders", "halfadder"]);
+    let (code, out, err) = zeus_cli::run_captured(&case);
+    match run_remote(&daemon.opts(), &case) {
+        RemoteOutcome::Done {
+            code: rcode,
+            out: rout,
+            err: rerr,
+            ..
+        } => assert_eq!((rcode, rout, rerr), (code, out, err)),
+        other => panic!("daemon stopped serving after bad lines: {other:?}"),
     }
 }
 

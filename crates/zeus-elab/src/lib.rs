@@ -38,6 +38,7 @@ mod elab;
 pub mod design;
 pub mod fault;
 pub mod hash;
+pub mod json;
 pub mod limits;
 pub mod netlist;
 pub mod serdes;
@@ -47,6 +48,7 @@ pub use design::{Design, Direction, InstanceNode, LayoutItem, Orientation, Port}
 pub use elab::{elaborate, elaborate_signal, elaborate_signal_with, elaborate_with};
 pub use fault::{Fault, FaultKind};
 pub use hash::{design_digest, StableHasher};
+pub use json::Json;
 pub use limits::{Governor, Limits};
 pub use netlist::{to_dot, GroupConstraint, Net, NetId, Netlist, Node, NodeId, NodeOp};
 pub use serdes::{

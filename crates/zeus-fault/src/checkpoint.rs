@@ -2,10 +2,11 @@
 //! fault words.
 //!
 //! A campaign writes one JSONL line per completed 64-fault word to a
-//! journal file, after a header line that keys the journal to the exact
-//! campaign configuration (a [`StableHasher`] digest of the design
-//! structure, seed, vector count, engine, resource limits and the fault
-//! list). Every flush rewrites the journal to a temporary file and
+//! journal file (read and escaped by the workspace's one JSON codec,
+//! [`zeus_elab::json`]), after a header line that keys the journal to
+//! the exact campaign configuration (a [`StableHasher`] digest of the
+//! design structure, seed, vector count, engine, resource limits and the
+//! fault list). Every flush rewrites the journal to a temporary file and
 //! renames it over the target, so the on-disk journal is always either
 //! the previous complete state or the new complete state — a crash can
 //! lose at most the in-flight words, never corrupt the finished ones.
@@ -23,6 +24,7 @@ use crate::list::FaultList;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use zeus_elab::json::{self, Json};
 use zeus_elab::{design_digest, Design, FaultKind, StableHasher};
 use zeus_sim::LANES;
 use zeus_syntax::diag::Diagnostic;
@@ -299,8 +301,8 @@ fn header_line(
         s,
         "{{\"zeus_fault_checkpoint\":1,\"config\":\"{digest:016x}\",\"top\":{},\
          \"engine\":{},\"vectors\":{},\"seed\":{},\"faults\":{faults},\"words\":{words}}}",
-        json_str(&design.top_type),
-        json_str(cfg.engine.name()),
+        json::quote(&design.top_type),
+        json::quote(cfg.engine.name()),
         cfg.vectors,
         cfg.seed,
     );
@@ -314,9 +316,9 @@ fn entry_line(word: usize, outcomes: &[Outcome]) -> String {
         if i > 0 {
             s.push(',');
         }
-        let _ = write!(s, "{{\"o\":{}", json_str(outcome_tag(o)));
+        let _ = write!(s, "{{\"o\":{}", json::quote(outcome_tag(o)));
         if let Outcome::Detected { cycle, port } = o {
-            let _ = write!(s, ",\"cycle\":{cycle},\"port\":{}", json_str(port));
+            let _ = write!(s, ",\"cycle\":{cycle},\"port\":{}", json::quote(port));
         }
         s.push('}');
     }
@@ -325,7 +327,7 @@ fn entry_line(word: usize, outcomes: &[Outcome]) -> String {
 }
 
 fn parse_header(line: &str) -> Option<CheckpointHeader> {
-    let obj = Json::parse(line)?;
+    let obj = Json::parse(line).ok()?;
     if obj.get("zeus_fault_checkpoint")?.as_u64()? != 1 {
         return None;
     }
@@ -342,7 +344,7 @@ fn parse_header(line: &str) -> Option<CheckpointHeader> {
 }
 
 fn parse_entry(line: &str, words: usize, faults: usize) -> Option<(usize, Vec<Outcome>)> {
-    let obj = Json::parse(line)?;
+    let obj = Json::parse(line).ok()?;
     let word: usize = obj.get("word")?.as_u64()?.try_into().ok()?;
     if word >= words {
         return None;
@@ -372,211 +374,6 @@ fn parse_entry(line: &str, words: usize, faults: usize) -> Option<(usize, Vec<Ou
         outcomes.push(o);
     }
     Some((word, outcomes))
-}
-
-/// Minimal JSON string encoder (shared shape with the report encoder).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-// ---------------------------------------------------------------------
-// A tiny JSON reader — just enough for journal lines
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers are unsigned integers (the only numbers
-/// the journal writes); anything else fails the parse.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one complete JSON value with no trailing input.
-    fn parse(text: &str) -> Option<Json> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos == bytes.len() {
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Json> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos)? {
-        b'{' => parse_obj(bytes, pos),
-        b'[' => parse_arr(bytes, pos),
-        b'"' => parse_str(bytes, pos).map(Json::Str),
-        b'0'..=b'9' => parse_num(bytes, pos),
-        _ => None,
-    }
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Option<Json> {
-    *pos += 1; // '{'
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Some(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_str(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return None;
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos)? {
-            b',' => *pos += 1,
-            b'}' => {
-                *pos += 1;
-                return Some(Json::Obj(fields));
-            }
-            _ => return None,
-        }
-    }
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Option<Json> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Some(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos)? {
-            b',' => *pos += 1,
-            b']' => {
-                *pos += 1;
-                return Some(Json::Arr(items));
-            }
-            _ => return None,
-        }
-    }
-}
-
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return None;
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos)? {
-            b'"' => {
-                *pos += 1;
-                return Some(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = bytes.get(*pos + 1..*pos + 5)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        *pos += 4;
-                    }
-                    _ => return None,
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar (journal strings are design
-                // identifiers, but stay correct on any input).
-                let rest = std::str::from_utf8(&bytes[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Option<Json> {
-    let start = *pos;
-    while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-        *pos += 1;
-    }
-    if *pos == start {
-        return None;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()?
-        .parse()
-        .ok()
-        .map(Json::Num)
 }
 
 #[cfg(test)]
@@ -760,15 +557,5 @@ mod tests {
         let e = Journal::open(&d, &list, &cfg, Some(&opts)).unwrap_err();
         assert!(e.message.contains("corrupt"), "{}", e.message);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn json_reader_handles_nesting_and_rejects_trailing_input() {
-        let v = Json::parse("{\"a\":[{\"b\":1},2],\"c\":\"x\\ny\"}").unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(v.get("c").unwrap().as_str(), Some("x\ny"));
-        assert!(Json::parse("{\"a\":1} trailing").is_none());
-        assert!(Json::parse("{\"a\":").is_none());
-        assert!(Json::parse("").is_none());
     }
 }

@@ -1,16 +1,18 @@
 //! Coverage reports: campaign results as text and deterministic JSON.
 //!
 //! The JSON is hand-rolled with a fixed key order and fixed number
-//! formatting, so a campaign with the same design, seed and vector count
-//! produces *byte-identical* reports across runs — a property the test
-//! suite asserts, and which makes reports diffable in CI. The partial
+//! formatting (strings go through the shared
+//! [`zeus_elab::json::quote`]), so a campaign with the same design, seed
+//! and vector count produces *byte-identical* reports across runs — a
+//! property the test suite asserts, and which makes reports diffable in
+//! CI. The partial
 //! and tool-error annotations below are emitted *only* when present, so
 //! a complete, error-free campaign renders exactly as it always has.
 
 use crate::campaign::{outcome_tag, CampaignConfig, FaultResult, Outcome, PartialReason};
 use crate::list::FaultList;
 use std::fmt::Write as _;
-use zeus_elab::Design;
+use zeus_elab::{json, Design};
 
 /// The result of a whole campaign.
 #[derive(Debug, Clone)]
@@ -191,8 +193,8 @@ impl CoverageReport {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push('{');
-        let _ = write!(s, "\"top\":{}", json_str(&self.top));
-        let _ = write!(s, ",\"engine\":{}", json_str(&self.engine));
+        let _ = write!(s, "\"top\":{}", json::quote(&self.top));
+        let _ = write!(s, ",\"engine\":{}", json::quote(&self.engine));
         let _ = write!(s, ",\"vectors\":{}", self.vectors);
         let _ = write!(s, ",\"seed\":{}", self.seed);
         let _ = write!(s, ",\"total_enumerated\":{}", self.total_enumerated);
@@ -210,7 +212,7 @@ impl CoverageReport {
             let _ = write!(
                 s,
                 ",\"partial\":true,\"partial_reason\":{},\"planned\":{}",
-                json_str(reason.tag()),
+                json::quote(reason.tag()),
                 self.planned
             );
         }
@@ -220,7 +222,7 @@ impl CoverageReport {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{{\"port\":{},\"detected\":{}}}", json_str(port), n);
+            let _ = write!(s, "{{\"port\":{},\"detected\":{}}}", json::quote(port), n);
         }
         s.push(']');
         s.push_str(",\"faults\":[");
@@ -231,12 +233,12 @@ impl CoverageReport {
             let _ = write!(
                 s,
                 "{{\"fault\":{},\"site\":{},\"outcome\":{}",
-                json_str(&r.fault.to_string()),
-                json_str(&r.site_name),
-                json_str(outcome_tag(&r.outcome))
+                json::quote(&r.fault.to_string()),
+                json::quote(&r.site_name),
+                json::quote(outcome_tag(&r.outcome))
             );
             if let Outcome::Detected { cycle, port } = &r.outcome {
-                let _ = write!(s, ",\"cycle\":{cycle},\"port\":{}", json_str(port));
+                let _ = write!(s, ",\"cycle\":{cycle},\"port\":{}", json::quote(port));
             }
             s.push('}');
         }
@@ -249,38 +251,9 @@ fn fmt_pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Minimal JSON string encoder (the escapes our identifiers can need).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\ny\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn pct_formatting_is_fixed() {

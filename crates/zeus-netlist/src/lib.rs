@@ -32,7 +32,6 @@
 //! `Err`.
 
 pub mod corpus;
-pub mod json;
 pub mod validate;
 pub mod yosys;
 

@@ -26,13 +26,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use zeus_elab::{Design, InstanceNode, Limits, NetId, Netlist, NodeOp, Port, Shape};
+use zeus_elab::{Design, InstanceNode, Json, Limits, NetId, Netlist, NodeOp, Port, Shape};
 use zeus_sema::{BasicKind, Value};
 use zeus_syntax::ast::Mode;
 use zeus_syntax::diag::{codes, Diagnostic, Diagnostics};
 use zeus_syntax::span::Span;
 
-use crate::json::Json;
 use crate::validate::validate_design;
 
 fn format_err(msg: String) -> Diagnostic {
@@ -54,8 +53,12 @@ enum Bit {
     Const(Value),
 }
 
+/// The largest net number a connection may name: 2^53, the bound the
+/// bridge has always read exactly.
+const MAX_BIT: u64 = 1 << 53;
+
 fn parse_bit(j: &Json) -> Result<Bit, Diagnostic> {
-    if let Some(n) = j.as_u64() {
+    if let Some(n) = j.as_u64().filter(|&n| n <= MAX_BIT) {
         return Ok(Bit::Net(n));
     }
     match j.as_str() {
@@ -99,14 +102,14 @@ impl<'a> Exporter<'a> {
         let rep = self.design.netlist.find_ref(net);
         match self.consts.get(&rep.0) {
             Some(s) => Json::Str(s.to_string()),
-            None => Json::Num(self.bits[&rep.0] as f64),
+            None => Json::Num(self.bits[&rep.0]),
         }
     }
 
     fn fresh(&mut self) -> Json {
         let b = self.next_bit;
         self.next_bit += 1;
-        Json::Num(b as f64)
+        Json::Num(b)
     }
 
     fn cell(&mut self, name: String, ty: &str, conns: Vec<(&str, Json)>) {
@@ -119,7 +122,7 @@ impl<'a> Exporter<'a> {
         self.cells.push((
             name,
             Json::Obj(vec![
-                ("hide_name".to_string(), Json::Num(1.0)),
+                ("hide_name".to_string(), Json::Num(1)),
                 ("type".to_string(), Json::Str(ty.to_string())),
                 ("parameters".to_string(), Json::Obj(vec![])),
                 ("attributes".to_string(), Json::Obj(vec![])),
@@ -406,7 +409,7 @@ pub fn yosys_to_json(design: &Design) -> Result<String, Diagnostic> {
         netnames.push((
             name.to_string(),
             Json::Obj(vec![
-                ("hide_name".to_string(), Json::Num(0.0)),
+                ("hide_name".to_string(), Json::Num(0)),
                 ("bits".to_string(), Json::Arr(vec![ex.bit(net)])),
             ]),
         ));
@@ -415,7 +418,7 @@ pub fn yosys_to_json(design: &Design) -> Result<String, Diagnostic> {
     let module = Json::Obj(vec![
         (
             "attributes".to_string(),
-            Json::Obj(vec![("top".to_string(), Json::Num(1.0))]),
+            Json::Obj(vec![("top".to_string(), Json::Num(1))]),
         ),
         ("ports".to_string(), Json::Obj(ports)),
         ("cells".to_string(), Json::Obj(ex.cells)),

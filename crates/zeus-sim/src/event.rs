@@ -352,15 +352,6 @@ impl EventSimulator {
         report
     }
 
-    /// Runs `n` cycles.
-    pub fn run(&mut self, n: usize) -> CycleReport {
-        let mut last = CycleReport::default();
-        for _ in 0..n {
-            last = self.step();
-        }
-        last
-    }
-
     /// Like [`EventSimulator::step`], but charged against the configured
     /// resource budget.
     ///

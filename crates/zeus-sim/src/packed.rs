@@ -713,15 +713,6 @@ impl PackedSim {
         Ok(report)
     }
 
-    /// Runs `n` cycles, returning the last report.
-    pub fn run(&mut self, n: usize) -> PackedCycleReport {
-        let mut last = PackedCycleReport::default();
-        for _ in 0..n {
-            last = self.step();
-        }
-        last
-    }
-
     /// One full packed evaluation sweep (the word-wide analogue of the
     /// scalar `eval_cycle`).
     fn eval_cycle(&mut self, faulty: bool) {

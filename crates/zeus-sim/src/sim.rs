@@ -657,15 +657,6 @@ impl Simulator {
         self.sweeps_last_cycle = sweeps;
     }
 
-    /// Runs `n` cycles, returning the last report.
-    pub fn run(&mut self, n: usize) -> CycleReport {
-        let mut last = CycleReport::default();
-        for _ in 0..n {
-            last = self.step();
-        }
-        last
-    }
-
     /// Budget-checked [`Simulator::step`]: enforces the step budget, fuel
     /// and deadline of the [`Limits`] the simulator was built with.
     ///
@@ -687,7 +678,8 @@ impl Simulator {
         Ok(report)
     }
 
-    /// Budget-checked [`Simulator::run`].
+    /// Runs `n` cycles under the resource budget, returning the last
+    /// report.
     ///
     /// # Errors
     ///

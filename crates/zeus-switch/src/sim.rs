@@ -364,13 +364,6 @@ impl SwitchSim {
         self.cycle += 1;
     }
 
-    /// Runs `n` cycles.
-    pub fn run(&mut self, n: usize) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
     /// Like [`SwitchSim::step`], but charged against the configured
     /// resource budget, and with non-convergence reported as an error
     /// instead of silent X-filling.

@@ -37,8 +37,8 @@ pub use zeus_atpg::{
 };
 pub use zeus_elab::{
     design_digest, design_from_text, design_to_text, to_dot, Design, Direction, Fault, FaultKind,
-    InstanceNode, LayoutItem, Limits, Net, NetId, Netlist, Node, NodeId, NodeOp, Orientation, Port,
-    Shape, StableHasher,
+    InstanceNode, Json, LayoutItem, Limits, Net, NetId, Netlist, Node, NodeId, NodeOp, Orientation,
+    Port, Shape, StableHasher,
 };
 pub use zeus_fault::{
     campaign_digest, enumerate_faults, read_header, run_campaign, run_campaign_packed,
