@@ -110,7 +110,10 @@ struct Job {
     deadline: Instant,
 }
 
-/// Per-client FIFO lanes plus a round-robin cursor.
+/// Per-client FIFO lanes plus a round-robin cursor. Every lane holds at
+/// least one job: a lane is removed when it empties, so the lanes scanned
+/// under the mutex are the clients with queued work, not every client
+/// ever seen.
 struct QueueInner {
     lanes: Vec<(u64, VecDeque<Job>)>,
     cursor: usize,
@@ -171,16 +174,20 @@ impl Queue {
         let mut q = unpoisoned(self.inner.lock());
         loop {
             if q.len > 0 {
-                let lanes = q.lanes.len();
-                for step in 0..lanes {
-                    let i = (q.cursor + step) % lanes;
-                    if let Some(job) = q.lanes[i].1.pop_front() {
-                        q.cursor = (i + 1) % lanes;
-                        q.len -= 1;
-                        return Some(job);
-                    }
+                let i = q.cursor % q.lanes.len();
+                let Some(job) = q.lanes[i].1.pop_front() else {
+                    unreachable!("queue holds an empty lane");
+                };
+                // An emptied lane leaves; the next lane then slides into
+                // slot `i` and is served next, keeping the rotation.
+                if q.lanes[i].1.is_empty() {
+                    q.lanes.remove(i);
+                    q.cursor = i;
+                } else {
+                    q.cursor = i + 1;
                 }
-                unreachable!("queue len desynchronized from lanes");
+                q.len -= 1;
+                return Some(job);
             }
             if q.draining {
                 return None;
@@ -194,10 +201,7 @@ impl Queue {
     fn drain(&self) -> Vec<Job> {
         let mut q = unpoisoned(self.inner.lock());
         q.draining = true;
-        let mut orphans = Vec::new();
-        for (_, lane) in q.lanes.iter_mut() {
-            orphans.extend(lane.drain(..));
-        }
+        let orphans = q.lanes.drain(..).flat_map(|(_, lane)| lane).collect();
         q.len = 0;
         drop(q);
         self.ready.notify_all();
@@ -414,6 +418,49 @@ pub fn run(cfg: &ServerConfig) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn job(client: u64) -> Job {
+        Job {
+            stream: UnixStream::pair().unwrap().0,
+            req: Request {
+                id: client,
+                ..Request::default()
+            },
+            deadline: Instant::now(),
+        }
+    }
+
+    fn push(q: &Queue, client: u64) {
+        assert!(q.push(job(client)).is_ok(), "queue refused client {client}");
+    }
+
+    #[test]
+    fn emptied_lanes_leave_and_the_rotation_holds() {
+        let q = Queue::new(64);
+        // Every zeusc invocation is a new client id.
+        for batch in 0..20u64 {
+            for client in batch * 50..(batch + 1) * 50 {
+                push(&q, client);
+            }
+            for client in batch * 50..(batch + 1) * 50 {
+                assert_eq!(q.pop().map(|j| j.req.id), Some(client));
+            }
+        }
+        assert!(unpoisoned(q.inner.lock()).lanes.is_empty(), "lanes leaked");
+
+        // Two clients with queued work still alternate, whoever queued
+        // more, and a third joining mid-way takes the next turn.
+        for _ in 0..3 {
+            push(&q, 1);
+        }
+        push(&q, 2);
+        push(&q, 2);
+        let mut order: Vec<u64> = (0..2).map(|_| q.pop().unwrap().req.id).collect();
+        push(&q, 3);
+        order.extend((0..4).map(|_| q.pop().unwrap().req.id));
+        assert_eq!(order, [1, 2, 3, 1, 2, 1]);
+        assert!(unpoisoned(q.inner.lock()).lanes.is_empty());
+    }
 
     #[test]
     fn request_line_timeout_covers_the_whole_line() {

@@ -600,6 +600,9 @@ fn draining_daemon_tells_clients_to_go_away() {
 #[test]
 fn cache_hit_latency_beats_cold_by_a_wide_margin() {
     let daemon = Daemon::spawn("bench", &[]);
+    // The cold run must cost well above the up-to-25 ms the accept loop
+    // can add to the warm one: about half of blackjack's faults stay
+    // undetected, so they run all 128 vectors.
     let req = request(&[
         "fault",
         "@blackjack",
@@ -607,7 +610,7 @@ fn cache_hit_latency_beats_cold_by_a_wide_margin() {
         "--seed",
         "6",
         "--vectors",
-        "16",
+        "128",
     ]);
 
     let cold_start = Instant::now();

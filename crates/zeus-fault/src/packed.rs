@@ -14,12 +14,13 @@
 //!
 //! 1. **A shared golden trace.** The fault-free run is the same for
 //!    every fault, so it is executed once with the real scalar
-//!    [`Simulator`] under the campaign [`Limits`] and its per-tick OUT
-//!    port values (boolean view) are recorded, along with the
+//!    [`Simulator`] under the campaign [`Limits`] and its per-tick inputs
+//!    and OUT port values (boolean view) are recorded, along with the
 //!    classification of a budget error if the golden run itself runs
-//!    out. Every faulty lane then compares against this trace exactly
-//!    where `run_differential` would have compared against a live golden
-//!    simulator.
+//!    out. Every word clones one fault-free [`PackedSim`] template,
+//!    replays the recorded inputs, and compares each OUT port against
+//!    the trace word-wide, exactly where `run_differential` would have
+//!    compared against a live golden simulator.
 //! 2. **Per-lane budget emulation.** The packed simulator bills its own
 //!    fuel per pattern-word, but each scalar faulty run has its *own*
 //!    governor. Each lane therefore carries a [`LaneBudget`] replaying
@@ -41,17 +42,22 @@ use crate::checkpoint::CheckpointOptions;
 use crate::list::FaultList;
 use crate::report::CoverageReport;
 use std::time::Instant;
-use zeus_elab::{Design, Fault, Limits};
+use zeus_elab::{Design, Fault, Limits, NetId};
 use zeus_sema::Value;
-use zeus_sim::{PackedSim, Simulator};
+use zeus_sim::{PackedSim, PackedWord, Simulator, LANES};
 use zeus_syntax::diag::Diagnostic;
 use zeus_syntax::span::Span;
 
-/// The recorded fault-free run: one entry per successful tick (the RSET
-/// tick first when the design uses RSET, then one per vector), each
-/// holding the boolean-view bits of every OUT port in declaration order.
+/// The recorded fault-free run, shared read-only by every word.
 struct GoldenTrace {
-    ticks: Vec<Vec<Vec<Value>>>,
+    /// The port assignments of every tick the golden run attempted (the
+    /// RSET tick first when the design uses RSET, then one per vector).
+    inputs: Vec<Vec<(String, Vec<Value>)>>,
+    /// The OUT ports in declaration order, each with its canonical nets.
+    outs: Vec<(String, Vec<NetId>)>,
+    /// One entry per successful tick: every OUT bit (boolean view) in
+    /// port order, broadcast to all lanes.
+    ticks: Vec<Vec<PackedWord>>,
     /// Classification to apply to lanes still alive when the golden run
     /// stopped early (its own budget ran out at tick `ticks.len()`).
     stopped: Option<Outcome>,
@@ -159,7 +165,11 @@ pub fn run_campaign_packed_with(
     match cfg.engine {
         Engine::Graph => run_words(design, list, cfg, jobs, checkpoint, |limits| {
             let golden = record_golden(design, cfg, &limits)?;
-            Ok(move |faults: &[Fault]| run_word(design, faults, cfg, &limits, &golden))
+            // The packed simulator runs unbudgeted; each lane's budget is
+            // the [`LaneBudget`] replay in `run_word`.
+            let mut template = PackedSim::new(design.clone())?;
+            template.reseed(cfg.seed);
+            Ok(move |faults: &[Fault]| run_word(&template, faults, &limits, &golden))
         }),
         Engine::Switch => run_words(design, list, cfg, jobs, checkpoint, |limits| {
             Ok(scalar_word(design, cfg, limits))
@@ -168,48 +178,52 @@ pub fn run_campaign_packed_with(
 }
 
 /// Runs the fault-free simulation once under the campaign limits and
-/// records everything the faulty lanes need to compare against.
+/// records everything the faulty lanes need: the inputs of every tick
+/// and the OUT values to compare against.
 fn record_golden(
     design: &Design,
     cfg: &CampaignConfig,
     limits: &Limits,
 ) -> Result<GoldenTrace, Diagnostic> {
-    let out_names: Vec<String> = design.outputs().map(|p| p.name.clone()).collect();
+    // Ports are read by name, as `Simulator::port` reads them.
+    let outs: Vec<(String, Vec<NetId>)> = design
+        .outputs()
+        .map(|p| {
+            let nets = &design.port(&p.name).unwrap_or(p).nets;
+            let canon = nets.iter().map(|&n| design.netlist.find_ref(n));
+            (p.name.clone(), canon.collect())
+        })
+        .collect();
     let mut golden = Simulator::with_limits(design.clone(), limits)?;
     golden.reseed(cfg.seed);
     let mut stream = cfg.stream(design);
     let mut trace = GoldenTrace {
+        inputs: Vec::with_capacity(cfg.vectors as usize + 1),
         ticks: Vec::with_capacity(cfg.vectors as usize + 1),
+        outs,
         stopped: None,
     };
-    let capture = |sim: &Simulator| out_names.iter().map(|n| sim.port(n)).collect::<Vec<_>>();
 
-    if design.rset.is_some() {
-        golden.set_rset(true);
-        for (name, bits) in stream.zero_vector() {
-            golden.set_port(&name, &bits)?;
-        }
-        match golden.try_step() {
-            Ok(_) => {
-                trace.ticks.push(capture(&golden));
-                golden.set_rset(false);
-            }
-            Err(e) => {
-                trace.stopped = Some(classify_error(e)?);
-                return Ok(trace);
-            }
-        }
-    }
-    for _ in 0..cfg.vectors {
-        for (name, bits) in &stream.next_vector() {
+    let reset = design.rset.is_some();
+    for tick in 0..usize::from(reset) + cfg.vectors as usize {
+        let vector = if reset && tick == 0 {
+            golden.set_rset(true);
+            stream.zero_vector()
+        } else {
+            stream.next_vector()
+        };
+        for (name, bits) in &vector {
             golden.set_port(name, bits)?;
         }
-        match golden.try_step() {
-            Ok(_) => trace.ticks.push(capture(&golden)),
-            Err(e) => {
-                trace.stopped = Some(classify_error(e)?);
-                break;
-            }
+        trace.inputs.push(vector);
+        if let Err(e) = golden.try_step() {
+            trace.stopped = Some(classify_error(e)?);
+            break;
+        }
+        let bits = trace.outs.iter().flat_map(|(name, _)| golden.port(name));
+        trace.ticks.push(bits.map(PackedWord::splat).collect());
+        if reset && tick == 0 {
+            golden.set_rset(false);
         }
     }
     Ok(trace)
@@ -229,122 +243,100 @@ fn golden_stop(golden: &GoldenTrace) -> Result<Outcome, Diagnostic> {
     })
 }
 
-/// Simulates up to 64 faults — one per lane — against the golden trace,
-/// returning their outcomes in lane order.
+/// Simulates up to 64 faults — one per lane — on a clone of the
+/// fault-free `template` against the golden trace, returning their
+/// outcomes in lane order. Detection is word-wide: each OUT port's
+/// difference mask covers every lane at once, and a newly differing
+/// lane takes the first such port in declaration order.
 fn run_word(
-    design: &Design,
+    template: &PackedSim,
     faults: &[Fault],
-    cfg: &CampaignConfig,
     limits: &Limits,
     golden: &GoldenTrace,
 ) -> Result<Vec<Outcome>, Diagnostic> {
-    let out_names: Vec<String> = design.outputs().map(|p| p.name.clone()).collect();
-    // The packed simulator runs unbudgeted; each lane's budget is the
-    // [`LaneBudget`] replay below (billing the shared word sweep once
-    // per *lane-circuit*, as the scalar campaign does — the word itself
-    // is never billed 64×).
-    let mut sim = PackedSim::new(design.clone())?;
-    sim.reseed(cfg.seed);
+    let mut sim = template.clone();
     for (lane, &fault) in faults.iter().enumerate() {
         sim.inject_lanes(fault, 1u64 << lane)?;
     }
-    let mut stream = cfg.stream(design);
     let order = sim.order_len() as u64;
+    let reset = usize::from(sim.design().rset.is_some());
     let started = Instant::now();
 
     let n = faults.len();
     let mut budgets: Vec<LaneBudget> = (0..n).map(|_| LaneBudget::new(limits)).collect();
     let mut outcomes: Vec<Option<Outcome>> = vec![None; n];
-    let mut alive = n;
-    let mut tick = 0usize;
+    // Lanes still unclassified.
+    let mut live = if n >= LANES { !0 } else { (1u64 << n) - 1 };
+    let lanes = |mask: u64| (0..n).filter(move |&l| (mask >> l) & 1 == 1);
 
-    macro_rules! finish_rest {
-        ($outcome:expr) => {
-            for slot in outcomes.iter_mut().filter(|s| s.is_none()) {
-                *slot = Some($outcome);
-            }
-        };
-    }
-
-    // Reset pulse, exactly like the scalar campaign (no output compare
-    // on this tick).
-    if design.rset.is_some() {
-        sim.set_rset(true);
-        for (name, bits) in stream.zero_vector() {
-            sim.set_port(&name, &bits)?;
-        }
-        if golden.ticks.len() == tick {
-            let stop = golden_stop(golden)?;
-            finish_rest!(stop.clone());
-            return Ok(outcomes
-                .into_iter()
-                .map(|o| o.unwrap_or_else(|| stop.clone()))
-                .collect());
-        }
-        check_deadline(limits, started, &mut outcomes, &mut alive);
-        let pre: Vec<bool> = budgets.iter_mut().map(|b| b.begin_cycle(order)).collect();
-        sim.step();
-        let sweeps = *sim.lane_sweeps();
-        for l in 0..n {
-            if outcomes[l].is_some() {
-                continue;
-            }
-            if !pre[l] || !budgets[l].settle(order, sweeps[l]) {
-                outcomes[l] = Some(Outcome::Undetected(UndetectedReason::BudgetExhausted));
-                alive -= 1;
-            }
-        }
-        sim.set_rset(false);
-        tick += 1;
-    }
-
-    for cycle in 0..cfg.vectors {
-        if alive == 0 {
+    for (tick, inputs) in golden.inputs.iter().enumerate() {
+        if live == 0 {
             break;
-        }
-        for (name, bits) in &stream.next_vector() {
-            sim.set_port(name, bits)?;
         }
         // `run_differential` steps the golden side first: when it died
         // here, every still-unclassified fault inherits that outcome.
-        if golden.ticks.len() == tick {
+        let Some(gold) = golden.ticks.get(tick) else {
             let stop = golden_stop(golden)?;
-            finish_rest!(stop.clone());
+            for l in lanes(live) {
+                outcomes[l] = Some(stop.clone());
+            }
+            break;
+        };
+        if tick < reset {
+            sim.set_rset(true);
+        }
+        for (name, bits) in inputs {
+            sim.set_port(name, bits)?;
+        }
+        if deadline_passed(limits, started) {
+            for l in lanes(live) {
+                outcomes[l] = Some(Outcome::Undetected(UndetectedReason::BudgetExhausted));
+            }
             break;
         }
-        check_deadline(limits, started, &mut outcomes, &mut alive);
-        let pre: Vec<bool> = budgets.iter_mut().map(|b| b.begin_cycle(order)).collect();
-        sim.step();
-        let sweeps = *sim.lane_sweeps();
-        let unstable = sim.ever_unstable();
-        let golden_out = &golden.ticks[tick];
-        for l in 0..n {
-            if outcomes[l].is_some() {
-                continue;
-            }
-            if !pre[l] || !budgets[l].settle(order, sweeps[l]) {
-                outcomes[l] = Some(Outcome::Undetected(UndetectedReason::BudgetExhausted));
-                alive -= 1;
-                continue;
-            }
-            for (p, name) in out_names.iter().enumerate() {
-                if sim.port_lane(name, l) != golden_out[p] {
-                    // A divergence driven by a non-settling bridge is
-                    // hyperactivity, not clean detection.
-                    outcomes[l] = Some(if (unstable >> l) & 1 == 1 {
-                        Outcome::Hyperactive
-                    } else {
-                        Outcome::Detected {
-                            cycle: cycle as u64,
-                            port: name.clone(),
-                        }
-                    });
-                    alive -= 1;
-                    break;
-                }
+        let mut began = 0u64;
+        for l in lanes(live) {
+            if budgets[l].begin_cycle(order) {
+                began |= 1 << l;
             }
         }
-        tick += 1;
+        sim.step();
+        let sweeps = sim.lane_sweeps();
+        for l in lanes(live) {
+            if (began >> l) & 1 == 0 || !budgets[l].settle(order, sweeps[l]) {
+                outcomes[l] = Some(Outcome::Undetected(UndetectedReason::BudgetExhausted));
+                live &= !(1 << l);
+            }
+        }
+        if tick < reset {
+            // The reset pulse, exactly like the scalar campaign: no
+            // output compare on this tick.
+            sim.set_rset(false);
+            continue;
+        }
+
+        let cycle = (tick - reset) as u64;
+        let unstable = sim.ever_unstable();
+        let mut bits = gold.iter();
+        for (name, nets) in &golden.outs {
+            let mut diff = 0u64;
+            for (&net, g) in nets.iter().zip(bits.by_ref()) {
+                diff |= sim.value(net).to_boolean().diff(*g);
+            }
+            for l in lanes(diff & live) {
+                // A divergence driven by a non-settling bridge is
+                // hyperactivity, not clean detection.
+                outcomes[l] = Some(if (unstable >> l) & 1 == 1 {
+                    Outcome::Hyperactive
+                } else {
+                    Outcome::Detected {
+                        cycle,
+                        port: name.clone(),
+                    }
+                });
+            }
+            live &= !diff;
+        }
     }
 
     let unstable = sim.ever_unstable();
@@ -365,20 +357,8 @@ fn run_word(
 /// Wall-clock deadline, checked once per tick per word (the scalar
 /// governor checks every 64 fuel charges; both are approximations of
 /// "stop around this time" and only fire in wall-clock-limited runs).
-fn check_deadline(
-    limits: &Limits,
-    started: Instant,
-    outcomes: &mut [Option<Outcome>],
-    alive: &mut usize,
-) {
-    if let Some(deadline) = limits.deadline {
-        if started.elapsed() > deadline {
-            for slot in outcomes.iter_mut().filter(|s| s.is_none()) {
-                *slot = Some(Outcome::Undetected(UndetectedReason::BudgetExhausted));
-                *alive -= 1;
-            }
-        }
-    }
+fn deadline_passed(limits: &Limits, started: Instant) -> bool {
+    limits.deadline.is_some_and(|d| started.elapsed() > d)
 }
 
 #[cfg(test)]

@@ -17,18 +17,26 @@
 //! every node kind.
 //!
 //! [`PackedSim`] mirrors [`crate::Simulator`] lane-for-lane: the same
-//! topological sweep, the same single-active-assignment rule (a per-net
-//! driven-once/driven-twice mask pair instead of a counter), the same
+//! topological sweep, the same single-active-assignment rule (per-net
+//! driven-once/driven-twice lane masks instead of a counter), the same
 //! per-lane fault clamps, and the same bridge fixpoint — so any one lane
 //! of a packed run is bit-identical to a scalar run with the same seed.
 //! RANDOM nodes draw one bit per cycle and broadcast it to all lanes,
 //! matching a scalar campaign where every fault's simulator is reseeded
 //! with the same seed.
+//!
+//! A simulator is split in two. The design, compiled once into a flat
+//! op-coded instruction stream over `u32` net indices, is immutable and
+//! shared by every clone through an `Arc`; the value planes, registers,
+//! forces and fault tables are per instance. Fault tables are dense (a
+//! per-net slot into a short list of faulted sites), so a faulted sweep
+//! never hashes and clearing the faults costs time in the number
+//! injected, not in the size of the design.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use zeus_elab::{Design, Fault, FaultKind, Limits, NetId, NodeId, NodeOp};
+use std::sync::Arc;
+use zeus_elab::{Design, Fault, FaultKind, Limits, NetId, NodeOp};
 use zeus_sema::value::Value;
 use zeus_syntax::diag::Diagnostic;
 use zeus_syntax::span::Span;
@@ -191,9 +199,14 @@ impl PackedWord {
     /// defined-equal gives 1, UNDEF otherwise (empty width gives 1).
     pub fn equal_reduce(a: &[PackedWord], b: &[PackedWord]) -> PackedWord {
         debug_assert_eq!(a.len(), b.len());
+        PackedWord::equal_pairs(a.iter().copied().zip(b.iter().copied()))
+    }
+
+    /// [`PackedWord::equal_reduce`] over the operand pairs.
+    fn equal_pairs(pairs: impl IntoIterator<Item = (PackedWord, PackedWord)>) -> PackedWord {
         let mut zero = 0u64;
         let mut all_eq = !0u64;
-        for (&x, &y) in a.iter().zip(b) {
+        for (x, y) in pairs {
             let (x, y) = (x.to_boolean(), y.to_boolean());
             let dd = x.defined() & y.defined();
             let neq = x.hi ^ y.hi;
@@ -262,41 +275,395 @@ impl PackedCycleReport {
     }
 }
 
+/// Marks a net with no entry in a dense slot table.
+const NONE: u32 = u32::MAX;
+
+/// The lane indices set in `mask`, ascending.
+fn lanes_in(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// The operation of one compiled node.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    And,
+    Or,
+    Nand,
+    Nor,
+    Xor,
+    Not,
+    /// Operand width: the first `width` inputs are compared with the rest.
+    Equal(u32),
+    Buf,
+    If,
+    Const(Value),
+    Random,
+}
+
+/// One combinational node: its operation, output net and the range of
+/// its input nets in [`Program::args`].
+#[derive(Debug, Clone, Copy)]
+struct Instr {
+    op: Op,
+    out: u32,
+    start: u32,
+    end: u32,
+}
+
+/// The compiled, immutable part of a packed simulator, shared by every
+/// clone: the design plus its levelized sweep as a flat instruction
+/// stream over `u32` net indices.
+#[derive(Debug)]
+struct Program {
+    design: Design,
+    /// Length of the topological order, the unit fuel is billed in.
+    order_len: usize,
+    /// The combinational nodes in topological order.
+    code: Vec<Instr>,
+    /// Input net indices of every instruction, back to back.
+    args: Vec<u32>,
+    /// `(input net, output net)` of every register, in
+    /// `netlist.registers()` order.
+    regs: Vec<(u32, u32)>,
+    /// Each port's nets, canonicalized, in `design.ports` order.
+    ports: Vec<Vec<u32>>,
+}
+
+impl Program {
+    fn compile(design: Design) -> Result<Program, Diagnostic> {
+        let nl = &design.netlist;
+        let order = nl.topo_order()?;
+        let mut code = Vec::with_capacity(order.len());
+        let mut args = Vec::new();
+        for &id in &order {
+            let node = &nl.nodes[id.index()];
+            let op = match node.op {
+                NodeOp::And => Op::And,
+                NodeOp::Or => Op::Or,
+                NodeOp::Nand => Op::Nand,
+                NodeOp::Nor => Op::Nor,
+                NodeOp::Xor => Op::Xor,
+                NodeOp::Not => Op::Not,
+                NodeOp::Equal { width } => Op::Equal(u32::try_from(width).unwrap_or(u32::MAX)),
+                NodeOp::Buf => Op::Buf,
+                NodeOp::If => Op::If,
+                NodeOp::Const(v) => Op::Const(v),
+                NodeOp::Random => Op::Random,
+                NodeOp::Reg => continue,
+            };
+            let start = args.len();
+            args.extend(node.inputs.iter().map(|n| n.0));
+            let index = |at: usize| {
+                u32::try_from(at).map_err(|_| {
+                    Diagnostic::error(
+                        Span::dummy(),
+                        "design too large for the packed engine (over 2^32 node inputs)",
+                    )
+                })
+            };
+            code.push(Instr {
+                op,
+                out: node.output.0,
+                start: index(start)?,
+                end: index(args.len())?,
+            });
+        }
+        let regs = nl
+            .registers()
+            .map(|id| {
+                let node = &nl.nodes[id.index()];
+                (node.inputs[0].0, node.output.0)
+            })
+            .collect();
+        let ports = design
+            .ports
+            .iter()
+            .map(|p| p.nets.iter().map(|&n| nl.find_ref(n).0).collect())
+            .collect();
+        Ok(Program {
+            order_len: order.len(),
+            code,
+            args,
+            regs,
+            ports,
+            design,
+        })
+    }
+}
+
+/// The externally forced nets: a list to sweep plus a per-net slot
+/// index into it, so forcing and releasing never hash.
+#[derive(Debug, Clone)]
+struct Forces {
+    /// Forced net indices and their words, in no particular order (each
+    /// net drives itself only, so the order cannot matter).
+    list: Vec<(u32, PackedWord)>,
+    /// Per net: its index in `list`, or [`NONE`].
+    slot: Vec<u32>,
+}
+
+impl Forces {
+    fn new(nets: usize) -> Forces {
+        Forces {
+            list: Vec::new(),
+            slot: vec![NONE; nets],
+        }
+    }
+
+    fn set(&mut self, net: NetId, w: PackedWord) {
+        let i = net.index();
+        match self.slot[i] {
+            NONE => {
+                self.slot[i] = self.list.len() as u32;
+                self.list.push((net.0, w));
+            }
+            s => self.list[s as usize].1 = w,
+        }
+    }
+
+    fn remove(&mut self, net: NetId) {
+        let Some(&s) = self.slot.get(net.index()) else {
+            return;
+        };
+        if s == NONE {
+            return;
+        }
+        self.slot[net.index()] = NONE;
+        self.list.swap_remove(s as usize);
+        if let Some(&(moved, _)) = self.list.get(s as usize) {
+            self.slot[moved as usize] = s;
+        }
+    }
+
+    fn clear(&mut self) {
+        for &(net, _) in &self.list {
+            self.slot[net as usize] = NONE;
+        }
+        self.list.clear();
+    }
+}
+
+/// The fault state of one faulted net, as lane masks.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    net: u32,
+    /// Stuck-at-0 lanes.
+    stuck0: u64,
+    /// Stuck-at-1 lanes.
+    stuck1: u64,
+    /// Lanes flipping in the cycle being evaluated.
+    flip_now: u64,
+    /// Lanes driven at least once this sweep (an unfaulted net reads
+    /// this off its value's active lanes instead).
+    once: u64,
+    /// Lanes in which the net is an end of a bridge.
+    bridged: u64,
+    /// Natural (pre-clamp) value on the bridged lanes.
+    natural: PackedWord,
+    /// Lanes presenting the resolved bridge value.
+    clamp_lanes: u64,
+    /// The presented bridge value on the `clamp_lanes`.
+    clamp_val: PackedWord,
+}
+
+impl Site {
+    fn new(net: u32) -> Site {
+        Site {
+            net,
+            stuck0: 0,
+            stuck1: 0,
+            flip_now: 0,
+            once: 0,
+            bridged: 0,
+            natural: PackedWord::NOINFL,
+            clamp_lanes: 0,
+            clamp_val: PackedWord::NOINFL,
+        }
+    }
+
+    /// The clamped value of the net at the start of a sweep, before
+    /// anything drives it.
+    fn undriven(&self) -> PackedWord {
+        let w = PackedWord::ZERO.select(self.stuck0, PackedWord::NOINFL);
+        let w = PackedWord::ONE.select(self.stuck1, w);
+        self.clamp_val.select(self.clamp_lanes, w)
+    }
+
+    /// Re-applies the clamps to the net's value `w` on the lanes of `m`
+    /// (the lanes a drive was active in). Mirrors the scalar
+    /// `apply_fault_clamp`: stuck wins outright, a transient flip inverts
+    /// the resolved value in its cycle, bridges record the natural value
+    /// and present the currently resolved bridge value.
+    #[inline]
+    fn apply(&mut self, w: &mut PackedWord, m: u64) {
+        let s = self.stuck0 | self.stuck1;
+        if s != 0 {
+            w.lo = (w.lo & !s) | self.stuck0;
+            w.hi = (w.hi & !s) | self.stuck1;
+        }
+        let f = self.flip_now & m & !s;
+        if f != 0 {
+            *w = w.not().select(f, *w);
+        }
+        let rec = self.bridged & m;
+        if rec != 0 {
+            self.natural = w.select(rec, self.natural);
+        }
+        let c = self.clamp_lanes & m;
+        if c != 0 {
+            *w = self.clamp_val.select(c, *w);
+        }
+    }
+}
+
+/// The injected faults, in dense per-net tables: clearing them costs
+/// time in the number of faults, not of nets.
+#[derive(Debug, Clone)]
+struct Faults {
+    /// Injected faults with their lane masks, in injection order.
+    list: Vec<(Fault, u64)>,
+    /// Per net: its index in `sites`, or [`NONE`].
+    slot: Vec<u32>,
+    sites: Vec<Site>,
+    /// Transient flips as `(site, cycle, lanes)`.
+    flips: Vec<(u32, u64, u64)>,
+    /// Injected bridges as `(site, site, lanes)`.
+    bridges: Vec<(u32, u32, u64)>,
+}
+
+impl Faults {
+    fn new(nets: usize) -> Faults {
+        Faults {
+            list: Vec::new(),
+            slot: vec![NONE; nets],
+            sites: Vec::new(),
+            flips: Vec::new(),
+            bridges: Vec::new(),
+        }
+    }
+
+    /// The site of a (canonical, in-range) net, created on first use.
+    fn site(&mut self, net: NetId) -> u32 {
+        let i = net.index();
+        if self.slot[i] == NONE {
+            self.slot[i] = self.sites.len() as u32;
+            self.sites.push(Site::new(net.0));
+        }
+        self.slot[i]
+    }
+
+    fn clear(&mut self) {
+        for s in &self.sites {
+            self.slot[s.net as usize] = NONE;
+        }
+        self.list.clear();
+        self.sites.clear();
+        self.flips.clear();
+        self.bridges.clear();
+    }
+
+    /// Clears every presented bridge value.
+    fn release_bridges(&mut self) {
+        for s in &mut self.sites {
+            s.clamp_lanes = 0;
+            s.clamp_val = PackedWord::NOINFL;
+        }
+    }
+}
+
+/// The net planes one sweep writes, borrowed apart from the rest of the
+/// simulator so the shared [`Program`] can be read alongside.
+struct Nets<'a> {
+    values: &'a mut [PackedWord],
+    multi: &'a mut [u64],
+    conflicted: &'a mut Vec<u32>,
+    check_conflicts: bool,
+    slot: &'a [u32],
+    sites: &'a mut [Site],
+}
+
+impl Nets<'_> {
+    /// Lane-masked drive of one net (the word-wide analogue of the
+    /// scalar `drive`): inactive lanes do not count as drivers, a second
+    /// active drive in a lane makes that lane UNDEF for the rest of the
+    /// cycle, and with `FAULTY` a faulted net's clamps re-apply after
+    /// every active drive.
+    #[inline(always)]
+    fn drive<const FAULTY: bool>(&mut self, i: usize, v: PackedWord) {
+        let m = v.active();
+        if m == 0 {
+            return;
+        }
+        let s = if FAULTY { self.slot[i] } else { NONE };
+        // Only drives change an unfaulted net within a sweep, so its
+        // active lanes are exactly the lanes driven so far; a faulted
+        // net, whose clamps activate lanes too, keeps count in its site.
+        let once = match s {
+            NONE => self.values[i].active(),
+            s => {
+                let site = &mut self.sites[s as usize];
+                let once = site.once;
+                site.once |= m;
+                once
+            }
+        };
+        let w = &mut self.values[i];
+        *w = v.select(m, *w);
+        if self.check_conflicts {
+            let dup = once & m;
+            if dup != 0 {
+                if self.multi[i] == 0 {
+                    self.conflicted.push(i as u32);
+                }
+                self.multi[i] |= dup;
+            }
+            // Conflicted lanes read UNDEF. An unfaulted net's stay UNDEF
+            // until driven again, which `dup` covers; a faulted net's are
+            // made UNDEF again at every drive of it, even where a clamp
+            // replaced the UNDEF since.
+            if dup != 0 || s != NONE {
+                let multi = self.multi[i];
+                let w = &mut self.values[i];
+                w.lo |= multi;
+                w.hi |= multi;
+            }
+        }
+        if s != NONE {
+            self.sites[s as usize].apply(&mut self.values[i], m);
+        }
+    }
+}
+
 /// The packed 64-lane Zeus simulator: the levelized sweep of
 /// [`crate::Simulator`] evaluated word-wide, with per-lane fault
 /// injection for parallel-fault campaigns.
+///
+/// The design and its compiled sweep are shared by every clone, so
+/// cloning copies only the simulation state — the net planes,
+/// registers, forces and fault tables. A campaign builds one fault-free
+/// simulator and clones it per word of faults.
 #[derive(Debug, Clone)]
 pub struct PackedSim {
-    design: Design,
-    order: Vec<NodeId>,
+    prog: Arc<Program>,
     values: Vec<PackedWord>,
-    /// Lanes driven at least once this cycle, per net.
-    once: Vec<u64>,
-    /// Lanes driven more than once this cycle (conflicts), per net.
+    /// Lanes driven more than once this sweep (conflicts), per net.
     multi: Vec<u64>,
-    regs: Vec<(NodeId, PackedWord)>,
-    forced: HashMap<NetId, PackedWord>,
+    /// The nets with a nonzero `multi` entry, in conflict order.
+    conflicted: Vec<u32>,
+    /// Stored register values, parallel to `prog.regs`.
+    regs: Vec<PackedWord>,
+    forces: Forces,
     cycle: u64,
     rng: StdRng,
     check_conflicts: bool,
     budget: StepBudget,
-    /// Injected faults with their lane masks, in injection order.
-    faults: Vec<(Fault, u64)>,
-    /// Stuck-at-0 lanes per net index.
-    stuck0: HashMap<usize, u64>,
-    /// Stuck-at-1 lanes per net index.
-    stuck1: HashMap<usize, u64>,
-    /// Transient flips per net index: `(cycle, lanes)` entries.
-    flips: HashMap<usize, Vec<(u64, u64)>>,
-    /// Lanes flipping in the cycle being evaluated, per net index.
-    flip_now: HashMap<usize, u64>,
-    /// Injected bridges as `(a, b, lanes)` canonical net-index pairs.
-    bridges: Vec<(usize, usize, u64)>,
-    /// Presented bridge value per bridged net index: `(lanes, value)`.
-    bridge_clamp: HashMap<usize, (u64, PackedWord)>,
-    /// Natural (pre-clamp) value per bridged net index:
-    /// `(bridged lanes, value)`.
-    bridge_natural: HashMap<usize, (u64, PackedWord)>,
+    faults: Faults,
     /// Evaluation sweeps each lane needed in the last cycle (1 unless a
     /// bridge in that lane forced a fixpoint iteration). This is the
     /// per-lane analogue of the scalar `sweeps_last_cycle`, used for
@@ -328,55 +695,47 @@ impl PackedSim {
     ///
     /// See [`PackedSim::new`].
     pub fn with_limits(design: Design, limits: &Limits) -> Result<PackedSim, Diagnostic> {
-        let order = design.netlist.topo_order()?;
-        let regs = design
-            .netlist
-            .registers()
-            .map(|id| (id, PackedWord::UNDEF))
-            .collect();
-        let n = design.netlist.net_count();
+        let prog = Arc::new(Program::compile(design)?);
+        let n = prog.design.netlist.net_count();
         let mut sim = PackedSim {
-            design,
-            order,
             values: vec![PackedWord::NOINFL; n],
-            once: vec![0; n],
             multi: vec![0; n],
-            regs,
-            forced: HashMap::new(),
+            conflicted: Vec::new(),
+            regs: vec![PackedWord::UNDEF; prog.regs.len()],
+            forces: Forces::new(n),
             cycle: 0,
             rng: StdRng::seed_from_u64(0x2E05_1983),
             check_conflicts: true,
             budget: StepBudget::new(limits),
-            faults: Vec::new(),
-            stuck0: HashMap::new(),
-            stuck1: HashMap::new(),
-            flips: HashMap::new(),
-            flip_now: HashMap::new(),
-            bridges: Vec::new(),
-            bridge_clamp: HashMap::new(),
-            bridge_natural: HashMap::new(),
+            faults: Faults::new(n),
             lane_sweeps: [1; LANES],
             unstable_last_cycle: 0,
             ever_unstable: 0,
+            prog,
         };
-        if let Some(clk) = sim.design.clk {
-            sim.forced.insert(clk, PackedWord::ONE);
-        }
-        if let Some(rset) = sim.design.rset {
-            sim.forced.insert(rset, PackedWord::ZERO);
-        }
+        sim.drive_clock_defaults();
         Ok(sim)
+    }
+
+    /// The default CLK/RSET drives: CLK high, RSET low.
+    fn drive_clock_defaults(&mut self) {
+        if let Some(clk) = self.prog.design.clk {
+            self.forces.set(clk, PackedWord::ONE);
+        }
+        if let Some(rset) = self.prog.design.rset {
+            self.forces.set(rset, PackedWord::ZERO);
+        }
     }
 
     /// The elaborated design being simulated.
     pub fn design(&self) -> &Design {
-        &self.design
+        &self.prog.design
     }
 
     /// The number of combinational node evaluations per sweep (the unit
     /// the scalar simulator charges fuel in).
     pub fn order_len(&self) -> usize {
-        self.order.len()
+        self.prog.order_len
     }
 
     /// Reseeds the RANDOM source. One bit is drawn per RANDOM node per
@@ -392,28 +751,30 @@ impl PackedSim {
     }
 
     /// Forces a net to a packed word (holds until changed).
+    ///
+    /// # Panics
+    ///
+    /// If `net` is not a net of this design.
     pub fn force(&mut self, net: NetId, w: PackedWord) {
-        self.forced.insert(net, w);
+        self.forces.set(net, w);
     }
 
     /// Stops forcing a net.
     pub fn release(&mut self, net: NetId) {
-        self.forced.remove(&net);
+        self.forces.remove(net);
     }
 
     /// Drives the predefined RSET signal in every lane.
     pub fn set_rset(&mut self, v: bool) {
-        if let Some(r) = self.design.rset {
-            self.forced
-                .insert(r, PackedWord::splat(Value::from_bool(v)));
+        if let Some(r) = self.prog.design.rset {
+            self.forces.set(r, PackedWord::splat(Value::from_bool(v)));
         }
     }
 
     /// Drives the predefined CLK signal in every lane.
     pub fn set_clk(&mut self, v: bool) {
-        if let Some(c) = self.design.clk {
-            self.forced
-                .insert(c, PackedWord::splat(Value::from_bool(v)));
+        if let Some(c) = self.prog.design.clk {
+            self.forces.set(c, PackedWord::splat(Value::from_bool(v)));
         }
     }
 
@@ -424,10 +785,10 @@ impl PackedSim {
     /// Returns a diagnostic if the port does not exist or the width does
     /// not match.
     pub fn set_port(&mut self, name: &str, bits: &[Value]) -> Result<(), Diagnostic> {
-        let port = self
-            .design
-            .port(name)
-            .ok_or_else(|| Diagnostic::error(Span::dummy(), format!("no port named '{name}'")))?;
+        let port =
+            self.prog.design.port(name).ok_or_else(|| {
+                Diagnostic::error(Span::dummy(), format!("no port named '{name}'"))
+            })?;
         if port.nets.len() != bits.len() {
             return Err(Diagnostic::error(
                 Span::dummy(),
@@ -438,9 +799,8 @@ impl PackedSim {
                 ),
             ));
         }
-        let nets = port.nets.clone();
-        for (net, &v) in nets.into_iter().zip(bits) {
-            self.forced.insert(net, PackedWord::splat(v));
+        for (&net, &v) in port.nets.iter().zip(bits) {
+            self.forces.set(net, PackedWord::splat(v));
         }
         Ok(())
     }
@@ -453,6 +813,7 @@ impl PackedSim {
     /// fit.
     pub fn set_port_num(&mut self, name: &str, v: u64) -> Result<(), Diagnostic> {
         let width = self
+            .prog
             .design
             .port(name)
             .ok_or_else(|| Diagnostic::error(Span::dummy(), format!("no port named '{name}'")))?
@@ -473,11 +834,10 @@ impl PackedSim {
     /// Reads one lane of a port (boolean view, like
     /// [`crate::Simulator::port`]).
     pub fn port_lane(&self, name: &str, lane: usize) -> Vec<Value> {
-        match self.design.port(name) {
-            Some(p) => p
-                .nets
+        match self.prog.design.ports.iter().position(|p| p.name == name) {
+            Some(p) => self.prog.ports[p]
                 .iter()
-                .map(|&n| self.value(n).get(lane).to_boolean())
+                .map(|&n| self.values[n as usize].get(lane).to_boolean())
                 .collect(),
             None => Vec::new(),
         }
@@ -485,7 +845,7 @@ impl PackedSim {
 
     /// Raw resolved packed value of a net in the current cycle.
     pub fn value(&self, net: NetId) -> PackedWord {
-        let rep = self.design.netlist.find_ref(net);
+        let rep = self.prog.design.netlist.find_ref(net);
         self.values[rep.index()]
     }
 
@@ -537,7 +897,8 @@ impl PackedSim {
     /// Returns a diagnostic when the site (or bridge peer) is not a net
     /// of this design.
     pub fn inject_lanes(&mut self, fault: Fault, lanes: u64) -> Result<(), Diagnostic> {
-        let n = self.design.netlist.net_count();
+        let nl = &self.prog.design.netlist;
+        let n = nl.net_count();
         let canon = |net: NetId| -> Result<NetId, Diagnostic> {
             if net.index() >= n {
                 return Err(Diagnostic::error(
@@ -545,69 +906,61 @@ impl PackedSim {
                     format!("fault site {net} is not a net of this design ({n} nets)"),
                 ));
             }
-            Ok(self.design.netlist.find_ref(net))
+            Ok(nl.find_ref(net))
         };
         let site = canon(fault.site)?;
         let kind = match fault.kind {
             FaultKind::BridgeWith(other) => FaultKind::BridgeWith(canon(other)?),
             k => k,
         };
+        let f = &mut self.faults;
         match kind {
             FaultKind::StuckAt0 => {
                 // A later stuck-at on the same lane wins, like the scalar
                 // HashMap insert.
-                if let Some(m) = self.stuck1.get_mut(&site.index()) {
-                    *m &= !lanes;
-                }
-                *self.stuck0.entry(site.index()).or_insert(0) |= lanes;
+                let i = f.site(site) as usize;
+                let s = &mut f.sites[i];
+                s.stuck1 &= !lanes;
+                s.stuck0 |= lanes;
             }
             FaultKind::StuckAt1 => {
-                if let Some(m) = self.stuck0.get_mut(&site.index()) {
-                    *m &= !lanes;
-                }
-                *self.stuck1.entry(site.index()).or_insert(0) |= lanes;
+                let i = f.site(site) as usize;
+                let s = &mut f.sites[i];
+                s.stuck0 &= !lanes;
+                s.stuck1 |= lanes;
             }
             FaultKind::TransientFlip { cycle } => {
-                let entries = self.flips.entry(site.index()).or_default();
-                for (_, m) in entries.iter_mut() {
+                // So does a later flip: it replaces the lane's cycle.
+                let s = f.site(site);
+                for (_, _, m) in f.flips.iter_mut().filter(|e| e.0 == s) {
                     *m &= !lanes;
                 }
-                entries.push((cycle, lanes));
+                f.flips.push((s, cycle, lanes));
             }
             FaultKind::BridgeWith(other) => {
                 if other != site {
-                    self.bridges.push((site.index(), other.index(), lanes));
-                    for i in [site.index(), other.index()] {
-                        let e = self
-                            .bridge_natural
-                            .entry(i)
-                            .or_insert((0, PackedWord::NOINFL));
-                        e.0 |= lanes;
-                    }
+                    let (a, b) = (f.site(site), f.site(other));
+                    f.bridges.push((a, b, lanes));
+                    f.sites[a as usize].bridged |= lanes;
+                    f.sites[b as usize].bridged |= lanes;
                 }
             }
         }
-        self.faults.push((Fault { site, kind }, lanes));
+        f.list.push((Fault { site, kind }, lanes));
         Ok(())
     }
 
-    /// Removes all injected faults from all lanes.
+    /// Removes all injected faults from all lanes, in time proportional
+    /// to the number injected.
     pub fn clear_faults(&mut self) {
         self.faults.clear();
-        self.stuck0.clear();
-        self.stuck1.clear();
-        self.flips.clear();
-        self.flip_now.clear();
-        self.bridges.clear();
-        self.bridge_clamp.clear();
-        self.bridge_natural.clear();
         self.unstable_last_cycle = 0;
         self.ever_unstable = 0;
     }
 
     /// The injected faults with their lane masks, in injection order.
     pub fn injected_faults(&self) -> &[(Fault, u64)] {
-        &self.faults
+        &self.faults.list
     }
 
     /// Resets registers to UNDEF in every lane, the cycle counter to 0,
@@ -615,20 +968,13 @@ impl PackedSim {
     /// drives). Injected faults are *not* cleared, matching
     /// [`crate::Simulator::reset_state`].
     pub fn reset_state(&mut self) {
-        for (_, w) in &mut self.regs {
-            *w = PackedWord::UNDEF;
-        }
+        self.regs.fill(PackedWord::UNDEF);
         self.cycle = 0;
-        self.forced.clear();
-        if let Some(clk) = self.design.clk {
-            self.forced.insert(clk, PackedWord::ONE);
-        }
-        if let Some(rset) = self.design.rset {
-            self.forced.insert(rset, PackedWord::ZERO);
-        }
-        self.bridge_clamp.clear();
-        for (_, nat) in self.bridge_natural.values_mut() {
-            *nat = PackedWord::NOINFL;
+        self.forces.clear();
+        self.drive_clock_defaults();
+        self.faults.release_bridges();
+        for s in &mut self.faults.sites {
+            s.natural = PackedWord::NOINFL;
         }
         self.unstable_last_cycle = 0;
         self.ever_unstable = 0;
@@ -638,49 +984,41 @@ impl PackedSim {
     /// lanes (with the bridge fixpoint re-sweeping lanes that need it),
     /// then latches registers lane-wise and reports conflicts.
     pub fn step(&mut self) -> PackedCycleReport {
-        self.flip_now.clear();
-        for (&i, entries) in &self.flips {
-            let mut m = 0u64;
-            for &(c, lanes) in entries {
-                if c == self.cycle {
-                    m |= lanes;
-                }
-            }
-            if m != 0 {
-                self.flip_now.insert(i, m);
+        let f = &mut self.faults;
+        for &(s, _, _) in &f.flips {
+            f.sites[s as usize].flip_now = 0;
+        }
+        for &(s, c, lanes) in &f.flips {
+            if c == self.cycle {
+                f.sites[s as usize].flip_now |= lanes;
             }
         }
 
-        if self.faults.is_empty() {
+        if f.list.is_empty() {
             self.lane_sweeps = [1; LANES];
             self.unstable_last_cycle = 0;
-            self.eval_cycle(false);
+            self.eval_cycle::<false>();
         } else {
             self.eval_cycle_faulty();
         }
 
         // Latch registers lane-wise: a lane keeps its stored value when
         // its input lane is NOINFL (§5.1).
-        for i in 0..self.regs.len() {
-            let (node, _) = self.regs[i];
-            let inp = self.design.netlist.nodes[node.index()].inputs[0];
-            let v = self.values[inp.index()];
-            let m = v.active();
-            let r = &mut self.regs[i].1;
-            *r = v.select(m, *r);
+        for (r, &(inp, _)) in self.regs.iter_mut().zip(&self.prog.regs) {
+            let v = self.values[inp as usize];
+            *r = v.select(v.active(), *r);
         }
 
         let mut conflicts = Vec::new();
         if self.check_conflicts {
-            for (i, &m) in self.multi.iter().enumerate() {
-                if m != 0 {
-                    conflicts.push(PackedConflict {
-                        cycle: self.cycle,
-                        net: NetId(i as u32),
-                        name: self.design.netlist.nets[i].name.clone(),
-                        lanes: m,
-                    });
-                }
+            self.conflicted.sort_unstable();
+            for &i in &self.conflicted {
+                conflicts.push(PackedConflict {
+                    cycle: self.cycle,
+                    net: NetId(i),
+                    name: self.prog.design.netlist.nets[i as usize].name.clone(),
+                    lanes: self.multi[i as usize],
+                });
             }
         }
         let report = PackedCycleReport {
@@ -702,86 +1040,76 @@ impl PackedSim {
     /// `Z908` when the step budget is exhausted, `Z904`/`Z905` for fuel
     /// and deadline.
     pub fn try_step(&mut self) -> Result<PackedCycleReport, Diagnostic> {
+        let order = self.prog.order_len as u64;
         self.budget.begin_cycle()?;
-        self.budget.charge_work(self.order.len() as u64)?;
+        self.budget.charge_work(order)?;
         let report = self.step();
         let max_sweeps = *self.lane_sweeps.iter().max().unwrap_or(&1);
         if max_sweeps > 1 {
-            self.budget
-                .charge_work((max_sweeps as u64 - 1) * self.order.len() as u64)?;
+            self.budget.charge_work((max_sweeps as u64 - 1) * order)?;
         }
         Ok(report)
     }
 
     /// One full packed evaluation sweep (the word-wide analogue of the
-    /// scalar `eval_cycle`).
-    fn eval_cycle(&mut self, faulty: bool) {
+    /// scalar `eval_cycle`): clear the planes, present the fault clamps
+    /// (with `FAULTY`), drive the forced nets and register outputs, then
+    /// run the compiled instruction stream.
+    fn eval_cycle<const FAULTY: bool>(&mut self) {
+        let prog = &*self.prog;
         self.values.fill(PackedWord::NOINFL);
-        self.once.fill(0);
-        self.multi.fill(0);
-        if faulty {
+        for i in self.conflicted.drain(..) {
+            self.multi[i as usize] = 0;
+        }
+        if FAULTY {
             // Clamps apply even to nets nothing drives this cycle.
-            for (&i, &m) in &self.stuck0 {
-                self.values[i] = PackedWord::ZERO.select(m, self.values[i]);
+            for s in &mut self.faults.sites {
+                self.values[s.net as usize] = s.undriven();
+                s.natural = PackedWord::NOINFL;
+                s.once = 0;
             }
-            for (&i, &m) in &self.stuck1 {
-                self.values[i] = PackedWord::ONE.select(m, self.values[i]);
-            }
-            for (&i, &(m, v)) in &self.bridge_clamp {
-                self.values[i] = v.select(m, self.values[i]);
-            }
-            for (_, nat) in self.bridge_natural.values_mut() {
-                *nat = PackedWord::NOINFL;
-            }
+        }
+        let mut nets = Nets {
+            values: &mut self.values,
+            multi: &mut self.multi,
+            conflicted: &mut self.conflicted,
+            check_conflicts: self.check_conflicts,
+            slot: &self.faults.slot,
+            sites: &mut self.faults.sites,
+        };
+        for &(net, w) in &self.forces.list {
+            nets.drive::<FAULTY>(net as usize, w);
+        }
+        for (&(_, out), &w) in prog.regs.iter().zip(&self.regs) {
+            nets.drive::<FAULTY>(out as usize, w);
         }
 
-        let forced: Vec<(NetId, PackedWord)> = self.forced.iter().map(|(&n, &v)| (n, v)).collect();
-        for (net, v) in forced {
-            self.drive(net, v, faulty);
-        }
-        for i in 0..self.regs.len() {
-            let (node, v) = self.regs[i];
-            let out = self.design.netlist.nodes[node.index()].output;
-            self.drive(out, v, faulty);
-        }
-
-        for i in 0..self.order.len() {
-            let node_id = self.order[i];
-            let node = &self.design.netlist.nodes[node_id.index()];
-            let out = node.output;
-            let v = match &node.op {
-                NodeOp::And => {
-                    PackedWord::and_fold(node.inputs.iter().map(|&n| self.values[n.index()]))
+        for ins in &prog.code {
+            let args = &prog.args[ins.start as usize..ins.end as usize];
+            let vals = &*nets.values;
+            let input = |k: usize| vals[args[k] as usize];
+            let all = || args.iter().map(|&n| vals[n as usize]);
+            let v = match ins.op {
+                Op::And => PackedWord::and_fold(all()),
+                Op::Or => PackedWord::or_fold(all()),
+                Op::Nand => PackedWord::nand_fold(all()),
+                Op::Nor => PackedWord::nor_fold(all()),
+                Op::Xor => PackedWord::xor_fold(all()),
+                Op::Not => input(0).not(),
+                Op::Equal(width) => {
+                    let (a, b) = args.split_at(width as usize);
+                    PackedWord::equal_pairs(
+                        a.iter()
+                            .zip(b)
+                            .map(|(&x, &y)| (vals[x as usize], vals[y as usize])),
+                    )
                 }
-                NodeOp::Or => {
-                    PackedWord::or_fold(node.inputs.iter().map(|&n| self.values[n.index()]))
-                }
-                NodeOp::Nand => {
-                    PackedWord::nand_fold(node.inputs.iter().map(|&n| self.values[n.index()]))
-                }
-                NodeOp::Nor => {
-                    PackedWord::nor_fold(node.inputs.iter().map(|&n| self.values[n.index()]))
-                }
-                NodeOp::Xor => {
-                    PackedWord::xor_fold(node.inputs.iter().map(|&n| self.values[n.index()]))
-                }
-                NodeOp::Not => self.values[node.inputs[0].index()].not(),
-                NodeOp::Equal { width } => {
-                    let (a, b) = node.inputs.split_at(*width);
-                    let av: Vec<PackedWord> = a.iter().map(|&n| self.values[n.index()]).collect();
-                    let bv: Vec<PackedWord> = b.iter().map(|&n| self.values[n.index()]).collect();
-                    PackedWord::equal_reduce(&av, &bv)
-                }
-                NodeOp::Buf => self.values[node.inputs[0].index()],
-                NodeOp::If => PackedWord::if_select(
-                    self.values[node.inputs[0].index()],
-                    self.values[node.inputs[1].index()],
-                ),
-                NodeOp::Const(v) => PackedWord::splat(*v),
-                NodeOp::Random => PackedWord::splat(Value::from_bool(self.rng.gen())),
-                NodeOp::Reg => continue,
+                Op::Buf => input(0),
+                Op::If => PackedWord::if_select(input(0), input(1)),
+                Op::Const(c) => PackedWord::splat(c),
+                Op::Random => PackedWord::splat(Value::from_bool(self.rng.gen())),
             };
-            self.drive(out, v, faulty);
+            nets.drive::<FAULTY>(ins.out as usize, v);
         }
     }
 
@@ -795,16 +1123,14 @@ impl PackedSim {
     fn eval_cycle_faulty(&mut self) {
         let rng_start = self.rng.clone();
         self.unstable_last_cycle = 0;
-        self.bridge_clamp.clear();
+        self.faults.release_bridges();
 
         let mut cap = [2u32; LANES];
         let mut bridge_lanes = 0u64;
-        for &(_, _, lanes) in &self.bridges {
+        for &(_, _, lanes) in &self.faults.bridges {
             bridge_lanes |= lanes;
-            for (l, c) in cap.iter_mut().enumerate() {
-                if (lanes >> l) & 1 == 1 {
-                    *c += 2;
-                }
+            for l in lanes_in(lanes) {
+                cap[l] += 2;
             }
         }
 
@@ -813,36 +1139,35 @@ impl PackedSim {
         let mut sweeps: u32 = 0;
         loop {
             self.rng = rng_start.clone();
-            self.eval_cycle(true);
+            self.eval_cycle::<true>();
             sweeps += 1;
-            if self.bridges.is_empty() {
+            let Faults { sites, bridges, .. } = &mut self.faults;
+            if bridges.is_empty() {
                 break;
             }
 
             // Stability check and clamp update, bridge by bridge (the
             // same pass structure as the scalar loop, lane-masked).
             let mut unstable = 0u64;
-            let bridges = self.bridges.clone();
-            for (a, b, lanes) in bridges {
-                let na = self.natural_of(a, lanes);
-                let nb = self.natural_of(b, lanes);
-                let res = PackedWord::resolve_bridge(na, nb);
-                for i in [a, b] {
-                    unstable |= lanes & self.values[i].diff(res);
-                    let e = self
-                        .bridge_clamp
-                        .entry(i)
-                        .or_insert((0, PackedWord::NOINFL));
-                    e.0 = (e.0 & !lanes) | (res.active() & lanes);
-                    e.1 = res.select(lanes, e.1);
+            for &(a, b, lanes) in bridges.iter() {
+                let natural = |s: u32| {
+                    let nat = sites[s as usize].natural;
+                    PackedWord {
+                        lo: nat.lo & lanes,
+                        hi: nat.hi & lanes,
+                    }
+                };
+                let res = PackedWord::resolve_bridge(natural(a), natural(b));
+                for s in [a, b] {
+                    let site = &mut sites[s as usize];
+                    unstable |= lanes & self.values[site.net as usize].diff(res);
+                    site.clamp_lanes = (site.clamp_lanes & !lanes) | (res.active() & lanes);
+                    site.clamp_val = res.select(lanes, site.clamp_val);
                 }
             }
 
-            let newly = pending & !unstable;
-            for (l, s) in settled.iter_mut().enumerate() {
-                if (newly >> l) & 1 == 1 {
-                    *s = sweeps;
-                }
+            for l in lanes_in(pending & !unstable) {
+                settled[l] = sweeps;
             }
             pending &= unstable;
             if pending == 0 {
@@ -851,42 +1176,30 @@ impl PackedSim {
 
             // Lanes over their cap oscillate: X-fill their bridge ends
             // and give them one final sweep.
-            let mut overdue = 0u64;
-            for (l, &c) in cap.iter().enumerate() {
-                if (pending >> l) & 1 == 1 && sweeps >= c {
-                    overdue |= 1 << l;
-                }
-            }
+            let overdue = lanes_in(pending)
+                .filter(|&l| sweeps >= cap[l])
+                .fold(0u64, |m, l| m | 1 << l);
             if overdue != 0 {
                 self.unstable_last_cycle |= overdue;
                 self.ever_unstable |= overdue;
-                let bridges = self.bridges.clone();
-                for (a, b, lanes) in bridges {
+                for &(a, b, lanes) in bridges.iter() {
                     let x = lanes & overdue;
-                    if x == 0 {
-                        continue;
-                    }
-                    for i in [a, b] {
-                        let e = self
-                            .bridge_clamp
-                            .entry(i)
-                            .or_insert((0, PackedWord::NOINFL));
-                        e.0 |= x;
-                        e.1.lo |= x;
-                        e.1.hi |= x;
+                    for s in [a, b] {
+                        let site = &mut sites[s as usize];
+                        site.clamp_lanes |= x;
+                        site.clamp_val.lo |= x;
+                        site.clamp_val.hi |= x;
                     }
                 }
                 pending &= !overdue;
-                for (l, s) in settled.iter_mut().enumerate() {
-                    if (overdue >> l) & 1 == 1 {
-                        *s = sweeps + 1;
-                    }
+                for l in lanes_in(overdue) {
+                    settled[l] = sweeps + 1;
                 }
                 if pending == 0 {
                     // The dedicated final sweep for the X-filled lanes
                     // (already counted into their `settled` stamps).
                     self.rng = rng_start.clone();
-                    self.eval_cycle(true);
+                    self.eval_cycle::<true>();
                     break;
                 }
                 // Other lanes are still iterating: the next loop sweep
@@ -894,88 +1207,6 @@ impl PackedSim {
             }
         }
         self.lane_sweeps = settled;
-    }
-
-    /// The recorded natural value of a bridged net, restricted to the
-    /// given lanes (unrecorded lanes read NOINFL, like the scalar
-    /// `bridge_natural` default).
-    fn natural_of(&self, i: usize, lanes: u64) -> PackedWord {
-        match self.bridge_natural.get(&i) {
-            Some(&(_, nat)) => PackedWord {
-                lo: nat.lo & lanes,
-                hi: nat.hi & lanes,
-            },
-            None => PackedWord::NOINFL,
-        }
-    }
-
-    /// Lane-masked drive of one net (the word-wide analogue of the
-    /// scalar `drive`): inactive lanes do not count as drivers, a second
-    /// active drive in a lane makes that lane UNDEF for the rest of the
-    /// cycle, and fault clamps re-apply after every active drive.
-    fn drive(&mut self, net: NetId, v: PackedWord, faulty: bool) {
-        let m = v.active();
-        if m == 0 {
-            return;
-        }
-        let i = net.index();
-        let w = &mut self.values[i];
-        if self.check_conflicts {
-            let dup = self.once[i] & m;
-            self.multi[i] |= dup;
-            self.once[i] |= m;
-            *w = v.select(m, *w);
-            w.lo |= self.multi[i];
-            w.hi |= self.multi[i];
-        } else {
-            *w = v.select(m, *w);
-        }
-        if faulty {
-            self.apply_fault_clamp(i, m);
-        }
-    }
-
-    /// Re-applies the fault clamps to net `i` on the lanes of `m` (the
-    /// lanes this drive was active in). Mirrors the scalar
-    /// `apply_fault_clamp`: stuck wins outright, a transient flip inverts
-    /// the resolved value in its cycle, bridges record the natural value
-    /// and present the currently resolved bridge value.
-    fn apply_fault_clamp(&mut self, i: usize, m: u64) {
-        let s0 = self.stuck0.get(&i).copied().unwrap_or(0);
-        let s1 = self.stuck1.get(&i).copied().unwrap_or(0);
-        let s = s0 | s1;
-        let w = &mut self.values[i];
-        if s != 0 {
-            w.lo = (w.lo & !s) | s0;
-            w.hi = (w.hi & !s) | s1;
-        }
-        let f = self.flip_now.get(&i).copied().unwrap_or(0) & m & !s;
-        if f != 0 {
-            let n = w.not();
-            *w = n.select(f, *w);
-        }
-        // Single lookup: reading the resolved value before taking the
-        // mutable borrow keeps the natural-value update self-contained
-        // (no second lookup whose failure would have to panic).
-        let cur = self.values[i];
-        let bridged = match self.bridge_natural.get_mut(&i) {
-            Some(e) => {
-                let rec = e.0 & m;
-                if rec != 0 {
-                    e.1 = cur.select(rec, e.1);
-                }
-                true
-            }
-            None => false,
-        };
-        if bridged {
-            if let Some(&(cm, cv)) = self.bridge_clamp.get(&i) {
-                let c = cm & m;
-                if c != 0 {
-                    self.values[i] = cv.select(c, self.values[i]);
-                }
-            }
-        }
     }
 }
 
@@ -1408,6 +1639,243 @@ mod tests {
             scalar.step();
             assert_eq!(packed.port_lane("q", 17), scalar.port("q"), "cycle {cyc}");
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Fault-table behaviour, lane by lane against the scalar engine
+    // ------------------------------------------------------------------
+
+    /// Gates, an internal net, a register and a multiplex net `m` that
+    /// two switches drive at once when `a` and `c` are both 1, so
+    /// stuck-ats, flips and bridges reach the outputs through logic,
+    /// state and runtime conflicts.
+    const FAULTABLE: &str = "TYPE t = COMPONENT (IN a,b,c: boolean; OUT x,y,z: boolean) IS \
+         SIGNAL r: REG; h: boolean; m: multiplex; \
+         BEGIN h := XOR(b,c); IF a THEN m := b END; IF c THEN m := h END; \
+         x := AND(m,h); y := OR(b,c); r.in := NAND(a,m); z := XOR(r.out, h) END;";
+
+    /// One packed simulator plus, for each lane of interest, a scalar
+    /// simulator carrying exactly the faults injected into that lane.
+    struct Lockstep {
+        design: Design,
+        packed: PackedSim,
+        lanes: Vec<(usize, Simulator)>,
+    }
+
+    impl Lockstep {
+        fn new(design: &Design, lanes: &[usize]) -> Lockstep {
+            Lockstep {
+                design: design.clone(),
+                packed: PackedSim::new(design.clone()).unwrap(),
+                lanes: lanes
+                    .iter()
+                    .map(|&l| (l, Simulator::new(design.clone()).unwrap()))
+                    .collect(),
+            }
+        }
+
+        fn net(&self, name: &str) -> NetId {
+            self.design.names[&format!("t.{name}")]
+        }
+
+        fn inject(&mut self, fault: Fault, mask: u64) {
+            self.packed.inject_lanes(fault, mask).unwrap();
+            for (l, s) in &mut self.lanes {
+                if (mask >> *l) & 1 == 1 {
+                    s.inject(fault).unwrap();
+                }
+            }
+        }
+
+        fn clear_faults(&mut self) {
+            self.packed.clear_faults();
+            for (_, s) in &mut self.lanes {
+                s.clear_faults();
+            }
+        }
+
+        /// Steps every simulator on inputs `abc` and compares every port,
+        /// every net's raw value, the conflicted nets and the sweep count,
+        /// lane by lane.
+        fn step(&mut self, abc: [bool; 3]) {
+            for (port, v) in ["a", "b", "c"].into_iter().zip(abc) {
+                let bit = [Value::from_bool(v)];
+                self.packed.set_port(port, &bit).unwrap();
+                for (_, s) in &mut self.lanes {
+                    s.set_port(port, &bit).unwrap();
+                }
+            }
+            let report = self.packed.step();
+            let cycle = report.cycle;
+            for (l, s) in &mut self.lanes {
+                let conflicts: Vec<NetId> = s.step().conflicts.iter().map(|c| c.net).collect();
+                let lane_conflicts: Vec<NetId> = report
+                    .conflicts
+                    .iter()
+                    .filter(|c| (c.lanes >> *l) & 1 == 1)
+                    .map(|c| c.net)
+                    .collect();
+                assert_eq!(
+                    lane_conflicts, conflicts,
+                    "conflicts lane {l} cycle {cycle}"
+                );
+                for port in &self.design.ports {
+                    assert_eq!(
+                        self.packed.port_lane(&port.name, *l),
+                        s.port(&port.name),
+                        "port {} lane {l} cycle {cycle}",
+                        port.name
+                    );
+                }
+                for i in 0..self.design.netlist.net_count() {
+                    let net = NetId(i as u32);
+                    assert_eq!(
+                        self.packed.value_lane(net, *l),
+                        s.value(net),
+                        "net {} lane {l} cycle {cycle}",
+                        self.design.netlist.nets[i].name
+                    );
+                }
+                assert_eq!(
+                    self.packed.lane_sweeps()[*l],
+                    s.sweeps_last_cycle(),
+                    "sweeps lane {l} cycle {cycle}"
+                );
+            }
+        }
+    }
+
+    const INPUTS: [[bool; 3]; 8] = [
+        [false, false, false],
+        [true, true, false],
+        [true, false, true],
+        [false, true, true],
+        [true, true, true],
+        [true, false, false],
+        [false, true, false],
+        [false, false, true],
+    ];
+
+    #[test]
+    fn a_later_stuck_at_on_the_same_lane_and_net_wins() {
+        let d = design(FAULTABLE, "t");
+        let mut ls = Lockstep::new(&d, &[0, 1, 2, 3]);
+        let (x, h, m) = (ls.net("x"), ls.net("h"), ls.net("m"));
+        // Lanes 1 and 2 get stuck-at-0 on x; then lanes 2 and 3 get
+        // stuck-at-1 on the same net, so lane 2 holds both and the later
+        // one must win. Lane 0 stays clean; h and the conflicting m
+        // collect the same pair the other way round.
+        ls.inject(Fault::stuck_at_0(x), 0b0110);
+        ls.inject(Fault::stuck_at_1(x), 0b1100);
+        for net in [h, m] {
+            ls.inject(Fault::stuck_at_1(net), 0b0110);
+            ls.inject(Fault::stuck_at_0(net), 0b1100);
+        }
+        for abc in INPUTS {
+            ls.step(abc);
+        }
+        assert_eq!(ls.packed.value_lane(x, 2), Value::One);
+        assert_eq!(ls.packed.value_lane(h, 2), Value::Zero);
+    }
+
+    #[test]
+    fn a_second_flip_on_the_same_lane_replaces_the_first_ones_cycle() {
+        let d = design(FAULTABLE, "t");
+        let mut ls = Lockstep::new(&d, &[0, 1, 2, 3]);
+        let (y, h, m) = (ls.net("y"), ls.net("h"), ls.net("m"));
+        // Lanes 1 and 2 flip y in cycle 2; lanes 2 and 3 are then given a
+        // flip in cycle 5 instead, so lane 2 must flip in cycle 5 only.
+        // A flip on another net of lane 2 stays independent, and m is
+        // flipped in a cycle where it conflicts, then in one where not.
+        ls.inject(Fault::transient_flip(y, 2), 0b0110);
+        ls.inject(Fault::transient_flip(y, 5), 0b1100);
+        ls.inject(Fault::transient_flip(h, 3), 0b0100);
+        ls.inject(Fault::transient_flip(m, 4), 0b1010);
+        ls.inject(Fault::transient_flip(m, 1), 0b1000);
+        for abc in INPUTS {
+            ls.step(abc);
+        }
+    }
+
+    #[test]
+    fn cleared_sites_behave_fault_free_after_reinjection_elsewhere() {
+        let d = design(FAULTABLE, "t");
+        let mut ls = Lockstep::new(&d, &[0, 1, 2, 3, 4, 5]);
+        let (x, y, z, h, m) = (
+            ls.net("x"),
+            ls.net("y"),
+            ls.net("z"),
+            ls.net("h"),
+            ls.net("m"),
+        );
+        ls.inject(Fault::stuck_at_1(x), 0b0010);
+        // A flip due after the clear: it must never fire.
+        ls.inject(Fault::transient_flip(y, 6), 0b0100);
+        ls.inject(Fault::bridge(h, z), 0b1000);
+        ls.inject(Fault::bridge(m, y), 0b10_0000);
+        for abc in &INPUTS[..3] {
+            ls.step(*abc);
+        }
+        ls.clear_faults();
+        ls.inject(Fault::stuck_at_0(y), 0b1_0000);
+        for abc in INPUTS {
+            ls.step(abc);
+        }
+        // The old sites now read exactly like the clean lane.
+        for net in [x, y, z, h, m] {
+            for l in [1, 2, 3, 5] {
+                assert_eq!(ls.packed.value_lane(net, l), ls.packed.value_lane(net, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_faulted_clone_leaves_its_template_unchanged() {
+        let d = design(FAULTABLE, "t");
+        let mut template = PackedSim::new(d.clone()).unwrap();
+        template.reseed(7);
+        template.set_port("c", &[Value::One]).unwrap();
+        template.step();
+        let nets: Vec<NetId> = (0..d.netlist.net_count() as u32).map(NetId).collect();
+        // Every net's word and every lane's sweep count, cycle by cycle.
+        let run = |sim: &mut PackedSim, faults: &[(Fault, u64)]| {
+            for &(f, m) in faults {
+                sim.inject_lanes(f, m).unwrap();
+            }
+            let mut seen = Vec::new();
+            for abc in INPUTS {
+                for (port, v) in ["a", "b", "c"].into_iter().zip(abc) {
+                    sim.set_port(port, &[Value::from_bool(v)]).unwrap();
+                }
+                sim.step();
+                let words: Vec<PackedWord> = nets.iter().map(|&n| sim.value(n)).collect();
+                seen.push((words, *sim.lane_sweeps()));
+            }
+            seen
+        };
+        let before = run(&mut template.clone(), &[]);
+        let (x, z, h, m) = (
+            d.names["t.x"],
+            d.names["t.z"],
+            d.names["t.h"],
+            d.names["t.m"],
+        );
+        let mut faulted = template.clone();
+        let during = run(
+            &mut faulted,
+            &[
+                (Fault::stuck_at_0(x), 1),
+                (Fault::transient_flip(h, 3), 2),
+                (Fault::bridge(h, z), 4),
+                (Fault::bridge(x, z), 8),
+                (Fault::bridge(m, h), 16),
+                (Fault::stuck_at_1(m), 32),
+            ],
+        );
+        assert_ne!(before, during, "the faults must show in the clone");
+        faulted.clear_faults();
+        assert!(template.injected_faults().is_empty());
+        assert_eq!(run(&mut template, &[]), before, "template's next run");
     }
 
     #[test]
