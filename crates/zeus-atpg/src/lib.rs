@@ -315,11 +315,12 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                             redundant.push((fi, name, fault));
                         }
                         sat::SatAnswer::Vectors(frames) => {
-                            let vector = &frames[0];
+                            // The one-frame model detects the fault when
+                            // its replay diverges (leaves no context).
                             if set.len() < cfg.max_vectors
-                                && sat::verify_single(design, fault, vector)?
+                                && sat::replay_context(design, fault, &frames, cfg.seed)?.is_none()
                             {
-                                set.push(vector.clone());
+                                set.push(frames.bits(0).to_vec());
                                 ss.rescued += 1;
                                 ss.vectors += 1;
                             } else {
@@ -447,7 +448,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                         break;
                     }
                     let Some((mut golden, mut faulty)) =
-                        sat::replay_context(design, fault, &set, cfg.seed, &cfg.limits)?
+                        sat::replay_context(design, fault, &set, cfg.seed)?
                     else {
                         // The set already detects it in context; the
                         // re-grade will classify it.
@@ -467,15 +468,10 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                         });
                         match answer {
                             sat::SatAnswer::Vectors(decoded) => {
-                                match sat::verify_frames(
-                                    design,
-                                    &mut golden,
-                                    &mut faulty,
-                                    &decoded,
-                                )? {
+                                match sat::first_divergence(&mut golden, &mut faulty, &decoded)? {
                                     Some(j) => {
-                                        for frame in &decoded[..=j] {
-                                            set.push(frame.clone());
+                                        for i in 0..=j {
+                                            set.push(decoded.bits(i).to_vec());
                                         }
                                         ss.rescued += 1;
                                         ss.vectors += j + 1;

@@ -4,10 +4,11 @@
 //!
 //! The heavy lifting (CNF encoding, CDCL search) lives in `zeus-sat`;
 //! this module adapts it to ATPG's contracts: every SAT model is
-//! replay-verified on the scalar simulator before a vector enters the
-//! set, every redundancy verdict can be exported as a DIMACS file for
-//! external audit, and every solve runs under a per-fault slice of the
-//! campaign budget so one hard fault cannot starve the rest.
+//! replay-verified on the scalar simulator (through [`run_differential`])
+//! before a vector enters the set, every redundancy verdict can be
+//! exported as a DIMACS file for external audit, and every solve runs
+//! under a per-fault slice of the campaign budget so one hard fault
+//! cannot starve the rest.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -17,7 +18,7 @@ use zeus_sat::{
     decode_model, encode_detection, encode_lockstep, EncodeOptions, SatOutcome, Solver,
 };
 use zeus_sema::Value;
-use zeus_sim::{Simulator, VectorSet, VectorStream};
+use zeus_sim::{run_differential, Simulator, VectorSet, VectorStream};
 use zeus_syntax::diag::{codes, Diagnostic};
 use zeus_syntax::span::Span;
 
@@ -25,9 +26,9 @@ use crate::AtpgConfig;
 
 /// Outcome of one SAT detectability check.
 pub(crate) enum SatAnswer {
-    /// Satisfiable: decoded input vectors, one `Vec<Vec<Value>>`
-    /// (per-port bit groups) per frame. Not yet simulator-verified.
-    Vectors(Vec<Vec<Vec<Value>>>),
+    /// Satisfiable: the decoded input vectors, one per frame. Not yet
+    /// simulator-verified.
+    Vectors(VectorSet),
     /// Proved undetectable within the encoded frames; carries the
     /// DIMACS text of the formula for the audit trail.
     Undetectable(String),
@@ -72,19 +73,16 @@ pub(crate) fn check(
             SatAnswer::Undetectable(det.cnf.to_dimacs(&comments))
         }
         SatOutcome::Sat(model) => {
-            let widths: Vec<usize> = design.inputs().map(|p| p.width()).collect();
-            let frames = decode_model(&det, &model)
-                .into_iter()
-                .map(|flat| {
-                    let mut grouped = Vec::with_capacity(widths.len());
-                    let mut k = 0;
-                    for &w in &widths {
-                        grouped.push(flat[k..k + w].to_vec());
-                        k += w;
-                    }
-                    grouped
-                })
-                .collect();
+            let mut frames = VectorSet::new(design, cfg.seed);
+            for flat in decode_model(&det, &model) {
+                let mut rest = &flat[..];
+                let grouped = design.inputs().map(|p| {
+                    let (bits, tail) = rest.split_at(p.width());
+                    rest = tail;
+                    bits.to_vec()
+                });
+                frames.push(grouped.collect());
+            }
             SatAnswer::Vectors(frames)
         }
     }
@@ -136,117 +134,53 @@ pub(crate) fn write_cnf(dir: &Path, seq: usize, dimacs: &str) -> Result<(), Diag
     std::fs::write(&path, dimacs).map_err(|e| err(e, &path.display().to_string()))
 }
 
-/// Applies one per-port assignment to both simulators.
-fn drive_both(
-    golden: &mut Simulator,
-    faulty: &mut Simulator,
-    assignment: &[(String, Vec<Value>)],
-) -> Result<(), Diagnostic> {
-    for (name, bits) in assignment {
-        golden.set_port(name, bits)?;
-        faulty.set_port(name, bits)?;
-    }
-    Ok(())
-}
-
-/// True when any OUT port's boolean view differs — exactly the
-/// campaign's `run_differential` comparison.
-pub(crate) fn diverged(design: &Design, golden: &Simulator, faulty: &Simulator) -> bool {
-    design
-        .outputs()
-        .any(|p| golden.port(&p.name) != faulty.port(&p.name))
-}
-
-/// Replays the current vector set against a fresh golden/faulty pair,
-/// mirroring `run_one_graph` (reset pulse, then the set in order).
-///
-/// Returns `None` when the set already detects the fault in context
-/// (the re-grade will classify it without SAT help), otherwise the two
-/// simulators positioned right after the last vector — their register
-/// states seed the time-frame unroll, and decoded frames are verified
-/// by stepping these same simulators forward.
+/// Replays `set` on a fresh golden/faulty pair as a campaign's
+/// `run_one_graph` does: a reset pulse when the design has RSET, then the
+/// set in order. Returns `None` when the set already detects the fault,
+/// otherwise the pair positioned after the last vector — their register
+/// states seed the time-frame unroll, and decoded frames are verified by
+/// replaying them on the same pair ([`first_divergence`]).
 pub(crate) fn replay_context(
     design: &Design,
     fault: Fault,
     set: &VectorSet,
     seed: u64,
-    limits: &Limits,
 ) -> Result<Option<(Simulator, Simulator)>, Diagnostic> {
     // Steps are bounded by construction (set length + unroll), and fuel
     // and wall clock are billed to the shared ATPG governor by the
     // caller, so the simulators themselves run unbudgeted.
-    let mut l = limits.clone();
-    l.fuel = None;
-    l.deadline = None;
-    l.max_steps = None;
-    let mut golden = Simulator::with_limits(design.clone(), &l)?;
-    let mut faulty = Simulator::with_limits(design.clone(), &l)?;
-    faulty.inject(fault)?;
-    golden.reseed(seed);
-    faulty.reseed(seed);
-    let mut stream = VectorStream::replay(set);
-    if design.rset.is_some() {
-        golden.set_rset(true);
-        faulty.set_rset(true);
-        for (name, bits) in stream.zero_vector() {
-            golden.set_port(&name, &bits)?;
-            faulty.set_port(&name, &bits)?;
-        }
-        golden.step();
-        faulty.step();
-        golden.set_rset(false);
-        faulty.set_rset(false);
-    }
-    for _ in 0..set.len() {
-        let assignment = stream.next_vector();
-        drive_both(&mut golden, &mut faulty, &assignment)?;
-        golden.step();
-        faulty.step();
-        if diverged(design, &golden, &faulty) {
-            return Ok(None);
-        }
-    }
-    Ok(Some((golden, faulty)))
-}
-
-/// Steps the positioned pair through decoded frames; returns the index
-/// of the first diverging frame, if any.
-pub(crate) fn verify_frames(
-    design: &Design,
-    golden: &mut Simulator,
-    faulty: &mut Simulator,
-    frames: &[Vec<Vec<Value>>],
-) -> Result<Option<usize>, Diagnostic> {
-    let names: Vec<String> = design.inputs().map(|p| p.name.clone()).collect();
-    for (j, frame) in frames.iter().enumerate() {
-        let assignment: Vec<(String, Vec<Value>)> =
-            names.iter().cloned().zip(frame.iter().cloned()).collect();
-        drive_both(golden, faulty, &assignment)?;
-        golden.step();
-        faulty.step();
-        if diverged(design, golden, faulty) {
-            return Ok(Some(j));
-        }
-    }
-    Ok(None)
-}
-
-/// Verifies a single combinational vector on a fresh pair.
-pub(crate) fn verify_single(
-    design: &Design,
-    fault: Fault,
-    vector: &[Vec<Value>],
-) -> Result<bool, Diagnostic> {
     let mut golden = Simulator::new(design.clone())?;
     let mut faulty = Simulator::new(design.clone())?;
     faulty.inject(fault)?;
-    let names: Vec<String> = design.inputs().map(|p| p.name.clone()).collect();
-    let assignment: Vec<(String, Vec<Value>)> =
-        names.into_iter().zip(vector.iter().cloned()).collect();
-    drive_both(&mut golden, &mut faulty, &assignment)?;
-    golden.step();
-    faulty.step();
-    Ok(diverged(design, &golden, &faulty))
+    golden.reseed(seed);
+    faulty.reseed(seed);
+    if design.rset.is_some() {
+        golden.set_rset(true);
+        faulty.set_rset(true);
+        for (name, width) in set.ports() {
+            let zeros = vec![Value::Zero; *width];
+            golden.set_port(name, &zeros)?;
+            faulty.set_port(name, &zeros)?;
+        }
+        golden.try_step()?;
+        faulty.try_step()?;
+        golden.set_rset(false);
+        faulty.set_rset(false);
+    }
+    Ok(first_divergence(&mut golden, &mut faulty, set)?
+        .is_none()
+        .then_some((golden, faulty)))
+}
+
+/// Steps the pair through `set`; returns the index of the first vector
+/// whose outputs diverge, if any.
+pub(crate) fn first_divergence(
+    golden: &mut Simulator,
+    faulty: &mut Simulator,
+    set: &VectorSet,
+) -> Result<Option<usize>, Diagnostic> {
+    let mut stream = VectorStream::replay(set);
+    Ok(run_differential(golden, faulty, &mut stream, set.len() as u32)?.map(|d| d.cycle as usize))
 }
 
 /// Allocates per-fault budget slices out of the overall campaign

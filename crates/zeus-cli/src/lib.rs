@@ -413,7 +413,10 @@ fn detail(cmd: &str) -> &'static str {
         "graph" => "Emits the elaborated semantics graph as Graphviz dot.",
         "synth" => "Synthesizes to the CMOS switch network and prints its size.",
         "equiv" => {
-            "Elaborates both tops and checks exhaustive input equivalence.\n\
+            "Elaborates both tops and checks exhaustive input equivalence:\n\
+             every boolean input vector, 64 per step on the packed simulator.\n\
+             Designs with registers or RANDOM nodes are refused, and so are\n\
+             more than 22 input bits (Z909, exit 3).\n\
              Exit 0 when equivalent, 2 with a counterexample when not."
         }
         "fault" => {
@@ -1363,7 +1366,6 @@ fn cmd_opt(
             None => zeus::OptConfig::default().seed,
         },
         limits: limits.clone(),
-        ..zeus::OptConfig::default()
     };
     // The gate: a non-equivalent (or cyclic) result is a hard error
     // carrying the counterexample — nothing below this line runs on an

@@ -113,6 +113,25 @@ fn equiv_reports_counterexamples() {
 }
 
 #[test]
+fn equiv_refuses_random_designs() {
+    // Which RANDOM node draws first follows node order, so these two
+    // need not see the same random bits: no verdict either way.
+    let dir = std::env::temp_dir().join("zeusc-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("random-pair.zeus");
+    std::fs::write(
+        &file,
+        "TYPE f = COMPONENT (IN a: boolean; OUT s: boolean) IS BEGIN s := AND(a, RANDOM()) END; \
+         g = COMPONENT (IN a: boolean; OUT s: boolean) IS BEGIN s := AND(RANDOM(), a) END;",
+    )
+    .unwrap();
+    let (code, stdout, stderr) = zeusc_code(&["equiv", file.to_str().unwrap(), "f", "--vs", "g"]);
+    assert_eq!(code, 2, "{stdout}{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("RANDOM"), "{stderr}");
+}
+
+#[test]
 fn sim_with_forced_inputs() {
     let (ok, stdout, _) = zeusc(&[
         "sim",

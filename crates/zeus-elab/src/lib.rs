@@ -36,6 +36,7 @@
 mod elab;
 
 pub mod design;
+pub mod durable;
 pub mod fault;
 pub mod hash;
 pub mod json;
@@ -45,6 +46,7 @@ pub mod serdes;
 pub mod shape;
 
 pub use design::{Design, Direction, InstanceNode, LayoutItem, Orientation, Port};
+pub use durable::write_durable;
 pub use elab::{elaborate, elaborate_signal, elaborate_signal_with, elaborate_with};
 pub use fault::{Fault, FaultKind};
 pub use hash::{design_digest, StableHasher};

@@ -186,7 +186,7 @@ impl Journal {
 
     /// Writes the journal to `<path>.tmp`, fsyncs it, renames it over
     /// `<path>` and fsyncs the parent directory — see
-    /// [`crate::durable::write_durable`]. Without the fsyncs a power
+    /// [`zeus_elab::write_durable`]. Without the fsyncs a power
     /// loss could persist the rename but not the data, producing an
     /// empty journal that still "exists" and defeats `--resume`.
     fn flush(&self) -> Result<(), Diagnostic> {
@@ -195,7 +195,7 @@ impl Journal {
             text.push_str(line);
             text.push('\n');
         }
-        crate::durable::write_durable(&self.path, text.as_bytes()).map_err(|e| {
+        zeus_elab::write_durable(&self.path, text.as_bytes()).map_err(|e| {
             err(format!(
                 "cannot write checkpoint {}: {e}",
                 self.path.display()

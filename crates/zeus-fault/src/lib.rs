@@ -41,7 +41,6 @@
 
 mod campaign;
 mod checkpoint;
-pub mod durable;
 mod list;
 mod packed;
 mod report;
@@ -51,7 +50,6 @@ pub use campaign::{
     UndetectedReason,
 };
 pub use checkpoint::{campaign_digest, read_header, CheckpointHeader, CheckpointOptions};
-pub use durable::write_durable;
 pub use list::{enumerate_faults, FaultList, FaultListOptions};
 pub use packed::{run_campaign_packed, run_campaign_packed_with};
 pub use report::CoverageReport;

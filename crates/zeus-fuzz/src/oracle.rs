@@ -565,10 +565,11 @@ fn atpg_replay(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVerdict
 
 /// Oracle 7: optimized vs unoptimized lockstep under the scalar engine.
 ///
-/// `optimize` carries its own verification gate (packed-random lockstep
-/// or exhaustive enumeration); this oracle re-checks the result with an
-/// engine the gate never uses, on fuzz-generated programs the bundled
-/// designs don't resemble. The compared observable is the gate's own
+/// `optimize` carries its own verification gate, the packed miter of
+/// `zeus_sim::equiv` (exhaustive enumeration or packed random lockstep);
+/// this oracle re-checks the result on the scalar engine, which the gate
+/// never uses, on fuzz-generated programs the bundled designs don't
+/// resemble. The compared observable is the gate's own
 /// contract: the *boolean view* of every port, cycle for cycle (raw
 /// NOINFL-vs-UNDEF distinctions on undriven nets are not preserved by
 /// contribution-exact rewrites and are invisible to every downstream

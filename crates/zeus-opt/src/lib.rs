@@ -55,36 +55,24 @@ use zeus_elab::{Design, Limits, NetId, Netlist, NodeOp};
 use zeus_syntax::diag::Diagnostic;
 use zeus_syntax::span::Span;
 
+/// Upper bound on pipeline iterations (a safety net — the pipeline stops
+/// at the first iteration that changes nothing).
+const MAX_ITERATIONS: u32 = 32;
+
 /// Tuning knobs for [`optimize`].
 #[derive(Debug, Clone)]
 pub struct OptConfig {
-    /// Combinational designs with at most this many IN-port bits are
-    /// verified exhaustively; everything else falls back to packed
-    /// lockstep simulation.
-    pub max_exhaustive_bits: u32,
-    /// Lockstep trials, each from a fresh reset (registers re-start
-    /// undefined, so distinct trials explore distinct converging runs).
-    pub lockstep_rounds: u32,
-    /// Clock cycles simulated per lockstep trial.
-    pub lockstep_cycles: u32,
     /// Seed of the lockstep stimulus generator.
     pub seed: u64,
     /// Resource budget for the verification simulations.
     pub limits: Limits,
-    /// Upper bound on pipeline iterations (a safety net — the pipeline
-    /// stops at the first iteration that changes nothing).
-    pub max_iterations: u32,
 }
 
 impl Default for OptConfig {
     fn default() -> Self {
         OptConfig {
-            max_exhaustive_bits: 16,
-            lockstep_rounds: 4,
-            lockstep_cycles: 64,
             seed: 0x5eed_2e05,
             limits: Limits::default(),
-            max_iterations: 32,
         }
     }
 }
@@ -230,7 +218,7 @@ pub fn optimize(design: &Design, cfg: &OptConfig) -> Result<Optimized, Diagnosti
         },
     ];
     let mut iterations = 0u32;
-    while iterations < cfg.max_iterations {
+    while iterations < MAX_ITERATIONS {
         iterations += 1;
         let round = [
             passes::const_fold(&mut rw),

@@ -1,24 +1,34 @@
 //! The equivalence gate: the optimizer refuses to emit a rewritten
 //! netlist it cannot verify against the original.
 //!
-//! Small combinational designs are checked *exhaustively* — every
-//! boolean (0/1) input vector, via [`zeus_sim::check_equivalent_with`].
-//! UNDEF inputs are not enumerated. Everything else (registers, or
-//! too many input bits) runs a *packed random lockstep*: both designs
-//! simulate the same pseudo-random stimulus in 64 lanes at a time, from
-//! a common RSET pulse, and every OUT-port bit is compared after every
-//! cycle. Lockstep is a falsifier, not a proof — the pass pipeline's
-//! per-rewrite soundness arguments carry the correctness burden; the
-//! gate is the independent check that refuses to ship when they are ever
-//! wrong.
+//! Both tiers run the packed miter of [`zeus_sim`]'s equivalence module.
+//! Combinational designs with at most 16 IN-port bits are checked
+//! *exhaustively* — every boolean (0/1) input vector, via
+//! [`zeus_sim::check_equivalent_with`]. UNDEF inputs are not enumerated.
+//! Everything else (registers, or more input bits) runs the *packed
+//! random lockstep* of [`zeus_sim::check_lockstep`]: 4 rounds of 64
+//! cycles, 64 lanes each, from a common RSET pulse, comparing every
+//! OUT-port bit after every cycle. Lockstep is a falsifier, not a proof —
+//! the pass pipeline's per-rewrite soundness arguments carry the
+//! correctness burden; the gate is the independent check that refuses to
+//! ship when they are ever wrong.
 
-use rand::{Rng, SeedableRng};
-use zeus_elab::{Design, NetId};
-use zeus_sim::{check_equivalent_with, PackedSim, PackedWord, LANES};
+use zeus_elab::Design;
+use zeus_sema::Value;
+use zeus_sim::{check_equivalent_with, check_lockstep, LANES};
 use zeus_syntax::diag::Diagnostic;
 use zeus_syntax::span::Span;
 
 use crate::OptConfig;
+
+/// Combinational designs with at most this many IN-port bits are
+/// verified exhaustively; everything else runs the lockstep.
+const MAX_EXHAUSTIVE_BITS: u32 = 16;
+/// Lockstep trials, each from a fresh reset (registers re-start
+/// undefined, so distinct trials explore distinct converging runs).
+const LOCKSTEP_ROUNDS: u32 = 4;
+/// Clock cycles simulated per lockstep trial.
+const LOCKSTEP_CYCLES: u32 = 64;
 
 /// How a rewritten design was verified against its original.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,11 +72,6 @@ impl std::fmt::Display for Verification {
     }
 }
 
-/// Total IN-port bits of a design.
-fn input_bits(design: &Design) -> u32 {
-    design.inputs().map(|p| p.width() as u32).sum()
-}
-
 /// Verifies that `opt` is observably equivalent to `orig` at the ports,
 /// choosing the strongest affordable check.
 ///
@@ -74,120 +79,45 @@ fn input_bits(design: &Design) -> u32 {
 ///
 /// A divergence returns a `Z999` internal diagnostic (an optimizer bug —
 /// the rewritten netlist must not be used); resource-limit diagnostics
-/// from the governed exhaustive check propagate unchanged.
+/// from either tier propagate unchanged.
 pub(crate) fn verify_equivalent(
     orig: &Design,
     opt: &Design,
     cfg: &OptConfig,
 ) -> Result<Verification, Diagnostic> {
-    let combinational = orig.netlist.registers().count() == 0;
-    let bits = input_bits(orig);
-    if combinational && bits <= cfg.max_exhaustive_bits {
+    let refuse = |what: String| {
+        Diagnostic::internal(
+            Span::dummy(),
+            format!("optimizer produced a non-equivalent netlist: {what}"),
+        )
+    };
+    let bits: u32 = orig.inputs().map(|p| p.width() as u32).sum();
+    if orig.netlist.registers().count() == 0 && bits <= MAX_EXHAUSTIVE_BITS {
         let mut limits = cfg.limits.clone();
-        limits.max_input_bits = cfg.max_exhaustive_bits;
+        limits.max_input_bits = MAX_EXHAUSTIVE_BITS;
         match check_equivalent_with(orig, opt, &limits)? {
-            None => Ok(Verification::Exhaustive {
-                vectors: 2u64.saturating_pow(bits),
-            }),
-            Some(ce) => Err(Diagnostic::internal(
-                Span::dummy(),
-                format!("optimizer produced a non-equivalent netlist: {ce}"),
-            )),
+            None => Ok(Verification::Exhaustive { vectors: 1 << bits }),
+            Some(ce) => Err(refuse(ce.to_string())),
         }
     } else {
-        lockstep(orig, opt, cfg)
-    }
-}
-
-/// One IN-port bit of each design, paired by interface position. The
-/// two netlists number their nets independently, so the stimulus must be
-/// addressed per design.
-fn paired_input_nets(orig: &Design, opt: &Design) -> Vec<(NetId, NetId)> {
-    orig.inputs()
-        .flat_map(|p| {
-            let other = opt
-                .port(&p.name)
-                .expect("optimizer preserves the port interface");
-            p.nets.iter().copied().zip(other.nets.iter().copied())
-        })
-        .collect()
-}
-
-/// Packed pseudo-random lockstep comparison (see module docs).
-fn lockstep(orig: &Design, opt: &Design, cfg: &OptConfig) -> Result<Verification, Diagnostic> {
-    let ins = paired_input_nets(orig, opt);
-    let outs: Vec<(String, Vec<(NetId, NetId)>)> = orig
-        .outputs()
-        .map(|p| {
-            let other = opt
-                .port(&p.name)
-                .expect("optimizer preserves the port interface");
-            (
-                p.name.clone(),
-                p.nets
-                    .iter()
-                    .copied()
-                    .zip(other.nets.iter().copied())
-                    .collect(),
-            )
-        })
-        .collect();
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-    for round in 0..cfg.lockstep_rounds {
-        let mut sa = PackedSim::with_limits(orig.clone(), &cfg.limits)?;
-        let mut sb = PackedSim::with_limits(opt.clone(), &cfg.limits)?;
-        // Common reset: one cycle with RSET high and all inputs 0, so
-        // designs with a reset net start from the same defined state.
-        sa.set_rset(true);
-        sb.set_rset(true);
-        for &(na, nb) in &ins {
-            sa.force(na, PackedWord::ZERO);
-            sb.force(nb, PackedWord::ZERO);
-        }
-        sa.try_step()?;
-        sb.try_step()?;
-        sa.set_rset(false);
-        sb.set_rset(false);
-
-        for cycle in 0..cfg.lockstep_cycles {
-            for &(na, nb) in &ins {
-                // Per lane a uniformly random defined bit: hi holds the
-                // ones, lo the zeros.
-                let hi: u64 = rng.gen();
-                let w = PackedWord { lo: !hi, hi };
-                sa.force(na, w);
-                sb.force(nb, w);
-            }
-            sa.try_step()?;
-            sb.try_step()?;
-            for (port, bits) in &outs {
-                for (bit, &(na, nb)) in bits.iter().enumerate() {
-                    let wa = sa.value(na).to_boolean();
-                    let wb = sb.value(nb).to_boolean();
-                    let diff = wa.diff(wb);
-                    if diff != 0 {
-                        let lane = diff.trailing_zeros() as usize;
-                        return Err(Diagnostic::internal(
-                            Span::dummy(),
-                            format!(
-                                "optimizer produced a non-equivalent netlist: output \
-                                 '{port}' bit {bit} diverges in lockstep round {round}, \
-                                 cycle {cycle}, lane {lane}: original={}, optimized={}",
-                                wa.get(lane),
-                                wb.get(lane),
-                            ),
-                        ));
-                    }
-                }
+        let (rounds, cycles) = (LOCKSTEP_ROUNDS, LOCKSTEP_CYCLES);
+        match check_lockstep(orig, opt, cfg.seed, rounds, cycles, &cfg.limits)? {
+            None => Ok(Verification::Lockstep {
+                rounds,
+                cycles,
+                lanes: LANES as u32,
+            }),
+            Some(d) => {
+                let bits = |v: &[Value]| -> String { v.iter().map(Value::to_string).collect() };
+                let (a, b) = (bits(&d.got.0), bits(&d.got.1));
+                Err(refuse(format!(
+                    "output '{}' diverges in lockstep round {}, cycle {}, lane {}: \
+                     original={a}, optimized={b}",
+                    d.port, d.round, d.cycle, d.lane
+                )))
             }
         }
     }
-    Ok(Verification::Lockstep {
-        rounds: cfg.lockstep_rounds,
-        cycles: cfg.lockstep_cycles,
-        lanes: LANES as u32,
-    })
 }
 
 #[cfg(test)]

@@ -51,7 +51,8 @@ mod trace;
 mod vectors;
 
 pub use equiv::{
-    check_equivalent, check_equivalent_with, run_differential, CounterExample, Divergence,
+    check_equivalent, check_equivalent_with, check_lockstep, run_differential, CounterExample,
+    Divergence, LockstepDivergence,
 };
 pub use event::EventSimulator;
 pub use packed::{PackedConflict, PackedCycleReport, PackedSim, PackedWord, LANES};

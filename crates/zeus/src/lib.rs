@@ -36,13 +36,13 @@ pub use zeus_atpg::{
     Strategy as AtpgStrategy,
 };
 pub use zeus_elab::{
-    design_digest, design_from_text, design_to_text, to_dot, Design, Direction, Fault, FaultKind,
-    InstanceNode, Json, LayoutItem, Limits, Net, NetId, Netlist, Node, NodeId, NodeOp, Orientation,
-    Port, Shape, StableHasher,
+    design_digest, design_from_text, design_to_text, to_dot, write_durable, Design, Direction,
+    Fault, FaultKind, InstanceNode, Json, LayoutItem, Limits, Net, NetId, Netlist, Node, NodeId,
+    NodeOp, Orientation, Port, Shape, StableHasher,
 };
 pub use zeus_fault::{
     campaign_digest, enumerate_faults, read_header, run_campaign, run_campaign_packed,
-    run_campaign_packed_with, run_campaign_with, write_durable, CampaignConfig, CheckpointHeader,
+    run_campaign_packed_with, run_campaign_with, CampaignConfig, CheckpointHeader,
     CheckpointOptions, CoverageReport, Engine, FaultList, FaultListOptions, FaultResult, Outcome,
     PartialReason, UndetectedReason,
 };
