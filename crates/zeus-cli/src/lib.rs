@@ -17,14 +17,17 @@
 //!   into [`Limits::deadline`] and `campaign_deadline`, so a stuck
 //!   request burns its budget and returns `Z905` instead of wedging a
 //!   worker;
-//! * **a content-addressed cache** ([`Cache`]) — elaborated designs,
-//!   collapsed fault lists and whole deterministic reports are reused
-//!   across requests (see `docs/DAEMON.md` for the exact keying).
+//! * **a content-addressed text cache** ([`Cache`]) — the whole answer
+//!   of a `sim`, `fault` or `atpg` command line is looked up before any
+//!   work and stored after a successful run; on a miss, the elaborated
+//!   design is reused (see `docs/DAEMON.md` for the exact keying).
 //!
 //! The contract that keeps the remote path honest: for any request a
 //! daemon accepts, the bytes in [`Session::out`]/[`Session::err`] and
 //! the exit code are identical to a local `zeusc` run of the same
-//! command line (given the same source text), caches hit or missed.
+//! command line (given the same source text), caches hit or missed. It
+//! rests on one invariant: a stored answer is everything one command
+//! line wrote, from its first byte.
 
 pub mod proto;
 #[cfg(unix)]
@@ -70,7 +73,6 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zeus::{examples, Json, Limits, StableHasher, Zeus};
 
@@ -135,19 +137,17 @@ impl From<&str> for Failure {
     }
 }
 
-/// Cache hooks a hosting daemon may provide. All methods are
-/// best-effort: a `get` miss or a dropped `put` only costs time, never
-/// correctness, so implementations are free to shed entries (or whole
-/// writes) under I/O pressure.
+/// The text store a hosting daemon may provide. Entries are filed by
+/// kind and key: `sim`, `fault` and `atpg` hold a command line's whole
+/// answer (a [`proto::Response::Ok`] line), `design` holds an elaborated
+/// design in the `zeus-design` format, which zeusc decodes itself. Both
+/// methods are best-effort: a `get` miss or a dropped `put` only costs
+/// time, never correctness, so implementations are free to shed entries
+/// (or whole writes) under I/O pressure.
 pub trait Cache {
-    /// An elaborated design previously stored under `key`.
-    fn get_design(&self, key: u64) -> Option<Arc<zeus::Design>>;
-    /// Stores an elaborated design under `key`.
-    fn put_design(&self, key: u64, design: &zeus::Design);
-    /// A text artifact (report, fault list, vector set) of the given
-    /// kind previously stored under `key`.
+    /// The text previously stored under `kind` and `key`.
     fn get_text(&self, kind: &str, key: u64) -> Option<String>;
-    /// Stores a text artifact.
+    /// Stores text under `kind` and `key`, replacing any entry there.
     fn put_text(&self, kind: &str, key: u64, text: &str);
 }
 
@@ -178,8 +178,8 @@ pub struct Session<'a> {
     /// Files the run wants written on the *client* side (daemon mode
     /// capture of `--emit-vectors`), as `(path, content)`.
     pub emitted: Vec<(String, String)>,
-    /// How many cache lookups (design, fault list, whole artifact) hit
-    /// during the run. The daemon reports `cached: true` when nonzero.
+    /// How many cache lookups (whole answer or design) hit during the
+    /// run. The daemon reports `cached: true` when nonzero.
     pub cache_hits: usize,
 }
 
@@ -281,7 +281,6 @@ fn known_flags(cmd: &str) -> Vec<(&'static str, bool)> {
             ("--cycles", true),
             ("--seed", true),
             ("--set", true),
-            ("--packed", false),
             ("--opt", false),
         ]),
         "fault" => flags.extend([
@@ -292,7 +291,6 @@ fn known_flags(cmd: &str) -> Vec<(&'static str, bool)> {
             ("--bridges", false),
             ("--transients", true),
             ("--json", false),
-            ("--packed", false),
             ("--jobs", true),
             ("--checkpoint", true),
             ("--resume", false),
@@ -403,8 +401,7 @@ fn detail(cmd: &str) -> &'static str {
         "sim" => {
             "Simulates <top> for --cycles clock cycles (default 8) and prints the\n\
              final port values. --set forces an IN port each cycle; --seed seeds\n\
-             the RANDOM source (default 0x2E051983). --packed is accepted\n\
-             and changes nothing (sim has one engine).\n\
+             the RANDOM source (default 0x2E051983).\n\
              --opt runs the equivalence-gated optimizer first and simulates\n\
              the optimized netlist (gate/depth deltas echoed on stderr)."
         }
@@ -427,7 +424,6 @@ fn detail(cmd: &str) -> &'static str {
              bit-parallel engine; the switch engine runs them one at a time.\n\
              --jobs N shards the fault words over N threads on either engine\n\
              (default: one per core); the report is byte-identical for any N.\n\
-             --packed is accepted and changes nothing.\n\
              --checkpoint FILE journals completed work after every 64-fault\n\
              word; --resume skips the journaled words (the final report is\n\
              byte-identical to an uninterrupted run, and the seed is\n\
@@ -798,16 +794,15 @@ fn design_cache_key(p: &Parsed, src: &str, top: &str, targs: &[i64]) -> u64 {
     h.finish()
 }
 
-/// Key for whole-report artifacts: the full command identity (source
-/// text, every flag with its values in order, positionals) plus the
-/// resolved seed and any replayed vector-file content. Two invocations
-/// with equal keys are guaranteed byte-identical runs.
-fn artifact_key(p: &Parsed, src: &str, seed: u64, vector_text: Option<&str>) -> u64 {
+/// Key for whole answers: the full command identity (source text, every
+/// flag with its values in order, positionals) plus any replayed
+/// vector-file content. The flags determine the seed, so two invocations
+/// with equal keys are byte-identical runs.
+fn artifact_key(p: &Parsed, src: &str, vector_text: Option<&str>) -> u64 {
     let mut h = StableHasher::new();
-    h.write_str("artifact-v1");
+    h.write_str("artifact-v2");
     h.write_str(&p.cmd);
     h.write_str(src);
-    h.write_u64(seed);
     match vector_text {
         Some(t) => h.write_str(t),
         None => h.write_str("-"),
@@ -829,65 +824,73 @@ fn artifact_key(p: &Parsed, src: &str, seed: u64, vector_text: Option<&str>) -> 
     h.finish()
 }
 
-/// Serializes a completed run (stdout/stderr deltas + emitted files)
-/// for the artifact cache.
-fn artifact_encode(out: &str, err: &str, files: &[(String, String)]) -> String {
-    let mut obj = vec![
-        ("out".to_string(), Json::Str(out.to_string())),
-        ("err".to_string(), Json::Str(err.to_string())),
-    ];
-    let f = files
-        .iter()
-        .map(|(p, c)| (p.clone(), Json::Str(c.clone())))
-        .collect();
-    obj.push(("files".to_string(), Json::Obj(f)));
-    Json::Obj(obj).encode()
-}
-
-/// Parses an artifact back into `(out, err, files)`.
-#[allow(clippy::type_complexity)]
-fn artifact_decode(text: &str) -> Option<(String, String, Vec<(String, String)>)> {
-    let v = Json::parse(text).ok()?;
-    let out = v.get("out")?.as_str()?.to_string();
-    let err = v.get("err")?.as_str()?.to_string();
-    let mut files = Vec::new();
-    if let Some(Json::Obj(fs)) = v.get("files") {
-        for (p, c) in fs {
-            files.push((p.clone(), c.as_str()?.to_string()));
-        }
+/// The cache and key under which a command line's whole answer is
+/// stored, or `None` when the session has no cache, the command is not
+/// `sim`, `fault` or `atpg`, or its bytes are not a pure function of the
+/// command line: a `fault` run needs `--seed` or `--vectors-file` (else
+/// its seed is time-based) and no `--checkpoint` (local files). A
+/// `--vectors-file` that cannot be read leaves the key uncomputed, so
+/// the command runs uncached and fails as it would anyway.
+fn artifact_slot<'a>(p: &Parsed, sess: &Session<'a>, src: &str) -> Option<(&'a dyn Cache, u64)> {
+    let cache = sess.cache?;
+    let pure = match p.cmd.as_str() {
+        "sim" | "atpg" => true,
+        "fault" => !p.has("--checkpoint") && (p.has("--seed") || p.has("--vectors-file")),
+        _ => false,
+    };
+    if !pure {
+        return None;
     }
-    Some((out, err, files))
+    let vector_text = match p.str_value("--vectors-file") {
+        Some(path) => Some(load_source(sess, path).ok()?),
+        None => None,
+    };
+    Some((cache, artifact_key(p, src, vector_text.as_deref())))
 }
 
-/// Replays a cached artifact into the session: the buffers are rolled
-/// back to the command's start offsets (dropping any live seed
-/// announcements) and replaced with the recorded bytes, which include
-/// the original run's announcements — byte-identical to a cold run.
-fn artifact_replay(
+/// Runs a cacheable command line through the cache: a stored answer is
+/// replayed before any parsing, elaboration or optimization; on a miss
+/// the command runs and, if it succeeds, everything it wrote from its
+/// first byte (warnings, `--opt` and seed lines, the report, emitted
+/// files) is stored as one [`proto::Response::Ok`] line.
+fn cmd_reused(
+    p: &Parsed,
     sess: &mut Session,
-    marks: (usize, usize),
-    artifact: &str,
-) -> Option<Result<(), Failure>> {
-    let (out, err, files) = artifact_decode(artifact)?;
-    sess.cache_hits += 1;
-    sess.out.truncate(marks.0);
-    sess.err.truncate(marks.1);
-    sess.out.push_str(&out);
-    sess.err.push_str(&err);
-    for (path, content) in files {
-        if let Err(e) = sess.write_file(&path, &content) {
-            return Some(Err(e));
+    src: &str,
+    cache: &dyn Cache,
+    key: u64,
+) -> Result<(), Failure> {
+    let kind = p.cmd.as_str();
+    let stored = cache
+        .get_text(kind, key)
+        .and_then(|text| proto::Response::decode(&text).ok());
+    if let Some(proto::Response::Ok {
+        code: 0,
+        out,
+        err,
+        files,
+        ..
+    }) = stored
+    {
+        sess.cache_hits += 1;
+        sess.out.push_str(&out);
+        sess.err.push_str(&err);
+        for (path, content) in files {
+            sess.write_file(&path, &content)?;
         }
+        return Ok(());
     }
-    Some(Ok(()))
-}
-
-/// Stores the run since `marks` as an artifact.
-fn artifact_store(sess: &Session, kind: &str, key: u64, marks: (usize, usize)) {
-    if let Some(cache) = sess.cache {
-        let text = artifact_encode(&sess.out[marks.0..], &sess.err[marks.1..], &sess.emitted);
-        cache.put_text(kind, key, &text);
-    }
+    let marks = (sess.out.len(), sess.err.len(), sess.emitted.len());
+    cmd_elaborating(p, sess, src)?;
+    let answer = proto::Response::Ok {
+        code: 0,
+        out: sess.out[marks.0..].to_string(),
+        err: sess.err[marks.1..].to_string(),
+        files: sess.emitted[marks.2..].to_vec(),
+        cached: false,
+    };
+    cache.put_text(kind, key, &answer.encode());
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -967,7 +970,17 @@ pub fn run(args: &[String], sess: &mut Session) -> Result<(), Failure> {
         "fuzz" => cmd_fuzz(&p, sess),
         "import" => cmd_import(&p, sess),
         "export" => cmd_export(&p, sess),
-        _ => cmd_elaborating(&p, sess),
+        _ => {
+            let file = p
+                .positionals
+                .first()
+                .ok_or_else(|| Failure::Usage(command_usage(&p.cmd)))?;
+            let src = load_source(sess, file)?;
+            match artifact_slot(&p, sess, &src) {
+                Some((cache, key)) => cmd_reused(&p, sess, &src, cache, key),
+                None => cmd_elaborating(&p, sess, &src),
+            }
+        }
     }
 }
 
@@ -1153,19 +1166,14 @@ fn cmd_equiv(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
 }
 
 /// The commands that elaborate a design first: `elab`, `sim`, `layout`,
-/// `svg`, `graph`, `synth`, `fault`, `atpg`.
-fn cmd_elaborating(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
-    let file = p
-        .positionals
-        .first()
-        .ok_or_else(|| Failure::Usage(command_usage(&p.cmd)))?
-        .clone();
-    let src = load_source(sess, &file)?;
+/// `svg`, `graph`, `synth`, `opt`, `fault`, `atpg`; `src` is the text of
+/// the file argument.
+fn cmd_elaborating(p: &Parsed, sess: &mut Session, src: &str) -> Result<(), Failure> {
     // A netlist interchange payload in place of a .zeus program: import
     // (through the structural validator) instead of elaborating. The
     // top component is read from the file; a positional or --top, when
     // given, is checked against it.
-    let netlist_input = zeus::detect_format(&src) != zeus::NetlistFormat::Unknown;
+    let netlist_input = zeus::detect_format(src) != zeus::NetlistFormat::Unknown;
     let (top, targs) = if netlist_input {
         if p.positionals.len() > 2 {
             return Err(Failure::Usage(
@@ -1193,20 +1201,24 @@ fn cmd_elaborating(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
     sess.merge_deadline(&mut budgeted);
 
     // Only the daemon-routed commands consult the design cache: the
-    // cached form drops the instance/layout tree and spans, which
-    // `elab`/`layout`/`svg` output depends on.
-    let cache_design = !netlist_input && matches!(p.cmd.as_str(), "sim" | "fault" | "atpg");
-    let dkey = design_cache_key(p, &src, &top, &targs);
-    let cached = if cache_design {
-        sess.cache.and_then(|c| c.get_design(dkey))
-    } else {
-        None
+    // stored form drops the instance/layout tree and spans, which
+    // `elab`/`layout`/`svg` output depends on. Imports are cheap next to
+    // elaboration and carry their own digest, so they bypass it.
+    let design_slot = match sess.cache {
+        Some(cache) if !netlist_input && matches!(p.cmd.as_str(), "sim" | "fault" | "atpg") => {
+            Some((cache, design_cache_key(p, src, &top, &targs)))
+        }
+        _ => None,
     };
+    // `design_from_text` recomputes the embedded digest, so an entry
+    // that slipped past the store checksum, or one written in an older
+    // format, is a miss; the re-elaborated design then overwrites it.
+    let cached = design_slot
+        .and_then(|(cache, key)| cache.get_text("design", key))
+        .and_then(|text| zeus::design_from_text(&text).ok());
     let design = if netlist_input {
-        // Imports are cheap relative to elaboration and already carry
-        // their own digest, so they bypass the design cache.
         let import_limits = import_budget(p, sess)?;
-        let design = zeus::import_design(&src, &import_limits).map_err(|e| import_failure(&e))?;
+        let design = zeus::import_design(src, &import_limits).map_err(|e| import_failure(&e))?;
         if !top.is_empty() && top != design.top_type {
             return Err(Failure::Usage(format!(
                 "netlist file's top is '{}', not '{top}'",
@@ -1214,32 +1226,25 @@ fn cmd_elaborating(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
             )));
         }
         design
+    } else if let Some(design) = cached {
+        // Stored designs are warning-free, so skipping the warning loop
+        // below keeps stderr byte-identical.
+        sess.cache_hits += 1;
+        design
     } else {
-        match cached {
-            // Cached designs were stored warning-free, so skipping the
-            // warning loop below keeps stderr byte-identical.
-            Some(d) => {
-                sess.cache_hits += 1;
-                (*d).clone()
-            }
-            None => {
-                let z = parse(&src)?;
-                let design = z.elaborate_limited(&top, &targs, &budgeted).map_err(|e| {
-                    let map = zeus::SourceMap::new(&src);
-                    let rendered = e.render(&map);
-                    diags_failure(&e, rendered)
-                })?;
-                for w in &design.warnings {
-                    wln!(sess.err, "{}", w.render(&zeus::SourceMap::new(&src)));
-                }
-                if cache_design && design.warnings.is_empty() {
-                    if let Some(cache) = sess.cache {
-                        cache.put_design(dkey, &design);
-                    }
-                }
-                design
-            }
+        let z = parse(src)?;
+        let design = z.elaborate_limited(&top, &targs, &budgeted).map_err(|e| {
+            let map = zeus::SourceMap::new(src);
+            let rendered = e.render(&map);
+            diags_failure(&e, rendered)
+        })?;
+        for w in &design.warnings {
+            wln!(sess.err, "{}", w.render(&zeus::SourceMap::new(src)));
         }
+        if let Some((cache, key)) = design_slot.filter(|_| design.warnings.is_empty()) {
+            cache.put_text("design", key, &zeus::design_to_text(&design));
+        }
+        design
     };
     // `--opt` (sim/fault/atpg) threads the elaborated design through
     // the equivalence-gated optimizer before the engine sees it. The
@@ -1272,7 +1277,7 @@ fn cmd_elaborating(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
             }
             Ok(())
         }
-        "sim" => cmd_sim(p, sess, design, &budgeted, &src),
+        "sim" => cmd_sim(p, sess, design, &budgeted),
         "svg" => {
             let plan = zeus::floorplan(&design);
             w!(sess.out, "{}", plan.render_svg(16));
@@ -1299,8 +1304,8 @@ fn cmd_elaborating(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
             Ok(())
         }
         "opt" => cmd_opt(p, sess, design, &budgeted),
-        "fault" => cmd_fault(p, sess, design, &limits, &src, dkey),
-        "atpg" => cmd_atpg(p, sess, design, &budgeted, &src),
+        "fault" => cmd_fault(p, sess, design, &limits),
+        "atpg" => cmd_atpg(p, sess, design, &budgeted),
         _ => {
             let sw = zeus::SwitchSim::with_limits(&design, &budgeted);
             wln!(sess.out, "transistors : {}", sw.transistor_count());
@@ -1311,9 +1316,7 @@ fn cmd_elaborating(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
 }
 
 /// Runs the optimizer for a `--opt` engine command, echoing the deltas
-/// on stderr so stdout stays the engine's report (and the whole-report
-/// artifact cache, whose marks are taken after this line, replays
-/// byte-identically).
+/// on stderr so stdout stays the engine's report.
 fn optimized_design(
     sess: &mut Session,
     design: zeus::Design,
@@ -1446,51 +1449,14 @@ fn cmd_opt(
     Ok(())
 }
 
-/// The collapsed fault list, through the cache when available.
-fn fault_list(
-    sess: &mut Session,
-    design: &zeus::Design,
-    opts: &zeus::FaultListOptions,
-    dkey: u64,
-) -> zeus::FaultList {
-    let key = {
-        let mut h = zeus::StableHasher::new();
-        h.write_str("faultlist-v1");
-        h.write_u64(dkey);
-        h.write_u64(opts.bridges as u64);
-        h.write_opt_u64(opts.transients);
-        h.finish()
-    };
-    if let Some(cache) = sess.cache {
-        if let Some(text) = cache.get_text("faults", key) {
-            if let Ok(list) = zeus::FaultList::parse(&text) {
-                sess.cache_hits += 1;
-                return list;
-            }
-        }
-        let list = zeus::enumerate_faults(design, opts);
-        cache.put_text("faults", key, &list.to_text());
-        return list;
-    }
-    zeus::enumerate_faults(design, opts)
-}
-
 fn cmd_sim(
     p: &Parsed,
     sess: &mut Session,
     design: zeus::Design,
     limits: &Limits,
-    src: &str,
 ) -> Result<(), Failure> {
-    let marks = (sess.out.len(), sess.err.len());
     let cycles = p.u64_nonzero("--cycles")?.unwrap_or(8);
     let seed = p.u64_value("--seed")?;
-    let akey = artifact_key(p, src, seed.unwrap_or(0x2E05_1983), None);
-    if let Some(hit) = sess.cache.and_then(|c| c.get_text("sim", akey)) {
-        if let Some(r) = artifact_replay(sess, marks, &hit) {
-            return r;
-        }
-    }
     if seed.is_none() {
         // The fixed default seed keeps runs reproducible; say which one
         // was used (satisfying scripted reproduction) without polluting
@@ -1535,9 +1501,6 @@ fn cmd_sim(
         let vals: String = sim.port(&port.name).iter().map(|v| v.to_string()).collect();
         wln!(sess.out, "{:<10}: {vals}", port.name);
     }
-    // A completed sim is a golden port trace: deterministic for its key
-    // (the default seed is fixed), so cache the whole report.
-    artifact_store(sess, "sim", akey, marks);
     Ok(())
 }
 
@@ -1546,10 +1509,7 @@ fn cmd_fault(
     sess: &mut Session,
     design: zeus::Design,
     limits: &Limits,
-    src: &str,
-    dkey: u64,
 ) -> Result<(), Failure> {
-    let marks = (sess.out.len(), sess.err.len());
     let vectors = p.u32_count("--vectors", 1)?.unwrap_or(64);
     let vector_text = match p.str_value("--vectors-file") {
         None => None,
@@ -1587,7 +1547,6 @@ fn cmd_fault(
             })
         }
     };
-    let mut seed_deterministic = true;
     let seed = match (p.u64_value("--seed")?, &vector_set) {
         (Some(s), _) => s,
         (None, Some(set)) => {
@@ -1617,7 +1576,6 @@ fn cmd_fault(
                     s
                 }
                 None => {
-                    seed_deterministic = false;
                     let s = std::time::SystemTime::now()
                         .duration_since(std::time::UNIX_EPOCH)
                         .map(|d| d.as_nanos() as u64)
@@ -1637,32 +1595,19 @@ fn cmd_fault(
             )))
         }
     };
-    // Every campaign runs on the packed runner, so --packed is accepted
-    // and changes nothing; --jobs shards either engine.
+    // Every campaign runs on the packed runner; --jobs shards either
+    // engine.
     let jobs = match p.u64_nonzero("--jobs")? {
         Some(n) => n as usize,
         None => std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
-
-    // Whole-report artifact cache: only for runs whose bytes are a pure
-    // function of the command line (deterministic seed, no local
-    // checkpoint files involved).
-    let cacheable = checkpoint.is_none() && seed_deterministic;
-    let akey = artifact_key(p, src, seed, vector_text.as_deref());
-    if cacheable {
-        if let Some(hit) = sess.cache.and_then(|c| c.get_text("fault", akey)) {
-            if let Some(r) = artifact_replay(sess, marks, &hit) {
-                return r;
-            }
-        }
-    }
 
     let opts = zeus::FaultListOptions {
         bridges: p.has("--bridges"),
         transients: p.u64_value("--transients")?,
         ..zeus::FaultListOptions::default()
     };
-    let list = fault_list(sess, &design, &opts, dkey);
+    let list = zeus::enumerate_faults(&design, &opts);
     let mut cfg = match vector_set {
         Some(set) => {
             let mut c = zeus::CampaignConfig::replay(engine, set);
@@ -1708,9 +1653,6 @@ fn cmd_fault(
             if let Some(j) = &auto_journal {
                 let _ = std::fs::remove_file(&j.path);
             }
-            if cacheable {
-                artifact_store(sess, "fault", akey, marks);
-            }
             Ok(())
         }
         Some(zeus::PartialReason::Interrupted) => Err(Failure::Interrupted(
@@ -1728,9 +1670,7 @@ fn cmd_atpg(
     sess: &mut Session,
     design: zeus::Design,
     limits: &Limits,
-    src: &str,
 ) -> Result<(), Failure> {
-    let marks = (sess.out.len(), sess.err.len());
     let mut cfg = zeus::AtpgConfig {
         limits: limits.clone(),
         ..zeus::AtpgConfig::default()
@@ -1749,12 +1689,6 @@ fn cmd_atpg(
             0x2E05_1983
         }
     };
-    let akey = artifact_key(p, src, cfg.seed, None);
-    if let Some(hit) = sess.cache.and_then(|c| c.get_text("atpg", akey)) {
-        if let Some(r) = artifact_replay(sess, marks, &hit) {
-            return r;
-        }
-    }
     let target = match p.str_value("--coverage-target") {
         None => None,
         Some(v) => {
@@ -1848,10 +1782,7 @@ fn cmd_atpg(
             report.coverage() * 100.0,
             t * 100.0
         ))),
-        _ => {
-            artifact_store(sess, "atpg", akey, marks);
-            Ok(())
-        }
+        _ => Ok(()),
     }
 }
 

@@ -140,7 +140,8 @@ pub enum Response {
         err: String,
         /// Files to write client-side, as `(path, content)`.
         files: Vec<(String, String)>,
-        /// True when the answer came from the daemon's artifact cache.
+        /// True when the answer was replayed from the daemon's store or
+        /// the run reused a stored elaborated design.
         cached: bool,
     },
     /// The bounded queue was full; retry after the hinted delay.

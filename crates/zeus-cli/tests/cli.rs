@@ -455,6 +455,15 @@ fn unknown_flags_are_usage_errors() {
     let (code, _, stderr) = zeusc_code(&["elab", "@adders", "halfadder", "--vectors", "4"]);
     assert_eq!(code, 1, "{stderr}");
     assert!(stderr.contains("unknown flag '--vectors'"), "{stderr}");
+    // And for the retired `--packed` (every campaign runs packed).
+    for cmd in ["sim", "fault"] {
+        let (code, _, stderr) = zeusc_code(&[cmd, "@adders", "halfadder", "--packed"]);
+        assert_eq!(code, 1, "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("unknown flag '--packed'"),
+            "{cmd}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -487,7 +496,7 @@ fn help_for_unknown_command_is_a_usage_error() {
 }
 
 // ---------------------------------------------------------------------
-// One campaign path: --jobs shards either engine, --packed is a no-op
+// One campaign path: --jobs shards either engine
 // ---------------------------------------------------------------------
 
 #[test]
@@ -518,64 +527,6 @@ fn fault_jobs_do_not_change_the_report_on_either_engine() {
             run("3"),
             "{engine}: --jobs 1 and --jobs 3 must agree byte-for-byte"
         );
-    }
-}
-
-#[test]
-fn packed_flag_changes_no_output() {
-    let cases: &[&[&str]] = &[
-        &[
-            "sim",
-            "@adders",
-            "rippleCarry4",
-            "--cycles",
-            "3",
-            "--seed",
-            "2",
-            "--set",
-            "a=9",
-            "--set",
-            "b=3",
-            "--set",
-            "cin=1",
-        ],
-        &[
-            "sim",
-            "@adders",
-            "rippleCarry4",
-            "--cycles",
-            "4",
-            "--fuel",
-            "3",
-        ],
-        &[
-            "fault",
-            "@adders",
-            "rippleCarry4",
-            "--vectors",
-            "64",
-            "--seed",
-            "1",
-            "--fuel",
-            "300",
-        ],
-        &[
-            "fault",
-            "@adders",
-            "halfadder",
-            "--engine",
-            "switch",
-            "--vectors",
-            "8",
-            "--seed",
-            "1",
-        ],
-    ];
-    for args in cases {
-        let plain = zeusc_code(args);
-        let mut packed = args.to_vec();
-        packed.push("--packed");
-        assert_eq!(plain, zeusc_code(&packed), "{args:?}");
     }
 }
 

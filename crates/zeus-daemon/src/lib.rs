@@ -1,11 +1,11 @@
 //! `zeusd` — a crash-tolerant compile/sim/fault daemon for the Zeus
 //! HDL toolchain.
 //!
-//! The daemon keeps elaborated netlists, golden simulation traces,
-//! collapsed fault lists and ATPG vector sets warm in a
-//! content-addressed on-disk store ([`store::Store`]), so repeated
-//! `zeusc` invocations over the same design skip elaboration and
-//! whole-campaign replays entirely. It is built to be left running:
+//! The daemon keeps whole `sim`, `fault` and `atpg` answers and
+//! elaborated designs in a content-addressed on-disk text store
+//! ([`store::Store`]), so a repeated `zeusc` command line is answered
+//! before any work and a new one over a known design skips
+//! elaboration. It is built to be left running:
 //!
 //! * **Deadlines** — every request executes under a wall-clock budget
 //!   that propagates into campaign and simulation fuel; a stuck request
@@ -19,9 +19,9 @@
 //!   work with `shutting_down`, and let in-flight campaigns flush
 //!   their checkpoint journals before exit.
 //! * **Crash-safe cache** — every store entry is written atomically
-//!   with `fsync` and verified (length + checksum + digest) on read;
-//!   torn or corrupted entries are quarantined and rebuilt, never
-//!   served.
+//!   with `fsync` and verified (length + checksum) on read; torn or
+//!   corrupted entries are quarantined and rebuilt, never served.
+//!   Design entries also carry a digest that `zeusc` recomputes.
 //!
 //! The wire protocol (single-line JSON over a Unix socket, one request
 //! per connection) and the retrying client live in `zeus_cli::proto`

@@ -25,22 +25,22 @@
 //! how a daemon restarted after a crash recovers: intact entries are
 //! kept, torn ones are quarantined, and the store reports the counts.
 //!
-//! Elaborated designs get a second verification layer for free: the
-//! serialized form embeds the design digest and
-//! [`zeus::design_from_text`] recomputes it after reconstruction.
+//! The store holds only checksummed text; what the text means is the
+//! caller's business. `zeusc` files whole answers under `sim`, `fault`
+//! and `atpg`, and elaborated designs under `design`, which it decodes
+//! itself with [`zeus::design_from_text`] (recomputing the embedded
+//! digest, so a design entry gets a second verification layer).
 //!
 //! All writes are best-effort — an I/O error costs a future cache hit,
 //! never the request. The chaos knobs ([`Store::chaos_fail_every`],
 //! [`Store::chaos_tear_every`]) inject write failures and torn final
 //! writes deterministically for the crash-recovery tests.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
 
-use zeus::{Design, StableHasher};
+use zeus::StableHasher;
 
 /// The magic + version on every entry's header line. Bump the version
 /// when the entry layout changes: old entries then fail the header
@@ -84,7 +84,7 @@ impl RecoveryReport {
 /// Counters the daemon exposes for observability and tests.
 #[derive(Debug, Default)]
 pub struct StoreStats {
-    /// Disk (or memory) hits.
+    /// Hits.
     pub hits: AtomicU64,
     /// Misses (no entry).
     pub misses: AtomicU64,
@@ -94,12 +94,9 @@ pub struct StoreStats {
     pub failed_writes: AtomicU64,
 }
 
-/// The content-addressed store plus an in-memory layer for elaborated
-/// designs (deserializing a big netlist is cheap, but sharing the
-/// `Arc` is cheaper).
+/// The content-addressed text store.
 pub struct Store {
     root: PathBuf,
-    designs: Mutex<HashMap<u64, Arc<Design>>>,
     /// Fail every Nth write with an injected I/O error (0 = off).
     chaos_fail: AtomicU64,
     /// Tear every Nth write: write only half the bytes, non-atomically,
@@ -115,12 +112,6 @@ pub struct Store {
     pub stats: StoreStats,
 }
 
-fn unpoisoned<T>(r: Result<T, PoisonError<T>>) -> T {
-    // A worker panic while holding the lock must not wedge the store:
-    // the guarded data (a cache map) stays structurally valid.
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
 impl Store {
     /// Opens (creating if needed) a store rooted at `root` and runs the
     /// recovery sweep over existing entries.
@@ -132,7 +123,6 @@ impl Store {
     pub fn open(root: &Path) -> io::Result<(Store, RecoveryReport)> {
         let store = Store {
             root: root.to_path_buf(),
-            designs: Mutex::new(HashMap::new()),
             chaos_fail: AtomicU64::new(0),
             chaos_tear: AtomicU64::new(0),
             chaos_unreadable: AtomicU64::new(0),
@@ -243,54 +233,6 @@ impl Store {
         }
         self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Reads and verifies one entry; quarantines it on any mismatch.
-    fn get_bytes(&self, kind: &str, key: u64) -> Option<String> {
-        let path = self.entry_path(kind, key);
-        if !path.exists() {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        match read_verified(&path) {
-            Some((k, got_key, body)) if k == kind && got_key == key => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(body)
-            }
-            _ => {
-                // Torn, flipped, or filed under the wrong name: never
-                // serve it, never trust it again.
-                self.quarantine(&path);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Durably writes one entry (best-effort; errors are counted and
-    /// swallowed).
-    fn put_bytes(&self, kind: &str, key: u64, body: &str) {
-        let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
-        let path = self.entry_path(kind, key);
-        let text = encode_entry(kind, key, body);
-
-        let fail = self.chaos_fail.load(Ordering::Relaxed);
-        if fail != 0 && n.is_multiple_of(fail) {
-            self.stats.failed_writes.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let tear = self.chaos_tear.load(Ordering::Relaxed);
-        if tear != 0 && n.is_multiple_of(tear) {
-            // Simulated power loss: a direct, truncated, non-durable
-            // write to the final path. Verification must catch it.
-            let _ = std::fs::write(&path, &text.as_bytes()[..text.len() / 2]);
-            self.stats.failed_writes.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-
-        if zeus::write_durable(&path, text.as_bytes()).is_err() {
-            self.stats.failed_writes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Creates a store directory, moving aside anything that is squatting
@@ -357,42 +299,52 @@ fn read_verified(path: &Path) -> Option<(String, u64, String)> {
 }
 
 impl zeus_cli::Cache for Store {
-    fn get_design(&self, key: u64) -> Option<Arc<Design>> {
-        if let Some(d) = unpoisoned(self.designs.lock()).get(&key) {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(d));
-        }
-        let text = self.get_bytes("design", key)?;
-        // Digest-verified reconstruction: flipped bits that slip past
-        // the entry checksum still cannot produce a wrong design. A
-        // failure here also covers serdes version skew — an entry
-        // written by an older daemon has an intact checksum but a stale
-        // `zeus-design` header — and is treated exactly like
-        // corruption: quarantine the entry and miss, so the caller
-        // re-elaborates and the slot is rebuilt in the new format.
-        let design = match zeus::design_from_text(&text) {
-            Ok(d) => Arc::new(d),
-            Err(_) => {
-                self.quarantine(&self.entry_path("design", key));
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        unpoisoned(self.designs.lock()).insert(key, Arc::clone(&design));
-        Some(design)
-    }
-
-    fn put_design(&self, key: u64, design: &Design) {
-        self.put_bytes("design", key, &zeus::design_to_text(design));
-        unpoisoned(self.designs.lock()).insert(key, Arc::new(design.clone()));
-    }
-
+    /// Reads and verifies one entry; quarantines it on any mismatch.
     fn get_text(&self, kind: &str, key: u64) -> Option<String> {
-        self.get_bytes(kind, key)
+        let path = self.entry_path(kind, key);
+        if !path.exists() {
+            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        match read_verified(&path) {
+            Some((k, got_key, body)) if k == kind && got_key == key => {
+                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                Some(body)
+            }
+            _ => {
+                // Torn, flipped, or filed under the wrong name: never
+                // serve it, never trust it again.
+                self.quarantine(&path);
+                self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
     }
 
-    fn put_text(&self, kind: &str, key: u64, text: &str) {
-        self.put_bytes(kind, key, text);
+    /// Durably writes one entry (best-effort; errors are counted and
+    /// swallowed).
+    fn put_text(&self, kind: &str, key: u64, body: &str) {
+        let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
+        let path = self.entry_path(kind, key);
+        let text = encode_entry(kind, key, body);
+
+        let fail = self.chaos_fail.load(Ordering::Relaxed);
+        if fail != 0 && n.is_multiple_of(fail) {
+            self.stats.failed_writes.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let tear = self.chaos_tear.load(Ordering::Relaxed);
+        if tear != 0 && n.is_multiple_of(tear) {
+            // Simulated power loss: a direct, truncated, non-durable
+            // write to the final path. Verification must catch it.
+            let _ = std::fs::write(&path, &text.as_bytes()[..text.len() / 2]);
+            self.stats.failed_writes.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+
+        if zeus::write_durable(&path, text.as_bytes()).is_err() {
+            self.stats.failed_writes.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -592,58 +544,60 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// A design entry written by an older daemon: intact checksum, but
-    /// a serdes version the current decoder refuses. It must behave
-    /// exactly like corruption — quarantined, a miss, re-elaborated.
-    #[test]
-    fn design_serdes_version_skew_is_a_quarantined_miss() {
-        let root = tmp_root("skew");
-        let (store, _) = Store::open(&root).unwrap();
-        let design = zeus::compile(zeus::examples::ADDERS, "fulladder", &[]).unwrap();
-
-        // Simulate the old format: same body shape, older version tag,
-        // re-encoded with a *valid* entry checksum (the store header
-        // can't catch this — only the serdes header check can).
-        let stale = zeus::design_to_text(&design).replacen("zeus-design v", "zeus-design v0.", 1);
-        store.put_text("design", 11, &stale);
-
-        // Cold store so the in-memory design layer can't mask the read.
-        let (cold, _) = Store::open(&root).unwrap();
-        assert!(cold.get_design(11).is_none(), "stale-format design served");
-        assert!(
-            !cold.entry_path("design", 11).exists(),
-            "stale entry left in objects/"
-        );
-        assert_eq!(
-            std::fs::read_dir(cold.quarantine_dir()).unwrap().count(),
-            1,
-            "stale entry not kept as evidence"
-        );
-
-        // The slot is immediately rebuildable in the current format.
-        cold.put_design(11, &design);
-        let (cold2, _) = Store::open(&root).unwrap();
-        let d = cold2.get_design(11).expect("rebuilt entry hit");
-        assert_eq!(zeus::design_digest(&d), zeus::design_digest(&design));
-        let _ = std::fs::remove_dir_all(&root);
+    /// The `design` entry keys in the store.
+    fn design_keys(store: &Store) -> Vec<u64> {
+        std::fs::read_dir(store.objects_dir())
+            .unwrap()
+            .filter_map(|e| {
+                let name = e.ok()?.file_name().into_string().ok()?;
+                u64::from_str_radix(name.strip_prefix("design-")?, 16).ok()
+            })
+            .collect()
     }
 
+    /// A `design` entry whose store checksum holds but whose payload
+    /// `zeus::design_from_text` rejects (say, one written in an older
+    /// `zeus-design` format): zeusc treats it as a miss, re-elaborates,
+    /// and the fresh design overwrites it.
     #[test]
-    fn designs_round_trip_through_the_store() {
-        let root = tmp_root("design");
+    fn undecodable_design_entry_is_a_miss_and_is_rewritten() {
+        let root = tmp_root("stale-design");
         let (store, _) = Store::open(&root).unwrap();
-        let design = zeus::compile(zeus::examples::ADDERS, "rippleCarry4", &[]).unwrap();
-        let digest = zeus::design_digest(&design);
-        store.put_design(42, &design);
+        let sources = std::collections::HashMap::new();
+        let run = |seed: &str| {
+            let argv: Vec<String> = ["sim", "@adders", "rippleCarry4", "--seed", seed]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let mut sess = zeus_cli::Session {
+                sources: Some(&sources),
+                cache: Some(&store),
+                ..zeus_cli::Session::default()
+            };
+            let code = zeus_cli::run_to_completion(&argv, &mut sess);
+            assert_eq!(
+                (code, sess.out, sess.err),
+                zeus_cli::run_captured(&argv),
+                "seed {seed}"
+            );
+            sess.cache_hits
+        };
 
-        // Memory layer.
-        let d1 = store.get_design(42).expect("memory hit");
-        assert_eq!(zeus::design_digest(&d1), digest);
+        assert_eq!(run("1"), 0);
+        let [key] = design_keys(&store)[..] else {
+            panic!("expected one design entry");
+        };
+        let fresh = store.get_text("design", key).unwrap();
+        let stale = fresh.replacen("zeus-design v", "zeus-design v0.", 1);
+        assert!(zeus::design_from_text(&stale).is_err());
+        store.put_text("design", key, &stale);
+        assert_eq!(store.get_text("design", key).as_deref(), Some(&*stale));
 
-        // Disk layer (fresh store, same root).
-        let (cold, _) = Store::open(&root).unwrap();
-        let d2 = cold.get_design(42).expect("disk hit");
-        assert_eq!(zeus::design_digest(&d2), digest);
+        // A new answer over the same design: the stale entry is a miss.
+        assert_eq!(run("2"), 0, "an undecodable design entry counted as a hit");
+        assert_eq!(store.get_text("design", key), Some(fresh));
+        assert_eq!(run("3"), 1, "the rewritten entry is not reused");
+        assert_eq!(store.stats.quarantined.load(Ordering::Relaxed), 0);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -253,6 +253,48 @@ fn repeat_requests_are_served_from_cache() {
     assert!(k2, "second identical run should hit the artifact cache");
 }
 
+/// Plain and `--opt` campaigns over one design, each sent twice (a miss,
+/// then a hit), in both orders: every answer equals a local run. The
+/// two runs share a design entry but have different fault universes, so
+/// anything reused between them beyond the elaborated design would show
+/// here.
+#[test]
+fn plain_and_opt_campaigns_interleave_without_crossing_answers() {
+    let daemon = Daemon::spawn("interleave", &[]);
+    let fault = |extra: &[&'static str]| {
+        let mut args = vec!["fault", "@adders", "rippleCarry4", "--vectors", "16"];
+        args.extend_from_slice(extra);
+        args
+    };
+    let runs = [
+        fault(&["--seed", "1"]),
+        fault(&["--seed", "2", "--opt"]),
+        fault(&["--seed", "5", "--opt", "--bridges"]),
+        fault(&["--seed", "6", "--bridges"]),
+    ];
+    for args in &runs {
+        let (code, out, err) = zeus_cli::run_captured(&argv(args));
+        for attempt in ["miss", "hit"] {
+            let Response::Ok {
+                code: rcode,
+                out: rout,
+                err: rerr,
+                cached,
+                ..
+            } = raw(&daemon.socket, &request(args))
+            else {
+                panic!("{args:?} did not complete");
+            };
+            assert_eq!(
+                (rcode, &rout, &rerr),
+                (code, &out, &err),
+                "{attempt} of {args:?}"
+            );
+            assert!(attempt == "miss" || cached, "{args:?} was not replayed");
+        }
+    }
+}
+
 #[test]
 fn emitted_files_come_back_instead_of_landing_on_the_server() {
     let daemon = Daemon::spawn("emit", &[]);

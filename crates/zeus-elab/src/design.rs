@@ -4,8 +4,10 @@
 use crate::netlist::{NetId, Netlist};
 use crate::shape::Shape;
 use std::collections::HashMap;
+use zeus_sema::Value;
 use zeus_syntax::ast::Mode;
-use zeus_syntax::diag::Diagnostics;
+use zeus_syntax::diag::{Diagnostic, Diagnostics};
+use zeus_syntax::span::Span;
 
 /// A port of the top-level component: one formal parameter, flattened.
 #[derive(Debug, Clone)]
@@ -25,6 +27,62 @@ impl Port {
     pub fn width(&self) -> usize {
         self.nets.len()
     }
+
+    /// Checks that a whole-port drive gives one value per bit.
+    ///
+    /// # Errors
+    ///
+    /// The width-mismatch diagnostic every simulator reports.
+    pub fn check_width(&self, given: usize) -> Result<(), Diagnostic> {
+        if given == self.width() {
+            return Ok(());
+        }
+        Err(Diagnostic::error(
+            Span::dummy(),
+            format!(
+                "port '{}' has {} bits but {given} values were given",
+                self.name,
+                self.width()
+            ),
+        ))
+    }
+
+    /// Encodes an unsigned number as this port's bits, LSB at bit 1
+    /// (like `BIN`).
+    ///
+    /// # Errors
+    ///
+    /// A diagnostic when `v` does not fit the port's width.
+    pub fn encode(&self, v: u64) -> Result<Vec<Value>, Diagnostic> {
+        let width = self.width();
+        if width < 64 && v >> width != 0 {
+            return Err(Diagnostic::error(
+                Span::dummy(),
+                format!(
+                    "value {v} does not fit in the {width}-bit port '{}'",
+                    self.name
+                ),
+            ));
+        }
+        Ok((0..width)
+            .map(|i| Value::from_bool(i < 64 && (v >> i) & 1 == 1))
+            .collect())
+    }
+}
+
+/// Looks up port `name` among `ports`, returning its index too: the one
+/// lookup every simulator drives ports through, so an unknown name reads
+/// the same on each engine.
+///
+/// # Errors
+///
+/// A diagnostic naming the unknown port.
+pub fn find_port<'a>(ports: &'a [Port], name: &str) -> Result<(usize, &'a Port), Diagnostic> {
+    ports
+        .iter()
+        .enumerate()
+        .find(|(_, p)| p.name == name)
+        .ok_or_else(|| Diagnostic::error(Span::dummy(), format!("no port named '{name}'")))
 }
 
 /// The eight directions of separation of the layout language (§6.2).

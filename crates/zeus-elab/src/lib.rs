@@ -45,7 +45,7 @@ pub mod netlist;
 pub mod serdes;
 pub mod shape;
 
-pub use design::{Design, Direction, InstanceNode, LayoutItem, Orientation, Port};
+pub use design::{find_port, Design, Direction, InstanceNode, LayoutItem, Orientation, Port};
 pub use durable::write_durable;
 pub use elab::{elaborate, elaborate_signal, elaborate_signal_with, elaborate_with};
 pub use fault::{Fault, FaultKind};

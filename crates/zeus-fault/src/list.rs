@@ -37,7 +37,7 @@
 //! [`NetId`]: zeus_elab::NetId
 
 use std::collections::BTreeSet;
-use zeus_elab::{Design, Fault, FaultKind, NetId, NodeOp};
+use zeus_elab::{Design, Fault, NetId, NodeOp};
 
 /// What to enumerate.
 #[derive(Debug, Clone)]
@@ -73,105 +73,6 @@ pub struct FaultList {
     pub total_enumerated: usize,
     /// Faults removed as structurally equivalent to a representative.
     pub collapsed: usize,
-}
-
-impl FaultList {
-    /// Serializes the list to a line-oriented text form for the
-    /// `zeusd` content-addressed cache: one header line, then one
-    /// `site kind` line per fault. Round-trips exactly through
-    /// [`FaultList::parse`] (the ordering contract makes the text a
-    /// canonical encoding of the list).
-    pub fn to_text(&self) -> String {
-        let mut s = format!(
-            "zeus-faults v1 count={} total={} collapsed={}\n",
-            self.faults.len(),
-            self.total_enumerated,
-            self.collapsed
-        );
-        for f in &self.faults {
-            let _ = std::fmt::Write::write_fmt(&mut s, format_args!("{} ", f.site.index()));
-            match f.kind {
-                FaultKind::StuckAt0 => s.push_str("s0"),
-                FaultKind::StuckAt1 => s.push_str("s1"),
-                FaultKind::BridgeWith(n) => {
-                    let _ = std::fmt::Write::write_fmt(&mut s, format_args!("b{}", n.index()));
-                }
-                FaultKind::TransientFlip { cycle } => {
-                    let _ = std::fmt::Write::write_fmt(&mut s, format_args!("t{cycle}"));
-                }
-            }
-            s.push('\n');
-        }
-        s
-    }
-
-    /// Parses the text form written by [`FaultList::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed line; a truncated file
-    /// (fewer fault lines than the header's `count`) is an error, so a
-    /// torn cache entry can never be mistaken for a shorter list.
-    pub fn parse(text: &str) -> Result<FaultList, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty fault list text")?;
-        let mut count = None;
-        let mut total = None;
-        let mut collapsed = None;
-        let mut fields = header.split_whitespace();
-        if fields.next() != Some("zeus-faults") || fields.next() != Some("v1") {
-            return Err(format!("bad fault-list header: {header}"));
-        }
-        for kv in fields {
-            let (k, v) = kv
-                .split_once('=')
-                .ok_or_else(|| format!("bad field {kv}"))?;
-            let n: usize = v.parse().map_err(|_| format!("bad number in {kv}"))?;
-            match k {
-                "count" => count = Some(n),
-                "total" => total = Some(n),
-                "collapsed" => collapsed = Some(n),
-                _ => return Err(format!("unknown header field {k}")),
-            }
-        }
-        let (count, total, collapsed) = match (count, total, collapsed) {
-            (Some(c), Some(t), Some(k)) => (c, t, k),
-            _ => return Err("fault-list header is missing fields".to_string()),
-        };
-        let mut faults = Vec::with_capacity(count);
-        for line in lines {
-            let (site, kind) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("bad fault line: {line}"))?;
-            let site: u32 = site.parse().map_err(|_| format!("bad site: {line}"))?;
-            let site = NetId(site);
-            let kind = if kind == "s0" {
-                FaultKind::StuckAt0
-            } else if kind == "s1" {
-                FaultKind::StuckAt1
-            } else if let Some(n) = kind.strip_prefix('b') {
-                FaultKind::BridgeWith(NetId(n.parse().map_err(|_| format!("bad bridge: {line}"))?))
-            } else if let Some(c) = kind.strip_prefix('t') {
-                FaultKind::TransientFlip {
-                    cycle: c.parse().map_err(|_| format!("bad transient: {line}"))?,
-                }
-            } else {
-                return Err(format!("unknown fault kind: {line}"));
-            };
-            faults.push(Fault { site, kind });
-        }
-        if faults.len() != count {
-            return Err(format!(
-                "fault list is truncated: header says {count}, found {}",
-                faults.len()
-            ));
-        }
-        Ok(FaultList {
-            faults,
-            total_enumerated: total,
-            collapsed,
-        })
-    }
 }
 
 /// Enumerates the fault universe of `design` under `opts`.

@@ -50,8 +50,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zeus::{
     catch_panic, enumerate_faults, optimize, run_atpg, run_campaign, run_campaign_with, AtpgConfig,
-    CampaignConfig, CheckpointOptions, Design, Engine, FaultListOptions, Limits, OptConfig,
-    PackedSim, Simulator, SwitchSim, Value, VectorSet, VectorStream, Zeus, LANES,
+    CampaignConfig, CheckpointOptions, Design, Diagnostic, Engine, FaultListOptions, Limits,
+    OptConfig, PackedSim, Simulator, SwitchSim, Value, VectorSet, VectorStream, Zeus, LANES,
 };
 
 use crate::gen::case_seed;
@@ -299,78 +299,175 @@ fn render(bits: &[Value]) -> String {
     bits.iter().map(|v| v.to_string()).collect()
 }
 
-/// Oracle 3: scalar vs packed, lane for lane.
-fn scalar_vs_packed(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVerdict {
-    let mut sc = match Simulator::with_limits(design.clone(), &cc.limits) {
-        Ok(s) => s,
-        Err(_) => return OracleVerdict::Skip,
-    };
-    let mut pk = match PackedSim::with_limits(design.clone(), &cc.limits) {
-        Ok(s) => s,
-        Err(_) => return OracleVerdict::Skip,
-    };
-    let mut stream = VectorStream::new(design, case_seed(vec_seed, 0, 1));
-    // Reset cycle, then the seeded vectors.
-    sc.set_rset(true);
-    pk.set_rset(true);
-    for cycle in 0..=cc.cycles {
-        let vector = if cycle == 0 {
+/// An engine the lockstep oracles drive: forced inputs, budgeted steps
+/// and a port's values in one lane.
+trait Lockstep {
+    /// The lanes compared after every cycle.
+    const OBSERVED: &'static [usize] = &[0];
+    fn set_rset(&mut self, v: bool);
+    fn set_port(&mut self, name: &str, bits: &[Value]) -> Result<(), Diagnostic>;
+    fn try_step(&mut self) -> Result<(), Diagnostic>;
+    fn port(&self, name: &str, lane: usize) -> Vec<Value>;
+}
+
+impl Lockstep for Simulator {
+    fn set_rset(&mut self, v: bool) {
+        Simulator::set_rset(self, v);
+    }
+    fn set_port(&mut self, name: &str, bits: &[Value]) -> Result<(), Diagnostic> {
+        Simulator::set_port(self, name, bits)
+    }
+    fn try_step(&mut self) -> Result<(), Diagnostic> {
+        Simulator::try_step(self).map(drop)
+    }
+    fn port(&self, name: &str, _lane: usize) -> Vec<Value> {
+        Simulator::port(self, name)
+    }
+}
+
+impl Lockstep for PackedSim {
+    /// The lowest and the highest lane.
+    const OBSERVED: &'static [usize] = &[0, LANES - 1];
+    fn set_rset(&mut self, v: bool) {
+        PackedSim::set_rset(self, v);
+    }
+    fn set_port(&mut self, name: &str, bits: &[Value]) -> Result<(), Diagnostic> {
+        PackedSim::set_port(self, name, bits)
+    }
+    fn try_step(&mut self) -> Result<(), Diagnostic> {
+        PackedSim::try_step(self).map(drop)
+    }
+    fn port(&self, name: &str, lane: usize) -> Vec<Value> {
+        self.port_lane(name, lane)
+    }
+}
+
+impl Lockstep for SwitchSim {
+    fn set_rset(&mut self, v: bool) {
+        SwitchSim::set_rset(self, v);
+    }
+    fn set_port(&mut self, name: &str, bits: &[Value]) -> Result<(), Diagnostic> {
+        SwitchSim::set_port(self, name, bits)
+    }
+    fn try_step(&mut self) -> Result<(), Diagnostic> {
+        SwitchSim::try_step(self)
+    }
+    fn port(&self, name: &str, _lane: usize) -> Vec<Value> {
+        SwitchSim::port(self, name)
+    }
+}
+
+/// How one lockstep oracle runs: its name (for the chaos hook), the
+/// labels of its two sides, the seed of its vector stream, and whether
+/// cycle 0 holds RSET high on the zero vector before `cycles` stream
+/// vectors (else the stream starts at cycle 0).
+struct LockstepRun {
+    oracle: Oracle,
+    sides: [&'static str; 2],
+    stream_seed: u64,
+    reset: bool,
+}
+
+/// Drives `a` and `b` from one seeded vector stream and, after every
+/// cycle, compares their step outcomes and every port of every lane `b`
+/// exposes against `a`. The chaos hook flips `b`'s first bit of the
+/// first port at the first stream cycle.
+fn lockstep<A: Lockstep, B: Lockstep>(
+    design: &Design,
+    run: &LockstepRun,
+    a: &mut A,
+    b: &mut B,
+    cc: &CaseConfig,
+) -> OracleVerdict {
+    let [la, lb] = run.sides;
+    let mut stream = VectorStream::new(design, run.stream_seed);
+    let first = u32::from(run.reset);
+    if run.reset {
+        a.set_rset(true);
+        b.set_rset(true);
+    }
+    for cycle in 0..cc.cycles + first {
+        let vector = if cycle < first {
             stream.zero_vector()
         } else {
-            sc.set_rset(false);
-            pk.set_rset(false);
+            if run.reset {
+                a.set_rset(false);
+                b.set_rset(false);
+            }
             stream.next_vector()
         };
         for (port, bits) in &vector {
-            if sc.set_port(port, bits).is_err() || pk.set_port(port, bits).is_err() {
+            if a.set_port(port, bits).is_err() || b.set_port(port, bits).is_err() {
                 return OracleVerdict::Skip;
             }
         }
-        let (ra, rb) = (sc.try_step(), pk.try_step());
-        match (&ra, &rb) {
-            (Ok(_), Ok(_)) => {}
-            (Err(a), Err(b)) if a.code == b.code => return OracleVerdict::Skip,
-            (a, b) => {
-                let ca = a.as_ref().err().and_then(|d| d.code).map(|c| c.as_str());
-                let cb = b.as_ref().err().and_then(|d| d.code).map(|c| c.as_str());
+        match (a.try_step(), b.try_step()) {
+            (Ok(()), Ok(())) => {}
+            (Err(x), Err(y)) if x.code == y.code => return OracleVerdict::Skip,
+            (x, y) => {
+                let cx = x.err().and_then(|d| d.code).map(|c| c.as_str());
+                let cy = y.err().and_then(|d| d.code).map(|c| c.as_str());
                 return OracleVerdict::Diverged {
-                    code: ca.or(cb).unwrap_or("Z301").to_string(),
+                    code: cx.or(cy).unwrap_or("Z301").to_string(),
                     site: format!("step@c{cycle}"),
                     detail: format!(
-                        "step outcome differs at cycle {cycle}: scalar {}, packed {}",
-                        ca.unwrap_or("ok"),
-                        cb.unwrap_or("ok")
+                        "step outcome differs at cycle {cycle}: {la} {}, {lb} {}",
+                        cx.unwrap_or("ok"),
+                        cy.unwrap_or("ok")
                     ),
                 };
             }
         }
         for (p, port) in design.ports.iter().enumerate() {
-            let scalar = sc.port(&port.name);
-            let mut lane0 = pk.port_lane(&port.name, 0);
-            let lane_hi = pk.port_lane(&port.name, LANES - 1);
-            if cc.chaos == Some(Oracle::ScalarVsPacked) && cycle == 1 && p == 0 {
+            let want = a.port(&port.name, 0);
+            let mut got: Vec<Vec<Value>> =
+                B::OBSERVED.iter().map(|&l| b.port(&port.name, l)).collect();
+            if cc.chaos == Some(run.oracle) && cycle == first && p == 0 {
                 // Mutation self-test hook: flip the first observed bit.
-                if let Some(b) = lane0.first_mut() {
-                    *b = flip(*b);
+                if let Some(bit) = got[0].first_mut() {
+                    *bit = flip(*bit);
                 }
             }
-            if lane0 != scalar || lane_hi != scalar {
+            if got.iter().any(|lane| *lane != want) {
+                let shown = match B::OBSERVED {
+                    [_] => render(&got[0]),
+                    lanes => lanes
+                        .iter()
+                        .zip(&got)
+                        .map(|(l, bits)| format!("lane{l} {}", render(bits)))
+                        .collect::<Vec<_>>()
+                        .join(" "),
+                };
                 return OracleVerdict::Diverged {
                     code: "Z301".to_string(),
                     site: format!("{}@c{cycle}", port.name),
                     detail: format!(
-                        "port {} at cycle {cycle}: scalar {} vs packed lane0 {} lane{} {}",
+                        "port {} at cycle {cycle}: {la} {} vs {lb} {shown}",
                         port.name,
-                        render(&scalar),
-                        render(&lane0),
-                        LANES - 1,
-                        render(&lane_hi)
+                        render(&want)
                     ),
                 };
             }
         }
     }
     OracleVerdict::Agree
+}
+
+/// Oracle 3: scalar vs packed, lane for lane.
+fn scalar_vs_packed(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVerdict {
+    let Ok(mut sc) = Simulator::with_limits(design.clone(), &cc.limits) else {
+        return OracleVerdict::Skip;
+    };
+    let Ok(mut pk) = PackedSim::with_limits(design.clone(), &cc.limits) else {
+        return OracleVerdict::Skip;
+    };
+    let run = LockstepRun {
+        oracle: Oracle::ScalarVsPacked,
+        sides: ["scalar", "packed"],
+        stream_seed: case_seed(vec_seed, 0, 1),
+        reset: true,
+    };
+    lockstep(design, &run, &mut sc, &mut pk, cc)
 }
 
 fn flip(v: Value) -> Value {
@@ -388,60 +485,17 @@ fn graph_vs_switch(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVer
     if design.netlist.registers().count() > 0 {
         return OracleVerdict::Skip;
     }
-    let mut gr = match Simulator::with_limits(design.clone(), &cc.limits) {
-        Ok(s) => s,
-        Err(_) => return OracleVerdict::Skip,
+    let Ok(mut gr) = Simulator::with_limits(design.clone(), &cc.limits) else {
+        return OracleVerdict::Skip;
     };
     let mut sw = SwitchSim::with_limits(design, &cc.limits);
-    let mut stream = VectorStream::new(design, case_seed(vec_seed, 0, 2));
-    for cycle in 0..cc.cycles {
-        let vector = stream.next_vector();
-        for (port, bits) in &vector {
-            if gr.set_port(port, bits).is_err() || sw.set_port(port, bits).is_err() {
-                return OracleVerdict::Skip;
-            }
-        }
-        let (ra, rb) = (gr.try_step(), sw.try_step());
-        match (&ra, &rb) {
-            (Ok(_), Ok(_)) => {}
-            (Err(a), Err(b)) if a.code == b.code => return OracleVerdict::Skip,
-            (a, b) => {
-                let ca = a.as_ref().err().and_then(|d| d.code).map(|c| c.as_str());
-                let cb = b.as_ref().err().and_then(|d| d.code).map(|c| c.as_str());
-                return OracleVerdict::Diverged {
-                    code: ca.or(cb).unwrap_or("Z301").to_string(),
-                    site: format!("step@c{cycle}"),
-                    detail: format!(
-                        "step outcome differs at cycle {cycle}: graph {}, switch {}",
-                        ca.unwrap_or("ok"),
-                        cb.unwrap_or("ok")
-                    ),
-                };
-            }
-        }
-        for (p, port) in design.ports.iter().enumerate() {
-            let graph = gr.port(&port.name);
-            let mut switch = sw.port(&port.name);
-            if cc.chaos == Some(Oracle::GraphVsSwitch) && cycle == 0 && p == 0 {
-                if let Some(b) = switch.first_mut() {
-                    *b = flip(*b);
-                }
-            }
-            if graph != switch {
-                return OracleVerdict::Diverged {
-                    code: "Z301".to_string(),
-                    site: format!("{}@c{cycle}", port.name),
-                    detail: format!(
-                        "port {} at cycle {cycle}: graph {} vs switch {}",
-                        port.name,
-                        render(&graph),
-                        render(&switch)
-                    ),
-                };
-            }
-        }
-    }
-    OracleVerdict::Agree
+    let run = LockstepRun {
+        oracle: Oracle::GraphVsSwitch,
+        sides: ["graph", "switch"],
+        stream_seed: case_seed(vec_seed, 0, 2),
+        reset: false,
+    };
+    lockstep(design, &run, &mut gr, &mut sw, cc)
 }
 
 /// Oracle 5: campaign resume-from-every-prefix vs fresh run.
@@ -584,85 +638,24 @@ fn opt_lockstep(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVerdic
         Ok(o) => o.design,
         Err(d) => return diag_verdict(d, "gate"),
     };
-    let mut base = match Simulator::with_limits(design.clone(), &cc.limits) {
-        Ok(s) => s,
-        Err(_) => return OracleVerdict::Skip,
+    let Ok(mut base) = Simulator::with_limits(design.clone(), &cc.limits) else {
+        return OracleVerdict::Skip;
     };
-    let mut opt = match Simulator::with_limits(optimized, &cc.limits) {
-        Ok(s) => s,
-        Err(_) => return OracleVerdict::Skip,
+    let Ok(mut opt) = Simulator::with_limits(optimized, &cc.limits) else {
+        return OracleVerdict::Skip;
     };
     // Identical RNG streams: when the design uses RANDOM the optimizer
     // leaves the netlist untouched, so both sides draw identically.
     let rng_seed = case_seed(vec_seed, 0, 5);
     base.reseed(rng_seed);
     opt.reseed(rng_seed);
-    let mut stream = VectorStream::new(design, case_seed(vec_seed, 0, 6));
-    base.set_rset(true);
-    opt.set_rset(true);
-    for cycle in 0..=cc.cycles {
-        let vector = if cycle == 0 {
-            stream.zero_vector()
-        } else {
-            base.set_rset(false);
-            opt.set_rset(false);
-            stream.next_vector()
-        };
-        for (port, bits) in &vector {
-            if base.set_port(port, bits).is_err() || opt.set_port(port, bits).is_err() {
-                return OracleVerdict::Skip;
-            }
-        }
-        let (ra, rb) = (base.try_step(), opt.try_step());
-        match (&ra, &rb) {
-            (Ok(_), Ok(_)) => {}
-            (Err(a), Err(b)) if a.code == b.code => return OracleVerdict::Skip,
-            (a, b) => {
-                let ca = a.as_ref().err().and_then(|d| d.code).map(|c| c.as_str());
-                let cb = b.as_ref().err().and_then(|d| d.code).map(|c| c.as_str());
-                return OracleVerdict::Diverged {
-                    code: ca.or(cb).unwrap_or("Z301").to_string(),
-                    site: format!("step@c{cycle}"),
-                    detail: format!(
-                        "step outcome differs at cycle {cycle}: unoptimized {}, optimized {}",
-                        ca.unwrap_or("ok"),
-                        cb.unwrap_or("ok")
-                    ),
-                };
-            }
-        }
-        for (p, port) in design.ports.iter().enumerate() {
-            let want: Vec<Value> = base
-                .port(&port.name)
-                .iter()
-                .map(|v| v.to_boolean())
-                .collect();
-            let mut got: Vec<Value> = opt
-                .port(&port.name)
-                .iter()
-                .map(|v| v.to_boolean())
-                .collect();
-            if cc.chaos == Some(Oracle::OptLockstep) && cycle == 1 && p == 0 {
-                // Mutation self-test hook: flip the first observed bit.
-                if let Some(b) = got.first_mut() {
-                    *b = flip(*b);
-                }
-            }
-            if want != got {
-                return OracleVerdict::Diverged {
-                    code: "Z301".to_string(),
-                    site: format!("{}@c{cycle}", port.name),
-                    detail: format!(
-                        "port {} at cycle {cycle}: unoptimized {} vs optimized {}",
-                        port.name,
-                        render(&want),
-                        render(&got)
-                    ),
-                };
-            }
-        }
-    }
-    OracleVerdict::Agree
+    let run = LockstepRun {
+        oracle: Oracle::OptLockstep,
+        sides: ["unoptimized", "optimized"],
+        stream_seed: case_seed(vec_seed, 0, 6),
+        reset: true,
+    };
+    lockstep(design, &run, &mut base, &mut opt, cc)
 }
 
 /// Oracle 8: netlist interchange. Three properties on every design the

@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use zeus_elab::{Design, Limits, NetId, NodeId, NodeOp};
+use zeus_elab::{find_port, Design, Limits, NetId, NodeId, NodeOp};
 use zeus_sema::value::{self, Value};
 use zeus_syntax::diag::Diagnostic;
 
@@ -139,20 +139,9 @@ impl EventSimulator {
     ///
     /// Returns a diagnostic if the port is unknown or widths mismatch.
     pub fn set_port(&mut self, name: &str, bits: &[Value]) -> Result<(), Diagnostic> {
-        let port = self.design.port(name).ok_or_else(|| {
-            Diagnostic::error(
-                zeus_syntax::span::Span::dummy(),
-                format!("no port '{name}'"),
-            )
-        })?;
-        if port.nets.len() != bits.len() {
-            return Err(Diagnostic::error(
-                zeus_syntax::span::Span::dummy(),
-                format!("port '{name}' width mismatch"),
-            ));
-        }
-        let nets = port.nets.clone();
-        for (net, &v) in nets.into_iter().zip(bits) {
+        let (_, port) = find_port(&self.design.ports, name)?;
+        port.check_width(bits.len())?;
+        for (&net, &v) in port.nets.iter().zip(bits) {
             self.forced.insert(net, v);
         }
         Ok(())
@@ -162,16 +151,10 @@ impl EventSimulator {
     ///
     /// # Errors
     ///
-    /// See [`EventSimulator::set_port`].
+    /// See [`EventSimulator::set_port`]; also errors when the value does
+    /// not fit.
     pub fn set_port_num(&mut self, name: &str, v: u64) -> Result<(), Diagnostic> {
-        let width = self
-            .design
-            .port(name)
-            .map(|p| p.nets.len())
-            .unwrap_or_default();
-        let bits: Vec<Value> = (0..width)
-            .map(|i| Value::from_bool((v >> i) & 1 == 1))
-            .collect();
+        let bits = find_port(&self.design.ports, name)?.1.encode(v)?;
         self.set_port(name, &bits)
     }
 

@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use zeus_elab::{Design, Fault, FaultKind, Governor, Limits, NetId, NodeId, NodeOp};
+use zeus_elab::{find_port, Design, Fault, FaultKind, Governor, Limits, NetId, NodeId, NodeOp};
 use zeus_sema::value::{self, Value};
 use zeus_syntax::diag::{codes, Diagnostic};
 use zeus_syntax::span::Span;
@@ -333,22 +333,9 @@ impl Simulator {
     /// Returns a diagnostic if the port does not exist or the width does
     /// not match.
     pub fn set_port(&mut self, name: &str, bits: &[Value]) -> Result<(), Diagnostic> {
-        let port = self
-            .design
-            .port(name)
-            .ok_or_else(|| Diagnostic::error(Span::dummy(), format!("no port named '{name}'")))?;
-        if port.nets.len() != bits.len() {
-            return Err(Diagnostic::error(
-                Span::dummy(),
-                format!(
-                    "port '{name}' has {} bits but {} values were given",
-                    port.nets.len(),
-                    bits.len()
-                ),
-            ));
-        }
-        let nets = port.nets.clone();
-        for (net, &v) in nets.into_iter().zip(bits) {
+        let (_, port) = find_port(&self.design.ports, name)?;
+        port.check_width(bits.len())?;
+        for (&net, &v) in port.nets.iter().zip(bits) {
             self.forced.insert(net, v);
         }
         Ok(())
@@ -370,21 +357,7 @@ impl Simulator {
     /// See [`Simulator::set_port`]; also errors when the value does not
     /// fit.
     pub fn set_port_num(&mut self, name: &str, v: u64) -> Result<(), Diagnostic> {
-        let width = self
-            .design
-            .port(name)
-            .ok_or_else(|| Diagnostic::error(Span::dummy(), format!("no port named '{name}'")))?
-            .nets
-            .len();
-        if width < 64 && v >= (1u64 << width) {
-            return Err(Diagnostic::error(
-                Span::dummy(),
-                format!("value {v} does not fit in the {width}-bit port '{name}'"),
-            ));
-        }
-        let bits: Vec<Value> = (0..width)
-            .map(|i| Value::from_bool((v >> i) & 1 == 1))
-            .collect();
+        let bits = find_port(&self.design.ports, name)?.1.encode(v)?;
         self.set_port(name, &bits)
     }
 

@@ -15,7 +15,7 @@ use crate::synth::{synthesize, Synth};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use zeus_elab::{Design, Fault, FaultKind, Governor, Limits, NetId};
+use zeus_elab::{find_port, Design, Fault, FaultKind, Governor, Limits, NetId, Port};
 use zeus_sema::Value;
 use zeus_syntax::diag::{codes, Diagnostic};
 use zeus_syntax::span::Span;
@@ -25,7 +25,9 @@ use zeus_syntax::span::Span;
 pub struct SwitchSim {
     synth: Synth,
     rset: Option<crate::network::SNode>,
-    ports: HashMap<String, Vec<crate::network::SNode>>,
+    /// The design's ports, and the switch nodes of each port's bits.
+    ports: Vec<Port>,
+    port_nodes: Vec<Vec<crate::network::SNode>>,
     state: Vec<SV>,
     forced: HashMap<crate::network::SNode, SV>,
     reg_state: Vec<SV>,
@@ -70,15 +72,16 @@ impl SwitchSim {
     /// consumed by [`SwitchSim::try_step`].
     pub fn with_limits(design: &Design, limits: &Limits) -> SwitchSim {
         let synth = synthesize(design);
-        let mut ports = HashMap::new();
-        for p in &design.ports {
-            let nodes = p
-                .nets
-                .iter()
-                .map(|n| synth.net_map[&design.netlist.find_ref(*n)])
-                .collect();
-            ports.insert(p.name.clone(), nodes);
-        }
+        let port_nodes = design
+            .ports
+            .iter()
+            .map(|p| {
+                p.nets
+                    .iter()
+                    .map(|n| synth.net_map[&design.netlist.find_ref(*n)])
+                    .collect()
+            })
+            .collect();
         let n = synth.network.node_count();
         let base_trans = synth.network.transistor_count();
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -93,7 +96,8 @@ impl SwitchSim {
         SwitchSim {
             synth,
             rset,
-            ports,
+            ports: design.ports.clone(),
+            port_nodes,
             state: vec![SV::X; n],
             forced: HashMap::new(),
             reg_state: vec![SV::X; regs],
@@ -218,18 +222,9 @@ impl SwitchSim {
     ///
     /// Returns a diagnostic for unknown ports or width mismatches.
     pub fn set_port(&mut self, name: &str, bits: &[Value]) -> Result<(), Diagnostic> {
-        let nodes = self
-            .ports
-            .get(name)
-            .ok_or_else(|| Diagnostic::error(Span::dummy(), format!("no port '{name}'")))?
-            .clone();
-        if nodes.len() != bits.len() {
-            return Err(Diagnostic::error(
-                Span::dummy(),
-                format!("port '{name}' width mismatch"),
-            ));
-        }
-        for (node, &v) in nodes.into_iter().zip(bits) {
+        let (i, port) = find_port(&self.ports, name)?;
+        port.check_width(bits.len())?;
+        for (&node, &v) in self.port_nodes[i].iter().zip(bits) {
             self.forced.insert(node, SV::from_value(v));
         }
         Ok(())
@@ -239,16 +234,10 @@ impl SwitchSim {
     ///
     /// # Errors
     ///
-    /// See [`SwitchSim::set_port`].
+    /// See [`SwitchSim::set_port`]; also errors when the value does not
+    /// fit.
     pub fn set_port_num(&mut self, name: &str, v: u64) -> Result<(), Diagnostic> {
-        let width = self
-            .ports
-            .get(name)
-            .map(|p| p.len())
-            .ok_or_else(|| Diagnostic::error(Span::dummy(), format!("no port '{name}'")))?;
-        let bits: Vec<Value> = (0..width)
-            .map(|i| Value::from_bool((v >> i) & 1 == 1))
-            .collect();
+        let bits = find_port(&self.ports, name)?.1.encode(v)?;
         self.set_port(name, &bits)
     }
 
@@ -261,12 +250,12 @@ impl SwitchSim {
 
     /// Reads a port as Zeus values.
     pub fn port(&self, name: &str) -> Vec<Value> {
-        match self.ports.get(name) {
-            Some(nodes) => nodes
+        match find_port(&self.ports, name) {
+            Ok((i, _)) => self.port_nodes[i]
                 .iter()
                 .map(|n| self.state[n.index()].to_value())
                 .collect(),
-            None => Vec::new(),
+            Err(_) => Vec::new(),
         }
     }
 

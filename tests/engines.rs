@@ -135,3 +135,69 @@ fn e12_transistor_counts_reported() {
         "16-bit adder should be >500 transistors: {last}"
     );
 }
+
+/// All four engines drive ports through one lookup and one number
+/// encoder: an over-wide value and an unknown port are the same errors
+/// everywhere, and a fitting value drives the same bits.
+#[test]
+fn every_engine_rejects_over_wide_values_and_unknown_ports_alike() {
+    let design = Zeus::parse(examples::ADDERS)
+        .unwrap()
+        .elaborate("rippleCarry", &[8])
+        .unwrap();
+    let mut lv = zeus::Simulator::new(design.clone()).unwrap();
+    let mut ev = zeus::EventSimulator::new(design.clone()).unwrap();
+    let mut pk = zeus::PackedSim::new(design.clone()).unwrap();
+    let mut sw = zeus::SwitchSim::new(&design);
+    type Drive<'a> = Box<dyn FnMut(&str, u64) -> Result<(), zeus::Diagnostic> + 'a>;
+    let engines: [(&str, Drive); 4] = [
+        ("scalar", Box::new(|p, v| lv.set_port_num(p, v))),
+        ("event", Box::new(|p, v| ev.set_port_num(p, v))),
+        ("packed", Box::new(|p, v| pk.set_port_num(p, v))),
+        ("switch", Box::new(|p, v| sw.set_port_num(p, v))),
+    ];
+    for (name, mut drive) in engines {
+        let wide = drive("a", 300).expect_err(name);
+        assert_eq!(
+            wide.message, "value 300 does not fit in the 8-bit port 'a'",
+            "{name}"
+        );
+        let unknown = drive("zz", 1).expect_err(name);
+        assert_eq!(unknown.message, "no port named 'zz'", "{name}");
+        assert!(drive("a", 255).is_ok(), "{name}");
+    }
+    let bits = vec![zeus::Value::One; 3];
+    for err in [
+        lv.set_port("a", &bits),
+        ev.set_port("a", &bits),
+        pk.set_port("a", &bits),
+        sw.set_port("a", &bits),
+    ] {
+        assert_eq!(
+            err.unwrap_err().message,
+            "port 'a' has 8 bits but 3 values were given"
+        );
+    }
+}
+
+/// A number drives a port wider than 64 bits with zeros from bit 64 up,
+/// never a copy of a low bit.
+#[test]
+fn numbers_zero_extend_into_ports_wider_than_64_bits() {
+    let design = Zeus::parse(examples::ADDERS)
+        .unwrap()
+        .elaborate("rippleCarry", &[70])
+        .unwrap();
+    let mut one = vec![zeus::Value::Zero; 70];
+    one[0] = zeus::Value::One;
+    let mut lv = zeus::Simulator::new(design.clone()).unwrap();
+    let mut sw = zeus::SwitchSim::new(&design);
+    for (port, v) in [("a", 1), ("b", 0), ("cin", 0)] {
+        lv.set_port_num(port, v).unwrap();
+        sw.set_port_num(port, v).unwrap();
+    }
+    lv.try_step().unwrap();
+    sw.try_step().unwrap();
+    assert_eq!(lv.port("s"), one);
+    assert_eq!(sw.port("s"), one);
+}
