@@ -157,9 +157,10 @@ pub struct AtpgConfig {
     /// Largest time-frame unroll for one sequential fault; the
     /// schedule is geometric (1, 2, 4, … up to this).
     pub max_frames: u32,
-    /// Directory receiving one DIMACS file per SAT-confirmed
-    /// redundancy claim, an externally checkable audit trail.
-    pub emit_cnf: Option<std::path::PathBuf>,
+    /// Render one DIMACS text per SAT-confirmed redundancy claim into
+    /// [`AtpgReport::cnf_audits`], an externally checkable audit trail.
+    /// Off, no formula is rendered.
+    pub emit_cnf: bool,
     /// Wall-clock budget for the whole run, generation and grading
     /// combined. Each pending fault gets a fair slice of what is left,
     /// so a single hard fault cannot consume the whole budget; on
@@ -180,7 +181,7 @@ impl Default for AtpgConfig {
             sat: false,
             sat_conflicts: 20_000,
             max_frames: 8,
-            emit_cnf: None,
+            emit_cnf: false,
             campaign_deadline: None,
         }
     }
@@ -215,7 +216,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
         Mode::Combinational => Strategy::Podem,
         Mode::Sequence => Strategy::Prefix,
     };
-    let mut cnf_seq = 0usize;
+    let mut cnf_audits: Vec<String> = Vec::new();
 
     let set = match mode {
         Mode::Combinational => {
@@ -301,17 +302,13 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     });
                     pending -= 1;
                     match answer {
-                        sat::SatAnswer::Undetectable(dimacs) => {
+                        sat::SatAnswer::Undetectable(audit) => {
                             if was_redundant {
                                 ss.confirmed_redundant += 1;
                             } else {
                                 ss.promoted_redundant += 1;
                             }
-                            if let Some(dir) = &cfg.emit_cnf {
-                                sat::write_cnf(dir, cnf_seq, &dimacs)?;
-                                cnf_seq += 1;
-                                ss.cnf_files += 1;
-                            }
+                            cnf_audits.extend(audit);
                             redundant.push((fi, name, fault));
                         }
                         sat::SatAnswer::Vectors(frames) => {
@@ -427,12 +424,8 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     let locked = budget.solve(&mut gov, share, |g| {
                         sat::check_lockstep(design, fault, cfg, g)
                     });
-                    if let Some(dimacs) = locked {
-                        if let Some(dir) = &cfg.emit_cnf {
-                            sat::write_cnf(dir, cnf_seq, &dimacs)?;
-                            cnf_seq += 1;
-                            ss.cnf_files += 1;
-                        }
+                    if let Some(audit) = locked {
+                        cnf_audits.extend(audit);
                         ss.promoted_redundant += 1;
                         redundant.push((fi, r.site_name.clone(), fault));
                         continue;
@@ -520,11 +513,15 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
         strategy,
         vectors: set,
         stats,
-        sat: sat_stats,
+        sat: sat_stats.map(|ss| SatStats {
+            cnf_files: cnf_audits.len(),
+            ..ss
+        }),
         redundant: redundant.into_iter().map(|(_, n, f)| (n, f)).collect(),
         aborted: aborted.into_iter().map(|(_, n, f)| (n, f)).collect(),
         grade,
         partial,
+        cnf_audits,
     })
 }
 
@@ -760,26 +757,32 @@ mod tests {
 
     #[test]
     fn emit_cnf_writes_reparseable_audit_files() {
-        let dir =
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/test-emit-cnf");
-        let _ = std::fs::remove_dir_all(&dir);
         let d = design(REDUNDANT, "taut");
         let cfg = AtpgConfig {
             sat: true,
-            emit_cnf: Some(dir.clone()),
+            emit_cnf: true,
             ..AtpgConfig::default()
         };
         let report = run_atpg(&d, &cfg).expect("atpg");
         let ss = report.sat.expect("sat stats present");
         assert_eq!(ss.cnf_files, report.redundant.len());
+        assert_eq!(report.cnf_audits.len(), ss.cnf_files);
         assert!(ss.cnf_files > 0);
-        for i in 0..ss.cnf_files {
-            let path = dir.join(format!("redundant-{i:03}.cnf"));
-            let text = std::fs::read_to_string(&path).expect("audit file exists");
-            let cnf = zeus_sat::Cnf::parse_dimacs(&text).expect("audit file reparses");
+        for text in &report.cnf_audits {
+            let cnf = zeus_sat::Cnf::parse_dimacs(text).expect("audit text reparses");
             assert_eq!(cnf.to_dimacs(&[]).lines().count(), 1 + cnf.clauses.len());
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        // Without the flag no formula is rendered.
+        let quiet = run_atpg(
+            &d,
+            &AtpgConfig {
+                sat: true,
+                ..AtpgConfig::default()
+            },
+        )
+        .expect("atpg");
+        assert!(quiet.cnf_audits.is_empty());
+        assert_eq!(quiet.sat.expect("sat stats present").cnf_files, 0);
     }
 
     #[test]

@@ -62,7 +62,8 @@ pub struct SatStats {
     /// Widest time-frame unroll that produced a detection (0 when the
     /// time-frame path never fired).
     pub max_frames_used: u32,
-    /// DIMACS audit files written.
+    /// DIMACS audit texts rendered (one per SAT-backed redundancy claim
+    /// when [`AtpgConfig::emit_cnf`](crate::AtpgConfig::emit_cnf) is on).
     pub cnf_files: usize,
 }
 
@@ -116,6 +117,11 @@ pub struct AtpgReport {
     /// far (uncompacted on the structural path), but it is still fully
     /// graded and replayable.
     pub partial: bool,
+    /// With [`AtpgConfig::emit_cnf`](crate::AtpgConfig::emit_cnf), one
+    /// DIMACS text per SAT-backed redundancy claim, in claim order; the
+    /// caller decides where they go (`zeusc` writes
+    /// `DIR/redundant-NNN.cnf`).
+    pub cnf_audits: Vec<String>,
 }
 
 impl AtpgReport {

@@ -1,37 +1,63 @@
 //! SAT phase glue: budget-sliced detectability checks, model decoding
 //! into per-port vectors, in-context replay for the sequential
-//! time-frame path, and the DIMACS audit trail.
+//! time-frame path, and the DIMACS audit texts.
 //!
 //! The heavy lifting (CNF encoding, CDCL search) lives in `zeus-sat`;
 //! this module adapts it to ATPG's contracts: every SAT model is
 //! replay-verified on the scalar simulator (through [`run_differential`])
 //! before a vector enters the set, every redundancy verdict can be
-//! exported as a DIMACS file for external audit, and every solve runs
+//! rendered as DIMACS text for external audit, and every solve runs
 //! under a per-fault slice of the campaign budget so one hard fault
 //! cannot starve the rest.
 
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 use zeus_elab::{Design, Fault, Governor, Limits};
 use zeus_sat::{
-    decode_model, encode_detection, encode_lockstep, EncodeOptions, SatOutcome, Solver,
+    decode_model, encode_detection, encode_lockstep, Cnf, EncodeOptions, SatOutcome, Solver,
 };
 use zeus_sema::Value;
 use zeus_sim::{run_differential, Simulator, VectorSet, VectorStream};
-use zeus_syntax::diag::{codes, Diagnostic};
+use zeus_syntax::diag::Diagnostic;
 use zeus_syntax::span::Span;
 
 use crate::AtpgConfig;
+
+/// The DIMACS text of an UNSAT formula, rendered only when
+/// [`AtpgConfig::emit_cnf`] asks for the audit trail.
+pub(crate) type Audit = Option<String>;
+
+/// Renders the audit text of `cnf` (or nothing, unless asked for),
+/// headed by comment lines naming the formula, the design and the fault.
+fn audit(
+    cfg: &AtpgConfig,
+    cnf: &Cnf,
+    design: &Design,
+    fault: Fault,
+    formula: &str,
+    frames: &str,
+) -> Audit {
+    cfg.emit_cnf.then(|| {
+        cnf.to_dimacs(&[
+            formula.to_string(),
+            format!("top: {}", design.top_type),
+            format!(
+                "site: {} ({})",
+                crate::report::site_label(design, fault),
+                fault.kind
+            ),
+            format!("frames: {frames}"),
+        ])
+    })
+}
 
 /// Outcome of one SAT detectability check.
 pub(crate) enum SatAnswer {
     /// Satisfiable: the decoded input vectors, one per frame. Not yet
     /// simulator-verified.
     Vectors(VectorSet),
-    /// Proved undetectable within the encoded frames; carries the
-    /// DIMACS text of the formula for the audit trail.
-    Undetectable(String),
+    /// Proved undetectable within the encoded frames.
+    Undetectable(Audit),
     /// Budget (conflicts, fuel, deadline) ran out first.
     Unknown,
 }
@@ -59,19 +85,14 @@ pub(crate) fn check(
     let mut solver = Solver::from_cnf(&det.cnf);
     match solver.solve(cfg.sat_conflicts, gov) {
         SatOutcome::Unknown => SatAnswer::Unknown,
-        SatOutcome::Unsat => {
-            let comments = vec![
-                format!("zeus-sat fault-detection formula (UNSAT = undetectable)"),
-                format!("top: {}", design.top_type),
-                format!(
-                    "site: {} ({})",
-                    crate::report::site_label(design, fault),
-                    fault.kind
-                ),
-                format!("frames: {frames}"),
-            ];
-            SatAnswer::Undetectable(det.cnf.to_dimacs(&comments))
-        }
+        SatOutcome::Unsat => SatAnswer::Undetectable(audit(
+            cfg,
+            &det.cnf,
+            design,
+            fault,
+            "zeus-sat fault-detection formula (UNSAT = undetectable)",
+            &frames.to_string(),
+        )),
         SatOutcome::Sat(model) => {
             let mut frames = VectorSet::new(design, cfg.seed);
             for flat in decode_model(&det, &model) {
@@ -92,8 +113,8 @@ pub(crate) fn check(
 /// the faulty frame function equals the good one on every register
 /// state and every input (reset cycles included), so the fault is
 /// sequentially redundant outright — not merely unseen within a
-/// bounded window. Returns the DIMACS audit text on success; `None`
-/// when the formula is satisfiable (the distinguishing state may be
+/// bounded window. Returns the proof's audit on success; `None` when
+/// the formula is satisfiable (the distinguishing state may be
 /// unreachable, so that is *inconclusive*, never a detection) or the
 /// budget ran out.
 pub(crate) fn check_lockstep(
@@ -101,37 +122,19 @@ pub(crate) fn check_lockstep(
     fault: Fault,
     cfg: &AtpgConfig,
     gov: &mut Governor,
-) -> Option<String> {
+) -> Option<Audit> {
     let cnf = encode_lockstep(design, fault, gov).ok()?;
     match Solver::from_cnf(&cnf).solve(cfg.sat_conflicts, gov) {
-        SatOutcome::Unsat => {
-            let comments = vec![
-                "zeus-sat lockstep-equivalence formula (UNSAT = sequentially redundant)"
-                    .to_string(),
-                format!("top: {}", design.top_type),
-                format!(
-                    "site: {} ({})",
-                    crate::report::site_label(design, fault),
-                    fault.kind
-                ),
-                "frames: 1 (shared symbolic state, free RSET)".to_string(),
-            ];
-            Some(cnf.to_dimacs(&comments))
-        }
+        SatOutcome::Unsat => Some(audit(
+            cfg,
+            &cnf,
+            design,
+            fault,
+            "zeus-sat lockstep-equivalence formula (UNSAT = sequentially redundant)",
+            "1 (shared symbolic state, free RSET)",
+        )),
         SatOutcome::Sat(_) | SatOutcome::Unknown => None,
     }
-}
-
-/// Writes one DIMACS audit file; `seq` numbers the claims in report
-/// order.
-pub(crate) fn write_cnf(dir: &Path, seq: usize, dimacs: &str) -> Result<(), Diagnostic> {
-    let err = |e: std::io::Error, what: &str| {
-        Diagnostic::error(Span::dummy(), format!("cannot write CNF audit {what}: {e}"))
-            .with_code(codes::USAGE)
-    };
-    std::fs::create_dir_all(dir).map_err(|e| err(e, &dir.display().to_string()))?;
-    let path = dir.join(format!("redundant-{seq:03}.cnf"));
-    std::fs::write(&path, dimacs).map_err(|e| err(e, &path.display().to_string()))
 }
 
 /// Replays `set` on a fresh golden/faulty pair as a campaign's

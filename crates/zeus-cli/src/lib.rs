@@ -2,32 +2,39 @@
 //!
 //! Everything the `zeusc` binary does — argument parsing, command
 //! dispatch, output formatting, exit-code classification — lives here,
-//! executed against a [`Session`]: a capture buffer plus the hooks a
-//! *hosted* invocation needs. The binary builds a plain local session
-//! and prints the buffers; the `zeusd` daemon builds one request-scoped
-//! session per client request with
+//! executed against a [`Session`]: the one door between a command and
+//! the world. The binary builds a plain local session and prints the
+//! buffers; the `zeusd` daemon builds one request-scoped session per
+//! client request. A command meets the world only through the session,
+//! each concern at one site:
 //!
-//! * **inlined sources** ([`Session::sources`]) — the daemon never
-//!   reads client-relative paths, the client ships file contents;
-//! * **a cancellation flag** ([`Session::cancel`]) — the daemon's
-//!   shutdown flag doubles as every in-flight campaign's Ctrl-C, so a
-//!   graceful drain flushes checkpoints exactly like an interactive
-//!   interrupt;
-//! * **a server-enforced deadline** ([`Session::deadline`]) — merged
-//!   into [`Limits::deadline`] and `campaign_deadline`, so a stuck
-//!   request burns its budget and returns `Z905` instead of wedging a
-//!   worker;
-//! * **a content-addressed text cache** ([`Cache`]) — the whole answer
-//!   of a `sim`, `fault` or `atpg` command line is looked up before any
-//!   work and stored after a successful run; on a miss, the elaborated
-//!   design is reused (see `docs/DAEMON.md` for the exact keying).
+//! * **inputs** — the files a command line names (its program or
+//!   netlist file, `--vectors-file`, each `--replay`) are read once,
+//!   before any work: from the filesystem, or in the daemon from the
+//!   request's inlined [`Session::sources`]. The `--remote` client reads
+//!   the same list to fill its request, so an unreadable file fails on
+//!   the client with the message a local run gives;
+//! * **outputs** — every emitted file goes through one writer, which
+//!   creates parent directories. In the daemon it captures the file into
+//!   the answer, and the client writes it through the same writer;
+//! * **the server deadline** ([`Session::deadline`]) — merged into the
+//!   limits every engine runs under (a fault campaign, whose digest
+//!   hashes the user's limits, takes it as its campaign deadline). It
+//!   never changes a successful answer: a run that reaches it answers
+//!   `Z905` (exit 3) instead, and nothing is stored;
+//! * **reuse** ([`Cache`]) — the whole answer of a `sim`, `fault` or
+//!   `atpg` command line is looked up before any work and stored after a
+//!   successful run (see `docs/DAEMON.md` for the exact keying);
+//! * **cancellation** ([`Session::cancel`]) — the daemon's shutdown
+//!   flag doubles as every in-flight campaign's Ctrl-C, so a graceful
+//!   drain flushes checkpoints exactly like an interactive interrupt.
 //!
 //! The contract that keeps the remote path honest: for any request a
-//! daemon accepts, the bytes in [`Session::out`]/[`Session::err`] and
-//! the exit code are identical to a local `zeusc` run of the same
-//! command line (given the same source text), caches hit or missed. It
-//! rests on one invariant: a stored answer is everything one command
-//! line wrote, from its first byte.
+//! daemon accepts, the bytes in [`Session::out`]/[`Session::err`], the
+//! emitted files and the exit code are identical to a local `zeusc` run
+//! of the same command line (given the same input files), stored answer
+//! or not. It rests on one invariant: a stored answer is everything one
+//! command line wrote, from its first byte.
 
 pub mod proto;
 #[cfg(unix)]
@@ -137,13 +144,12 @@ impl From<&str> for Failure {
     }
 }
 
-/// The text store a hosting daemon may provide. Entries are filed by
-/// kind and key: `sim`, `fault` and `atpg` hold a command line's whole
-/// answer (a [`proto::Response::Ok`] line), `design` holds an elaborated
-/// design in the `zeus-design` format, which zeusc decodes itself. Both
-/// methods are best-effort: a `get` miss or a dropped `put` only costs
-/// time, never correctness, so implementations are free to shed entries
-/// (or whole writes) under I/O pressure.
+/// The text store a hosting daemon may provide. `zeusc` files the whole
+/// answer of a `sim`, `fault` or `atpg` command line (a
+/// [`proto::Response::Ok`] line) under the command's name as `kind`.
+/// Both methods are best-effort: a `get` miss or a dropped `put` only
+/// costs time, never correctness, so implementations are free to shed
+/// entries (or whole writes) under I/O pressure.
 pub trait Cache {
     /// The text previously stored under `kind` and `key`.
     fn get_text(&self, kind: &str, key: u64) -> Option<String>;
@@ -151,23 +157,27 @@ pub trait Cache {
     fn put_text(&self, kind: &str, key: u64, text: &str);
 }
 
-/// One driver invocation's environment and captured output.
+/// One driver invocation's environment and captured output: the only
+/// way a command reads a file, writes one, meets the server deadline or
+/// reuses a stored answer.
 #[derive(Default)]
 pub struct Session<'a> {
     /// Captured stdout bytes.
     pub out: String,
     /// Captured stderr bytes.
     pub err: String,
-    /// When set, file arguments resolve from this map instead of the
-    /// filesystem (daemon mode; `@name` examples still work). Reading a
-    /// path absent from the map is a usage error rather than a
+    /// When set (daemon mode), input files are read from this map instead
+    /// of the filesystem (`@name` examples still work), and emitted files
+    /// are captured into [`Session::emitted`] instead of written. Reading
+    /// a path absent from the map is a usage error rather than a
     /// filesystem access.
     pub sources: Option<&'a HashMap<String, String>>,
     /// Polled between fault words / ATPG faults; when it goes high the
     /// run drains, flushes checkpoints and reports partially.
     pub cancel: Option<&'static AtomicBool>,
-    /// Server-enforced wall-clock deadline, merged into every limit
-    /// budget the commands build.
+    /// Server-enforced wall-clock deadline. The limits every engine runs
+    /// under are tightened to it, and a run that finishes past it
+    /// answers `Z905` (exit 3) instead of its output, unstored.
     pub deadline: Option<Instant>,
     /// Content-addressed cache hooks (daemon mode).
     pub cache: Option<&'a dyn Cache>,
@@ -175,11 +185,11 @@ pub struct Session<'a> {
     /// journaled here under their campaign digest (and the journal is
     /// removed on completion) so a drained daemon can resume them.
     pub journal_dir: Option<PathBuf>,
-    /// Files the run wants written on the *client* side (daemon mode
-    /// capture of `--emit-vectors`), as `(path, content)`.
+    /// Files the run emitted in daemon mode, as `(path, content)`, for
+    /// the client to write.
     pub emitted: Vec<(String, String)>,
-    /// How many cache lookups (whole answer or design) hit during the
-    /// run. The daemon reports `cached: true` when nonzero.
+    /// How many stored answers the run replayed (0 or 1). The daemon
+    /// reports `cached: true` when nonzero.
     pub cache_hits: usize,
 }
 
@@ -189,28 +199,59 @@ impl<'a> Session<'a> {
         Session::default()
     }
 
-    /// Wall clock remaining until the server deadline, if any.
-    fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    /// Tightens `limits.deadline` to the server deadline.
-    fn merge_deadline(&self, limits: &mut Limits) {
-        if let Some(rem) = self.remaining() {
-            limits.deadline = Some(limits.deadline.map_or(rem, |u| u.min(rem)));
+    /// Reads one input file: from the inlined sources in daemon mode,
+    /// else from the filesystem.
+    fn read(&self, path: &str) -> Result<String, Failure> {
+        match self.sources {
+            Some(map) => map.get(path).cloned().ok_or_else(|| {
+                Failure::Usage(format!("cannot read {path}: not inlined in the request"))
+            }),
+            None => std::fs::read_to_string(path)
+                .map_err(|e| Failure::Usage(format!("cannot read {path}: {e}"))),
         }
     }
 
-    /// Writes a file, or captures it for the client in daemon mode.
-    fn write_file(&mut self, path: &str, content: &str) -> Result<(), Failure> {
+    /// Writes one output file, creating its parent directories, or
+    /// captures it for the client in daemon mode. Every file `zeusc`
+    /// emits goes through here, and so does every file the `--remote`
+    /// client receives.
+    ///
+    /// # Errors
+    ///
+    /// A usage failure (exit 1) naming the path that cannot be written.
+    pub fn write_file(&mut self, path: &str, content: &str) -> Result<(), Failure> {
         if self.sources.is_some() {
             self.emitted.push((path.to_string(), content.to_string()));
-            Ok(())
-        } else {
-            std::fs::write(path, content)
-                .map_err(|e| Failure::Usage(format!("cannot write {path}: {e}")))
+            return Ok(());
         }
+        let parent = std::path::Path::new(path).parent();
+        parent
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::write(path, content))
+            .map_err(|e| Failure::Usage(format!("cannot write {path}: {e}")))
+    }
+
+    /// `deadline` tightened to the time left before the server deadline:
+    /// the one site where the server deadline enters a command's budget.
+    /// It reaches every engine through [`Session::limits`], and a fault
+    /// campaign as its campaign deadline.
+    fn within_deadline(&self, deadline: Option<Duration>) -> Option<Duration> {
+        match self.deadline {
+            None => deadline,
+            Some(at) => {
+                let left = at.saturating_duration_since(Instant::now());
+                Some(deadline.map_or(left, |d| d.min(left)))
+            }
+        }
+    }
+
+    /// The user's limit flags with the server deadline merged in.
+    fn limits(&self, p: &Parsed) -> Result<Limits, Failure> {
+        let limits = p.limits()?;
+        Ok(Limits {
+            deadline: self.within_deadline(limits.deadline),
+            ..limits
+        })
     }
 }
 
@@ -585,9 +626,33 @@ struct Parsed {
     cmd: String,
     flags: HashMap<&'static str, Vec<String>>,
     positionals: Vec<String>,
+    /// The text of every file in [`input_files`], keyed by the path as
+    /// written; [`run`] reads them before any work.
+    inputs: Vec<(String, String)>,
 }
 
 impl Parsed {
+    /// The text a file argument names: a bundled example for `@name`,
+    /// else the input file [`run`] read.
+    fn text(&self, path: &str) -> Result<&str, Failure> {
+        if let Some(name) = path.strip_prefix('@') {
+            return examples::ALL
+                .iter()
+                .find(|(n, _, _)| *n == name)
+                .map(|(_, src, _)| *src)
+                .ok_or_else(|| {
+                    Failure::Usage(format!(
+                        "no bundled example '{name}' (try `zeusc examples`)"
+                    ))
+                });
+        }
+        self.inputs
+            .iter()
+            .find(|(p, _)| p == path)
+            .map(|(_, text)| text.as_str())
+            .ok_or_else(|| Failure::Usage(format!("cannot read {path}: not an input file")))
+    }
+
     fn has(&self, flag: &str) -> bool {
         self.flags.contains_key(flag)
     }
@@ -635,6 +700,14 @@ impl Parsed {
 
     fn values(&self, flag: &str) -> &[String] {
         self.flags.get(flag).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// `--jobs`, or one thread per core.
+    fn jobs(&self) -> Result<usize, Failure> {
+        Ok(match self.u64_nonzero("--jobs")? {
+            Some(n) => n as usize,
+            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        })
     }
 
     /// The resource budget from the limit flags.
@@ -700,6 +773,7 @@ fn parse_command_line(cmd: &str, args: &[String]) -> Result<Parsed, Failure> {
         cmd: cmd.to_string(),
         flags,
         positionals,
+        inputs: Vec::new(),
     })
 }
 
@@ -736,25 +810,49 @@ fn file_top_args(p: &Parsed) -> Result<(&str, &str, Vec<i64>), Failure> {
     Ok((file, top, targs))
 }
 
-fn load_source(sess: &Session, path: &str) -> Result<String, Failure> {
-    if let Some(name) = path.strip_prefix('@') {
-        for (n, src, _) in examples::ALL {
-            if *n == name {
-                return Ok((*src).to_string());
-            }
+/// The files a command line reads, in order: its program or netlist
+/// file (unless it names a bundled `@example`), `--vectors-file`, and
+/// each `--replay`. [`run`] reads them all before any work, and the
+/// `--remote` client reads the same list to inline them in its request.
+fn input_files(p: &Parsed) -> Vec<&str> {
+    let file = match p.cmd.as_str() {
+        "fuzz" | "examples" => None,
+        _ => p
+            .positionals
+            .first()
+            .filter(|f| !f.starts_with('@') && *f != "--vs"),
+    };
+    file.map(String::as_str)
+        .into_iter()
+        .chain(p.str_value("--vectors-file"))
+        .chain(p.values("--replay").iter().map(String::as_str))
+        .collect()
+}
+
+/// Reads every file in [`input_files`] through the session, each once.
+fn read_inputs(p: &Parsed, sess: &Session) -> Result<Vec<(String, String)>, Failure> {
+    let mut inputs: Vec<(String, String)> = Vec::new();
+    for path in input_files(p) {
+        if !inputs.iter().any(|(seen, _)| seen == path) {
+            inputs.push((path.to_string(), sess.read(path)?));
         }
-        return Err(Failure::Usage(format!(
-            "no bundled example '{name}' (try `zeusc examples`)"
-        )));
     }
-    if let Some(map) = sess.sources {
-        // Daemon mode: the client inlines every file it references; the
-        // server never touches client-relative paths.
-        return map.get(path).cloned().ok_or_else(|| {
-            Failure::Usage(format!("cannot read {path}: not inlined in the request"))
-        });
+    Ok(inputs)
+}
+
+/// The input files of `args` read from the local filesystem, as [`run`]
+/// reads them before any work: what the `--remote` client inlines in its
+/// request. A command line `run` answers without reading (help, an
+/// unknown command or flag) has none.
+///
+/// # Errors
+///
+/// The failure a local run reports for an unreadable input file.
+pub(crate) fn local_inputs(args: &[String]) -> Result<Vec<(String, String)>, Failure> {
+    match command_line(args) {
+        Ok(Line::Command(p)) => read_inputs(&p, &Session::local()),
+        _ => Ok(Vec::new()),
     }
-    std::fs::read_to_string(path).map_err(|e| Failure::Usage(format!("cannot read {path}: {e}")))
 }
 
 fn parse(src: &str) -> Result<Zeus, Failure> {
@@ -766,46 +864,22 @@ fn parse(src: &str) -> Result<Zeus, Failure> {
 }
 
 // ---------------------------------------------------------------------
-// Cache keys
+// Whole-answer reuse
 // ---------------------------------------------------------------------
 
-/// Key for the elaborated-design cache: source text, top, type args and
-/// the user's limit flags (a design elaborated under tighter budgets is
-/// a different cache object — a hit must never mask the `Z9xx` a cold
-/// run would produce). The server deadline is deliberately excluded.
-fn design_cache_key(p: &Parsed, src: &str, top: &str, targs: &[i64]) -> u64 {
+/// Key for whole answers: the full command identity (program text, every
+/// input file's text, every flag with its values in order, positionals).
+/// The flags determine the seed, so two invocations with equal keys are
+/// byte-identical runs.
+fn answer_key(p: &Parsed, src: &str) -> u64 {
     let mut h = StableHasher::new();
-    h.write_str("design-v1");
-    h.write_str(src);
-    h.write_str(top);
-    h.write_usize(targs.len());
-    for t in targs {
-        h.write_u64(*t as u64);
-    }
-    for (flag, _) in LIMIT_FLAGS {
-        match p.str_value(flag) {
-            Some(v) => {
-                h.write_str(flag);
-                h.write_str(v);
-            }
-            None => h.write_str("-"),
-        }
-    }
-    h.finish()
-}
-
-/// Key for whole answers: the full command identity (source text, every
-/// flag with its values in order, positionals) plus any replayed
-/// vector-file content. The flags determine the seed, so two invocations
-/// with equal keys are byte-identical runs.
-fn artifact_key(p: &Parsed, src: &str, vector_text: Option<&str>) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_str("artifact-v2");
+    h.write_str("artifact-v3");
     h.write_str(&p.cmd);
     h.write_str(src);
-    match vector_text {
-        Some(t) => h.write_str(t),
-        None => h.write_str("-"),
+    h.write_usize(p.inputs.len());
+    for (path, text) in &p.inputs {
+        h.write_str(path);
+        h.write_str(text);
     }
     let mut names: Vec<&&str> = p.flags.keys().collect();
     names.sort();
@@ -827,42 +901,85 @@ fn artifact_key(p: &Parsed, src: &str, vector_text: Option<&str>) -> u64 {
 /// The cache and key under which a command line's whole answer is
 /// stored, or `None` when the session has no cache, the command is not
 /// `sim`, `fault` or `atpg`, or its bytes are not a pure function of the
-/// command line: a `fault` run needs `--seed` or `--vectors-file` (else
-/// its seed is time-based) and no `--checkpoint` (local files). A
-/// `--vectors-file` that cannot be read leaves the key uncomputed, so
-/// the command runs uncached and fails as it would anyway.
-fn artifact_slot<'a>(p: &Parsed, sess: &Session<'a>, src: &str) -> Option<(&'a dyn Cache, u64)> {
+/// command line and its inputs: a `fault` run needs `--seed` or
+/// `--vectors-file` (else its seed is time-based) and no `--checkpoint`
+/// (local files).
+fn answer_slot<'a>(p: &Parsed, sess: &Session<'a>) -> Option<(&'a dyn Cache, u64)> {
     let cache = sess.cache?;
     let pure = match p.cmd.as_str() {
         "sim" | "atpg" => true,
         "fault" => !p.has("--checkpoint") && (p.has("--seed") || p.has("--vectors-file")),
         _ => false,
     };
-    if !pure {
-        return None;
-    }
-    let vector_text = match p.str_value("--vectors-file") {
-        Some(path) => Some(load_source(sess, path).ok()?),
-        None => None,
-    };
-    Some((cache, artifact_key(p, src, vector_text.as_deref())))
+    let src = p.text(p.positionals.first()?).ok()?;
+    pure.then(|| (cache, answer_key(p, src)))
 }
 
-/// Runs a cacheable command line through the cache: a stored answer is
-/// replayed before any parsing, elaboration or optimization; on a miss
-/// the command runs and, if it succeeds, everything it wrote from its
-/// first byte (warnings, `--opt` and seed lines, the report, emitted
-/// files) is stored as one [`proto::Response::Ok`] line.
-fn cmd_reused(
-    p: &Parsed,
-    sess: &mut Session,
-    src: &str,
-    cache: &dyn Cache,
-    key: u64,
-) -> Result<(), Failure> {
-    let kind = p.cmd.as_str();
-    let stored = cache
-        .get_text(kind, key)
+// ---------------------------------------------------------------------
+// Command dispatch
+// ---------------------------------------------------------------------
+
+/// A command line as [`run`] first sees it.
+enum Line {
+    /// Help text, printed with exit 0 before any work.
+    Help(String),
+    /// A command to run.
+    Command(Parsed),
+}
+
+/// Parses a command line, or answers it with help; an unknown command or
+/// flag fails here, before any file is read.
+fn command_line(args: &[String]) -> Result<Line, Failure> {
+    let cmd = args.first().ok_or_else(general_usage)?;
+
+    // `--help`/`-h` anywhere prints usage and exits 0; `zeusc help
+    // [cmd]` is the spelled-out form.
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(Line::Help(match cmd.as_str() {
+            c if COMMANDS.contains(&c) && c != "help" => command_usage(c),
+            _ => general_usage(),
+        }));
+    }
+    if cmd == "help" {
+        return match args.get(1).map(String::as_str) {
+            None => Ok(Line::Help(general_usage())),
+            Some(c) if COMMANDS.contains(&c) => Ok(Line::Help(command_usage(c))),
+            Some(other) => Err(Failure::Usage(format!(
+                "unknown command '{other}'\n\n{}",
+                general_usage()
+            ))),
+        };
+    }
+    if !COMMANDS.contains(&cmd.as_str()) {
+        return Err(Failure::Usage(format!(
+            "unknown command '{cmd}'\n\n{}",
+            general_usage()
+        )));
+    }
+    parse_command_line(cmd, &args[1..]).map(Line::Command)
+}
+
+/// Runs one command line against the session: reads its inputs, replays
+/// a stored answer or runs the command, answers `Z905` in place of a run
+/// that ended past the server deadline, and stores a successful answer.
+///
+/// # Errors
+///
+/// The [`Failure`] carrying the message and exit code the binary
+/// prints; see the crate docs for the exit-code contract.
+pub fn run(args: &[String], sess: &mut Session) -> Result<(), Failure> {
+    let mut p = match command_line(args)? {
+        Line::Help(text) => {
+            wln!(sess.out, "{text}");
+            return Ok(());
+        }
+        Line::Command(p) => p,
+    };
+    p.inputs = read_inputs(&p, sess)?;
+
+    let slot = answer_slot(&p, sess);
+    let stored = slot
+        .and_then(|(cache, key)| cache.get_text(&p.cmd, key))
         .and_then(|text| proto::Response::decode(&text).ok());
     if let Some(proto::Response::Ok {
         code: 0,
@@ -880,107 +997,67 @@ fn cmd_reused(
         }
         return Ok(());
     }
+
     let marks = (sess.out.len(), sess.err.len(), sess.emitted.len());
-    cmd_elaborating(p, sess, src)?;
-    let answer = proto::Response::Ok {
-        code: 0,
-        out: sess.out[marks.0..].to_string(),
-        err: sess.err[marks.1..].to_string(),
-        files: sess.emitted[marks.2..].to_vec(),
-        cached: false,
-    };
-    cache.put_text(kind, key, &answer.encode());
+    dispatch(&p, sess)?;
+    if sess.deadline.is_some_and(|at| Instant::now() >= at) {
+        // The server's clock may have cut a budget short, so these bytes
+        // need not be the command's answer: report the limit instead.
+        sess.out.truncate(marks.0);
+        sess.err.truncate(marks.1);
+        sess.emitted.truncate(marks.2);
+        return Err(Failure::Limit(
+            zeus::Diagnostic::error(
+                zeus::Span::dummy(),
+                "request deadline exceeded before the command finished; its output is \
+                 withheld and not stored",
+            )
+            .with_code(zeus::codes::LIMIT_DEADLINE)
+            .to_string(),
+        ));
+    }
+    if let Some((cache, key)) = slot {
+        // Everything the command wrote from its first byte: warnings,
+        // `--opt` and seed lines, the report, emitted files.
+        let answer = proto::Response::Ok {
+            code: 0,
+            out: sess.out[marks.0..].to_string(),
+            err: sess.err[marks.1..].to_string(),
+            files: sess.emitted[marks.2..].to_vec(),
+            cached: false,
+        };
+        cache.put_text(&p.cmd, key, &answer.encode());
+    }
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Command dispatch
-// ---------------------------------------------------------------------
-
-/// Runs one command line against the session.
-///
-/// # Errors
-///
-/// The [`Failure`] carrying the message and exit code the binary
-/// prints; see the crate docs for the exit-code contract.
-pub fn run(args: &[String], sess: &mut Session) -> Result<(), Failure> {
-    let cmd = args.first().ok_or_else(general_usage)?;
-
-    // `--help`/`-h` anywhere prints usage and exits 0; `zeusc help
-    // [cmd]` is the spelled-out form.
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        let topic = if COMMANDS.contains(&cmd.as_str()) {
-            Some(cmd.as_str())
-        } else {
-            None
-        };
-        match topic {
-            Some(c) if c != "help" => wln!(sess.out, "{}", command_usage(c)),
-            _ => wln!(sess.out, "{}", general_usage()),
-        }
-        return Ok(());
-    }
-    if cmd == "help" {
-        match args.get(1).map(String::as_str) {
-            None => wln!(sess.out, "{}", general_usage()),
-            Some(c) if COMMANDS.contains(&c) => wln!(sess.out, "{}", command_usage(c)),
-            Some(other) => {
-                return Err(Failure::Usage(format!(
-                    "unknown command '{other}'\n\n{}",
-                    general_usage()
-                )))
-            }
-        }
-        return Ok(());
-    }
-    if !COMMANDS.contains(&cmd.as_str()) {
-        return Err(Failure::Usage(format!(
-            "unknown command '{cmd}'\n\n{}",
-            general_usage()
-        )));
-    }
-
-    let p = parse_command_line(cmd, &args[1..])?;
-    match cmd.as_str() {
+/// Runs the command itself.
+fn dispatch(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
+    match p.cmd.as_str() {
         "examples" => {
             for (name, src, top) in examples::ALL {
                 wln!(sess.out, "@{name:<14} top={top:<16} ({} bytes)", src.len());
             }
             Ok(())
         }
-        "check" => {
-            let file = p
-                .positionals
-                .first()
-                .ok_or_else(|| Failure::Usage(command_usage("check")))?;
-            parse(&load_source(sess, file)?)?;
-            wln!(sess.out, "ok");
-            Ok(())
-        }
-        "print" => {
-            let file = p
-                .positionals
-                .first()
-                .ok_or_else(|| Failure::Usage(command_usage("print")))?;
-            let z = parse(&load_source(sess, file)?)?;
-            w!(sess.out, "{}", z.to_canonical_text());
-            Ok(())
-        }
-        "equiv" => cmd_equiv(&p, sess),
-        "fuzz" => cmd_fuzz(&p, sess),
-        "import" => cmd_import(&p, sess),
-        "export" => cmd_export(&p, sess),
-        _ => {
+        "check" | "print" => {
             let file = p
                 .positionals
                 .first()
                 .ok_or_else(|| Failure::Usage(command_usage(&p.cmd)))?;
-            let src = load_source(sess, file)?;
-            match artifact_slot(&p, sess, &src) {
-                Some((cache, key)) => cmd_reused(&p, sess, &src, cache, key),
-                None => cmd_elaborating(&p, sess, &src),
+            let z = parse(p.text(file)?)?;
+            if p.cmd == "check" {
+                wln!(sess.out, "ok");
+            } else {
+                w!(sess.out, "{}", z.to_canonical_text());
             }
+            Ok(())
         }
+        "equiv" => cmd_equiv(p, sess),
+        "fuzz" => cmd_fuzz(p, sess),
+        "import" => cmd_import(p, sess),
+        "export" => cmd_export(p, sess),
+        _ => cmd_elaborating(p, sess),
     }
 }
 
@@ -995,17 +1072,90 @@ fn import_failure(e: &zeus::Diagnostic) -> Failure {
     }
 }
 
-/// The budget untrusted imports run under: the user's limit flags, with
+/// The budget untrusted imports run under: `limits`, with
 /// `max_input_bits` raised to the import default (the CLI has no flag
 /// for it, and the elaborator's exhaustive-simulation bound would
 /// reject ISCAS-class benchmark inputs).
-fn import_budget(p: &Parsed, sess: &Session) -> Result<Limits, Failure> {
-    let mut limits = p.limits()?;
-    sess.merge_deadline(&mut limits);
-    limits.max_input_bits = limits
-        .max_input_bits
-        .max(zeus::import_limits().max_input_bits);
-    Ok(limits)
+fn import_budget(limits: &Limits) -> Limits {
+    Limits {
+        max_input_bits: limits
+            .max_input_bits
+            .max(zeus::import_limits().max_input_bits),
+        ..limits.clone()
+    }
+}
+
+/// The design a command works on, and the limits its engines run under.
+/// A netlist interchange payload in place of a .zeus program is imported
+/// through the structural validator instead of elaborated: its top
+/// component is read from the file, and a positional or `--top`, when
+/// given, is checked against it. A program is parsed and elaborated, and
+/// its warnings printed.
+fn load_design(p: &Parsed, sess: &mut Session) -> Result<(zeus::Design, Limits), Failure> {
+    let file = p
+        .positionals
+        .first()
+        .ok_or_else(|| Failure::Usage(command_usage(&p.cmd)))?;
+    let src = p.text(file)?;
+    if zeus::detect_format(src) != zeus::NetlistFormat::Unknown {
+        if p.positionals.len() > 2 {
+            return Err(Failure::Usage(
+                "netlist inputs carry their elaboration; type parameters don't apply".to_string(),
+            ));
+        }
+        let limits = sess.limits(p)?;
+        let design =
+            zeus::import_design(src, &import_budget(&limits)).map_err(|e| import_failure(&e))?;
+        let claimed = p
+            .str_value("--top")
+            .or_else(|| p.positionals.get(1).map(String::as_str))
+            .filter(|top| !top.is_empty());
+        if let Some(top) = claimed.filter(|top| *top != design.top_type) {
+            return Err(Failure::Usage(format!(
+                "netlist file's top is '{}', not '{top}'",
+                design.top_type
+            )));
+        }
+        return Ok((design, limits));
+    }
+    let (_, top, targs) = file_top_args(p)?;
+    let limits = sess.limits(p)?;
+    let design = parse(src)?
+        .elaborate_limited(top, &targs, &limits)
+        .map_err(|e| diags_failure(&e, e.render(&zeus::SourceMap::new(src))))?;
+    for w in &design.warnings {
+        wln!(sess.err, "{}", w.render(&zeus::SourceMap::new(src)));
+    }
+    Ok((design, limits))
+}
+
+/// The statistics `elab` and `import` print; `import` adds the validated
+/// digest after the top, `elab` the instance count after the registers.
+fn design_stats(
+    out: &mut String,
+    design: &zeus::Design,
+    digest: Option<&str>,
+    instances: Option<usize>,
+) {
+    wln!(out, "top       : {}", design.top_type);
+    if let Some(digest) = digest {
+        wln!(out, "digest    : {digest}");
+    }
+    wln!(out, "nets      : {}", design.netlist.net_count());
+    wln!(out, "nodes     : {}", design.netlist.node_count());
+    wln!(out, "registers : {}", design.netlist.registers().count());
+    if let Some(n) = instances {
+        wln!(out, "instances : {n}");
+    }
+    for port in &design.ports {
+        wln!(
+            out,
+            "port      : {} {} [{} bit]",
+            port.mode,
+            port.name,
+            port.width()
+        );
+    }
 }
 
 /// Parses `--format` into a sniffable format choice.
@@ -1031,9 +1181,9 @@ fn cmd_import(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
             command_usage("import")
         )));
     }
-    let src = load_source(sess, file)?;
+    let src = p.text(file)?;
     if let Some(want) = format_flag(p)? {
-        let got = zeus::detect_format(&src);
+        let got = zeus::detect_format(src);
         if got != want {
             return Err(Failure::Diags(format!(
                 "error[Z601]: {file} does not look like the requested format \
@@ -1041,81 +1191,24 @@ fn cmd_import(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
             )));
         }
     }
-    let limits = import_budget(p, sess)?;
-    let design = zeus::import_design(&src, &limits).map_err(|e| import_failure(&e))?;
+    let limits = import_budget(&sess.limits(p)?);
+    let design = zeus::import_design(src, &limits).map_err(|e| import_failure(&e))?;
     let digest = zeus::validated_digest(&design);
     if p.has("--validate-only") {
         wln!(sess.out, "valid     : {digest}");
         return Ok(());
     }
-    wln!(sess.out, "top       : {}", design.top_type);
-    wln!(sess.out, "digest    : {digest}");
-    wln!(sess.out, "nets      : {}", design.netlist.net_count());
-    wln!(sess.out, "nodes     : {}", design.netlist.node_count());
-    wln!(
-        sess.out,
-        "registers : {}",
-        design.netlist.registers().count()
-    );
-    for port in &design.ports {
-        wln!(
-            sess.out,
-            "port      : {} {} [{} bit]",
-            port.mode,
-            port.name,
-            port.width()
-        );
-    }
+    design_stats(&mut sess.out, &design, Some(&digest), None);
     Ok(())
 }
 
 fn cmd_export(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
-    let file = p
-        .positionals
-        .first()
-        .ok_or_else(|| Failure::Usage(command_usage("export")))?
-        .clone();
-    let src = load_source(sess, &file)?;
     let format = format_flag(p)?.unwrap_or(zeus::NetlistFormat::Text);
-    let design = if zeus::detect_format(&src) != zeus::NetlistFormat::Unknown {
-        // Format conversion: an existing netlist payload re-exports
-        // (still through the validator — conversion of a hostile file
-        // is an import like any other).
-        let limits = import_budget(p, sess)?;
-        let design = zeus::import_design(&src, &limits).map_err(|e| import_failure(&e))?;
-        let claimed = p
-            .str_value("--top")
-            .or_else(|| p.positionals.get(1).map(String::as_str));
-        if let Some(top) = claimed {
-            if top != design.top_type {
-                return Err(Failure::Usage(format!(
-                    "netlist file's top is '{}', not '{top}'",
-                    design.top_type
-                )));
-            }
-        }
-        design
-    } else {
-        let (_, top, targs) = file_top_args(p)?;
-        let top = top.to_string();
-        let mut limits = p.limits()?;
-        sess.merge_deadline(&mut limits);
-        let z = parse(&src)?;
-        let design = z.elaborate_limited(&top, &targs, &limits).map_err(|e| {
-            let map = zeus::SourceMap::new(&src);
-            let rendered = e.render(&map);
-            diags_failure(&e, rendered)
-        })?;
-        for w in &design.warnings {
-            wln!(sess.err, "{}", w.render(&zeus::SourceMap::new(&src)));
-        }
-        design
-    };
+    let (design, _) = load_design(p, sess)?;
     let text = zeus::export_design(&design, format).map_err(|e| import_failure(&e))?;
     match p.str_value("--out") {
         Some(path) => {
-            let path = path.to_string();
-            sess.write_file(&path, &text)?;
+            sess.write_file(path, &text)?;
             wln!(
                 sess.err,
                 "exported  : {} ({} bytes) -> {path}",
@@ -1143,11 +1236,10 @@ fn cmd_equiv(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
     let args_a = top_args(&left[2..])?;
     let top_b = right.first().ok_or("missing second top")?;
     let args_b = top_args(&right[1..])?;
-    let src = load_source(sess, file)?;
-    let z = parse(&src)?;
-    let map = zeus::SourceMap::new(&src);
-    let mut limits = p.limits()?;
-    sess.merge_deadline(&mut limits);
+    let src = p.text(file)?;
+    let z = parse(src)?;
+    let map = zeus::SourceMap::new(src);
+    let mut limits = sess.limits(p)?;
     // The historical CLI cap (slightly above the library default).
     limits.max_input_bits = 22;
     let elab = |top: &str, targs: &[i64]| {
@@ -1166,118 +1258,25 @@ fn cmd_equiv(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
 }
 
 /// The commands that elaborate a design first: `elab`, `sim`, `layout`,
-/// `svg`, `graph`, `synth`, `opt`, `fault`, `atpg`; `src` is the text of
-/// the file argument.
-fn cmd_elaborating(p: &Parsed, sess: &mut Session, src: &str) -> Result<(), Failure> {
-    // A netlist interchange payload in place of a .zeus program: import
-    // (through the structural validator) instead of elaborating. The
-    // top component is read from the file; a positional or --top, when
-    // given, is checked against it.
-    let netlist_input = zeus::detect_format(src) != zeus::NetlistFormat::Unknown;
-    let (top, targs) = if netlist_input {
-        if p.positionals.len() > 2 {
-            return Err(Failure::Usage(
-                "netlist inputs carry their elaboration; type parameters don't apply".to_string(),
-            ));
-        }
-        let claimed = p
-            .str_value("--top")
-            .or_else(|| p.positionals.get(1).map(String::as_str))
-            .unwrap_or("")
-            .to_string();
-        (claimed, Vec::new())
-    } else {
-        let (_, top, targs) = file_top_args(p)?;
-        (top.to_string(), targs)
-    };
-    let limits = p.limits()?;
-    // The server wall-clock budget merges into the limits used for
-    // elaboration and simulation, but NOT into the set handed to
-    // `fault`: those are hashed into the campaign digest, which must
-    // be stable across requests for the auto-journal resume to find
-    // its file again (the budget reaches campaigns through the
-    // campaign deadline instead).
-    let mut budgeted = limits.clone();
-    sess.merge_deadline(&mut budgeted);
-
-    // Only the daemon-routed commands consult the design cache: the
-    // stored form drops the instance/layout tree and spans, which
-    // `elab`/`layout`/`svg` output depends on. Imports are cheap next to
-    // elaboration and carry their own digest, so they bypass it.
-    let design_slot = match sess.cache {
-        Some(cache) if !netlist_input && matches!(p.cmd.as_str(), "sim" | "fault" | "atpg") => {
-            Some((cache, design_cache_key(p, src, &top, &targs)))
-        }
-        _ => None,
-    };
-    // `design_from_text` recomputes the embedded digest, so an entry
-    // that slipped past the store checksum, or one written in an older
-    // format, is a miss; the re-elaborated design then overwrites it.
-    let cached = design_slot
-        .and_then(|(cache, key)| cache.get_text("design", key))
-        .and_then(|text| zeus::design_from_text(&text).ok());
-    let design = if netlist_input {
-        let import_limits = import_budget(p, sess)?;
-        let design = zeus::import_design(src, &import_limits).map_err(|e| import_failure(&e))?;
-        if !top.is_empty() && top != design.top_type {
-            return Err(Failure::Usage(format!(
-                "netlist file's top is '{}', not '{top}'",
-                design.top_type
-            )));
-        }
-        design
-    } else if let Some(design) = cached {
-        // Stored designs are warning-free, so skipping the warning loop
-        // below keeps stderr byte-identical.
-        sess.cache_hits += 1;
-        design
-    } else {
-        let z = parse(src)?;
-        let design = z.elaborate_limited(&top, &targs, &budgeted).map_err(|e| {
-            let map = zeus::SourceMap::new(src);
-            let rendered = e.render(&map);
-            diags_failure(&e, rendered)
-        })?;
-        for w in &design.warnings {
-            wln!(sess.err, "{}", w.render(&zeus::SourceMap::new(src)));
-        }
-        if let Some((cache, key)) = design_slot.filter(|_| design.warnings.is_empty()) {
-            cache.put_text("design", key, &zeus::design_to_text(&design));
-        }
-        design
-    };
+/// `svg`, `graph`, `synth`, `opt`, `fault`, `atpg`.
+fn cmd_elaborating(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
+    let (design, limits) = load_design(p, sess)?;
     // `--opt` (sim/fault/atpg) threads the elaborated design through
     // the equivalence-gated optimizer before the engine sees it. The
     // optimized design has a distinct digest, so fault checkpoints and
     // campaign journals never splice across the optimization boundary.
     let design = if p.has("--opt") {
-        optimized_design(sess, design, &budgeted)?
+        optimized_design(sess, design, &limits)?
     } else {
         design
     };
     match p.cmd.as_str() {
         "elab" => {
-            wln!(sess.out, "top       : {}", design.top_type);
-            wln!(sess.out, "nets      : {}", design.netlist.net_count());
-            wln!(sess.out, "nodes     : {}", design.netlist.node_count());
-            wln!(
-                sess.out,
-                "registers : {}",
-                design.netlist.registers().count()
-            );
-            wln!(sess.out, "instances : {}", design.instances.size());
-            for p in &design.ports {
-                wln!(
-                    sess.out,
-                    "port      : {} {} [{} bit]",
-                    p.mode,
-                    p.name,
-                    p.width()
-                );
-            }
+            let instances = design.instances.size();
+            design_stats(&mut sess.out, &design, None, Some(instances));
             Ok(())
         }
-        "sim" => cmd_sim(p, sess, design, &budgeted),
+        "sim" => cmd_sim(p, sess, design, &limits),
         "svg" => {
             let plan = zeus::floorplan(&design);
             w!(sess.out, "{}", plan.render_svg(16));
@@ -1303,11 +1302,11 @@ fn cmd_elaborating(p: &Parsed, sess: &mut Session, src: &str) -> Result<(), Fail
             }
             Ok(())
         }
-        "opt" => cmd_opt(p, sess, design, &budgeted),
-        "fault" => cmd_fault(p, sess, design, &limits),
-        "atpg" => cmd_atpg(p, sess, design, &budgeted),
+        "opt" => cmd_opt(p, sess, design, &limits),
+        "fault" => cmd_fault(p, sess, design),
+        "atpg" => cmd_atpg(p, sess, design, &limits),
         _ => {
-            let sw = zeus::SwitchSim::with_limits(&design, &budgeted);
+            let sw = zeus::SwitchSim::with_limits(&design, &limits);
             wln!(sess.out, "transistors : {}", sw.transistor_count());
             wln!(sess.out, "nodes       : {}", sw.node_count());
             Ok(())
@@ -1443,10 +1442,27 @@ fn cmd_opt(
         }
     }
     if let Some(path) = p.str_value("--emit") {
-        let path = path.to_string();
-        sess.write_file(&path, &zeus::design_to_text(&out.design))?;
+        sess.write_file(path, &zeus::design_to_text(&out.design))?;
     }
     Ok(())
+}
+
+/// The seed `sim`, `atpg` and `fuzz` use without `--seed`, and every
+/// simulator's own.
+const DEFAULT_SEED: u64 = 0x2E05_1983;
+
+/// `--seed`, or [`DEFAULT_SEED`]: the fixed default keeps runs
+/// reproducible, and stderr says which seed was used (satisfying
+/// scripted reproduction) without touching stdout.
+fn seed_or_default(p: &Parsed, sess: &mut Session) -> Result<u64, Failure> {
+    let seed = p.u64_value("--seed")?;
+    if seed.is_none() {
+        wln!(
+            sess.err,
+            "seed      : {DEFAULT_SEED} (default; pass --seed to vary)"
+        );
+    }
+    Ok(seed.unwrap_or(DEFAULT_SEED))
 }
 
 fn cmd_sim(
@@ -1456,17 +1472,7 @@ fn cmd_sim(
     limits: &Limits,
 ) -> Result<(), Failure> {
     let cycles = p.u64_nonzero("--cycles")?.unwrap_or(8);
-    let seed = p.u64_value("--seed")?;
-    if seed.is_none() {
-        // The fixed default seed keeps runs reproducible; say which one
-        // was used (satisfying scripted reproduction) without polluting
-        // stdout.
-        wln!(
-            sess.err,
-            "seed      : {} (default; pass --seed to vary)",
-            0x2E05_1983u64
-        );
-    }
+    let seed = seed_or_default(p, sess)?;
     let forcings: Vec<(String, u64)> = p
         .values("--set")
         .iter()
@@ -1483,9 +1489,7 @@ fn cmd_sim(
 
     let ports = design.ports.clone();
     let mut sim = zeus::Simulator::with_limits(design, limits).map_err(|e| diag_failure(&e))?;
-    if let Some(s) = seed {
-        sim.reseed(s);
-    }
+    sim.reseed(seed);
     for (port, val) in &forcings {
         sim.set_port_num(port, *val)
             .map_err(|e| Failure::Usage(e.to_string()))?;
@@ -1504,14 +1508,9 @@ fn cmd_sim(
     Ok(())
 }
 
-fn cmd_fault(
-    p: &Parsed,
-    sess: &mut Session,
-    design: zeus::Design,
-    limits: &Limits,
-) -> Result<(), Failure> {
+fn cmd_fault(p: &Parsed, sess: &mut Session, design: zeus::Design) -> Result<(), Failure> {
     let vectors = p.u32_count("--vectors", 1)?.unwrap_or(64);
-    let vector_text = match p.str_value("--vectors-file") {
+    let vector_set = match p.str_value("--vectors-file") {
         None => None,
         Some(path) => {
             if p.has("--vectors") {
@@ -1519,12 +1518,8 @@ fn cmd_fault(
                     "--vectors-file supplies the vectors; don't also pass --vectors".to_string(),
                 ));
             }
-            Some(load_source(sess, path)?)
+            Some(zeus::VectorSet::parse(p.text(path)?).map_err(|e| diag_failure(&e))?)
         }
-    };
-    let vector_set = match &vector_text {
-        None => None,
-        Some(text) => Some(zeus::VectorSet::parse(text).map_err(|e| diag_failure(&e))?),
     };
     let checkpoint = match (p.str_value("--checkpoint"), p.has("--resume")) {
         (None, true) => {
@@ -1597,10 +1592,7 @@ fn cmd_fault(
     };
     // Every campaign runs on the packed runner; --jobs shards either
     // engine.
-    let jobs = match p.u64_nonzero("--jobs")? {
-        Some(n) => n as usize,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
+    let jobs = p.jobs()?;
 
     let opts = zeus::FaultListOptions {
         bridges: p.has("--bridges"),
@@ -1616,13 +1608,15 @@ fn cmd_fault(
         }
         None => zeus::CampaignConfig::new(engine, vectors, seed),
     };
-    cfg.limits = limits.clone();
-    if let Some(ms) = p.u64_value("--campaign-timeout")? {
-        cfg.campaign_deadline = Some(Duration::from_millis(ms));
-    }
-    if let Some(rem) = sess.remaining() {
-        cfg.campaign_deadline = Some(cfg.campaign_deadline.map_or(rem, |u| u.min(rem)));
-    }
+    // The user's limit flags alone: the campaign digest hashes them, and
+    // the auto-journal resume needs it stable across requests. The
+    // server deadline stops the campaign instead (a partial report, exit
+    // 3, the journal kept).
+    cfg.limits = p.limits()?;
+    cfg.campaign_deadline = sess.within_deadline(
+        p.u64_value("--campaign-timeout")?
+            .map(Duration::from_millis),
+    );
     cfg.cancel = sess.cancel;
 
     // Daemon-side auto-journal: campaigns without a user checkpoint are
@@ -1671,24 +1665,15 @@ fn cmd_atpg(
     design: zeus::Design,
     limits: &Limits,
 ) -> Result<(), Failure> {
+    // The server deadline arrives in `limits` only: fair per-fault
+    // slices follow a user's --campaign-timeout, never the server's clock.
     let mut cfg = zeus::AtpgConfig {
         limits: limits.clone(),
         ..zeus::AtpgConfig::default()
     };
-    sess.merge_deadline(&mut cfg.limits);
-    cfg.seed = match p.u64_value("--seed")? {
-        Some(s) => s,
-        None => {
-            // Unlike `fault`, the default is fixed, not time-based:
-            // reproducible vector sets are the whole point of ATPG.
-            wln!(
-                sess.err,
-                "seed      : {} (default; pass --seed to vary)",
-                0x2E05_1983u64
-            );
-            0x2E05_1983
-        }
-    };
+    // Unlike `fault`, the default seed is fixed, not time-based:
+    // reproducible vector sets are the whole point of ATPG.
+    cfg.seed = seed_or_default(p, sess)?;
     let target = match p.str_value("--coverage-target") {
         None => None,
         Some(v) => {
@@ -1725,21 +1710,24 @@ fn cmd_atpg(
     if let Some(n) = p.u64_value("--sat-conflicts")? {
         cfg.sat_conflicts = n;
     }
-    if let Some(dir) = p.str_value("--emit-cnf") {
-        if !cfg.sat {
-            return Err(Failure::Usage(
-                "--emit-cnf requires --sat (the audit trail is the SAT engine's)".to_string(),
-            ));
-        }
-        cfg.emit_cnf = Some(PathBuf::from(dir));
+    let cnf_dir = p.str_value("--emit-cnf");
+    if cnf_dir.is_some() && !cfg.sat {
+        return Err(Failure::Usage(
+            "--emit-cnf requires --sat (the audit trail is the SAT engine's)".to_string(),
+        ));
     }
+    cfg.emit_cnf = cnf_dir.is_some();
     if let Some(ms) = p.u64_value("--campaign-timeout")? {
         cfg.campaign_deadline = Some(Duration::from_millis(ms));
     }
-    if let Some(rem) = sess.remaining() {
-        cfg.campaign_deadline = Some(cfg.campaign_deadline.map_or(rem, |u| u.min(rem)));
-    }
     let report = zeus::run_atpg(&design, &cfg).map_err(|e| diag_failure(&e))?;
+    if let Some(dir) = cnf_dir {
+        // One DIMACS file per SAT-backed redundancy claim, in claim order.
+        for (i, text) in report.cnf_audits.iter().enumerate() {
+            let path = std::path::Path::new(dir).join(format!("redundant-{i:03}.cnf"));
+            sess.write_file(&path.to_string_lossy(), text)?;
+        }
+    }
     if report.mode == zeus::AtpgMode::Sequence {
         // Sequential designs never get PODEM redundancy proofs; say
         // which fallback built the set and how to do better.
@@ -1761,8 +1749,7 @@ fn cmd_atpg(
             // replays; the marker is for humans and scripts that grep.
             text.push_str("# PARTIAL: generation was interrupted; this set is incomplete\n");
         }
-        let path = path.to_string();
-        sess.write_file(&path, &text)?;
+        sess.write_file(path, &text)?;
     }
     if p.has("--json") {
         wln!(sess.out, "{}", report.to_json());
@@ -1805,9 +1792,7 @@ fn cmd_fuzz(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
     if !replays.is_empty() {
         let mut reproduced = 0usize;
         for path in replays {
-            let text = load_source(sess, path)?;
-            let seed_hint = 0x2E05_1983u64;
-            let outcome = zeus_fuzz::replay(&text, fuzz_scratch(seed_hint))
+            let outcome = zeus_fuzz::replay(p.text(path)?, fuzz_scratch(DEFAULT_SEED))
                 .map_err(|e| Failure::Usage(format!("{path}: {e}")))?;
             let verdict = if outcome.reproduced {
                 reproduced += 1;
@@ -1829,28 +1814,13 @@ fn cmd_fuzz(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
         return Ok(());
     }
 
-    let seed = match p.u64_value("--seed")? {
-        Some(s) => s,
-        None => {
-            // Fixed default, like sim/atpg: reproducible campaigns are
-            // the point, and the echo satisfies scripted reproduction.
-            wln!(
-                sess.err,
-                "seed      : {} (default; pass --seed to vary)",
-                0x2E05_1983u64
-            );
-            0x2E05_1983
-        }
-    };
+    let seed = seed_or_default(p, sess)?;
     let mut cfg = zeus_fuzz::FuzzConfig::new(
         seed,
         p.u64_nonzero("--budget")?.unwrap_or(100),
         fuzz_scratch(seed),
     );
-    cfg.jobs = match p.u64_nonzero("--jobs")? {
-        Some(n) => n as usize,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
+    cfg.jobs = p.jobs()?;
     if let Some(n) = p.u32_count("--size", 0)? {
         cfg.size = n;
     }
@@ -1872,9 +1842,7 @@ fn cmd_fuzz(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
         })?;
         cfg.chaos = Some(oracle);
     }
-    let mut limits = p.limits()?;
-    sess.merge_deadline(&mut limits);
-    cfg.limits = limits;
+    cfg.limits = sess.limits(p)?;
 
     let report = zeus_fuzz::run_fuzz(&cfg);
     w!(sess.out, "{}", report.render());
@@ -1885,10 +1853,6 @@ fn cmd_fuzz(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
     // Persist reproducers and print their paths on stdout — the exit-2
     // contract scripts rely on.
     let corpus = p.str_value("--corpus").unwrap_or("fuzz-corpus");
-    if sess.sources.is_none() {
-        std::fs::create_dir_all(corpus)
-            .map_err(|e| Failure::Usage(format!("cannot create {corpus}: {e}")))?;
-    }
     wln!(sess.out, "");
     for f in &report.failures {
         let path = format!("{corpus}/{}", f.file_name);

@@ -8,10 +8,12 @@
 //!   which is flushed to stdout/stderr at the end (broken pipes are
 //!   ignored — `zeusc ... | head` must not panic).
 //! * With `--remote SOCKET`, against a running `zeusd`: the command
-//!   line and any referenced files are shipped over the socket, and the
-//!   daemon's answer (bytes, exit code, emitted files) is mirrored
-//!   exactly. Transient failures (`overloaded`, connection refused) are
-//!   retried with exponential backoff; see `zeus_cli::remote`.
+//!   line and the input files a local run would read are shipped over
+//!   the socket, and the daemon's answer (bytes, exit code, emitted
+//!   files, written through the same writer a local run uses) is
+//!   mirrored exactly. Transient failures (`overloaded`, connection
+//!   refused) are retried with exponential backoff; see
+//!   `zeus_cli::remote`.
 //! * With `--remote-or-local SOCKET`, the same, but an unreachable
 //!   daemon degrades to a local run with a warning instead of an error.
 //!
@@ -62,10 +64,11 @@ fn main() -> ExitCode {
                     err,
                     files,
                 } => {
+                    let mut sess = zeus_cli::Session::local();
                     for (path, content) in &files {
-                        if let Err(e) = std::fs::write(path, content) {
-                            eprintln!("cannot write {path}: {e}");
-                            return ExitCode::from(1);
+                        if let Err(f) = sess.write_file(path, content) {
+                            eprintln!("{}", f.message());
+                            return ExitCode::from(f.code());
                         }
                     }
                     flush_to(&mut std::io::stdout(), &out);

@@ -16,8 +16,8 @@
 //! ```
 //!
 //! `argv` is the exact `zeusc` command line (subcommand first, no
-//! `--remote`); `sources` inlines every file the command line
-//! references, keyed by the path string used in `argv`; `deadline_ms`
+//! `--remote`); `sources` inlines every input file the command line
+//! reads, keyed by the path string used in `argv`; `deadline_ms`
 //! (optional) caps the request's wall clock on top of the server
 //! default; `chaos_panic` asks a chaos-enabled server to panic inside
 //! the worker (test hook, ignored otherwise).
@@ -35,12 +35,39 @@
 //! ```
 //!
 //! `ok` mirrors a local run exactly: `code` is the process exit code,
-//! `out`/`err` the bytes for stdout/stderr, `files` any `--emit-vectors`
-//! output to be written client-side. `overloaded` means the bounded
+//! `out`/`err` the bytes for stdout/stderr, `files` every file the run
+//! emitted (`--emit-vectors`, `--emit-cnf` audits, fuzz reproducers,
+//! ...) to be written client-side. `overloaded` means the bounded
 //! queue was full — retry after the hinted delay. `shutting_down` means
 //! the daemon is draining and will not accept new work.
 
 pub use zeus::Json;
+
+/// Encodes request `sources` and response `files`: a JSON object of
+/// strings keyed by path.
+fn encode_map(pairs: &[(String, String)]) -> Json {
+    Json::Obj(
+        pairs
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+            .collect(),
+    )
+}
+
+/// Decodes what [`encode_map`] wrote (an absent field is empty); `what`
+/// names the values in the error for a non-string one.
+fn decode_map(v: Option<&Json>, what: &str) -> Result<Vec<(String, String)>, String> {
+    let Some(Json::Obj(pairs)) = v else {
+        return Ok(Vec::new());
+    };
+    pairs
+        .iter()
+        .map(|(k, val)| match val.as_str() {
+            Some(text) => Ok((k.clone(), text.to_string())),
+            None => Err(format!("{what} values must be strings")),
+        })
+        .collect()
+}
 
 /// One `zeusc` invocation shipped to the daemon.
 #[derive(Debug, Clone, Default)]
@@ -68,15 +95,7 @@ impl Request {
                 "argv".to_string(),
                 Json::Arr(self.argv.iter().cloned().map(Json::Str).collect()),
             ),
-            (
-                "sources".to_string(),
-                Json::Obj(
-                    self.sources
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                        .collect(),
-                ),
-            ),
+            ("sources".to_string(), encode_map(&self.sources)),
         ];
         if let Some(ms) = self.deadline_ms {
             obj.push(("deadline_ms".to_string(), Json::Num(ms)));
@@ -102,21 +121,10 @@ impl Request {
                 .ok_or("argv items must be strings")?,
             _ => return Err("missing argv".to_string()),
         };
-        let mut sources = Vec::new();
-        if let Some(Json::Obj(pairs)) = v.get("sources") {
-            for (k, val) in pairs {
-                sources.push((
-                    k.clone(),
-                    val.as_str()
-                        .ok_or("source values must be strings")?
-                        .to_string(),
-                ));
-            }
-        }
         Ok(Request {
             id: v.get("id").and_then(Json::as_u64).unwrap_or(0),
             argv,
-            sources,
+            sources: decode_map(v.get("sources"), "source")?,
             deadline_ms: v.get("deadline_ms").and_then(Json::as_u64),
             chaos_panic: v
                 .get("chaos_panic")
@@ -140,8 +148,7 @@ pub enum Response {
         err: String,
         /// Files to write client-side, as `(path, content)`.
         files: Vec<(String, String)>,
-        /// True when the answer was replayed from the daemon's store or
-        /// the run reused a stored elaborated design.
+        /// True when the answer was replayed from the daemon's store.
         cached: bool,
     },
     /// The bounded queue was full; retry after the hinted delay.
@@ -173,15 +180,7 @@ impl Response {
                 ("code".to_string(), Json::Num(u64::from(*code))),
                 ("out".to_string(), Json::Str(out.clone())),
                 ("err".to_string(), Json::Str(err.clone())),
-                (
-                    "files".to_string(),
-                    Json::Obj(
-                        files
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                            .collect(),
-                    ),
-                ),
+                ("files".to_string(), encode_map(files)),
                 ("cached".to_string(), Json::Bool(*cached)),
             ],
             Response::Overloaded { retry_after_ms } => vec![
@@ -207,38 +206,25 @@ impl Response {
     pub fn decode(line: &str) -> Result<Response, String> {
         let v = Json::parse(line)?;
         match v.get("status").and_then(Json::as_str) {
-            Some("ok") => {
-                let mut files = Vec::new();
-                if let Some(Json::Obj(pairs)) = v.get("files") {
-                    for (k, val) in pairs {
-                        files.push((
-                            k.clone(),
-                            val.as_str()
-                                .ok_or("file values must be strings")?
-                                .to_string(),
-                        ));
-                    }
-                }
-                Ok(Response::Ok {
-                    code: v
-                        .get("code")
-                        .and_then(Json::as_u64)
-                        .and_then(|c| u8::try_from(c).ok())
-                        .ok_or("missing code")?,
-                    out: v
-                        .get("out")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    err: v
-                        .get("err")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    files,
-                    cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
-                })
-            }
+            Some("ok") => Ok(Response::Ok {
+                code: v
+                    .get("code")
+                    .and_then(Json::as_u64)
+                    .and_then(|c| u8::try_from(c).ok())
+                    .ok_or("missing code")?,
+                out: v
+                    .get("out")
+                    .and_then(Json::as_str)
+                    .unwrap_or("")
+                    .to_string(),
+                err: v
+                    .get("err")
+                    .and_then(Json::as_str)
+                    .unwrap_or("")
+                    .to_string(),
+                files: decode_map(v.get("files"), "file")?,
+                cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
+            }),
             Some("overloaded") => Ok(Response::Overloaded {
                 retry_after_ms: v.get("retry_after_ms").and_then(Json::as_u64).unwrap_or(50),
             }),

@@ -132,47 +132,6 @@ pub fn extract_remote_flags(args: &mut Vec<String>) -> Result<Option<RemoteOpts>
     Ok(found)
 }
 
-/// Collects the files a command line references so they can be inlined
-/// into the request: any argument that names an existing regular file
-/// (flag values like `--seed 42` never do; `@name` examples resolve
-/// server-side). Over-collection is harmless — the server only reads
-/// entries the command actually opens.
-fn collect_sources(argv: &[String]) -> Vec<(String, String)> {
-    let mut sources = Vec::new();
-    for arg in argv.iter().skip(1) {
-        if arg.starts_with('-') || arg.starts_with('@') {
-            continue;
-        }
-        if sources.iter().any(|(p, _)| p == arg) {
-            continue;
-        }
-        let path = std::path::Path::new(arg);
-        if path.is_file() {
-            if let Ok(text) = std::fs::read_to_string(path) {
-                sources.push((arg.clone(), text));
-            }
-        }
-    }
-    // Values of file-taking flags are skipped by the positional scan
-    // above only when they start with '-'; cover the explicit ones.
-    let mut iter = argv.iter().peekable();
-    while let Some(arg) = iter.next() {
-        let value = match arg.split_once('=') {
-            Some(("--vectors-file", v)) => Some(v.to_string()),
-            None if arg == "--vectors-file" => iter.peek().map(|s| s.to_string()),
-            _ => None,
-        };
-        if let Some(v) = value {
-            if !sources.iter().any(|(p, _)| p == &v) {
-                if let Ok(text) = std::fs::read_to_string(&v) {
-                    sources.push((v, text));
-                }
-            }
-        }
-    }
-    sources
-}
-
 /// Cheap random jitter without a dependency: the randomly-seeded
 /// default hasher state, hashed once.
 fn jitter_ms(max: u64) -> u64 {
@@ -209,11 +168,25 @@ fn exchange(opts: &RemoteOpts, line: &str) -> Result<Response, String> {
 }
 
 /// Runs `argv` against the daemon, with retries per the module docs.
+/// The input files a local run would read are read here and inlined in
+/// the request; one that cannot be read fails right here, with the
+/// message and exit code of the local run.
 pub fn run_remote(opts: &RemoteOpts, argv: &[String]) -> RemoteOutcome {
+    let sources = match crate::local_inputs(argv) {
+        Ok(sources) => sources,
+        Err(f) => {
+            return RemoteOutcome::Done {
+                code: f.code(),
+                out: String::new(),
+                err: format!("{}\n", f.message()),
+                files: Vec::new(),
+            }
+        }
+    };
     let req = Request {
         id: std::process::id().into(),
         argv: argv.to_vec(),
-        sources: collect_sources(argv),
+        sources,
         deadline_ms: None,
         chaos_panic: false,
     };
@@ -336,21 +309,68 @@ mod tests {
     }
 
     #[test]
-    fn collects_existing_files_only() {
+    fn ships_the_inputs_a_local_run_reads() {
         let dir = std::env::temp_dir().join(format!("zeus-remote-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let src = dir.join("a.zeus");
         std::fs::write(&src, "TYPE t = ...").unwrap();
-        let srcs = collect_sources(&argv(&[
-            "sim",
-            src.to_str().unwrap(),
+        let src = src.to_str().unwrap();
+        let vecs = dir.join("v.txt");
+        std::fs::write(&vecs, "zeus-vectors").unwrap();
+        let vecs = vecs.to_str().unwrap();
+        let journal = dir.join("j.json");
+        std::fs::write(&journal, "{}").unwrap();
+        // The program file and --vectors-file, never a flag value that
+        // happens to name a file, nor a bundled example.
+        let srcs = crate::local_inputs(&argv(&[
+            "fault",
+            src,
             "halfadder",
-            "--seed",
-            "42",
-        ]));
-        assert_eq!(srcs.len(), 1);
-        assert_eq!(srcs[0].0, src.to_str().unwrap());
-        assert_eq!(srcs[0].1, "TYPE t = ...");
+            "--vectors-file",
+            vecs,
+            "--checkpoint",
+            journal.to_str().unwrap(),
+        ]))
+        .unwrap_or_else(|f| panic!("{}", f.message()));
+        assert_eq!(
+            srcs,
+            [
+                (src.to_string(), "TYPE t = ...".to_string()),
+                (vecs.to_string(), "zeus-vectors".to_string())
+            ]
+        );
+        let example = crate::local_inputs(&argv(&["sim", "@adders", src])).ok();
+        assert_eq!(example, Some(Vec::new()));
+        // Help and a bad flag read nothing; the daemon answers them.
+        for args in [
+            ["sim", "missing.zeus", "--help"],
+            ["sim", "missing.zeus", "--bogus"],
+        ] {
+            assert_eq!(crate::local_inputs(&argv(&args)).ok(), Some(Vec::new()));
+        }
+        // An unreadable input fails with the local run's message.
+        let missing = argv(&[
+            "fault",
+            "@adders",
+            "rippleCarry4",
+            "--vectors-file",
+            "missing.txt",
+        ]);
+        let (code, _, err) = crate::run_captured(&missing);
+        match run_remote(
+            &RemoteOpts {
+                socket: dir.join("no.sock"),
+                fallback_local: false,
+            },
+            &missing,
+        ) {
+            RemoteOutcome::Done {
+                code: rcode,
+                err: rerr,
+                ..
+            } => assert_eq!((rcode, rerr), (code, err)),
+            other => panic!("{other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

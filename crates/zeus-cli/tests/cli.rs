@@ -854,6 +854,49 @@ fn atpg_same_seed_runs_are_byte_identical() {
     assert!(a.contains("\"tool\":\"zeus-atpg\""), "{a}");
 }
 
+/// Every emitted file goes through one writer, which creates missing
+/// parent directories.
+#[test]
+fn emitted_files_create_their_directories() {
+    let dir = std::env::temp_dir().join(format!("zeusc-emit-dirs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = |name: &str| dir.join(name).join("deeper").join("file");
+    let cases: [(&str, &[&str], &str); 3] = [
+        (
+            "vec",
+            &[
+                "atpg",
+                "@adders",
+                "rippleCarry4",
+                "--seed",
+                "5",
+                "--emit-vectors",
+            ],
+            "zeus-vectors",
+        ),
+        (
+            "design",
+            &["opt", "@mux", "muxtop", "--emit"],
+            "zeus-design",
+        ),
+        (
+            "netlist",
+            &["export", "@mux", "muxtop", "--out"],
+            "zeus netlist",
+        ),
+    ];
+    for (name, args, magic) in cases {
+        let file = path(name);
+        let mut argv = args.to_vec();
+        argv.push(file.to_str().unwrap());
+        let (code, _, stderr) = zeusc_code(&argv);
+        assert_eq!(code, 0, "{argv:?}: {stderr}");
+        let text = std::fs::read_to_string(&file).expect("emitted file");
+        assert!(text.starts_with(magic), "{argv:?}: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn atpg_emitted_vectors_replay_to_the_same_grade() {
     let dir = std::env::temp_dir().join("zeusc-test");
@@ -916,6 +959,23 @@ fn atpg_coverage_target_failure_exits_2() {
 
 #[test]
 fn fault_rejects_vectors_file_with_vectors() {
+    let dir = std::env::temp_dir().join("zeusc-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let vec_path = dir.join("conflict.vec");
+    std::fs::write(&vec_path, "zeus-vectors v1\n").unwrap();
+    let (code, _, stderr) = zeusc_code(&[
+        "fault",
+        "@adders",
+        "rippleCarry4",
+        "--vectors-file",
+        vec_path.to_str().unwrap(),
+        "--vectors",
+        "8",
+    ]);
+    assert_eq!(code, 1);
+    assert!(stderr.contains("don't also pass --vectors"), "{stderr}");
+    // Input files are read before any work, so an unreadable one is
+    // reported first.
     let (code, _, stderr) = zeusc_code(&[
         "fault",
         "@adders",
@@ -926,7 +986,7 @@ fn fault_rejects_vectors_file_with_vectors() {
         "8",
     ]);
     assert_eq!(code, 1);
-    assert!(stderr.contains("don't also pass --vectors"), "{stderr}");
+    assert!(stderr.contains("cannot read /nonexistent.vec"), "{stderr}");
 }
 
 #[test]

@@ -1,10 +1,13 @@
 //! The reuse layer against an in-memory [`Cache`]: every answer a
 //! cached session gives, miss or hit, equals a local run of the same
-//! command line, and a hit reads nothing but its stored answer.
+//! command line, and a hit reads nothing but its stored answer. A
+//! server deadline never changes an answer either: unreached, it leaves
+//! the bytes alone; reached, the run answers Z905 and stores nothing.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use zeus_cli::{run_captured, run_to_completion, Cache, Session};
 
@@ -90,7 +93,7 @@ fn scratch(name: &str) -> PathBuf {
 
 /// Sends each command line twice through one cache, in order, and
 /// checks every answer against a local run: the first of a pair is a
-/// miss (or a design hit), the second a hit on the whole answer.
+/// miss, the second a hit on the whole answer.
 fn assert_interleaving_matches_local(runs: &[&[&str]]) {
     let cache = MemCache::default();
     let sources = HashMap::new();
@@ -102,7 +105,7 @@ fn assert_interleaving_matches_local(runs: &[&[&str]]) {
         assert_eq!(hit, want, "replayed answer to {args:?}");
         assert!(hits > 0, "second {args:?} missed");
     }
-    assert_eq!(cache.kinds(), ["design", "fault"]);
+    assert_eq!(cache.kinds(), ["fault"]);
 }
 
 #[test]
@@ -218,23 +221,6 @@ fn an_answer_hit_reads_only_its_answer_entry() {
 }
 
 #[test]
-fn a_design_entry_hit_counts_as_cached() {
-    let cache = MemCache::default();
-    let sources = HashMap::new();
-    let (_, hits) = cached(&cache, &sources, &["sim", "@adders", "rippleCarry4"]);
-    assert_eq!(hits, 0);
-    assert_eq!(
-        cache.take_log(),
-        ["get sim", "get design", "put design", "put sim"]
-    );
-    let args = ["sim", "@adders", "rippleCarry4", "--seed", "9"];
-    let (answer, hits) = cached(&cache, &sources, &args);
-    assert_eq!(answer, local(&args, &[]));
-    assert_eq!(hits, 1, "the design entry was not reused");
-    assert_eq!(cache.take_log(), ["get sim", "get design", "put sim"]);
-}
-
-#[test]
 fn warnings_opt_lines_and_emitted_files_replay_byte_identically() {
     // `multiplex := multiplex` is legal with an elaboration warning.
     let src = "TYPE t = COMPONENT (IN a: boolean; OUT s: boolean) IS \
@@ -276,15 +262,6 @@ fn warnings_opt_lines_and_emitted_files_replay_byte_identically() {
         assert_eq!(hit, want, "replayed answer to {args:?}");
         assert_eq!(hits, 1, "{args:?}");
     }
-    // Designs with warnings are never stored: only the rippleCarry4
-    // design made it into the cache.
-    let designs = cache
-        .entries
-        .borrow()
-        .keys()
-        .filter(|(k, _)| k == "design")
-        .count();
-    assert_eq!(designs, 1);
     let _ = std::fs::remove_file(&file);
 }
 
@@ -293,7 +270,8 @@ fn uncomputable_keys_and_failures_are_neither_looked_up_nor_stored() {
     let cache = MemCache::default();
     let sources = HashMap::new();
     let cases: &[&[&str]] = &[
-        // The vector file cannot be read: no key.
+        // The vector file cannot be read: the run fails before any
+        // lookup.
         &[
             "fault",
             "@adders",
@@ -325,4 +303,81 @@ fn uncomputable_keys_and_failures_are_neither_looked_up_nor_stored() {
     let log = cache.take_log();
     assert_eq!(log.first().map(String::as_str), Some("get atpg"));
     assert!(!log.iter().any(|c| c == "put atpg"), "{log:?}");
+}
+
+/// A run that finishes past the server deadline answers Z905 (exit 3)
+/// in place of output the deadline may have cut short, and stores
+/// nothing: an ATPG run whose searches the deadline aborted (which is
+/// not an error) must not pass off that answer as the command's.
+#[test]
+fn a_run_past_the_deadline_answers_z905_and_stores_nothing() {
+    let cache = MemCache::default();
+    let sources = HashMap::new();
+    let cases: &[&[&str]] = &[
+        &[
+            "atpg",
+            "@adders",
+            "rippleCarry4",
+            "--seed",
+            "5",
+            "--emit-vectors",
+            "v.vec",
+        ],
+        &["sim", "@adders", "rippleCarry4", "--seed", "3"],
+    ];
+    for args in cases {
+        let mut sess = Session {
+            sources: Some(&sources),
+            cache: Some(&cache),
+            deadline: Some(Instant::now()),
+            ..Session::default()
+        };
+        let code = run_to_completion(&argv(args), &mut sess);
+        assert_eq!(code, 3, "{args:?}: {}", sess.err);
+        assert!(
+            sess.err.starts_with("error[Z905]"),
+            "{args:?}: {}",
+            sess.err
+        );
+        assert_eq!(sess.out, "", "{args:?}");
+        assert!(sess.emitted.is_empty(), "{args:?}");
+        assert_eq!(cache.take_log(), [format!("get {}", args[0])], "{args:?}");
+    }
+    assert!(cache.kinds().is_empty(), "{:?}", cache.kinds());
+}
+
+/// A server deadline the run never reaches leaves an `atpg --sat` answer
+/// byte-identical to a local run. ram(16, 8, 8) capped at 52 vectors
+/// spends most of its time (under a second in a debug build) in one SAT
+/// solve while over a thousand faults are pending, so fair per-fault
+/// slices of this 15 s deadline would cut that solve short.
+#[test]
+fn an_unreached_deadline_leaves_atpg_sat_answers_alone() {
+    let args = [
+        "atpg",
+        "@ram",
+        "ram",
+        "16",
+        "8",
+        "8",
+        "--seed",
+        "7",
+        "--sat",
+        "--max-vectors",
+        "52",
+    ];
+    let want = run_captured(&argv(&args));
+    assert_eq!(want.0, 0, "{}", want.2);
+    let deadline = Instant::now() + Duration::from_secs(15);
+    let mut sess = Session {
+        deadline: Some(deadline),
+        ..Session::default()
+    };
+    let code = run_to_completion(&argv(&args), &mut sess);
+    let reached = Instant::now() >= deadline;
+    assert_eq!(
+        (code, sess.out, sess.err),
+        want,
+        "deadline reached: {reached}"
+    );
 }

@@ -1,15 +1,15 @@
 //! `zeusd` — a crash-tolerant compile/sim/fault daemon for the Zeus
 //! HDL toolchain.
 //!
-//! The daemon keeps whole `sim`, `fault` and `atpg` answers and
-//! elaborated designs in a content-addressed on-disk text store
-//! ([`store::Store`]), so a repeated `zeusc` command line is answered
-//! before any work and a new one over a known design skips
-//! elaboration. It is built to be left running:
+//! The daemon keeps whole `sim`, `fault` and `atpg` answers in a
+//! content-addressed on-disk text store ([`store::Store`]), so a
+//! repeated `zeusc` command line is answered before any work. It is
+//! built to be left running:
 //!
 //! * **Deadlines** — every request executes under a wall-clock budget
-//!   that propagates into campaign and simulation fuel; a stuck request
-//!   cannot wedge a worker ([`server`]).
+//!   that propagates into the limits of every engine it runs; a stuck
+//!   request cannot wedge a worker, and a run that reaches the deadline
+//!   answers `Z905` instead of a clock-dependent answer ([`server`]).
 //! * **Backpressure** — the request queue is bounded and fair across
 //!   clients; past the bound, clients are told `overloaded` with a
 //!   retry hint instead of queueing unboundedly.
@@ -21,7 +21,6 @@
 //! * **Crash-safe cache** — every store entry is written atomically
 //!   with `fsync` and verified (length + checksum) on read; torn or
 //!   corrupted entries are quarantined and rebuilt, never served.
-//!   Design entries also carry a digest that `zeusc` recomputes.
 //!
 //! The wire protocol (single-line JSON over a Unix socket, one request
 //! per connection) and the retrying client live in `zeus_cli::proto`

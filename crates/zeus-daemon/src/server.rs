@@ -26,8 +26,10 @@
 //! server default. Queue wait burns deadline — that is the point; a
 //! request that waited too long is answered with a Z905 error instead
 //! of being executed late. During execution the remaining budget is
-//! merged into every limit the command builds (`campaign_deadline`,
-//! equivalence fuel, …), so a stuck request cannot wedge a worker.
+//! merged into the limits every engine runs under (a fault campaign
+//! takes it as its campaign deadline), so a stuck request cannot wedge
+//! a worker. The deadline never changes a successful answer: a run
+//! that finishes past it answers Z905 (exit 3), and nothing is stored.
 //!
 //! # Panic isolation
 //!

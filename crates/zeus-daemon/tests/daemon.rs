@@ -6,7 +6,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -32,7 +32,10 @@ impl Daemon {
     /// Spawns against an existing root (restart case: keep the cache).
     fn spawn_at(root: PathBuf, extra: &[&str]) -> Daemon {
         let socket = root.join("zeusd.sock");
+        // Its own working directory, so a file the daemon wrote itself
+        // could never pass for one the client received.
         let child = Command::new(env!("CARGO_BIN_EXE_zeusd"))
+            .current_dir(&root)
             .arg("--socket")
             .arg(&socket)
             .arg("--cache")
@@ -196,6 +199,14 @@ fn remote_matches_local_byte_for_byte() {
         &["sim", "@adders", "noSuchTop"],
         &["fault", "@adders", "rippleCarry4", "--vectors", "0"],
         &["frobnicate"],
+        // An unreadable input fails with the local message.
+        &[
+            "fault",
+            "@adders",
+            "rippleCarry4",
+            "--vectors-file",
+            "missing.txt",
+        ],
     ];
     for case in cases {
         let (code, out, err) = zeus_cli::run_captured(&argv(case));
@@ -255,9 +266,8 @@ fn repeat_requests_are_served_from_cache() {
 
 /// Plain and `--opt` campaigns over one design, each sent twice (a miss,
 /// then a hit), in both orders: every answer equals a local run. The
-/// two runs share a design entry but have different fault universes, so
-/// anything reused between them beyond the elaborated design would show
-/// here.
+/// two runs share a design but have different fault universes, so
+/// anything reused between them would show here.
 #[test]
 fn plain_and_opt_campaigns_interleave_without_crossing_answers() {
     let daemon = Daemon::spawn("interleave", &[]);
@@ -316,6 +326,82 @@ fn emitted_files_come_back_instead_of_landing_on_the_server() {
         }
         other => panic!("atpg did not complete: {other:?}"),
     }
+}
+
+/// Every file under `dir`, as `(path below dir, content)`, sorted.
+fn tree(dir: &Path) -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .map(|e| {
+                    let name = e.file_name().to_string_lossy().into_owned();
+                    (name, std::fs::read_to_string(e.path()).unwrap())
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    files.sort();
+    files
+}
+
+/// Emitted directories travel in the answer: the CNF audit of an
+/// `atpg --emit-cnf` (on a miss and on a hit) and the reproducers of a
+/// `fuzz --corpus` into a directory that does not exist yet, written by
+/// the client through the writer a local run uses, equal a local run's.
+/// The path is relative, and the daemon runs in its own directory, so a
+/// file the daemon wrote itself never shows up here.
+#[test]
+fn emitted_directories_equal_a_local_run_miss_and_hit() {
+    let daemon = Daemon::spawn("emitdirs", &[]);
+    let dir = format!("target/zeusd-emitdirs-{}", std::process::id());
+    let out = format!("{dir}/out");
+    let cases: [&[&str]; 2] = [
+        &[
+            "atpg",
+            "@counter",
+            "counter",
+            "4",
+            "--seed",
+            "7",
+            "--sat",
+            "--emit-cnf",
+            &out,
+        ],
+        &[
+            "fuzz", "--budget", "6", "--chaos", "opt", "--seed", "1", "--corpus", &out,
+        ],
+    ];
+    for case in cases {
+        let _ = std::fs::remove_dir_all(&dir);
+        let want = zeus_cli::run_captured(&argv(case));
+        let want_files = tree(Path::new(&out));
+        assert!(!want_files.is_empty(), "{case:?} emitted nothing: {want:?}");
+        for attempt in ["miss", "hit"] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let Response::Ok {
+                code,
+                out: rout,
+                err: rerr,
+                files,
+                cached,
+            } = raw(&daemon.socket, &request(case))
+            else {
+                panic!("{attempt} of {case:?} did not complete");
+            };
+            let mut sess = zeus_cli::Session::local();
+            for (path, content) in &files {
+                if let Err(f) = sess.write_file(path, content) {
+                    panic!("{}", f.message());
+                }
+            }
+            assert_eq!((code, rout, rerr), want, "{attempt} of {case:?}");
+            assert_eq!(tree(Path::new(&out)), want_files, "{attempt} of {case:?}");
+            // Only a successful answer is stored and replayed.
+            assert_eq!(cached, attempt == "hit" && want.0 == 0, "{case:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // -------------------------------------------------------------------

@@ -322,28 +322,24 @@ proptest! {
 #[test]
 fn emit_cnf_audit_files_reparse_to_identical_clause_sets() {
     // counter(4) promotes its reset-leg faults via lockstep proofs, so
-    // --emit-cnf must write one auditable DIMACS file per claim; each
+    // emit_cnf must render one auditable DIMACS text per claim; each
     // must reparse, and re-emitting the parse must reproduce the exact
     // clause set (emit → reparse → identical).
-    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/test-sat-atpg-cnf");
-    let _ = std::fs::remove_dir_all(&dir);
     let d = design("counter", "counter", &[4]);
     let cfg = AtpgConfig {
         sat: true,
-        emit_cnf: Some(dir.clone()),
+        emit_cnf: true,
         ..AtpgConfig::default()
     };
     let report = run_atpg(&d, &cfg).unwrap();
     let ss = report.sat.expect("sat stats present");
     assert!(ss.promoted_redundant > 0, "{}", report.to_text());
     assert_eq!(ss.cnf_files, report.redundant.len());
-    for i in 0..ss.cnf_files {
-        let path = dir.join(format!("redundant-{i:03}.cnf"));
-        let text = std::fs::read_to_string(&path).expect("audit file exists");
-        let cnf = zeus::Cnf::parse_dimacs(&text).expect("audit file reparses");
+    assert_eq!(report.cnf_audits.len(), ss.cnf_files);
+    for (i, text) in report.cnf_audits.iter().enumerate() {
+        let cnf = zeus::Cnf::parse_dimacs(text).expect("audit text reparses");
         let again = zeus::Cnf::parse_dimacs(&cnf.to_dimacs(&[])).expect("re-emit reparses");
-        assert_eq!(cnf.num_vars, again.num_vars, "{}", path.display());
-        assert_eq!(cnf.clauses, again.clauses, "{}", path.display());
+        assert_eq!(cnf.num_vars, again.num_vars, "audit {i}");
+        assert_eq!(cnf.clauses, again.clauses, "audit {i}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
