@@ -9,14 +9,15 @@
 //! bookkeeping) and coverage-preserving for combinational designs,
 //! where each vector's detections are independent of its neighbours.
 //!
-//! The detect matrix is built fault-word-parallel: one [`PackedSim`]
-//! carries up to 64 faults (one per lane via `inject_lanes`), and each
-//! vector is splatted across all lanes, so a full column of the matrix
-//! costs one simulator step.
+//! The greedy walk keeps exactly the vectors that are some fault's
+//! *last* detector, and a fault's last detector is its first detection
+//! in the reversed set. So compaction is one packed fault campaign
+//! replaying the reversed set: every detected fault names the vector
+//! that keeps it.
 
-use zeus_elab::{Design, Governor, NetId};
-use zeus_fault::FaultList;
-use zeus_sim::{PackedSim, VectorSet, LANES};
+use zeus_elab::{Design, Governor, Limits};
+use zeus_fault::{run_campaign_packed, CampaignConfig, Engine, FaultList, Outcome};
+use zeus_sim::{VectorSet, LANES};
 use zeus_syntax::diag::Diagnostic;
 use zeus_syntax::span::Span;
 
@@ -25,12 +26,14 @@ use zeus_syntax::span::Span;
 pub(crate) struct CompactOutcome {
     /// Vectors dropped from the set.
     pub removed: usize,
-    /// True when the fuel governor ran out before the detect matrix was
-    /// complete; the set is then left untouched.
+    /// True when the fuel governor ran out before the replay; the set is
+    /// then left untouched.
     pub skipped: bool,
 }
 
-/// Compacts `set` in place, preserving its exact fault coverage.
+/// Compacts `set` in place, preserving its exact fault coverage. A
+/// replay the run's deadline stops leaves the set untouched, as fuel
+/// exhaustion does.
 ///
 /// # Errors
 ///
@@ -48,58 +51,31 @@ pub(crate) fn reverse_compact(
         return Ok(out);
     }
 
-    let out_nets: Vec<NetId> = design
-        .outputs()
-        .flat_map(|p| p.nets.iter().copied())
-        .collect();
-    let nwords = list.faults.len().div_ceil(LANES);
-
-    // detect[v][w]: lane mask of faults in word `w` detected by vector
-    // `v`. Golden lane values come from a clean simulator stepping the
-    // same splatted vector (all its lanes are identical).
-    let mut golden = PackedSim::new(design.clone())?;
-    let mut faulty = PackedSim::new(design.clone())?;
-    let mut detect = vec![vec![0u64; nwords]; nvec];
-
-    for (w, word) in list.faults.chunks(LANES).enumerate() {
-        let cost = golden.order_len() as u64 * 2 * nvec as u64 + 1;
+    // Fuel is billed as a golden and a faulty sweep per vector for each
+    // 64-fault word.
+    let cost = design.netlist.topo_order()?.len() as u64 * 2 * nvec as u64 + 1;
+    for _ in 0..list.faults.len().div_ceil(LANES) {
         if gov.charge(cost, Span::dummy()).is_err() {
             out.skipped = true;
             return Ok(out);
         }
-        faulty.clear_faults();
-        for (lane, &fault) in word.iter().enumerate() {
-            faulty.inject_lanes(fault, 1u64 << lane)?;
-        }
-        for (v, row) in detect.iter_mut().enumerate() {
-            for (name, bits) in set.assignment(v) {
-                golden.set_port(&name, &bits)?;
-                faulty.set_port(&name, &bits)?;
-            }
-            golden.try_step()?;
-            faulty.try_step()?;
-            let mut mask = 0u64;
-            for &n in &out_nets {
-                mask |= faulty
-                    .value(n)
-                    .to_boolean()
-                    .diff(golden.value(n).to_boolean());
-            }
-            row[w] = mask;
-        }
     }
 
-    // Reverse greedy: keep a vector only when it detects a fault not
-    // yet covered by a kept (later) vector.
-    let mut covered = vec![0u64; nwords];
-    let mut keep = vec![false; nvec];
+    let mut reversed = VectorSet::new(design, set.seed);
     for v in (0..nvec).rev() {
-        let news = detect[v].iter().zip(&covered).any(|(&d, &c)| d & !c != 0);
-        if news {
-            keep[v] = true;
-            for (w, &d) in detect[v].iter().enumerate() {
-                covered[w] |= d;
-            }
+        reversed.push(set.bits(v).to_vec());
+    }
+    let mut cfg = CampaignConfig::replay(Engine::Graph, reversed);
+    cfg.limits = crate::nested(&Limits::default(), gov);
+    let replay = run_campaign_packed(design, list, &cfg, 1)?;
+    if replay.partial.is_some() {
+        return Ok(out);
+    }
+
+    let mut keep = vec![false; nvec];
+    for r in &replay.results {
+        if let Outcome::Detected { cycle, .. } = r.outcome {
+            keep[nvec - 1 - cycle as usize] = true;
         }
     }
     out.removed = keep.iter().filter(|&&k| !k).count();

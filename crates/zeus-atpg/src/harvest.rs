@@ -43,9 +43,10 @@ pub(crate) struct HarvestOutcome {
 /// detected faults in `detected` (indexed like `list.faults`).
 ///
 /// Stops when the coverage target is met, the vector budget or round
-/// budgets run out, `DRY_LIMIT` consecutive rounds found nothing, or
-/// the fuel governor is exhausted (graceful: the vectors kept so far
-/// stand, PODEM and grading still run).
+/// budgets run out, `DRY_LIMIT` consecutive rounds found nothing, the
+/// fuel governor is exhausted (graceful: the vectors kept so far
+/// stand, PODEM and grading still run), or the run is cancelled or past
+/// its deadline.
 ///
 /// # Errors
 ///
@@ -87,7 +88,7 @@ pub(crate) fn packed_harvest(
         && set.len() < cfg.max_vectors
         && dry < DRY_LIMIT
         && out.rounds < max_rounds
-        && !crate::is_cancelled(cfg)
+        && !crate::stopped(cfg, gov)
     {
         let pending = total - ndet;
         // One golden step plus one faulty step per pending fault, each

@@ -13,8 +13,8 @@
 //!    exhausted are proven **redundant** (untestable), budget
 //!    exhaustion leaves a fault **aborted**.
 //! 3. **Reverse-order compaction** ([`compact`]): drops vectors whose
-//!    detections are covered by later vectors, by exact fault
-//!    simulation.
+//!    detections are covered by later vectors, by one exact fault
+//!    campaign over the reversed set.
 //!
 //! The structural phases only run for **combinational** designs (no
 //! registers, no RANDOM nodes, no RSET, stuck-at faults only). A
@@ -45,7 +45,10 @@
 //! Determinism: same design digest + seed + limits ⇒ identical vector
 //! set, identical text report, identical JSON. All randomness flows
 //! from the one seed through [`VectorStream`]; all iteration orders
-//! are the collapsed fault list's sorted order.
+//! are the collapsed fault list's sorted order. The wall clock
+//! (`limits.deadline`) only stops a run, it never decides an answer: a
+//! search the deadline may have cut is dropped with its fault, so a
+//! partial report lists only verdicts the unbounded run reports too.
 //!
 //! [`PackedSim`]: zeus_sim::PackedSim
 //! [`VectorStream`]: zeus_sim::VectorStream
@@ -60,7 +63,7 @@ pub use report::{AtpgReport, AtpgStats, SatStats};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use zeus_elab::{Design, Fault, Limits, NodeOp};
+use zeus_elab::{Design, Fault, Governor, Limits, NodeOp};
 use zeus_fault::{
     enumerate_faults, run_campaign_packed, CampaignConfig, Engine, FaultKind, FaultListOptions,
     Outcome,
@@ -134,15 +137,21 @@ pub struct AtpgConfig {
     /// PODEM decision-flip budget per fault; beyond it the fault is
     /// classified aborted.
     pub backtrack_limit: u64,
-    /// Fuel/deadline budget for the whole generation run (grading runs
-    /// under its own per-fault budget, like any campaign).
+    /// Resource budget. Fuel is shared by the whole generation run and
+    /// applies per fault in the nested campaigns (the sequence-mode
+    /// harvest and the grade), as do `max_steps`; the per-fault search
+    /// bounds are `backtrack_limit` and `sat_conflicts`. The `deadline`
+    /// applies to the whole run, grading included: it counts from the
+    /// start of [`run_atpg`], and reaching it stops the run with a
+    /// [`partial`](AtpgReport::partial) report instead of classifying a
+    /// fault.
     pub limits: Limits,
     /// Which fault universe to target.
     pub fault_opts: FaultListOptions,
-    /// Cooperative cancellation (Ctrl-C, daemon drain): polled between
-    /// harvest rounds and PODEM faults. When it goes high, generation
-    /// stops after the current fault, the vectors found so far are
-    /// still graded, and the report is marked
+    /// Cooperative cancellation (Ctrl-C, daemon drain): polled, like the
+    /// deadline, between harvest rounds and between faults. When it goes
+    /// high, generation stops after the current fault, the vectors found
+    /// so far are still graded, and the report is marked
     /// [`partial`](AtpgReport::partial).
     pub cancel: Option<&'static AtomicBool>,
     /// Enable the SAT engine: confirm every PODEM redundancy verdict
@@ -152,7 +161,7 @@ pub struct AtpgConfig {
     pub sat: bool,
     /// CDCL conflict budget per SAT solve; past it the solve returns
     /// unknown and the fault stays aborted. 0 means unlimited (bounded
-    /// only by fuel/deadline).
+    /// only by fuel, or cut by the deadline).
     pub sat_conflicts: u64,
     /// Largest time-frame unroll for one sequential fault; the
     /// schedule is geometric (1, 2, 4, … up to this).
@@ -161,11 +170,6 @@ pub struct AtpgConfig {
     /// [`AtpgReport::cnf_audits`], an externally checkable audit trail.
     /// Off, no formula is rendered.
     pub emit_cnf: bool,
-    /// Wall-clock budget for the whole run, generation and grading
-    /// combined. Each pending fault gets a fair slice of what is left,
-    /// so a single hard fault cannot consume the whole budget; on
-    /// expiry the run finishes with a partial report, never an error.
-    pub campaign_deadline: Option<std::time::Duration>,
 }
 
 impl Default for AtpgConfig {
@@ -182,14 +186,29 @@ impl Default for AtpgConfig {
             sat_conflicts: 20_000,
             max_frames: 8,
             emit_cnf: false,
-            campaign_deadline: None,
         }
     }
 }
 
-/// True once the config's cancellation flag has been raised.
-pub(crate) fn is_cancelled(cfg: &AtpgConfig) -> bool {
-    cfg.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
+/// True once the run's deadline has passed. A search that ends past it
+/// may have been cut short, so its answer is dropped.
+fn past_deadline(gov: &Governor) -> bool {
+    gov.check_deadline(Span::dummy()).is_err()
+}
+
+/// True once the run must stop: cancelled, or past its deadline.
+pub(crate) fn stopped(cfg: &AtpgConfig, gov: &Governor) -> bool {
+    cfg.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) || past_deadline(gov)
+}
+
+/// `limits` for a campaign nested in the run (the sequence-mode
+/// harvest, compaction, the grade): its deadline is what is left of the
+/// run's.
+pub(crate) fn nested(limits: &Limits, gov: &Governor) -> Limits {
+    Limits {
+        deadline: gov.time_left(),
+        ..limits.clone()
+    }
 }
 
 /// Runs ATPG and returns the graded report.
@@ -200,7 +219,11 @@ pub(crate) fn is_cancelled(cfg: &AtpgConfig) -> bool {
 /// simulator construction/stepping failures, and grading errors.
 /// Fuel/backtrack exhaustion inside the generation phases is *not* an
 /// error: affected faults are reported aborted and the run completes.
+/// Neither is the deadline: the run stops with a partial report.
 pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnostic> {
+    // The run's one governor: generation shares its fuel, and its
+    // deadline is the whole run's.
+    let mut gov = cfg.limits.governor();
     let list = enumerate_faults(design, &cfg.fault_opts);
     let mode = detect_mode(design, &list);
     let mut stats = AtpgStats::default();
@@ -208,9 +231,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
     // fault-list order after the SAT pass reshuffles the lists.
     let mut redundant: Vec<(usize, String, Fault)> = Vec::new();
     let mut aborted: Vec<(usize, String, Fault)> = Vec::new();
-    let mut gov = cfg.limits.governor();
     let mut partial = false;
-    let budget = sat::Budgeter::new(cfg);
     let mut sat_stats = cfg.sat.then(SatStats::default);
     let mut strategy = match mode {
         Mode::Combinational => Strategy::Podem,
@@ -224,18 +245,14 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
             let mut detected = vec![false; list.faults.len()];
             let h = harvest::packed_harvest(design, &list, cfg, &mut set, &mut detected, &mut gov)?;
             stats.absorb(h, set.len());
-            partial |= is_cancelled(cfg);
+            partial |= stopped(cfg, &gov);
 
             // PODEM over what the harvest missed, in fault-list order.
             let mut podem = Podem::new(design)?;
             let total = list.faults.len();
             let mut ndet = detected.iter().filter(|&&d| d).count();
             for (fi, &fault) in list.faults.iter().enumerate() {
-                if is_cancelled(cfg) {
-                    partial = true;
-                    break;
-                }
-                if budget.remaining().is_some_and(|r| r.is_zero()) {
+                if stopped(cfg, &gov) {
                     partial = true;
                     break;
                 }
@@ -249,10 +266,12 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     stats.podem_skipped += 1;
                     continue;
                 }
+                let outcome = podem.generate(fault, cfg.backtrack_limit, &mut gov);
+                if past_deadline(&gov) {
+                    partial = true;
+                    break;
+                }
                 stats.podem_attempts += 1;
-                let outcome = budget.solve(&mut gov, total - fi, |g| {
-                    podem.generate(fault, cfg.backtrack_limit, g)
-                });
                 match outcome {
                     PodemOutcome::Test(bits) => {
                         set.push(bits);
@@ -272,8 +291,10 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
 
             // SAT pass: every redundancy claim must survive an UNSAT
             // proof, and aborted faults get one more chance as a SAT
-            // model decoded into a (simulator-verified) vector.
-            if cfg.sat && !partial {
+            // model decoded into a (simulator-verified) vector. Until it
+            // has seen a claim, the claim is not final: a stopped run
+            // reports none of those it did not reach.
+            if cfg.sat {
                 let ss = sat_stats.as_mut().expect("sat stats exist when sat is on");
                 let mut claims: Vec<(bool, usize, String, Fault)> = Vec::new();
                 for (fi, name, fault) in redundant.drain(..) {
@@ -283,24 +304,17 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     claims.push((false, fi, name, fault));
                 }
                 claims.sort_by_key(|c| c.1);
-                let mut pending = claims.len();
                 for (was_redundant, fi, name, fault) in claims {
-                    if is_cancelled(cfg) || budget.remaining().is_some_and(|r| r.is_zero()) {
+                    if partial || stopped(cfg, &gov) {
                         partial = true;
-                        // Out of time: the rest keep their PODEM
-                        // classification, unconfirmed.
-                        if was_redundant {
-                            redundant.push((fi, name, fault));
-                        } else {
-                            aborted.push((fi, name, fault));
-                        }
-                        continue;
+                        break;
+                    }
+                    let answer = sat::check(design, fault, 1, None, None, cfg, &mut gov);
+                    if past_deadline(&gov) {
+                        partial = true;
+                        break;
                     }
                     ss.solves += 1;
-                    let answer = budget.solve(&mut gov, pending, |g| {
-                        sat::check(design, fault, 1, None, None, cfg, g)
-                    });
-                    pending -= 1;
                     match answer {
                         sat::SatAnswer::Undetectable(audit) => {
                             if was_redundant {
@@ -337,9 +351,8 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
             }
 
             if partial {
-                // Interrupted: emit the uncompacted vectors found so
-                // far rather than spend more wall clock minimizing
-                // them.
+                // Stopped: emit the uncompacted vectors found so far
+                // rather than spend more wall clock minimizing them.
                 stats.pre_compaction = set.len();
             } else {
                 let pre = set.len();
@@ -353,7 +366,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
             // saturates rather than wrapping.
             let rounds = u32::try_from(cfg.max_vectors).unwrap_or(u32::MAX);
             let mut hcfg = CampaignConfig::new(Engine::Graph, rounds, cfg.seed);
-            hcfg.limits = cfg.limits.clone();
+            hcfg.limits = nested(&cfg.limits, &gov);
             hcfg.cancel = cfg.cancel;
             let campaign = run_campaign_packed(design, &list, &hcfg, 1)?;
             partial |= campaign.partial.is_some();
@@ -395,23 +408,15 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                 strategy = Strategy::Timeframe;
                 let ss = sat_stats.as_mut().expect("sat stats exist when sat is on");
                 let order = design.netlist.nodes.len() as u64 + 1;
-                let mut pending = campaign
-                    .results
-                    .iter()
-                    .filter(|r| !matches!(r.outcome, Outcome::Detected { .. }))
-                    .count();
-                for (fi, r) in campaign.results.iter().enumerate() {
-                    if is_cancelled(cfg) || budget.remaining().is_some_and(|d| d.is_zero()) {
+                'faults: for (fi, r) in campaign.results.iter().enumerate() {
+                    if stopped(cfg, &gov) {
                         partial = true;
                         break;
                     }
-                    if matches!(r.outcome, Outcome::Detected { .. }) {
-                        continue;
-                    }
-                    let share = pending;
-                    pending = pending.saturating_sub(1);
                     let fault = r.fault;
-                    if !matches!(fault.kind, FaultKind::StuckAt0 | FaultKind::StuckAt1) {
+                    if matches!(r.outcome, Outcome::Detected { .. })
+                        || !matches!(fault.kind, FaultKind::StuckAt0 | FaultKind::StuckAt1)
+                    {
                         continue;
                     }
                     // A cheap single-frame lockstep proof first: UNSAT
@@ -420,10 +425,12 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     // good one everywhere, so no sequence of any length
                     // can observe the fault — promote it to redundant
                     // and skip the unroll entirely.
+                    let locked = sat::check_lockstep(design, fault, cfg, &mut gov);
+                    if past_deadline(&gov) {
+                        partial = true;
+                        break;
+                    }
                     ss.solves += 1;
-                    let locked = budget.solve(&mut gov, share, |g| {
-                        sat::check_lockstep(design, fault, cfg, g)
-                    });
                     if let Some(audit) = locked {
                         cnf_audits.extend(audit);
                         ss.promoted_redundant += 1;
@@ -438,6 +445,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                         .charge((set.len() as u64 + 2) * order, Span::dummy())
                         .is_err()
                     {
+                        partial = past_deadline(&gov);
                         break;
                     }
                     let Some((mut golden, mut faulty)) =
@@ -454,11 +462,13 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     let mut frames = 1u32;
                     while frames <= cfg.max_frames && set.len() + frames as usize <= cfg.max_vectors
                     {
+                        let (g, f) = (Some(init_g.clone()), Some(init_f.clone()));
+                        let answer = sat::check(design, fault, frames, g, f, cfg, &mut gov);
+                        if past_deadline(&gov) {
+                            partial = true;
+                            break 'faults;
+                        }
                         ss.solves += 1;
-                        let answer = budget.solve(&mut gov, share, |g| {
-                            let (init_g, init_f) = (Some(init_g.clone()), Some(init_f.clone()));
-                            sat::check(design, fault, frames, init_g, init_f, cfg, g)
-                        });
                         match answer {
                             sat::SatAnswer::Vectors(decoded) => {
                                 match sat::first_divergence(&mut golden, &mut faulty, &decoded)? {
@@ -498,11 +508,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
     // The authoritative grade: a campaign replaying the emitted set,
     // exactly what `zeusc fault --vectors-file` will run.
     let mut gcfg = CampaignConfig::replay(Engine::Graph, set.clone());
-    gcfg.limits = cfg.limits.clone();
-    if cfg.campaign_deadline.is_some() {
-        // Grading spends whatever wall budget generation left over.
-        gcfg.campaign_deadline = budget.remaining();
-    }
+    gcfg.limits = nested(&cfg.limits, &gov);
     let grade = run_campaign_packed(design, &list, &gcfg, 1)?;
     partial |= grade.partial.is_some();
 
@@ -790,7 +796,7 @@ mod tests {
         let d = design(RIPPLE, "fulladder");
         let cfg = AtpgConfig {
             sat: true,
-            campaign_deadline: Some(std::time::Duration::ZERO),
+            limits: Limits::default().with_deadline(std::time::Duration::ZERO),
             ..AtpgConfig::default()
         };
         let report = run_atpg(&d, &cfg).expect("deadline expiry is not an error");

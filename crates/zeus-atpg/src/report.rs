@@ -54,8 +54,8 @@ pub struct SatStats {
     pub promoted_redundant: usize,
     /// Faults rescued by a decoded, simulator-verified SAT model.
     pub rescued: usize,
-    /// Solves that ran out of conflict/fuel/deadline budget (the fault
-    /// stays aborted).
+    /// Solves that ran out of conflict or fuel budget (the fault stays
+    /// aborted).
     pub unknown: usize,
     /// Vectors the SAT engine added to the set.
     pub vectors: usize,
@@ -112,10 +112,11 @@ pub struct AtpgReport {
     /// final vector set. `zeusc fault --vectors-file` on the emitted
     /// set reproduces this report byte for byte.
     pub grade: CoverageReport,
-    /// True when generation was cancelled (Ctrl-C, daemon drain) before
-    /// it finished: the vector set covers only the work completed so
-    /// far (uncompacted on the structural path), but it is still fully
-    /// graded and replayable.
+    /// True when the run stopped before it finished, cancelled (Ctrl-C,
+    /// daemon drain) or at its deadline: the vector set covers only the
+    /// work completed so far (uncompacted on the structural path) and
+    /// is graded as far as the deadline allows; every redundant or
+    /// aborted verdict listed is one the unbounded run reports too.
     pub partial: bool,
     /// With [`AtpgConfig::emit_cnf`](crate::AtpgConfig::emit_cnf), one
     /// DIMACS text per SAT-backed redundancy claim, in claim order; the

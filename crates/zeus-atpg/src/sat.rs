@@ -1,25 +1,20 @@
-//! SAT phase glue: budget-sliced detectability checks, model decoding
-//! into per-port vectors, in-context replay for the sequential
-//! time-frame path, and the DIMACS audit texts.
+//! SAT phase glue: detectability checks, model decoding into per-port
+//! vectors, in-context replay for the sequential time-frame path, and
+//! the DIMACS audit texts.
 //!
 //! The heavy lifting (CNF encoding, CDCL search) lives in `zeus-sat`;
 //! this module adapts it to ATPG's contracts: every SAT model is
 //! replay-verified on the scalar simulator (through [`run_differential`])
-//! before a vector enters the set, every redundancy verdict can be
-//! rendered as DIMACS text for external audit, and every solve runs
-//! under a per-fault slice of the campaign budget so one hard fault
-//! cannot starve the rest.
+//! before a vector enters the set, and every redundancy verdict can be
+//! rendered as DIMACS text for external audit.
 
-use std::time::{Duration, Instant};
-
-use zeus_elab::{Design, Fault, Governor, Limits};
+use zeus_elab::{Design, Fault, Governor};
 use zeus_sat::{
     decode_model, encode_detection, encode_lockstep, Cnf, EncodeOptions, SatOutcome, Solver,
 };
 use zeus_sema::Value;
 use zeus_sim::{run_differential, Simulator, VectorSet, VectorStream};
 use zeus_syntax::diag::Diagnostic;
-use zeus_syntax::span::Span;
 
 use crate::AtpgConfig;
 
@@ -58,7 +53,8 @@ pub(crate) enum SatAnswer {
     Vectors(VectorSet),
     /// Proved undetectable within the encoded frames.
     Undetectable(Audit),
-    /// Budget (conflicts, fuel, deadline) ran out first.
+    /// The conflict or fuel budget ran out first (or the deadline cut
+    /// the search, and the caller drops the answer).
     Unknown,
 }
 
@@ -184,67 +180,4 @@ pub(crate) fn first_divergence(
 ) -> Result<Option<usize>, Diagnostic> {
     let mut stream = VectorStream::replay(set);
     Ok(run_differential(golden, faulty, &mut stream, set.len() as u32)?.map(|d| d.cycle as usize))
-}
-
-/// Allocates per-fault budget slices out of the overall campaign
-/// deadline, so a single hard fault cannot consume the whole
-/// `--campaign-timeout`: each fault's governor gets the remaining wall
-/// budget divided by the number of faults still pending (later faults
-/// inherit any unused share), plus the shared governor's remaining
-/// fuel. Spent fuel is settled back to the shared governor afterwards.
-pub(crate) struct Budgeter {
-    start: Instant,
-    /// min(limits.deadline, campaign_deadline); `None` disables slicing
-    /// and every solve runs on the shared governor.
-    overall: Option<Duration>,
-    base: Limits,
-}
-
-impl Budgeter {
-    pub(crate) fn new(cfg: &AtpgConfig) -> Budgeter {
-        let overall = match (cfg.limits.deadline, cfg.campaign_deadline) {
-            // Slicing only engages with an explicit campaign deadline;
-            // a bare limits.deadline keeps the legacy shared-governor
-            // behaviour.
-            (Some(l), Some(c)) => Some(l.min(c)),
-            (None, Some(c)) => Some(c),
-            _ => None,
-        };
-        Budgeter {
-            start: Instant::now(),
-            overall,
-            base: cfg.limits.clone(),
-        }
-    }
-
-    /// Wall budget left for the whole run.
-    pub(crate) fn remaining(&self) -> Option<Duration> {
-        self.overall.map(|o| o.saturating_sub(self.start.elapsed()))
-    }
-
-    /// Runs one fault's search. Under a campaign deadline it gets its
-    /// own governor with a fair slice (1/`pending`) of the remaining
-    /// wall budget and the shared governor's leftover fuel, so one hard
-    /// fault aborts alone instead of starving the rest; the fuel it
-    /// burns is billed back to `shared`. Without a deadline the search
-    /// runs on `shared` directly.
-    pub(crate) fn solve<T>(
-        &self,
-        shared: &mut Governor,
-        pending: usize,
-        search: impl FnOnce(&mut Governor) -> T,
-    ) -> T {
-        if self.overall.is_none() {
-            return search(shared);
-        }
-        let mut l = self.base.clone();
-        l.fuel = shared.fuel_left();
-        l.deadline = self.remaining().map(|rem| rem / pending.max(1) as u32);
-        let mut fault_gov = l.governor();
-        let out = search(&mut fault_gov);
-        if let (Some(before), Some(after)) = (shared.fuel_left(), fault_gov.fuel_left()) {
-            let _ = shared.charge(before.saturating_sub(after), Span::dummy());
-        }
-        out
-    }
 }

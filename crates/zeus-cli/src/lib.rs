@@ -18,10 +18,9 @@
 //!   creates parent directories. In the daemon it captures the file into
 //!   the answer, and the client writes it through the same writer;
 //! * **the server deadline** ([`Session::deadline`]) — merged into the
-//!   limits every engine runs under (a fault campaign, whose digest
-//!   hashes the user's limits, takes it as its campaign deadline). It
-//!   never changes a successful answer: a run that reaches it answers
-//!   `Z905` (exit 3) instead, and nothing is stored;
+//!   limits every engine runs under, a fault campaign's and an ATPG
+//!   run's included. It never changes an answer: a command that ends
+//!   past it answers `Z905` (exit 3) instead, and nothing is stored;
 //! * **reuse** ([`Cache`]) — the whole answer of a `sim`, `fault` or
 //!   `atpg` command line is looked up before any work and stored after a
 //!   successful run (see `docs/DAEMON.md` for the exact keying);
@@ -79,7 +78,7 @@ pub mod sigint {
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use zeus::{examples, Json, Limits, StableHasher, Zeus};
 
@@ -106,8 +105,9 @@ pub enum Failure {
     Diags(String),
     /// A resource limit (`Z9xx`) was hit → exit 3.
     Limit(String),
-    /// A fault campaign was interrupted (Ctrl-C) after reporting
-    /// partially → exit 130 (128 + SIGINT), the shell convention.
+    /// A fault campaign or ATPG run was interrupted (Ctrl-C, daemon
+    /// drain) after reporting partially → exit 130 (128 + SIGINT), the
+    /// shell convention.
     Interrupted(String),
 }
 
@@ -231,27 +231,21 @@ impl<'a> Session<'a> {
             .map_err(|e| Failure::Usage(format!("cannot write {path}: {e}")))
     }
 
-    /// `deadline` tightened to the time left before the server deadline:
-    /// the one site where the server deadline enters a command's budget.
-    /// It reaches every engine through [`Session::limits`], and a fault
-    /// campaign as its campaign deadline.
-    fn within_deadline(&self, deadline: Option<Duration>) -> Option<Duration> {
-        match self.deadline {
-            None => deadline,
-            Some(at) => {
-                let left = at.saturating_duration_since(Instant::now());
-                Some(deadline.map_or(left, |d| d.min(left)))
-            }
-        }
-    }
-
-    /// The user's limit flags with the server deadline merged in.
-    fn limits(&self, p: &Parsed) -> Result<Limits, Failure> {
-        let limits = p.limits()?;
-        Ok(Limits {
-            deadline: self.within_deadline(limits.deadline),
-            ..limits
-        })
+    /// The user's limit flags with the deadline tightened to the time
+    /// left before the server deadline: the one site where the server
+    /// deadline enters a command's budget. A fault campaign or ATPG run
+    /// (`run`) takes `--campaign-timeout` too, the smaller deadline
+    /// winning; the other phases (elaboration, optimization, a
+    /// simulation) take `--timeout` alone.
+    fn limits(&self, p: &Parsed, run: bool) -> Result<Limits, Failure> {
+        let mut limits = p.limits()?;
+        let run_ms = p.u64_value("--campaign-timeout")?.filter(|_| run);
+        let left = self
+            .deadline
+            .map(|at| at.saturating_duration_since(Instant::now()));
+        let bounds = [limits.deadline, run_ms.map(Duration::from_millis), left];
+        limits.deadline = bounds.into_iter().flatten().min();
+        Ok(limits)
     }
 }
 
@@ -469,7 +463,10 @@ fn detail(cmd: &str) -> &'static str {
              word; --resume skips the journaled words (the final report is\n\
              byte-identical to an uninterrupted run, and the seed is\n\
              recovered from the checkpoint when --seed is omitted).\n\
-             --campaign-timeout MS bounds the whole campaign's wall clock.\n\
+             --campaign-timeout MS bounds the campaign, --timeout MS\n\
+             elaboration and then the campaign: the deadline stops it,\n\
+             dropping an unfinished word (partial report, exit 3), and\n\
+             never changes an outcome.\n\
              Ctrl-C drains in-flight words, flushes the checkpoint and\n\
              reports partially (exit 130); a second Ctrl-C aborts.\n\
              --vectors-file FILE replays an explicit vector set written by\n\
@@ -511,9 +508,9 @@ fn detail(cmd: &str) -> &'static str {
              --sat-conflicts N bounds each solve (default 20000, 0 =\n\
              unlimited); --emit-cnf DIR writes one DIMACS file per\n\
              confirmed-redundant claim as an externally checkable audit\n\
-             trail; --campaign-timeout MS bounds the whole run's wall\n\
-             clock, giving every pending fault a fair slice of what is\n\
-             left (expiry yields a graded PARTIAL report, exit 130)."
+             trail; --campaign-timeout MS bounds the run, --timeout MS\n\
+             elaboration and then the run: the deadline stops it between\n\
+             faults (PARTIAL report, exit 3), never changing a verdict."
         }
         "opt" => {
             "Runs the equivalence-gated netlist optimizer (constant folding\n\
@@ -960,8 +957,9 @@ fn command_line(args: &[String]) -> Result<Line, Failure> {
 }
 
 /// Runs one command line against the session: reads its inputs, replays
-/// a stored answer or runs the command, answers `Z905` in place of a run
-/// that ended past the server deadline, and stores a successful answer.
+/// a stored answer or runs the command, answers `Z905` in place of a
+/// command that ended past the server deadline (successful or not), and
+/// stores a successful answer.
 ///
 /// # Errors
 ///
@@ -999,10 +997,11 @@ pub fn run(args: &[String], sess: &mut Session) -> Result<(), Failure> {
     }
 
     let marks = (sess.out.len(), sess.err.len(), sess.emitted.len());
-    dispatch(&p, sess)?;
+    let ran = dispatch(&p, sess);
     if sess.deadline.is_some_and(|at| Instant::now() >= at) {
-        // The server's clock may have cut a budget short, so these bytes
-        // need not be the command's answer: report the limit instead.
+        // The server's clock may have cut a budget short or stopped a
+        // run, so these bytes need not be the command's answer: report
+        // the limit instead.
         sess.out.truncate(marks.0);
         sess.err.truncate(marks.1);
         sess.emitted.truncate(marks.2);
@@ -1016,6 +1015,7 @@ pub fn run(args: &[String], sess: &mut Session) -> Result<(), Failure> {
             .to_string(),
         ));
     }
+    ran?;
     if let Some((cache, key)) = slot {
         // Everything the command wrote from its first byte: warnings,
         // `--opt` and seed lines, the report, emitted files.
@@ -1103,7 +1103,7 @@ fn load_design(p: &Parsed, sess: &mut Session) -> Result<(zeus::Design, Limits),
                 "netlist inputs carry their elaboration; type parameters don't apply".to_string(),
             ));
         }
-        let limits = sess.limits(p)?;
+        let limits = sess.limits(p, false)?;
         let design =
             zeus::import_design(src, &import_budget(&limits)).map_err(|e| import_failure(&e))?;
         let claimed = p
@@ -1119,7 +1119,7 @@ fn load_design(p: &Parsed, sess: &mut Session) -> Result<(zeus::Design, Limits),
         return Ok((design, limits));
     }
     let (_, top, targs) = file_top_args(p)?;
-    let limits = sess.limits(p)?;
+    let limits = sess.limits(p, false)?;
     let design = parse(src)?
         .elaborate_limited(top, &targs, &limits)
         .map_err(|e| diags_failure(&e, e.render(&zeus::SourceMap::new(src))))?;
@@ -1191,7 +1191,7 @@ fn cmd_import(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
             )));
         }
     }
-    let limits = import_budget(&sess.limits(p)?);
+    let limits = import_budget(&sess.limits(p, false)?);
     let design = zeus::import_design(src, &limits).map_err(|e| import_failure(&e))?;
     let digest = zeus::validated_digest(&design);
     if p.has("--validate-only") {
@@ -1239,7 +1239,7 @@ fn cmd_equiv(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
     let src = p.text(file)?;
     let z = parse(src)?;
     let map = zeus::SourceMap::new(src);
-    let mut limits = sess.limits(p)?;
+    let mut limits = sess.limits(p, false)?;
     // The historical CLI cap (slightly above the library default).
     limits.max_input_bits = 22;
     let elab = |top: &str, targs: &[i64]| {
@@ -1304,7 +1304,7 @@ fn cmd_elaborating(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
         }
         "opt" => cmd_opt(p, sess, design, &limits),
         "fault" => cmd_fault(p, sess, design),
-        "atpg" => cmd_atpg(p, sess, design, &limits),
+        "atpg" => cmd_atpg(p, sess, design),
         _ => {
             let sw = zeus::SwitchSim::with_limits(&design, &limits);
             wln!(sess.out, "transistors : {}", sw.transistor_count());
@@ -1608,15 +1608,7 @@ fn cmd_fault(p: &Parsed, sess: &mut Session, design: zeus::Design) -> Result<(),
         }
         None => zeus::CampaignConfig::new(engine, vectors, seed),
     };
-    // The user's limit flags alone: the campaign digest hashes them, and
-    // the auto-journal resume needs it stable across requests. The
-    // server deadline stops the campaign instead (a partial report, exit
-    // 3, the journal kept).
-    cfg.limits = p.limits()?;
-    cfg.campaign_deadline = sess.within_deadline(
-        p.u64_value("--campaign-timeout")?
-            .map(Duration::from_millis),
-    );
+    cfg.limits = sess.limits(p, true)?;
     cfg.cancel = sess.cancel;
 
     // Daemon-side auto-journal: campaigns without a user checkpoint are
@@ -1653,27 +1645,20 @@ fn cmd_fault(p: &Parsed, sess: &mut Session, design: zeus::Design) -> Result<(),
             "fault campaign interrupted; partial results reported above".to_string(),
         )),
         Some(zeus::PartialReason::DeadlineExceeded) => Err(Failure::Limit(
-            "fault campaign stopped at --campaign-timeout; partial results reported above"
+            "fault campaign stopped at --timeout/--campaign-timeout; partial results reported above"
                 .to_string(),
         )),
     }
 }
 
-fn cmd_atpg(
-    p: &Parsed,
-    sess: &mut Session,
-    design: zeus::Design,
-    limits: &Limits,
-) -> Result<(), Failure> {
-    // The server deadline arrives in `limits` only: fair per-fault
-    // slices follow a user's --campaign-timeout, never the server's clock.
-    let mut cfg = zeus::AtpgConfig {
-        limits: limits.clone(),
-        ..zeus::AtpgConfig::default()
-    };
+fn cmd_atpg(p: &Parsed, sess: &mut Session, design: zeus::Design) -> Result<(), Failure> {
     // Unlike `fault`, the default seed is fixed, not time-based:
     // reproducible vector sets are the whole point of ATPG.
-    cfg.seed = seed_or_default(p, sess)?;
+    let mut cfg = zeus::AtpgConfig {
+        seed: seed_or_default(p, sess)?,
+        limits: sess.limits(p, true)?,
+        ..zeus::AtpgConfig::default()
+    };
     let target = match p.str_value("--coverage-target") {
         None => None,
         Some(v) => {
@@ -1717,10 +1702,12 @@ fn cmd_atpg(
         ));
     }
     cfg.emit_cnf = cnf_dir.is_some();
-    if let Some(ms) = p.u64_value("--campaign-timeout")? {
-        cfg.campaign_deadline = Some(Duration::from_millis(ms));
-    }
     let report = zeus::run_atpg(&design, &cfg).map_err(|e| diag_failure(&e))?;
+    // A run stops early only when cancelled or at its deadline.
+    let (cause, stopped): (_, fn(String) -> Failure) = match sess.cancel {
+        Some(c) if c.load(Ordering::Relaxed) => ("interrupted", Failure::Interrupted),
+        _ => ("stopped at the deadline", Failure::Limit),
+    };
     if let Some(dir) = cnf_dir {
         // One DIMACS file per SAT-backed redundancy claim, in claim order.
         for (i, text) in report.cnf_audits.iter().enumerate() {
@@ -1747,7 +1734,10 @@ fn cmd_atpg(
         if report.partial {
             // Parsers drop comment lines, so a partial set still
             // replays; the marker is for humans and scripts that grep.
-            text.push_str("# PARTIAL: generation was interrupted; this set is incomplete\n");
+            wln!(
+                text,
+                "# PARTIAL: generation {cause}; this set is incomplete"
+            );
         }
         sess.write_file(path, &text)?;
     }
@@ -1757,9 +1747,9 @@ fn cmd_atpg(
         w!(sess.out, "{}", report.to_text());
     }
     if report.partial {
-        return Err(Failure::Interrupted(
-            "atpg interrupted; partial vector set reported above".to_string(),
-        ));
+        return Err(stopped(format!(
+            "atpg {cause}; partial vector set reported above"
+        )));
     }
     // An explicit target is a pass/fail contract, not just a stopping
     // heuristic: fall below it and the exit status says so.
@@ -1842,7 +1832,7 @@ fn cmd_fuzz(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
         })?;
         cfg.chaos = Some(oracle);
     }
-    cfg.limits = sess.limits(p)?;
+    cfg.limits = sess.limits(p, false)?;
 
     let report = zeus_fuzz::run_fuzz(&cfg);
     w!(sess.out, "{}", report.render());

@@ -751,6 +751,37 @@ fn fault_campaign_timeout_reports_partially_with_exit_3() {
     assert!(stderr.contains("--campaign-timeout"), "{stderr}");
 }
 
+/// An ATPG run its deadline stops exits 3 (exit 130 is Ctrl-C's), and
+/// the emitted set's PARTIAL marker names the deadline.
+#[test]
+fn atpg_stopped_at_its_deadline_exits_3() {
+    let vec_path = std::env::temp_dir().join(format!(
+        "zeusc-test-atpg-deadline-{}.vec",
+        std::process::id()
+    ));
+    let (code, stdout, stderr) = zeusc_code(&[
+        "atpg",
+        "@adders",
+        "rippleCarry4",
+        "--campaign-timeout",
+        "0",
+        "--emit-vectors",
+        vec_path.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 3, "{stderr}");
+    assert!(stdout.contains("PARTIAL"), "{stdout}");
+    assert!(
+        stderr.contains("atpg stopped at the deadline; partial vector set reported above"),
+        "{stderr}"
+    );
+    let emitted = std::fs::read_to_string(&vec_path).unwrap();
+    assert!(
+        emitted.contains("# PARTIAL: generation stopped at the deadline"),
+        "{emitted}"
+    );
+    let _ = std::fs::remove_file(&vec_path);
+}
+
 /// First Ctrl-C: drain in-flight words, flush the checkpoint, report
 /// partially, exit 130 — then a resume completes to the byte-identical
 /// full report.

@@ -346,26 +346,29 @@ fn a_run_past_the_deadline_answers_z905_and_stores_nothing() {
     assert!(cache.kinds().is_empty(), "{:?}", cache.kinds());
 }
 
+/// ram(16, 8, 8) capped at 52 vectors spends most of its time (under a
+/// second in a debug build) in one SAT solve while over a thousand faults
+/// are pending: a deadline sliced into per-fault shares would cut that
+/// solve short and change the answer.
+const RAM_SAT: [&str; 11] = [
+    "atpg",
+    "@ram",
+    "ram",
+    "16",
+    "8",
+    "8",
+    "--seed",
+    "7",
+    "--sat",
+    "--max-vectors",
+    "52",
+];
+
 /// A server deadline the run never reaches leaves an `atpg --sat` answer
-/// byte-identical to a local run. ram(16, 8, 8) capped at 52 vectors
-/// spends most of its time (under a second in a debug build) in one SAT
-/// solve while over a thousand faults are pending, so fair per-fault
-/// slices of this 15 s deadline would cut that solve short.
+/// byte-identical to a local run.
 #[test]
 fn an_unreached_deadline_leaves_atpg_sat_answers_alone() {
-    let args = [
-        "atpg",
-        "@ram",
-        "ram",
-        "16",
-        "8",
-        "8",
-        "--seed",
-        "7",
-        "--sat",
-        "--max-vectors",
-        "52",
-    ];
+    let args = RAM_SAT;
     let want = run_captured(&argv(&args));
     assert_eq!(want.0, 0, "{}", want.2);
     let deadline = Instant::now() + Duration::from_secs(15);
@@ -380,4 +383,18 @@ fn an_unreached_deadline_leaves_atpg_sat_answers_alone() {
         want,
         "deadline reached: {reached}"
     );
+}
+
+/// The same holds for the user's own `--campaign-timeout`: unreached, it
+/// changes no byte of the answer.
+#[test]
+fn an_unreached_campaign_timeout_leaves_atpg_sat_answers_alone() {
+    let want = run_captured(&argv(&RAM_SAT));
+    assert_eq!(want.0, 0, "{}", want.2);
+    let started = Instant::now();
+    let bounded = run_captured(&argv(
+        &[&RAM_SAT[..], &["--campaign-timeout", "15000"]].concat(),
+    ));
+    let reached = started.elapsed() >= Duration::from_secs(15);
+    assert_eq!(bounded, want, "deadline reached: {reached}");
 }

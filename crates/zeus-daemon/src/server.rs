@@ -26,10 +26,10 @@
 //! server default. Queue wait burns deadline — that is the point; a
 //! request that waited too long is answered with a Z905 error instead
 //! of being executed late. During execution the remaining budget is
-//! merged into the limits every engine runs under (a fault campaign
-//! takes it as its campaign deadline), so a stuck request cannot wedge
-//! a worker. The deadline never changes a successful answer: a run
-//! that finishes past it answers Z905 (exit 3), and nothing is stored.
+//! merged into the limits every engine runs under (a fault campaign's
+//! and an ATPG run's deadline included), so a stuck request cannot
+//! wedge a worker. The deadline never changes an answer: a command that
+//! ends past it answers Z905 (exit 3), and nothing is stored.
 //!
 //! # Panic isolation
 //!

@@ -46,8 +46,8 @@ pub struct Limits {
     /// amortized (every few hundred charges), so overshoot is bounded by
     /// one batch of work. `None` means no deadline.
     pub deadline: Option<Duration>,
-    /// Simulation step budget for `run`-style loops (`Z908`). `None`
-    /// means unlimited.
+    /// Simulation step budget (`Z908`): the most cycles one simulator
+    /// may step. `None` means unlimited.
     pub max_steps: Option<u64>,
     /// Per-cycle relaxation-sweep cap for the switch-level simulator.
     /// `None` uses the adaptive default `2 * nodes + 16`; exceeding the
@@ -216,6 +216,13 @@ impl Governor {
     /// Fuel remaining, or `None` when unlimited.
     pub fn fuel_left(&self) -> Option<u64> {
         self.fuel_left
+    }
+
+    /// Wall-clock time remaining before the deadline (zero once it has
+    /// passed), or `None` without one.
+    pub fn time_left(&self) -> Option<Duration> {
+        self.deadline_at
+            .map(|at| at.saturating_duration_since(Instant::now()))
     }
 }
 

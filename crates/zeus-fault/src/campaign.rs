@@ -14,12 +14,13 @@
 //! checkpointing ([`crate::checkpoint`]), per-word panic isolation (a
 //! poisoned word is retried once on a fresh simulator and then
 //! classified [`Outcome::ToolError`] instead of killing the campaign),
-//! graceful interruption (a cancellation flag or campaign deadline
-//! stops the run between words and yields a partial report) and
-//! sharding over threads. An engine supplies only the function that
-//! simulates one word. The scalar runner here, one golden/faulty pair
-//! per fault, is the reference the production packed runner
-//! ([`crate::run_campaign_packed`]) is checked against.
+//! graceful interruption (a cancellation flag stops the run between
+//! words, the run's deadline between words or mid-word, and either
+//! yields a partial report) and sharding over threads. An engine
+//! supplies only the function that simulates one word. The scalar
+//! runner here, one golden/faulty pair per fault, is the reference the
+//! production packed runner ([`crate::run_campaign_packed`]) is checked
+//! against.
 
 use crate::checkpoint::{CheckpointOptions, Journal};
 use crate::list::FaultList;
@@ -27,12 +28,12 @@ use crate::report::CoverageReport;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
-use zeus_elab::{Design, Fault, Limits};
+use zeus_elab::{Design, Fault, Governor, Limits};
 use zeus_sim::{run_differential, Simulator, VectorSet, VectorStream, LANES};
 use zeus_switch::SwitchSim;
 use zeus_syntax::catch_panic;
 use zeus_syntax::diag::{codes, Diagnostic};
+use zeus_syntax::span::Span;
 
 /// Which simulation engine executes the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,9 +56,10 @@ impl Engine {
 
 /// Campaign parameters.
 ///
-/// Only `engine`, `vectors`, `seed` and `limits` affect per-fault
-/// outcomes (and therefore the checkpoint digest); the remaining fields
-/// control *how far* a run gets, not what it computes.
+/// Only `engine`, `vectors`, `seed`, the vector set and the per-fault
+/// part of `limits` affect per-fault outcomes (and therefore the
+/// checkpoint digest); the deadline and the remaining fields control
+/// *how far* a run gets, not what it computes.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// The engine to run on.
@@ -66,13 +68,12 @@ pub struct CampaignConfig {
     pub vectors: u32,
     /// Seed for the input stream and both simulators' RANDOM nodes.
     pub seed: u64,
-    /// Per-fault resource budget. When `max_steps` is `None` it defaults
-    /// to `vectors + 2` (the vectors plus the reset cycle and slack).
+    /// Resource budget. Fuel and `max_steps` (default `vectors + 2`: the
+    /// vectors plus the reset cycle and slack) apply to each fault's run
+    /// and may classify it `BudgetExhausted`. The `deadline` bounds the
+    /// whole run: reaching it stops the run with a partial report,
+    /// dropping any unfinished word, and never classifies a fault.
     pub limits: Limits,
-    /// Wall-clock budget for the *whole campaign* (distinct from the
-    /// per-fault `limits.deadline`). When it expires the run stops
-    /// between words and reports partially.
-    pub campaign_deadline: Option<Duration>,
     /// Cooperative cancellation flag (e.g. set from a SIGINT handler).
     /// When it reads `true` the run drains in-flight words, flushes the
     /// checkpoint, and reports partially.
@@ -100,7 +101,6 @@ impl CampaignConfig {
             vectors,
             seed,
             limits: Limits::default(),
-            campaign_deadline: None,
             cancel: None,
             chaos_panic_word: None,
             chaos_panic_attempts: 0,
@@ -134,11 +134,14 @@ impl CampaignConfig {
         }
     }
 
+    /// The budget of one fault's run: `limits` without the deadline,
+    /// which bounds the run as a whole.
     pub(crate) fn effective_limits(&self) -> Limits {
         let mut l = self.limits.clone();
         if l.max_steps.is_none() {
             l.max_steps = Some(self.vectors as u64 + 2);
         }
+        l.deadline = None;
         l
     }
 }
@@ -148,8 +151,8 @@ impl CampaignConfig {
 pub enum UndetectedReason {
     /// The full vector budget ran with no output difference.
     NotObserved,
-    /// The per-fault resource budget (fuel, deadline or steps) ran out
-    /// before the vectors did.
+    /// The per-fault resource budget (fuel or steps) ran out before the
+    /// vectors did.
     BudgetExhausted,
 }
 
@@ -191,7 +194,7 @@ pub(crate) fn outcome_tag(o: &Outcome) -> &'static str {
 pub enum PartialReason {
     /// The cancellation flag was raised (e.g. Ctrl-C).
     Interrupted,
-    /// The campaign wall-clock deadline expired.
+    /// The run's wall-clock deadline (`limits.deadline`) passed.
     DeadlineExceeded,
 }
 
@@ -251,8 +254,8 @@ pub fn run_campaign_with(
     cfg: &CampaignConfig,
     checkpoint: Option<&CheckpointOptions>,
 ) -> Result<CoverageReport, Diagnostic> {
-    run_words(design, list, cfg, 1, checkpoint, |limits| {
-        Ok(scalar_word(design, cfg, limits))
+    run_words(design, list, cfg, 1, checkpoint, |limits, clock| {
+        Ok(scalar_word(design, cfg, limits, clock))
     })
 }
 
@@ -262,16 +265,33 @@ pub(crate) fn scalar_word<'a>(
     design: &'a Design,
     cfg: &'a CampaignConfig,
     limits: Limits,
+    clock: Governor,
 ) -> impl Fn(&[Fault]) -> Result<Vec<Outcome>, Diagnostic> + Sync + 'a {
     move |faults| {
         faults
             .iter()
             .map(|&fault| match cfg.engine {
-                Engine::Graph => run_one_graph(design, fault, cfg, &limits),
-                Engine::Switch => run_one_switch(design, fault, cfg, &limits),
+                Engine::Graph => run_one_graph(design, fault, cfg, &limits, &clock),
+                Engine::Switch => run_one_switch(design, fault, cfg, &limits, &clock),
             })
             .collect()
     }
+}
+
+/// Reads the run's clock every 64 ticks of the golden trace or a word:
+/// `Z905` once its deadline has passed, which [`run_words`] turns into
+/// a partial report, dropping the word, and never into an outcome.
+pub(crate) fn poll_clock(clock: &Governor, tick: usize) -> Result<(), Diagnostic> {
+    match tick % 64 {
+        0 => clock.check_deadline(Span::dummy()),
+        _ => Ok(()),
+    }
+}
+
+/// True for the error [`poll_clock`] raises. Nothing else in a word can
+/// raise it: a fault's own run has no deadline (`effective_limits`).
+fn stopped_by_clock(e: &Diagnostic) -> bool {
+    e.code == Some(codes::LIMIT_DEADLINE)
 }
 
 /// Never spawn more workers than there are pending fault words: excess
@@ -282,8 +302,11 @@ fn clamp_jobs(jobs: usize, pending_words: usize) -> usize {
 
 /// The word runner behind every campaign entry point. `engine` receives
 /// the effective per-fault limits (after the vector set is validated)
-/// and returns the function that simulates one word of up to 64 faults,
-/// yielding their outcomes in list order.
+/// and the run's clock, and returns the function that simulates one
+/// word of up to 64 faults, yielding their outcomes in list order. The
+/// deadline counts from the call and is checked like cancellation
+/// between words, and also ([`poll_clock`]) inside the engine's setup
+/// and each word; a word it cuts is dropped.
 ///
 /// Pending words (those not already in a resumed journal) run on the
 /// calling thread when `jobs` is 1, and otherwise in contiguous ranges
@@ -298,28 +321,38 @@ pub(crate) fn run_words<W>(
     cfg: &CampaignConfig,
     jobs: usize,
     checkpoint: Option<&CheckpointOptions>,
-    engine: impl FnOnce(Limits) -> Result<W, Diagnostic>,
+    engine: impl FnOnce(Limits, Governor) -> Result<W, Diagnostic>,
 ) -> Result<CoverageReport, Diagnostic>
 where
     W: Fn(&[Fault]) -> Result<Vec<Outcome>, Diagnostic> + Sync,
 {
+    // The run's clock: only its deadline is ever read.
+    let clock = cfg.limits.governor();
     cfg.validate(design)?;
-    let sim_word = engine(cfg.effective_limits())?;
+    let sim_word = match engine(cfg.effective_limits(), clock.clone()) {
+        // The clock cut the engine's setup (the golden trace).
+        Err(e) if stopped_by_clock(&e) => {
+            let (_, done) = Journal::open(design, list, cfg, checkpoint)?;
+            let reason = Some(PartialReason::DeadlineExceeded);
+            return Ok(assemble(design, list, cfg, done, reason));
+        }
+        sim_word => sim_word?,
+    };
     let (mut journal, mut done) = Journal::open(design, list, cfg, checkpoint)?;
     let words: Vec<&[Fault]> = list.faults.chunks(LANES).collect();
     let pending: Vec<usize> = (0..words.len()).filter(|w| !done.contains_key(w)).collect();
     let jobs = clamp_jobs(jobs, pending.len());
     let run = |w: usize| run_word_isolated(w, cfg, words[w].len(), || sim_word(words[w]));
-    let started = Instant::now();
-    let mut partial = None;
 
     if jobs == 1 {
         for &w in &pending {
-            if let Some(reason) = interruption(cfg, started) {
-                partial = Some(reason);
+            if interruption(cfg, &clock).is_some() {
                 break;
             }
-            let outcomes = run(w)?;
+            let outcomes = match run(w) {
+                Err(e) if stopped_by_clock(&e) => break,
+                outcomes => outcomes?,
+            };
             if let Some(j) = journal.as_mut() {
                 j.record(w, &outcomes)?;
             }
@@ -333,10 +366,10 @@ where
         std::thread::scope(|scope| {
             for shard in pending.chunks(chunk) {
                 let tx = tx.clone();
-                let (run, stop) = (&run, &stop);
+                let (run, stop, clock) = (&run, &stop, &clock);
                 scope.spawn(move || {
                     for &w in shard {
-                        if stop.load(Ordering::Relaxed) || interruption(cfg, started).is_some() {
+                        if stop.load(Ordering::Relaxed) || interruption(cfg, clock).is_some() {
                             break;
                         }
                         let res = run(w);
@@ -358,7 +391,10 @@ where
                     Ok(())
                 });
                 if let Err(e) = recorded {
-                    first_err.get_or_insert(e);
+                    // A word the clock cut is dropped, not an error.
+                    if !stopped_by_clock(&e) {
+                        first_err.get_or_insert(e);
+                    }
                     stop.store(true, Ordering::Relaxed);
                 }
             }
@@ -366,28 +402,26 @@ where
         if let Some(e) = first_err {
             return Err(e);
         }
-        if done.len() < words.len() {
-            partial = interruption(cfg, started);
-            debug_assert!(partial.is_some(), "missing words without an interruption");
-        }
     }
 
+    let missing = done.len() < words.len();
+    let partial = interruption(cfg, &clock).filter(|_| missing);
+    debug_assert!(
+        !missing || partial.is_some(),
+        "missing words without an interruption"
+    );
     Ok(assemble(design, list, cfg, done, partial))
 }
 
 /// Checks the cooperative stop conditions (between words).
-fn interruption(cfg: &CampaignConfig, started: Instant) -> Option<PartialReason> {
-    if let Some(flag) = cfg.cancel {
-        if flag.load(Ordering::Relaxed) {
-            return Some(PartialReason::Interrupted);
-        }
+fn interruption(cfg: &CampaignConfig, clock: &Governor) -> Option<PartialReason> {
+    if cfg.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+        Some(PartialReason::Interrupted)
+    } else if clock.check_deadline(Span::dummy()).is_err() {
+        Some(PartialReason::DeadlineExceeded)
+    } else {
+        None
     }
-    if let Some(deadline) = cfg.campaign_deadline {
-        if started.elapsed() > deadline {
-            return Some(PartialReason::DeadlineExceeded);
-        }
-    }
-    None
 }
 
 /// Runs one word's simulation under the panic firewall. A panic retries
@@ -472,6 +506,7 @@ fn run_one_graph(
     fault: Fault,
     cfg: &CampaignConfig,
     limits: &Limits,
+    clock: &Governor,
 ) -> Result<Outcome, Diagnostic> {
     let mut golden = Simulator::with_limits(design.clone(), limits)?;
     let mut faulty = Simulator::with_limits(design.clone(), limits)?;
@@ -498,26 +533,31 @@ fn run_one_graph(
         faulty.set_rset(false);
     }
 
-    match run_differential(&mut golden, &mut faulty, &mut stream, cfg.vectors) {
-        Err(e) => classify_error(e),
-        Ok(Some(div)) => {
-            // A divergence caused by a non-settling bridge is the
-            // fault being hyperactive, not cleanly detected.
-            match faulty.first_unstable_cycle() {
-                Some(_) => Ok(Outcome::Hyperactive),
-                None => Ok(Outcome::Detected {
-                    cycle: div.cycle,
+    // The vectors in runs of 64, reading the clock before each.
+    let mut cycle = 0u32;
+    while cycle < cfg.vectors {
+        poll_clock(clock, cycle as usize)?;
+        let run = (cfg.vectors - cycle).min(64);
+        match run_differential(&mut golden, &mut faulty, &mut stream, run) {
+            Err(e) => return classify_error(e),
+            // A divergence caused by a non-settling bridge is the fault
+            // being hyperactive, not cleanly detected.
+            Ok(Some(_)) if faulty.first_unstable_cycle().is_some() => {
+                return Ok(Outcome::Hyperactive)
+            }
+            Ok(Some(div)) => {
+                return Ok(Outcome::Detected {
+                    cycle: u64::from(cycle) + div.cycle,
                     port: div.port,
-                }),
+                })
             }
+            Ok(None) => cycle += run,
         }
-        Ok(None) => {
-            if faulty.first_unstable_cycle().is_some() {
-                Ok(Outcome::Hyperactive)
-            } else {
-                Ok(Outcome::Undetected(UndetectedReason::NotObserved))
-            }
-        }
+    }
+    if faulty.first_unstable_cycle().is_some() {
+        Ok(Outcome::Hyperactive)
+    } else {
+        Ok(Outcome::Undetected(UndetectedReason::NotObserved))
     }
 }
 
@@ -526,6 +566,7 @@ fn run_one_switch(
     fault: Fault,
     cfg: &CampaignConfig,
     limits: &Limits,
+    clock: &Governor,
 ) -> Result<Outcome, Diagnostic> {
     let mut golden = SwitchSim::with_limits(design, limits);
     let mut faulty = SwitchSim::with_limits(design, limits);
@@ -556,6 +597,7 @@ fn run_one_switch(
     }
 
     for cycle in 0..cfg.vectors {
+        poll_clock(clock, cycle as usize)?;
         let assignment = stream.next_vector();
         for (name, bits) in &assignment {
             golden.set_port(name, bits)?;

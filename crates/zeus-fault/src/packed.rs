@@ -14,7 +14,7 @@
 //!
 //! 1. **A shared golden trace.** The fault-free run is the same for
 //!    every fault, so it is executed once with the real scalar
-//!    [`Simulator`] under the campaign [`Limits`] and its per-tick inputs
+//!    [`Simulator`] under the per-fault [`Limits`] and its per-tick inputs
 //!    and OUT port values (boolean view) are recorded, along with the
 //!    classification of a budget error if the golden run itself runs
 //!    out. Every word clones one fault-free [`PackedSim`] template,
@@ -29,20 +29,22 @@
 //!    using the packed engine's per-lane sweep counts — so a fault that
 //!    exhausts its budget on cycle *k* scalar-side is classified
 //!    `BudgetExhausted` on cycle *k* packed-side, before any output
-//!    compare, exactly like `classify_error`. Deadlines are wall-clock
-//!    and checked once per tick per word.
+//!    compare, exactly like `classify_error`. The wall-clock deadline
+//!    is no lane's budget: the golden trace and every word read the
+//!    run's clock every 64 ticks, and once it has passed they stop the
+//!    run instead of classifying a lane.
 //! 3. **Deterministic merge.** Faults are packed into words in list
 //!    order and the word runner merges finished words by index, reproducing
 //!    the scalar result order no matter how many workers ran.
 
 use crate::campaign::{
-    classify_error, run_words, scalar_word, CampaignConfig, Engine, Outcome, UndetectedReason,
+    classify_error, poll_clock, run_words, scalar_word, CampaignConfig, Engine, Outcome,
+    UndetectedReason,
 };
 use crate::checkpoint::CheckpointOptions;
 use crate::list::FaultList;
 use crate::report::CoverageReport;
-use std::time::Instant;
-use zeus_elab::{Design, Fault, Limits, NetId};
+use zeus_elab::{Design, Fault, Governor, Limits, NetId};
 use zeus_sema::Value;
 use zeus_sim::{PackedSim, PackedWord, Simulator, LANES};
 use zeus_syntax::diag::Diagnostic;
@@ -64,7 +66,7 @@ struct GoldenTrace {
 }
 
 /// Replays the scalar [`Simulator::try_step`] budget arithmetic for one
-/// lane (fuel and step ceiling; the deadline is handled per shard).
+/// lane (fuel and step ceiling).
 struct LaneBudget {
     steps: u64,
     max_steps: Option<u64>,
@@ -148,7 +150,7 @@ pub fn run_campaign_packed(
 /// journaled incrementally as workers deliver them; a panic inside a
 /// worker's word is retried once on a fresh simulator and then
 /// classified [`Outcome::ToolError`](crate::Outcome::ToolError) without
-/// killing the campaign; the cancellation flag and campaign deadline
+/// killing the campaign; the cancellation flag and the run's deadline
 /// drain in-flight words and yield a partial report.
 ///
 /// # Errors
@@ -163,27 +165,29 @@ pub fn run_campaign_packed_with(
     checkpoint: Option<&CheckpointOptions>,
 ) -> Result<CoverageReport, Diagnostic> {
     match cfg.engine {
-        Engine::Graph => run_words(design, list, cfg, jobs, checkpoint, |limits| {
-            let golden = record_golden(design, cfg, &limits)?;
+        Engine::Graph => run_words(design, list, cfg, jobs, checkpoint, |limits, clock| {
+            let golden = record_golden(design, cfg, &limits, &clock)?;
             // The packed simulator runs unbudgeted; each lane's budget is
             // the [`LaneBudget`] replay in `run_word`.
             let mut template = PackedSim::new(design.clone())?;
             template.reseed(cfg.seed);
-            Ok(move |faults: &[Fault]| run_word(&template, faults, &limits, &golden))
+            Ok(move |faults: &[Fault]| run_word(&template, faults, &limits, &golden, &clock))
         }),
-        Engine::Switch => run_words(design, list, cfg, jobs, checkpoint, |limits| {
-            Ok(scalar_word(design, cfg, limits))
+        Engine::Switch => run_words(design, list, cfg, jobs, checkpoint, |limits, clock| {
+            Ok(scalar_word(design, cfg, limits, clock))
         }),
     }
 }
 
-/// Runs the fault-free simulation once under the campaign limits and
+/// Runs the fault-free simulation once under the per-fault limits and
 /// records everything the faulty lanes need: the inputs of every tick
-/// and the OUT values to compare against.
+/// and the OUT values to compare against. Once the run's `clock` has
+/// passed its deadline the trace stops with `Z905`.
 fn record_golden(
     design: &Design,
     cfg: &CampaignConfig,
     limits: &Limits,
+    clock: &Governor,
 ) -> Result<GoldenTrace, Diagnostic> {
     // Ports are read by name, as `Simulator::port` reads them.
     let outs: Vec<(String, Vec<NetId>)> = design
@@ -197,15 +201,18 @@ fn record_golden(
     let mut golden = Simulator::with_limits(design.clone(), limits)?;
     golden.reseed(cfg.seed);
     let mut stream = cfg.stream(design);
+    // The trace grows as it records: the clock may stop it long before
+    // `cfg.vectors` ticks, which need not fit in memory.
     let mut trace = GoldenTrace {
-        inputs: Vec::with_capacity(cfg.vectors as usize + 1),
-        ticks: Vec::with_capacity(cfg.vectors as usize + 1),
+        inputs: Vec::new(),
+        ticks: Vec::new(),
         outs,
         stopped: None,
     };
 
     let reset = design.rset.is_some();
     for tick in 0..usize::from(reset) + cfg.vectors as usize {
+        poll_clock(clock, tick)?;
         let vector = if reset && tick == 0 {
             golden.set_rset(true);
             stream.zero_vector()
@@ -247,12 +254,14 @@ fn golden_stop(golden: &GoldenTrace) -> Result<Outcome, Diagnostic> {
 /// fault-free `template` against the golden trace, returning their
 /// outcomes in lane order. Detection is word-wide: each OUT port's
 /// difference mask covers every lane at once, and a newly differing
-/// lane takes the first such port in declaration order.
+/// lane takes the first such port in declaration order. Once the run's
+/// `clock` has passed its deadline the word stops with `Z905`.
 fn run_word(
     template: &PackedSim,
     faults: &[Fault],
     limits: &Limits,
     golden: &GoldenTrace,
+    clock: &Governor,
 ) -> Result<Vec<Outcome>, Diagnostic> {
     let mut sim = template.clone();
     for (lane, &fault) in faults.iter().enumerate() {
@@ -260,7 +269,6 @@ fn run_word(
     }
     let order = sim.order_len() as u64;
     let reset = usize::from(sim.design().rset.is_some());
-    let started = Instant::now();
 
     let n = faults.len();
     let mut budgets: Vec<LaneBudget> = (0..n).map(|_| LaneBudget::new(limits)).collect();
@@ -273,6 +281,7 @@ fn run_word(
         if live == 0 {
             break;
         }
+        poll_clock(clock, tick)?;
         // `run_differential` steps the golden side first: when it died
         // here, every still-unclassified fault inherits that outcome.
         let Some(gold) = golden.ticks.get(tick) else {
@@ -287,12 +296,6 @@ fn run_word(
         }
         for (name, bits) in inputs {
             sim.set_port(name, bits)?;
-        }
-        if deadline_passed(limits, started) {
-            for l in lanes(live) {
-                outcomes[l] = Some(Outcome::Undetected(UndetectedReason::BudgetExhausted));
-            }
-            break;
         }
         let mut began = 0u64;
         for l in lanes(live) {
@@ -352,13 +355,6 @@ fn run_word(
         })
         .collect();
     Ok(final_outcomes)
-}
-
-/// Wall-clock deadline, checked once per tick per word (the scalar
-/// governor checks every 64 fuel charges; both are approximations of
-/// "stop around this time" and only fire in wall-clock-limited runs).
-fn deadline_passed(limits: &Limits, started: Instant) -> bool {
-    limits.deadline.is_some_and(|d| started.elapsed() > d)
 }
 
 #[cfg(test)]

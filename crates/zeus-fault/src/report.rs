@@ -36,8 +36,8 @@ pub struct CoverageReport {
     /// Faults the campaign planned to simulate (the collapsed universe).
     /// Equals `results.len()` unless the run is partial.
     pub planned: usize,
-    /// `Some` when the campaign stopped early (interrupt or campaign
-    /// deadline): `results` then covers only the completed words.
+    /// `Some` when the campaign stopped early (interrupt or deadline):
+    /// `results` then covers only the completed words.
     pub partial: Option<PartialReason>,
 }
 

@@ -1,15 +1,18 @@
 //! Crash-safe campaign properties: resuming from any checkpoint prefix
 //! reproduces the uninterrupted report byte for byte, worker panics are
-//! contained to one fault word, and interruption yields partial reports.
+//! contained to one fault word, and interruption or the deadline yields
+//! partial reports.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 use zeus_elab::{elaborate, Design};
 use zeus_fault::{
     enumerate_faults, run_campaign, run_campaign_packed, run_campaign_packed_with,
     run_campaign_with, CampaignConfig, CheckpointOptions, Engine, FaultListOptions, Outcome,
-    PartialReason,
+    PartialReason, UndetectedReason,
 };
 use zeus_syntax::parse_program;
 
@@ -196,12 +199,89 @@ fn campaign_deadline_yields_a_partial_report() {
     let d = big_design();
     let list = big_list(&d);
     let mut cfg = CampaignConfig::new(Engine::Graph, 12, 3);
-    cfg.campaign_deadline = Some(std::time::Duration::ZERO);
+    cfg.limits.deadline = Some(Duration::ZERO);
     let report = run_campaign(&d, &list, &cfg).unwrap();
     assert_eq!(report.partial, Some(PartialReason::DeadlineExceeded));
     assert!(report.to_json().contains("\"partial_reason\":\"deadline\""));
     let report = run_campaign_packed(&d, &list, &cfg, 2).unwrap();
     assert_eq!(report.partial, Some(PartialReason::DeadlineExceeded));
+}
+
+/// The deadline stops a campaign and never decides an outcome: whether
+/// it lands before the first word, mid-way or never, every fault the
+/// report lists carries the unbounded run's outcome, and none is
+/// `budget-exhausted` (the run has no fuel or step pressure).
+#[test]
+fn a_deadline_only_stops_the_campaign() {
+    let d = big_design();
+    let list = big_list(&d);
+    let cfg = CampaignConfig::new(Engine::Graph, 2000, 3);
+    let started = Instant::now();
+    let full = run_campaign_packed(&d, &list, &cfg, 1).unwrap();
+    let took = started.elapsed();
+    assert!(full.partial.is_none());
+    let want: HashMap<_, _> = full.results.iter().map(|r| (r.fault, &r.outcome)).collect();
+
+    for deadline in [Duration::ZERO, took / 8, took / 3, took / 2, took * 4] {
+        for jobs in [1, 3] {
+            let mut bounded = cfg.clone();
+            bounded.limits.deadline = Some(deadline);
+            let report = run_campaign_packed(&d, &list, &bounded, jobs).unwrap();
+            let at = format!("deadline {deadline:?}, jobs {jobs}");
+            match report.partial {
+                None => assert_eq!(report.to_json(), full.to_json(), "{at}"),
+                Some(reason) => assert_eq!(reason, PartialReason::DeadlineExceeded, "{at}"),
+            }
+            for r in &report.results {
+                assert_ne!(
+                    r.outcome,
+                    Outcome::Undetected(UndetectedReason::BudgetExhausted),
+                    "{at}: {}",
+                    r.site_name
+                );
+                assert_eq!(
+                    Some(&&r.outcome),
+                    want.get(&r.fault),
+                    "{at}: {}",
+                    r.site_name
+                );
+            }
+        }
+    }
+}
+
+/// The deadline bounds the golden trace and each word, not only the gap
+/// between words: a campaign far too long for its deadline stops soon
+/// after it with a partial report, on every runner and engine. The
+/// design's `AND` output stuck-at-0 is undetectable, so that fault's own
+/// run lasts every vector.
+#[test]
+fn a_deadline_stops_a_long_campaign_promptly() {
+    let src = "TYPE red = COMPONENT (IN a,b: boolean; OUT s: boolean) IS \
+               BEGIN s := OR(a, AND(a,b)) END;";
+    let d = elaborate(&parse_program(src).unwrap(), "red", &[]).unwrap();
+    let list = big_list(&d);
+    let deadline = Duration::from_millis(100);
+    for engine in [Engine::Graph, Engine::Switch] {
+        let mut cfg = CampaignConfig::new(engine, 50_000_000, 3);
+        cfg.limits.deadline = Some(deadline);
+        for jobs in [0, 1, 3] {
+            let started = Instant::now();
+            let report = if jobs == 0 {
+                run_campaign(&d, &list, &cfg).unwrap()
+            } else {
+                run_campaign_packed(&d, &list, &cfg, jobs).unwrap()
+            };
+            let took = started.elapsed();
+            let at = format!("{}, jobs {jobs}", engine.name());
+            assert_eq!(
+                report.partial,
+                Some(PartialReason::DeadlineExceeded),
+                "{at}"
+            );
+            assert!(took < deadline * 20, "{at}: took {took:?}");
+        }
+    }
 }
 
 proptest! {

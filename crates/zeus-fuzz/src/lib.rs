@@ -360,6 +360,37 @@ mod tests {
         );
     }
 
+    /// A campaign the deadline stops is no finding: a zero deadline
+    /// lets a small program elaborate (the governor reads the clock only
+    /// every few dozen charges) but stops the resume-prefix oracle's
+    /// first campaign before its first word, so the case is skipped. The
+    /// stop skips only that oracle: what the printer fixpoint found
+    /// before it, and a divergence planted in the interchange oracle
+    /// after it, are still reported. (The lockstep oracles before it
+    /// cannot plant one here: their simulators read the clock every
+    /// cycle, so a zero deadline skips them.)
+    #[test]
+    fn a_case_whose_campaign_the_clock_stops_is_skipped() {
+        let mut cc = CaseConfig::new(scratch("stopped"), "stopped".to_string());
+        cc.limits.deadline = Some(std::time::Duration::ZERO);
+        let text = "TYPE halfadder = COMPONENT (IN a,b: boolean; OUT cout,s: boolean) IS \
+                    BEGIN s := XOR(a,b); cout := AND(a,b) END;";
+        let program = print_program(&zeus_syntax::parse_program(text).unwrap());
+        match run_case(&program, "halfadder", 1, &cc) {
+            CaseOutcome::SkippedLimit(site) => assert_eq!(site, "resume-prefix"),
+            CaseOutcome::Findings(fs) => panic!("expected a skip, got findings {fs:?}"),
+        }
+
+        let found = |text: &str, cc: &CaseConfig| match run_case(text, "halfadder", 1, cc) {
+            CaseOutcome::Findings(fs) => fs.iter().map(|f| f.oracle).collect::<Vec<_>>(),
+            CaseOutcome::SkippedLimit(site) => panic!("the findings were dropped at {site}"),
+        };
+        assert_ne!(text, program, "the raw text must not be canonical");
+        assert_eq!(found(text, &cc), [Oracle::Roundtrip]);
+        cc.chaos = Some(Oracle::Interchange);
+        assert_eq!(found(&program, &cc), [Oracle::Interchange]);
+    }
+
     /// Mutation-style self-test: each differential oracle must detect
     /// its artificially injected divergence.
     #[test]

@@ -7,7 +7,8 @@
 //!    the identical bytes (printer fixpoint).
 //! 2. **compile** — parse/check/elaborate must accept the generated
 //!    program (the generator only emits well-typed subsets); resource
-//!    limits (`Z9xx`) are *skips*, not findings.
+//!    limits (`Z9xx`) are *skips*, not findings, and so is a campaign or
+//!    ATPG run the deadline stopped.
 //! 3. **scalar-vs-packed** — the levelized [`zeus::Simulator`] and the
 //!    64-lane [`zeus::PackedSim`], driven with identical vectors, must
 //!    agree on every port, lane for lane, every cycle.
@@ -50,8 +51,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zeus::{
     catch_panic, enumerate_faults, optimize, run_atpg, run_campaign, run_campaign_with, AtpgConfig,
-    CampaignConfig, CheckpointOptions, Design, Diagnostic, Engine, FaultListOptions, Limits,
-    OptConfig, PackedSim, Simulator, SwitchSim, Value, VectorSet, VectorStream, Zeus, LANES,
+    CampaignConfig, CheckpointOptions, CoverageReport, Design, Diagnostic, Engine,
+    FaultListOptions, Limits, OptConfig, PackedSim, Simulator, SwitchSim, Value, VectorSet,
+    VectorStream, Zeus, LANES,
 };
 
 use crate::gen::case_seed;
@@ -187,7 +189,8 @@ impl CaseConfig {
 pub enum CaseOutcome {
     /// Ran to completion; findings may be empty.
     Findings(Vec<Finding>),
-    /// Hit a resource limit (`Z9xx`) — not a bug, counted separately.
+    /// Hit a resource limit (`Z9xx`), or the deadline stopped a run and
+    /// no other oracle found anything — not a bug, counted separately.
     SkippedLimit(String),
 }
 
@@ -254,10 +257,14 @@ pub fn run_case(text: &str, top: &str, vec_seed: u64, cc: &CaseConfig) -> CaseOu
         (Oracle::Interchange, netlist_interchange),
         (Oracle::Sat, sat_vs_exhaustive),
     ];
+    let mut stopped = None;
     for (oracle, f) in oracles {
         match catch_panic(|| f(&design, vec_seed, cc)) {
             Ok(OracleVerdict::Agree) => {}
             Ok(OracleVerdict::Skip) => {}
+            Ok(OracleVerdict::Stopped) => {
+                stopped.get_or_insert(oracle);
+            }
             Ok(OracleVerdict::Diverged { code, site, detail }) => findings.push(Finding {
                 oracle,
                 code,
@@ -274,7 +281,10 @@ pub fn run_case(text: &str, top: &str, vec_seed: u64, cc: &CaseConfig) -> CaseOu
             }),
         }
     }
-    CaseOutcome::Findings(findings)
+    match stopped {
+        Some(oracle) if findings.is_empty() => CaseOutcome::SkippedLimit(oracle.name().to_string()),
+        _ => CaseOutcome::Findings(findings),
+    }
 }
 
 fn first_code(e: &zeus::Diagnostics) -> Option<&'static str> {
@@ -286,6 +296,10 @@ enum OracleVerdict {
     /// Not applicable to this design (or a resource limit inside the
     /// oracle) — silently inconclusive.
     Skip,
+    /// The deadline stopped a campaign or ATPG run: its partial report
+    /// cannot be compared. The case goes on to the next oracle, and is
+    /// skipped only when no oracle found anything.
+    Stopped,
     Diverged {
         code: String,
         site: String,
@@ -510,18 +524,20 @@ fn resume_prefix(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVerdi
         case_seed(vec_seed, 0, 3),
     );
     cfg.limits = cc.limits.clone();
-    let fresh = match run_campaign(design, &list, &cfg) {
-        Ok(r) => r.to_json(),
-        Err(d) => return diag_verdict(d, "campaign"),
+    let fresh = match complete(run_campaign(design, &list, &cfg), "campaign") {
+        Ok(json) => json,
+        Err(v) => return v,
     };
 
     let path = cc.scratch.join(format!("{}-resume.journal", cc.tag));
     let _ = std::fs::remove_file(&path);
-    let journaled =
-        match run_campaign_with(design, &list, &cfg, Some(&CheckpointOptions::new(&path))) {
-            Ok(r) => r.to_json(),
-            Err(d) => return diag_verdict(d, "journal"),
-        };
+    let journaled = match complete(
+        run_campaign_with(design, &list, &cfg, Some(&CheckpointOptions::new(&path))),
+        "journal",
+    ) {
+        Ok(json) => json,
+        Err(v) => return v,
+    };
     if journaled != fresh {
         let _ = std::fs::remove_file(&path);
         return OracleVerdict::Diverged {
@@ -542,14 +558,16 @@ fn resume_prefix(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVerdi
         if std::fs::write(&path, prefix).is_err() {
             break;
         }
-        let resumed =
-            match run_campaign_with(design, &list, &cfg, Some(&CheckpointOptions::resume(&path))) {
-                Ok(r) => r.to_json(),
-                Err(d) => {
-                    let _ = std::fs::remove_file(&path);
-                    return diag_verdict(d, "resume");
-                }
-            };
+        let resumed = match complete(
+            run_campaign_with(design, &list, &cfg, Some(&CheckpointOptions::resume(&path))),
+            "resume",
+        ) {
+            Ok(json) => json,
+            Err(v) => {
+                let _ = std::fs::remove_file(&path);
+                return v;
+            }
+        };
         let resumed = if cc.chaos == Some(Oracle::ResumePrefix) && keep == 0 {
             // Mutation self-test hook: corrupt the resumed report.
             format!("{resumed}#chaos")
@@ -581,6 +599,7 @@ fn atpg_replay(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVerdict
         ..AtpgConfig::default()
     };
     let report = match run_atpg(design, &cfg) {
+        Ok(r) if r.partial => return OracleVerdict::Stopped,
         Ok(r) => r,
         Err(d) => return diag_verdict(d, "atpg"),
     };
@@ -597,9 +616,9 @@ fn atpg_replay(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVerdict
     let mut gcfg = CampaignConfig::replay(Engine::Graph, set);
     gcfg.limits = cc.limits.clone();
     let list = enumerate_faults(design, &FaultListOptions::default());
-    let replayed = match run_campaign(design, &list, &gcfg) {
-        Ok(r) => r.to_json(),
-        Err(d) => return diag_verdict(d, "replay"),
+    let replayed = match complete(run_campaign(design, &list, &gcfg), "replay") {
+        Ok(json) => json,
+        Err(v) => return v,
     };
     let replayed = if cc.chaos == Some(Oracle::AtpgReplay) {
         format!("{replayed}#chaos")
@@ -882,6 +901,17 @@ fn sat_vs_exhaustive(design: &Design, _vec_seed: u64, cc: &CaseConfig) -> Oracle
         }
     }
     OracleVerdict::Agree
+}
+
+/// A completed campaign's JSON report. A campaign the deadline stopped
+/// is [`OracleVerdict::Stopped`]; an error is classified by
+/// [`diag_verdict`].
+fn complete(run: Result<CoverageReport, Diagnostic>, site: &str) -> Result<String, OracleVerdict> {
+    match run {
+        Ok(r) if r.partial.is_some() => Err(OracleVerdict::Stopped),
+        Ok(r) => Ok(r.to_json()),
+        Err(d) => Err(diag_verdict(d, site)),
+    }
 }
 
 /// Classifies a diagnostic escaping a campaign/ATPG oracle: resource

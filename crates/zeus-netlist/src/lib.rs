@@ -1,9 +1,9 @@
 //! The public **`zeus netlist v1`** interchange.
 //!
-//! [`zeus_elab::serdes`] serializes a [`Design`] losslessly for the
-//! daemon's elaboration cache; this crate promotes that format into a
-//! versioned public interchange and adds the two things an *untrusted*
-//! netlist needs that a trusted cache entry does not:
+//! [`zeus_elab::serdes`] serializes a [`Design`] losslessly; this crate
+//! promotes that format into a versioned public interchange and adds the
+//! two things an *untrusted* netlist needs that the elaborator's own
+//! output does not:
 //!
 //! 1. **A structural validator** ([`validate_design`]): driver
 //!    uniqueness, port/net width agreement, REG-broken acyclicity,
@@ -48,7 +48,8 @@ pub const TEXT_MAGIC: &str = "zeus netlist v1";
 /// What an interchange payload looks like, by cheap sniffing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetlistFormat {
-    /// `zeus netlist v1` (or a bare `zeus-design` cache payload).
+    /// `zeus netlist v1` (or a bare `zeus-design` payload, as
+    /// `zeusc opt --emit` writes).
     Text,
     /// A Yosys-JSON document.
     YosysJson,
@@ -94,15 +95,6 @@ fn serdes_diag(e: &SerdesError) -> Diagnostic {
     Diagnostic::error(Span::dummy(), e.to_string()).with_code(code)
 }
 
-/// True when `text` is recognizably a zeus netlist or design payload of
-/// *another* version — the "quarantine and re-elaborate, don't error"
-/// signal for caches.
-pub fn version_skew(text: &str) -> bool {
-    let first = text.lines().next().unwrap_or("").trim_end_matches('\r');
-    (first.starts_with("zeus netlist v") && first != TEXT_MAGIC)
-        || (first.starts_with("zeus-design v") && first != zeus_elab::DESIGN_MAGIC)
-}
-
 /// Serializes a design to `zeus netlist v1` text. Deterministic: equal
 /// designs produce byte-identical text, and the design digest is
 /// embedded (and re-verified on import).
@@ -120,9 +112,8 @@ pub fn netlist_from_text(text: &str) -> Result<Design, Diagnostic> {
 }
 
 /// Parses `zeus netlist v1` text under an explicit budget. A bare
-/// `zeus-design` payload (the inner cache format, as written by
-/// `zeusc opt --emit`) is accepted too — it is the same serialization
-/// minus the outer header. The returned design has passed digest
+/// `zeus-design` payload (as written by `zeusc opt --emit`) is accepted
+/// too — it is the same serialization minus the outer header. The returned design has passed digest
 /// verification and the full structural validator either way.
 ///
 /// # Errors
@@ -210,8 +201,6 @@ mod tests {
         t = t.replacen("zeus netlist v1", "zeus netlist v9", 1);
         let err = netlist_from_text(&t).unwrap_err();
         assert_eq!(err.code, Some(codes::NETLIST_VERSION));
-        assert!(version_skew(&t));
-        assert!(!version_skew(&netlist_to_text(&half_adder())));
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub use zeus_fault::{
 pub use zeus_layout::{floorplan, floorplan_of, Floorplan, PlacedPin, PlacedRect};
 pub use zeus_netlist::{
     detect_format, import_limits, netlist_from_text, netlist_from_text_limited, netlist_to_text,
-    validate_design, validated_digest, version_skew, yosys_from_json, yosys_from_json_limited,
-    yosys_to_json, NetlistFormat, TEXT_MAGIC as NETLIST_TEXT_MAGIC,
+    validate_design, validated_digest, yosys_from_json, yosys_from_json_limited, yosys_to_json,
+    NetlistFormat, TEXT_MAGIC as NETLIST_TEXT_MAGIC,
 };
 pub use zeus_opt::{
     metrics, optimize, Metrics, OptConfig, OptReport, Optimized, PassStats, Verification,
