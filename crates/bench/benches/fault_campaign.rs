@@ -27,7 +27,6 @@ fn setup() -> (zeus::Design, zeus::FaultList, CampaignConfig) {
     let opts = FaultListOptions {
         bridges: true,
         transients: Some(3),
-        ..FaultListOptions::default()
     };
     let list = enumerate_faults(&d, &opts);
     let cfg = CampaignConfig::new(Engine::Graph, VECTORS, SEED);

@@ -45,8 +45,8 @@ pub(crate) struct HarvestOutcome {
 /// Stops when the coverage target is met, the vector budget or round
 /// budgets run out, `DRY_LIMIT` consecutive rounds found nothing, the
 /// fuel governor is exhausted (graceful: the vectors kept so far
-/// stand, PODEM and grading still run), or the run is cancelled or past
-/// its deadline.
+/// stand, PODEM and grading still run), or the run must stop (its stop
+/// flag or its deadline).
 ///
 /// # Errors
 ///
@@ -88,7 +88,7 @@ pub(crate) fn packed_harvest(
         && set.len() < cfg.max_vectors
         && dry < DRY_LIMIT
         && out.rounds < max_rounds
-        && !crate::stopped(cfg, gov)
+        && gov.stop().is_none()
     {
         let pending = total - ndet;
         // One golden step plus one faulty step per pending fault, each

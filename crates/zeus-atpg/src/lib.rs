@@ -61,9 +61,7 @@ mod sat;
 
 pub use report::{AtpgReport, AtpgStats, SatStats};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use zeus_elab::{Design, Fault, Governor, Limits, NodeOp};
+use zeus_elab::{Design, Fault, Governor, Limits, NodeOp, PartialReason};
 use zeus_fault::{
     enumerate_faults, run_campaign_packed, CampaignConfig, Engine, FaultKind, FaultListOptions,
     Outcome,
@@ -144,16 +142,12 @@ pub struct AtpgConfig {
     /// applies to the whole run, grading included: it counts from the
     /// start of [`run_atpg`], and reaching it stops the run with a
     /// [`partial`](AtpgReport::partial) report instead of classifying a
-    /// fault.
+    /// fault. The `cancel` flag (Ctrl-C, a daemon's drain) stops
+    /// generation between harvest rounds and faults; the vectors found
+    /// are still graded.
     pub limits: Limits,
     /// Which fault universe to target.
     pub fault_opts: FaultListOptions,
-    /// Cooperative cancellation (Ctrl-C, daemon drain): polled, like the
-    /// deadline, between harvest rounds and between faults. When it goes
-    /// high, generation stops after the current fault, the vectors found
-    /// so far are still graded, and the report is marked
-    /// [`partial`](AtpgReport::partial).
-    pub cancel: Option<&'static AtomicBool>,
     /// Enable the SAT engine: confirm every PODEM redundancy verdict
     /// UNSAT, decode models for aborted faults into (verified)
     /// vectors, and time-frame-expand sequential faults the random
@@ -181,7 +175,6 @@ impl Default for AtpgConfig {
             backtrack_limit: 256,
             limits: Limits::default(),
             fault_opts: FaultListOptions::default(),
-            cancel: None,
             sat: false,
             sat_conflicts: 20_000,
             max_frames: 8,
@@ -190,20 +183,16 @@ impl Default for AtpgConfig {
     }
 }
 
-/// True once the run's deadline has passed. A search that ends past it
-/// may have been cut short, so its answer is dropped.
-fn past_deadline(gov: &Governor) -> bool {
-    gov.check_deadline(Span::dummy()).is_err()
-}
-
-/// True once the run must stop: cancelled, or past its deadline.
-pub(crate) fn stopped(cfg: &AtpgConfig, gov: &Governor) -> bool {
-    cfg.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) || past_deadline(gov)
+/// `DeadlineExceeded` once the run's deadline has passed. A search that
+/// ends past it may have been cut short, so its answer is dropped.
+fn past_deadline(gov: &Governor) -> Option<PartialReason> {
+    let passed = gov.check_deadline(Span::dummy()).is_err();
+    passed.then_some(PartialReason::DeadlineExceeded)
 }
 
 /// `limits` for a campaign nested in the run (the sequence-mode
 /// harvest, compaction, the grade): its deadline is what is left of the
-/// run's.
+/// run's, and it keeps the run's stop flag.
 pub(crate) fn nested(limits: &Limits, gov: &Governor) -> Limits {
     Limits {
         deadline: gov.time_left(),
@@ -231,7 +220,8 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
     // fault-list order after the SAT pass reshuffles the lists.
     let mut redundant: Vec<(usize, String, Fault)> = Vec::new();
     let mut aborted: Vec<(usize, String, Fault)> = Vec::new();
-    let mut partial = false;
+    // Why the run stopped early, if it did: the first stop it saw.
+    let mut stop: Option<PartialReason>;
     let mut sat_stats = cfg.sat.then(SatStats::default);
     let mut strategy = match mode {
         Mode::Combinational => Strategy::Podem,
@@ -245,15 +235,15 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
             let mut detected = vec![false; list.faults.len()];
             let h = harvest::packed_harvest(design, &list, cfg, &mut set, &mut detected, &mut gov)?;
             stats.absorb(h, set.len());
-            partial |= stopped(cfg, &gov);
+            stop = gov.stop();
 
             // PODEM over what the harvest missed, in fault-list order.
             let mut podem = Podem::new(design)?;
             let total = list.faults.len();
             let mut ndet = detected.iter().filter(|&&d| d).count();
             for (fi, &fault) in list.faults.iter().enumerate() {
-                if stopped(cfg, &gov) {
-                    partial = true;
+                stop = stop.or_else(|| gov.stop());
+                if stop.is_some() {
                     break;
                 }
                 if detected[fi] {
@@ -267,8 +257,8 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     continue;
                 }
                 let outcome = podem.generate(fault, cfg.backtrack_limit, &mut gov);
-                if past_deadline(&gov) {
-                    partial = true;
+                stop = past_deadline(&gov);
+                if stop.is_some() {
                     break;
                 }
                 stats.podem_attempts += 1;
@@ -305,13 +295,13 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                 }
                 claims.sort_by_key(|c| c.1);
                 for (was_redundant, fi, name, fault) in claims {
-                    if partial || stopped(cfg, &gov) {
-                        partial = true;
+                    stop = stop.or_else(|| gov.stop());
+                    if stop.is_some() {
                         break;
                     }
                     let answer = sat::check(design, fault, 1, None, None, cfg, &mut gov);
-                    if past_deadline(&gov) {
-                        partial = true;
+                    stop = past_deadline(&gov);
+                    if stop.is_some() {
                         break;
                     }
                     ss.solves += 1;
@@ -350,7 +340,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                 aborted.sort_by_key(|c| c.0);
             }
 
-            if partial {
+            if stop.is_some() {
                 // Stopped: emit the uncompacted vectors found so far
                 // rather than spend more wall clock minimizing them.
                 stats.pre_compaction = set.len();
@@ -367,9 +357,8 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
             let rounds = u32::try_from(cfg.max_vectors).unwrap_or(u32::MAX);
             let mut hcfg = CampaignConfig::new(Engine::Graph, rounds, cfg.seed);
             hcfg.limits = nested(&cfg.limits, &gov);
-            hcfg.cancel = cfg.cancel;
             let campaign = run_campaign_packed(design, &list, &hcfg, 1)?;
-            partial |= campaign.partial.is_some();
+            stop = campaign.partial;
             // The shortest stream prefix preserving every detection:
             // replaying it reproduces each fault's first divergence.
             let prefix = campaign
@@ -404,13 +393,13 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                 .nodes
                 .iter()
                 .any(|n| matches!(n.op, NodeOp::Random));
-            if cfg.sat && !partial && !has_random {
+            if cfg.sat && stop.is_none() && !has_random {
                 strategy = Strategy::Timeframe;
                 let ss = sat_stats.as_mut().expect("sat stats exist when sat is on");
                 let order = design.netlist.nodes.len() as u64 + 1;
                 'faults: for (fi, r) in campaign.results.iter().enumerate() {
-                    if stopped(cfg, &gov) {
-                        partial = true;
+                    stop = gov.stop();
+                    if stop.is_some() {
                         break;
                     }
                     let fault = r.fault;
@@ -426,8 +415,8 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     // can observe the fault — promote it to redundant
                     // and skip the unroll entirely.
                     let locked = sat::check_lockstep(design, fault, cfg, &mut gov);
-                    if past_deadline(&gov) {
-                        partial = true;
+                    stop = past_deadline(&gov);
+                    if stop.is_some() {
                         break;
                     }
                     ss.solves += 1;
@@ -445,7 +434,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                         .charge((set.len() as u64 + 2) * order, Span::dummy())
                         .is_err()
                     {
-                        partial = past_deadline(&gov);
+                        stop = past_deadline(&gov);
                         break;
                     }
                     let Some((mut golden, mut faulty)) =
@@ -464,8 +453,8 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     {
                         let (g, f) = (Some(init_g.clone()), Some(init_f.clone()));
                         let answer = sat::check(design, fault, frames, g, f, cfg, &mut gov);
-                        if past_deadline(&gov) {
-                            partial = true;
+                        stop = past_deadline(&gov);
+                        if stop.is_some() {
                             break 'faults;
                         }
                         ss.solves += 1;
@@ -506,11 +495,14 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
     };
 
     // The authoritative grade: a campaign replaying the emitted set,
-    // exactly what `zeusc fault --vectors-file` will run.
+    // exactly what `zeusc fault --vectors-file` will run. The stop flag
+    // is cleared: a Ctrl-C'd run still grades the vectors it found, and
+    // only the deadline cuts the grade.
     let mut gcfg = CampaignConfig::replay(Engine::Graph, set.clone());
     gcfg.limits = nested(&cfg.limits, &gov);
+    gcfg.limits.cancel = None;
     let grade = run_campaign_packed(design, &list, &gcfg, 1)?;
-    partial |= grade.partial.is_some();
+    stop = stop.or(grade.partial);
 
     Ok(AtpgReport {
         top: design.top_type.clone(),
@@ -526,7 +518,8 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
         redundant: redundant.into_iter().map(|(_, n, f)| (n, f)).collect(),
         aborted: aborted.into_iter().map(|(_, n, f)| (n, f)).collect(),
         grade,
-        partial,
+        partial: stop.is_some(),
+        partial_reason: stop,
         cnf_audits,
     })
 }

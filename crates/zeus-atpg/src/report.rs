@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use zeus_elab::{json, Design, Fault, StableHasher};
+use zeus_elab::{json, Design, Fault, PartialReason, StableHasher};
 use zeus_fault::CoverageReport;
 use zeus_sim::VectorSet;
 
@@ -118,6 +118,9 @@ pub struct AtpgReport {
     /// is graded as far as the deadline allows; every redundant or
     /// aborted verdict listed is one the unbounded run reports too.
     pub partial: bool,
+    /// What stopped a [`partial`](AtpgReport::partial) run: the first
+    /// stop the run saw. `None` exactly when the run finished.
+    pub partial_reason: Option<PartialReason>,
     /// With [`AtpgConfig::emit_cnf`](crate::AtpgConfig::emit_cnf), one
     /// DIMACS text per SAT-backed redundancy claim, in claim order; the
     /// caller decides where they go (`zeusc` writes
@@ -147,6 +150,15 @@ impl AtpgReport {
         }
     }
 
+    /// How the report words what stopped a partial run (`interrupted`
+    /// or `stopped at the deadline`); `None` for a finished run.
+    pub fn stop_cause(&self) -> Option<&'static str> {
+        self.partial_reason.map(|reason| match reason {
+            PartialReason::Interrupted => "interrupted",
+            PartialReason::DeadlineExceeded => "stopped at the deadline",
+        })
+    }
+
     /// FNV digest of the canonical vector-file text, for cheap
     /// byte-identity checks across runs.
     pub fn vector_digest(&self) -> u64 {
@@ -166,18 +178,16 @@ impl AtpgReport {
             self.seed
         );
         let _ = writeln!(s, "  strategy: {}", self.strategy.name());
-        if self.partial {
+        if let Some(cause) = self.stop_cause() {
             let _ = writeln!(
                 s,
-                "  PARTIAL: generation interrupted; set covers work completed so far"
+                "  PARTIAL: generation {cause}; set covers work completed so far"
             );
         }
         let _ = writeln!(
             s,
             "  universe: {} faults enumerated, {} collapsed, {} targeted",
-            self.grade.total_enumerated,
-            self.grade.collapsed,
-            self.grade.results.len()
+            self.grade.total_enumerated, self.grade.collapsed, self.grade.planned
         );
         let _ = writeln!(
             s,
@@ -199,8 +209,8 @@ impl AtpgReport {
                     String::new()
                 }
             );
-            if self.partial {
-                let _ = writeln!(s, "  compaction: skipped (interrupted)");
+            if let Some(reason) = self.partial_reason {
+                let _ = writeln!(s, "  compaction: skipped ({})", reason.tag());
             } else if self.stats.compaction_skipped {
                 let _ = writeln!(s, "  compaction: skipped (fuel exhausted)");
             } else {
@@ -237,14 +247,24 @@ impl AtpgReport {
             self.vectors.len(),
             self.vector_digest()
         );
-        let _ = writeln!(
-            s,
-            "  coverage: {} ({}/{} detected), testable {}",
-            fmt_pct(self.coverage()),
-            self.grade.detected(),
-            self.grade.results.len(),
-            fmt_pct(self.testable_coverage())
-        );
+        if self.grade.partial.is_some() {
+            let _ = writeln!(
+                s,
+                "  coverage: grade stopped at the deadline: {}/{} faults graded, {} detected",
+                self.grade.total(),
+                self.grade.planned,
+                self.grade.detected()
+            );
+        } else {
+            let _ = writeln!(
+                s,
+                "  coverage: {} ({}/{} detected), testable {}",
+                fmt_pct(self.coverage()),
+                self.grade.detected(),
+                self.grade.results.len(),
+                fmt_pct(self.testable_coverage())
+            );
+        }
         if !self.redundant.is_empty() {
             let _ = writeln!(s, "  redundant (untestable) faults:");
             for (name, fault) in &self.redundant {
@@ -269,15 +289,17 @@ impl AtpgReport {
         let _ = write!(s, ",\"mode\":{}", json::quote(self.mode.name()));
         let _ = write!(s, ",\"strategy\":{}", json::quote(self.strategy.name()));
         let _ = write!(s, ",\"seed\":{}", self.seed);
-        if self.partial {
-            let _ = write!(s, ",\"partial\":true");
+        if let Some(reason) = self.partial_reason {
+            let _ = write!(
+                s,
+                ",\"partial\":true,\"partial_reason\":\"{}\"",
+                reason.tag()
+            );
         }
         let _ = write!(
             s,
             ",\"universe\":{{\"enumerated\":{},\"collapsed\":{},\"targeted\":{}}}",
-            self.grade.total_enumerated,
-            self.grade.collapsed,
-            self.grade.results.len()
+            self.grade.total_enumerated, self.grade.collapsed, self.grade.planned
         );
         let _ = write!(
             s,

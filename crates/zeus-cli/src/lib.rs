@@ -24,9 +24,11 @@
 //! * **reuse** ([`Cache`]) — the whole answer of a `sim`, `fault` or
 //!   `atpg` command line is looked up before any work and stored after a
 //!   successful run (see `docs/DAEMON.md` for the exact keying);
-//! * **cancellation** ([`Session::cancel`]) — the daemon's shutdown
-//!   flag doubles as every in-flight campaign's Ctrl-C, so a graceful
-//!   drain flushes checkpoints exactly like an interactive interrupt.
+//! * **cancellation** ([`Session::cancel`]) — attached, beside the
+//!   server deadline, to the limits of a fault campaign or ATPG run; the
+//!   daemon's shutdown flag doubles as every in-flight run's Ctrl-C, so
+//!   a graceful drain flushes checkpoints exactly like an interactive
+//!   interrupt.
 //!
 //! The contract that keeps the remote path honest: for any request a
 //! daemon accepts, the bytes in [`Session::out`]/[`Session::err`], the
@@ -48,8 +50,9 @@ pub mod remote;
 pub mod sigint {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Set by the first SIGINT; polled between fault words / ATPG
-    /// faults.
+    /// Set by the first SIGINT; a run's stop flag (`Limits::cancel`),
+    /// read where the run reads its deadline: in a campaign's golden
+    /// trace, between fault words and between ATPG faults.
     pub static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
     const SIGINT: i32 = 2;
@@ -78,7 +81,7 @@ pub mod sigint {
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 use zeus::{examples, Json, Limits, StableHasher, Zeus};
 
@@ -172,8 +175,9 @@ pub struct Session<'a> {
     /// a path absent from the map is a usage error rather than a
     /// filesystem access.
     pub sources: Option<&'a HashMap<String, String>>,
-    /// Polled between fault words / ATPG faults; when it goes high the
-    /// run drains, flushes checkpoints and reports partially.
+    /// The stop flag `Session::limits` attaches to a fault campaign's
+    /// or ATPG run's limits; when it goes high the run drains, flushes
+    /// checkpoints and reports partially.
     pub cancel: Option<&'static AtomicBool>,
     /// Server-enforced wall-clock deadline. The limits every engine runs
     /// under are tightened to it, and a run that finishes past it
@@ -233,10 +237,11 @@ impl<'a> Session<'a> {
 
     /// The user's limit flags with the deadline tightened to the time
     /// left before the server deadline: the one site where the server
-    /// deadline enters a command's budget. A fault campaign or ATPG run
-    /// (`run`) takes `--campaign-timeout` too, the smaller deadline
-    /// winning; the other phases (elaboration, optimization, a
-    /// simulation) take `--timeout` alone.
+    /// deadline and the stop flag enter a command's budget. A fault
+    /// campaign or ATPG run (`run`) takes `--campaign-timeout` too, the
+    /// smaller deadline winning, and [`Session::cancel`]; the other
+    /// phases (elaboration, optimization, a simulation) take `--timeout`
+    /// alone.
     fn limits(&self, p: &Parsed, run: bool) -> Result<Limits, Failure> {
         let mut limits = p.limits()?;
         let run_ms = p.u64_value("--campaign-timeout")?.filter(|_| run);
@@ -245,6 +250,7 @@ impl<'a> Session<'a> {
             .map(|at| at.saturating_duration_since(Instant::now()));
         let bounds = [limits.deadline, run_ms.map(Duration::from_millis), left];
         limits.deadline = bounds.into_iter().flatten().min();
+        limits.cancel = self.cancel.filter(|_| run);
         Ok(limits)
     }
 }
@@ -1597,7 +1603,6 @@ fn cmd_fault(p: &Parsed, sess: &mut Session, design: zeus::Design) -> Result<(),
     let opts = zeus::FaultListOptions {
         bridges: p.has("--bridges"),
         transients: p.u64_value("--transients")?,
-        ..zeus::FaultListOptions::default()
     };
     let list = zeus::enumerate_faults(&design, &opts);
     let mut cfg = match vector_set {
@@ -1609,7 +1614,6 @@ fn cmd_fault(p: &Parsed, sess: &mut Session, design: zeus::Design) -> Result<(),
         None => zeus::CampaignConfig::new(engine, vectors, seed),
     };
     cfg.limits = sess.limits(p, true)?;
-    cfg.cancel = sess.cancel;
 
     // Daemon-side auto-journal: campaigns without a user checkpoint are
     // journaled under their campaign digest so a drained daemon resumes
@@ -1685,9 +1689,7 @@ fn cmd_atpg(p: &Parsed, sess: &mut Session, design: zeus::Design) -> Result<(), 
     cfg.fault_opts = zeus::FaultListOptions {
         bridges: p.has("--bridges"),
         transients: p.u64_value("--transients")?,
-        ..zeus::FaultListOptions::default()
     };
-    cfg.cancel = sess.cancel;
     cfg.sat = p.has("--sat");
     if let Some(k) = p.u32_count("--max-frames", 0)? {
         cfg.max_frames = k;
@@ -1703,11 +1705,6 @@ fn cmd_atpg(p: &Parsed, sess: &mut Session, design: zeus::Design) -> Result<(), 
     }
     cfg.emit_cnf = cnf_dir.is_some();
     let report = zeus::run_atpg(&design, &cfg).map_err(|e| diag_failure(&e))?;
-    // A run stops early only when cancelled or at its deadline.
-    let (cause, stopped): (_, fn(String) -> Failure) = match sess.cancel {
-        Some(c) if c.load(Ordering::Relaxed) => ("interrupted", Failure::Interrupted),
-        _ => ("stopped at the deadline", Failure::Limit),
-    };
     if let Some(dir) = cnf_dir {
         // One DIMACS file per SAT-backed redundancy claim, in claim order.
         for (i, text) in report.cnf_audits.iter().enumerate() {
@@ -1731,7 +1728,7 @@ fn cmd_atpg(p: &Parsed, sess: &mut Session, design: zeus::Design) -> Result<(), 
     }
     if let Some(path) = p.str_value("--emit-vectors") {
         let mut text = report.vectors.to_text();
-        if report.partial {
+        if let Some(cause) = report.stop_cause() {
             // Parsers drop comment lines, so a partial set still
             // replays; the marker is for humans and scripts that grep.
             wln!(
@@ -1746,7 +1743,11 @@ fn cmd_atpg(p: &Parsed, sess: &mut Session, design: zeus::Design) -> Result<(), 
     } else {
         w!(sess.out, "{}", report.to_text());
     }
-    if report.partial {
+    if let (Some(reason), Some(cause)) = (report.partial_reason, report.stop_cause()) {
+        let stopped = match reason {
+            zeus::PartialReason::Interrupted => Failure::Interrupted,
+            zeus::PartialReason::DeadlineExceeded => Failure::Limit,
+        };
         return Err(stopped(format!(
             "atpg {cause}; partial vector set reported above"
         )));

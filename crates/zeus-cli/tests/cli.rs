@@ -752,7 +752,9 @@ fn fault_campaign_timeout_reports_partially_with_exit_3() {
 }
 
 /// An ATPG run its deadline stops exits 3 (exit 130 is Ctrl-C's), and
-/// the emitted set's PARTIAL marker names the deadline.
+/// the report and the emitted set's PARTIAL marker name the deadline:
+/// the report counts the whole fault list as targeted and says how much
+/// of it the cut grade reached.
 #[test]
 fn atpg_stopped_at_its_deadline_exits_3() {
     let vec_path = std::env::temp_dir().join(format!(
@@ -769,7 +771,20 @@ fn atpg_stopped_at_its_deadline_exits_3() {
         vec_path.to_str().unwrap(),
     ]);
     assert_eq!(code, 3, "{stderr}");
-    assert!(stdout.contains("PARTIAL"), "{stdout}");
+    assert!(
+        stdout.contains("PARTIAL: generation stopped at the deadline;"),
+        "{stdout}"
+    );
+    assert!(stdout.contains(", 68 targeted\n"), "{stdout}");
+    assert!(
+        stdout.contains("compaction: skipped (deadline)"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("grade stopped at the deadline: 0/68 faults graded, 0 detected"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("0/0"), "{stdout}");
     assert!(
         stderr.contains("atpg stopped at the deadline; partial vector set reported above"),
         "{stderr}"

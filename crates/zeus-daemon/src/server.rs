@@ -43,8 +43,9 @@
 //! On shutdown the acceptor answers new connections with
 //! `shutting_down`, queued-but-unstarted jobs are answered
 //! `shutting_down`, and in-flight jobs see the shared cancel flag:
-//! campaigns stop at the next fault boundary, flush their checkpoint
-//! journal (kept under the store root), and report partial results.
+//! campaigns stop in their golden trace or at the next fault word,
+//! flush their checkpoint journal (kept under the store root), and
+//! report partial results.
 //! A restarted daemon resumes those journals automatically when the
 //! same request returns.
 
@@ -64,8 +65,10 @@ use crate::store::Store;
 
 /// Raised by the binary's signal handlers (and by tests) to start a
 /// graceful drain. Shared with every in-flight `Session` as its cancel
-/// flag, so raising it also stops running campaigns at the next fault
-/// boundary.
+/// flag, which the session puts in each fault campaign's and ATPG run's
+/// `Limits::cancel`: raising it stops a golden trace within 64 ticks
+/// and a run at its next fault word or ATPG fault (in-flight words and
+/// searches finish).
 pub static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// Tunables for one daemon instance.

@@ -51,7 +51,7 @@ pub use elab::{elaborate, elaborate_signal, elaborate_signal_with, elaborate_wit
 pub use fault::{Fault, FaultKind};
 pub use hash::{design_digest, StableHasher};
 pub use json::Json;
-pub use limits::{Governor, Limits};
+pub use limits::{Governor, Limits, PartialReason, StepBudget};
 pub use netlist::{to_dot, GroupConstraint, Net, NetId, Netlist, Node, NodeId, NodeOp};
 pub use serdes::{
     design_from_text, design_from_text_checked, design_to_text, SerdesError, DESIGN_MAGIC,

@@ -1,6 +1,8 @@
 //! The resource governor: one [`Limits`] struct bounds every phase of the
-//! pipeline, and a [`Governor`] enforces the dynamic budgets (fuel and
-//! wall-clock deadline) cooperatively from the hot loops.
+//! pipeline, a [`Governor`] enforces the dynamic budgets (fuel and
+//! wall-clock deadline) cooperatively from the hot loops and answers a
+//! run's one stop question ([`Governor::stop`]), and a [`StepBudget`] is
+//! the one rule every simulator bills a simulated cycle by.
 //!
 //! Zeus programs can demand unbounded work from a finite description: a
 //! recursive component type without a `WHEN` guard elaborates forever
@@ -12,6 +14,7 @@
 //! "your program is wrong" from "your program is too big for the budget I
 //! gave it".
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use zeus_syntax::diag::{codes, Diagnostic};
 use zeus_syntax::span::Span;
@@ -19,10 +22,11 @@ use zeus_syntax::span::Span;
 /// Unified resource limits for elaboration and simulation.
 ///
 /// `Limits` covers instance and netlist-size, fuel, deadline and
-/// simulation budgets. All budgets are *cooperative*: the pipeline
-/// checks them at loop boundaries, so exceeding one yields a clean
-/// diagnostic with all partial results intact rather than an abort.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// simulation budgets, plus the caller's stop flag. All budgets are
+/// *cooperative*: the pipeline checks them at loop boundaries, so
+/// exceeding one yields a clean diagnostic with all partial results
+/// intact rather than an abort.
+#[derive(Debug, Clone)]
 pub struct Limits {
     /// Maximum number of component instances before elaboration is
     /// declared non-terminating (a recursive type without a `WHEN` guard).
@@ -56,6 +60,11 @@ pub struct Limits {
     /// Maximum total input width for exhaustive equivalence checking
     /// (`Z909`); the check enumerates `2^bits` vectors.
     pub max_input_bits: u32,
+    /// The caller's stop flag (Ctrl-C, a daemon's drain): raised once,
+    /// never lowered during a run. Only a run that reports partially
+    /// reads it, through [`Governor::stop`], wherever it reads its
+    /// deadline between units of work; no budget check reads it.
+    pub cancel: Option<&'static AtomicBool>,
 }
 
 impl Default for Limits {
@@ -78,6 +87,7 @@ impl Default for Limits {
             max_steps: None,
             relax_iter_cap: None,
             max_input_bits: 20,
+            cancel: None,
         }
     }
 }
@@ -102,6 +112,7 @@ impl Limits {
             max_steps: Some(64),
             relax_iter_cap: Some(256),
             max_input_bits: 8,
+            cancel: None,
         }
     }
 
@@ -129,11 +140,32 @@ impl Limits {
     }
 }
 
+/// Why a run stopped before it finished: the answer of
+/// [`Governor::stop`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartialReason {
+    /// The stop flag (`Limits::cancel`) was raised (e.g. Ctrl-C).
+    Interrupted,
+    /// The run's wall-clock deadline (`Limits::deadline`) passed.
+    DeadlineExceeded,
+}
+
+impl PartialReason {
+    /// Stable lowercase tag (used in reports).
+    pub fn tag(self) -> &'static str {
+        match self {
+            PartialReason::Interrupted => "interrupted",
+            PartialReason::DeadlineExceeded => "deadline",
+        }
+    }
+}
+
 /// How often (in charges) the governor reads the clock. Deadline overshoot
 /// is bounded by this many units of work.
 const DEADLINE_STRIDE: u64 = 64;
 
-/// Enforces the dynamic budgets of a [`Limits`]: fuel and deadline.
+/// Enforces the dynamic budgets of a [`Limits`] (fuel and deadline) and
+/// answers its run's stop question.
 ///
 /// A governor is created when a phase starts ([`Limits::governor`]) and
 /// threaded through its hot loops; each loop iteration calls
@@ -146,6 +178,7 @@ pub struct Governor {
     deadline_at: Option<Instant>,
     deadline_total: Duration,
     charges: u64,
+    cancel: Option<&'static AtomicBool>,
 }
 
 impl Governor {
@@ -157,6 +190,7 @@ impl Governor {
             deadline_at: limits.deadline.map(|d| Instant::now() + d),
             deadline_total: limits.deadline.unwrap_or_default(),
             charges: 0,
+            cancel: limits.cancel,
         }
     }
 
@@ -167,6 +201,7 @@ impl Governor {
     ///
     /// `Z904` when the fuel budget is exhausted, `Z905` when the deadline
     /// has passed.
+    #[inline]
     pub fn charge(&mut self, amount: u64, span: Span) -> Result<(), Diagnostic> {
         if let Some(left) = &mut self.fuel_left {
             if *left < amount {
@@ -196,6 +231,7 @@ impl Governor {
     /// # Errors
     ///
     /// `Z905` when the deadline has passed.
+    #[inline]
     pub fn check_deadline(&self, span: Span) -> Result<(), Diagnostic> {
         if let Some(at) = self.deadline_at {
             if Instant::now() >= at {
@@ -213,6 +249,18 @@ impl Governor {
         Ok(())
     }
 
+    /// The run's one stop question: must it stop now, and why? The stop
+    /// flag is read first, then the clock (un-amortized).
+    pub fn stop(&self) -> Option<PartialReason> {
+        if self.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            Some(PartialReason::Interrupted)
+        } else if self.check_deadline(Span::dummy()).is_err() {
+            Some(PartialReason::DeadlineExceeded)
+        } else {
+            None
+        }
+    }
+
     /// Fuel remaining, or `None` when unlimited.
     pub fn fuel_left(&self) -> Option<u64> {
         self.fuel_left
@@ -223,6 +271,67 @@ impl Governor {
     pub fn time_left(&self) -> Option<Duration> {
         self.deadline_at
             .map(|at| at.saturating_duration_since(Instant::now()))
+    }
+}
+
+/// The one rule for billing a simulated cycle, shared by every
+/// simulator's budgeted step (`try_step`) and by each lane of a packed
+/// fault word: a step counter against [`Limits::max_steps`] (`Z908`)
+/// plus the governor's fuel (`Z904`) and deadline (`Z905`).
+///
+/// A cycle bills in two halves: [`StepBudget::begin_cycle`] before the
+/// step (the ceiling, then the deadline), then
+/// [`StepBudget::charge_work`] for the work it did.
+#[derive(Debug, Clone)]
+pub struct StepBudget {
+    max_steps: Option<u64>,
+    steps: u64,
+    gov: Governor,
+}
+
+impl StepBudget {
+    /// A budget enforcing `limits` from now.
+    pub fn new(limits: &Limits) -> StepBudget {
+        StepBudget {
+            max_steps: limits.max_steps,
+            steps: 0,
+            gov: limits.governor(),
+        }
+    }
+
+    /// Pre-cycle check: step budget and deadline.
+    ///
+    /// # Errors
+    ///
+    /// `Z908` once `max_steps` cycles have begun, `Z905` past the
+    /// deadline.
+    #[inline]
+    pub fn begin_cycle(&mut self) -> Result<(), Diagnostic> {
+        if let Some(max) = self.max_steps {
+            if self.steps >= max {
+                return Err(Diagnostic::error(
+                    Span::dummy(),
+                    format!(
+                        "simulation step budget exhausted (limit {max} cycles); raise \
+                         the step limit to continue"
+                    ),
+                )
+                .with_code(codes::LIMIT_STEPS));
+            }
+        }
+        self.steps += 1;
+        self.gov.check_deadline(Span::dummy())
+    }
+
+    /// Bills `work` units (node evaluations or relaxation sweeps) plus
+    /// one for the cycle itself.
+    ///
+    /// # Errors
+    ///
+    /// `Z904` when the fuel runs out, `Z905` past the deadline.
+    #[inline]
+    pub fn charge_work(&mut self, work: u64) -> Result<(), Diagnostic> {
+        self.gov.charge(work + 1, Span::dummy())
     }
 }
 
@@ -265,6 +374,18 @@ mod tests {
             .governor();
         let res: Result<(), _> = (0..1_000).try_for_each(|_| g.charge(1, Span::new(0, 0)));
         assert_eq!(res.unwrap_err().code, Some(codes::LIMIT_DEADLINE));
+    }
+
+    #[test]
+    fn stop_reads_the_flag_before_the_clock() {
+        static FLAG: AtomicBool = AtomicBool::new(false);
+        let mut limits = Limits::new();
+        assert_eq!(limits.governor().stop(), None);
+        limits.cancel = Some(&FLAG);
+        let g = limits.with_deadline(Duration::ZERO).governor();
+        assert_eq!(g.stop(), Some(PartialReason::DeadlineExceeded));
+        FLAG.store(true, Ordering::Relaxed);
+        assert_eq!(g.stop(), Some(PartialReason::Interrupted));
     }
 
     #[test]

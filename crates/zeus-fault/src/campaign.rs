@@ -14,21 +14,22 @@
 //! checkpointing ([`crate::checkpoint`]), per-word panic isolation (a
 //! poisoned word is retried once on a fresh simulator and then
 //! classified [`Outcome::ToolError`] instead of killing the campaign),
-//! graceful interruption (a cancellation flag stops the run between
-//! words, the run's deadline between words or mid-word, and either
-//! yields a partial report) and sharding over threads. An engine
-//! supplies only the function that simulates one word. The scalar
-//! runner here, one golden/faulty pair per fault, is the reference the
-//! production packed runner ([`crate::run_campaign_packed`]) is checked
-//! against.
+//! graceful interruption (the run's stop question, [`Governor::stop`],
+//! is asked between words and in the golden trace, its deadline also
+//! mid-word, and either answer yields a partial report) and sharding
+//! over threads. An engine supplies only the function that simulates
+//! one word. The scalar runner here, one golden/faulty pair per fault,
+//! is the reference the production packed runner
+//! ([`crate::run_campaign_packed`]) is checked against.
 
 use crate::checkpoint::{CheckpointOptions, Journal};
 use crate::list::FaultList;
 use crate::report::CoverageReport;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use zeus_elab::{Design, Fault, Governor, Limits};
+use zeus_elab::{Design, Fault, Governor, Limits, PartialReason};
 use zeus_sim::{run_differential, Simulator, VectorSet, VectorStream, LANES};
 use zeus_switch::SwitchSim;
 use zeus_syntax::catch_panic;
@@ -58,8 +59,8 @@ impl Engine {
 ///
 /// Only `engine`, `vectors`, `seed`, the vector set and the per-fault
 /// part of `limits` affect per-fault outcomes (and therefore the
-/// checkpoint digest); the deadline and the remaining fields control
-/// *how far* a run gets, not what it computes.
+/// checkpoint digest); the deadline, the stop flag and the remaining
+/// fields control *how far* a run gets, not what it computes.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// The engine to run on.
@@ -70,14 +71,12 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Resource budget. Fuel and `max_steps` (default `vectors + 2`: the
     /// vectors plus the reset cycle and slack) apply to each fault's run
-    /// and may classify it `BudgetExhausted`. The `deadline` bounds the
-    /// whole run: reaching it stops the run with a partial report,
-    /// dropping any unfinished word, and never classifies a fault.
+    /// and may classify it `BudgetExhausted`. The `deadline` and the
+    /// `cancel` flag bound the whole run and never classify a fault:
+    /// either stops it with a partial report, between words or in the
+    /// golden trace. The deadline also drops an unfinished word; after
+    /// the flag, in-flight words finish, and the checkpoint is flushed.
     pub limits: Limits,
-    /// Cooperative cancellation flag (e.g. set from a SIGINT handler).
-    /// When it reads `true` the run drains in-flight words, flushes the
-    /// checkpoint, and reports partially.
-    pub cancel: Option<&'static AtomicBool>,
     /// Test-only chaos: panic while simulating this word.
     pub chaos_panic_word: Option<usize>,
     /// Test-only chaos: how many attempts at `chaos_panic_word` panic
@@ -101,7 +100,6 @@ impl CampaignConfig {
             vectors,
             seed,
             limits: Limits::default(),
-            cancel: None,
             chaos_panic_word: None,
             chaos_panic_attempts: 0,
             vector_set: None,
@@ -134,14 +132,15 @@ impl CampaignConfig {
         }
     }
 
-    /// The budget of one fault's run: `limits` without the deadline,
-    /// which bounds the run as a whole.
+    /// The budget of one fault's run: `limits` without the deadline and
+    /// the stop flag, which bound the run as a whole.
     pub(crate) fn effective_limits(&self) -> Limits {
         let mut l = self.limits.clone();
         if l.max_steps.is_none() {
             l.max_steps = Some(self.vectors as u64 + 2);
         }
         l.deadline = None;
+        l.cancel = None;
         l
     }
 }
@@ -186,25 +185,6 @@ pub(crate) fn outcome_tag(o: &Outcome) -> &'static str {
         Outcome::Undetected(UndetectedReason::BudgetExhausted) => "budget-exhausted",
         Outcome::Hyperactive => "hyperactive",
         Outcome::ToolError => "tool-error",
-    }
-}
-
-/// Why a campaign stopped before simulating every fault word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartialReason {
-    /// The cancellation flag was raised (e.g. Ctrl-C).
-    Interrupted,
-    /// The run's wall-clock deadline (`limits.deadline`) passed.
-    DeadlineExceeded,
-}
-
-impl PartialReason {
-    /// Stable lowercase tag (used in reports).
-    pub fn tag(self) -> &'static str {
-        match self {
-            PartialReason::Interrupted => "interrupted",
-            PartialReason::DeadlineExceeded => "deadline",
-        }
     }
 }
 
@@ -255,7 +235,9 @@ pub fn run_campaign_with(
     checkpoint: Option<&CheckpointOptions>,
 ) -> Result<CoverageReport, Diagnostic> {
     run_words(design, list, cfg, 1, checkpoint, |limits, clock| {
-        Ok(scalar_word(design, cfg, limits, clock))
+        Ok(ControlFlow::Continue(scalar_word(
+            design, cfg, limits, clock,
+        )))
     })
 }
 
@@ -278,9 +260,10 @@ pub(crate) fn scalar_word<'a>(
     }
 }
 
-/// Reads the run's clock every 64 ticks of the golden trace or a word:
-/// `Z905` once its deadline has passed, which [`run_words`] turns into
-/// a partial report, dropping the word, and never into an outcome.
+/// Reads the run's clock every 64 ticks of a word: `Z905` once its
+/// deadline has passed, which [`run_words`] turns into a partial
+/// report, dropping the word, and never into an outcome. The stop flag
+/// is not read here: in-flight words finish.
 pub(crate) fn poll_clock(clock: &Governor, tick: usize) -> Result<(), Diagnostic> {
     match tick % 64 {
         0 => clock.check_deadline(Span::dummy()),
@@ -302,11 +285,13 @@ fn clamp_jobs(jobs: usize, pending_words: usize) -> usize {
 
 /// The word runner behind every campaign entry point. `engine` receives
 /// the effective per-fault limits (after the vector set is validated)
-/// and the run's clock, and returns the function that simulates one
-/// word of up to 64 faults, yielding their outcomes in list order. The
-/// deadline counts from the call and is checked like cancellation
-/// between words, and also ([`poll_clock`]) inside the engine's setup
-/// and each word; a word it cuts is dropped.
+/// and the run's governor, and returns the function that simulates one
+/// word of up to 64 faults, yielding their outcomes in list order, or
+/// breaks with the answer of the run's stop question when it asked it
+/// during setup (the golden trace). The deadline counts from the call.
+/// The stop question ([`Governor::stop`]) is asked between words; a
+/// word reads only the deadline ([`poll_clock`]), and a word it cuts is
+/// dropped.
 ///
 /// Pending words (those not already in a resumed journal) run on the
 /// calling thread when `jobs` is 1, and otherwise in contiguous ranges
@@ -321,22 +306,21 @@ pub(crate) fn run_words<W>(
     cfg: &CampaignConfig,
     jobs: usize,
     checkpoint: Option<&CheckpointOptions>,
-    engine: impl FnOnce(Limits, Governor) -> Result<W, Diagnostic>,
+    engine: impl FnOnce(Limits, Governor) -> Result<ControlFlow<PartialReason, W>, Diagnostic>,
 ) -> Result<CoverageReport, Diagnostic>
 where
     W: Fn(&[Fault]) -> Result<Vec<Outcome>, Diagnostic> + Sync,
 {
-    // The run's clock: only its deadline is ever read.
+    // The run's governor: only its stop question is ever asked.
     let clock = cfg.limits.governor();
     cfg.validate(design)?;
-    let sim_word = match engine(cfg.effective_limits(), clock.clone()) {
-        // The clock cut the engine's setup (the golden trace).
-        Err(e) if stopped_by_clock(&e) => {
+    let sim_word = match engine(cfg.effective_limits(), clock.clone())? {
+        ControlFlow::Continue(sim_word) => sim_word,
+        // The run stopped during the engine's setup (the golden trace).
+        ControlFlow::Break(reason) => {
             let (_, done) = Journal::open(design, list, cfg, checkpoint)?;
-            let reason = Some(PartialReason::DeadlineExceeded);
-            return Ok(assemble(design, list, cfg, done, reason));
+            return Ok(assemble(design, list, cfg, done, Some(reason)));
         }
-        sim_word => sim_word?,
     };
     let (mut journal, mut done) = Journal::open(design, list, cfg, checkpoint)?;
     let words: Vec<&[Fault]> = list.faults.chunks(LANES).collect();
@@ -346,7 +330,7 @@ where
 
     if jobs == 1 {
         for &w in &pending {
-            if interruption(cfg, &clock).is_some() {
+            if clock.stop().is_some() {
                 break;
             }
             let outcomes = match run(w) {
@@ -369,7 +353,7 @@ where
                 let (run, stop, clock) = (&run, &stop, &clock);
                 scope.spawn(move || {
                     for &w in shard {
-                        if stop.load(Ordering::Relaxed) || interruption(cfg, clock).is_some() {
+                        if stop.load(Ordering::Relaxed) || clock.stop().is_some() {
                             break;
                         }
                         let res = run(w);
@@ -405,23 +389,12 @@ where
     }
 
     let missing = done.len() < words.len();
-    let partial = interruption(cfg, &clock).filter(|_| missing);
+    let partial = clock.stop().filter(|_| missing);
     debug_assert!(
         !missing || partial.is_some(),
         "missing words without an interruption"
     );
     Ok(assemble(design, list, cfg, done, partial))
-}
-
-/// Checks the cooperative stop conditions (between words).
-fn interruption(cfg: &CampaignConfig, clock: &Governor) -> Option<PartialReason> {
-    if cfg.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-        Some(PartialReason::Interrupted)
-    } else if clock.check_deadline(Span::dummy()).is_err() {
-        Some(PartialReason::DeadlineExceeded)
-    } else {
-        None
-    }
 }
 
 /// Runs one word's simulation under the panic firewall. A panic retries

@@ -46,11 +46,10 @@ mod packed;
 mod report;
 
 pub use campaign::{
-    run_campaign, run_campaign_with, CampaignConfig, Engine, FaultResult, Outcome, PartialReason,
-    UndetectedReason,
+    run_campaign, run_campaign_with, CampaignConfig, Engine, FaultResult, Outcome, UndetectedReason,
 };
 pub use checkpoint::{campaign_digest, read_header, CheckpointHeader, CheckpointOptions};
 pub use list::{enumerate_faults, FaultList, FaultListOptions};
 pub use packed::{run_campaign_packed, run_campaign_packed_with};
 pub use report::CoverageReport;
-pub use zeus_elab::{Fault, FaultKind};
+pub use zeus_elab::{Fault, FaultKind, PartialReason};

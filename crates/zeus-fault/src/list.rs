@@ -39,32 +39,18 @@
 use std::collections::BTreeSet;
 use zeus_elab::{Design, Fault, NetId, NodeOp};
 
-/// What to enumerate.
-#[derive(Debug, Clone)]
+/// What to enumerate beyond the collapsed stuck-at set, which every
+/// list holds.
+#[derive(Debug, Clone, Default)]
 pub struct FaultListOptions {
-    /// Enumerate stuck-at-0/stuck-at-1 on every canonical net (default).
-    pub stuck_at: bool,
     /// Also enumerate bridging faults between adjacent gate inputs.
     pub bridges: bool,
     /// Also enumerate one transient flip per register output, striking
     /// in the given cycle.
     pub transients: Option<u64>,
-    /// Apply structural fault collapsing to the stuck-at set (default).
-    pub collapse: bool,
 }
 
-impl Default for FaultListOptions {
-    fn default() -> Self {
-        FaultListOptions {
-            stuck_at: true,
-            bridges: false,
-            transients: None,
-            collapse: true,
-        }
-    }
-}
-
-/// The enumerated (and possibly collapsed) fault universe of a design.
+/// The enumerated and collapsed fault universe of a design.
 #[derive(Debug, Clone)]
 pub struct FaultList {
     /// The faults to simulate, in deterministic (sorted) order.
@@ -75,7 +61,9 @@ pub struct FaultList {
     pub collapsed: usize,
 }
 
-/// Enumerates the fault universe of `design` under `opts`.
+/// Enumerates the fault universe of `design` under `opts`: stuck-at-0
+/// and stuck-at-1 on every site, structurally collapsed, plus the
+/// bridges and transients `opts` asks for.
 ///
 /// Sites are the canonical nets referenced by any node or port, in
 /// ascending net order, so the list is deterministic for a given design
@@ -97,23 +85,9 @@ pub fn enumerate_faults(design: &Design, opts: &FaultListOptions) -> FaultList {
         }
     }
 
-    let mut faults = Vec::new();
-    let mut total = 0usize;
-    let mut collapsed = 0usize;
-
-    if opts.stuck_at {
-        total += 2 * sites.len();
-        if opts.collapse {
-            let keep = collapse_stuck_at(design, &sites);
-            collapsed = 2 * sites.len() - keep.len();
-            faults.extend(keep);
-        } else {
-            for &s in &sites {
-                faults.push(Fault::stuck_at_0(s));
-                faults.push(Fault::stuck_at_1(s));
-            }
-        }
-    }
+    let mut faults = collapse_stuck_at(design, &sites);
+    let mut total = 2 * sites.len();
+    let collapsed = total - faults.len();
 
     if opts.bridges {
         let mut pairs: BTreeSet<(NetId, NetId)> = BTreeSet::new();
@@ -274,20 +248,9 @@ mod tests {
              BEGIN q := NOT NOT AND(a,b) END;",
             "t",
         );
-        let full = enumerate_faults(
-            &d,
-            &FaultListOptions {
-                collapse: false,
-                ..FaultListOptions::default()
-            },
-        );
-        let collapsed = enumerate_faults(&d, &FaultListOptions::default());
-        assert!(collapsed.faults.len() < full.faults.len());
-        assert_eq!(collapsed.total_enumerated, full.total_enumerated);
-        assert_eq!(
-            collapsed.collapsed,
-            full.faults.len() - collapsed.faults.len()
-        );
+        let l = enumerate_faults(&d, &FaultListOptions::default());
+        assert!(l.collapsed > 0);
+        assert_eq!(l.faults.len() + l.collapsed, l.total_enumerated);
     }
 
     #[test]
@@ -320,7 +283,6 @@ mod tests {
             &FaultListOptions {
                 bridges: true,
                 transients: Some(3),
-                ..FaultListOptions::default()
             },
         );
         assert!(extended
@@ -383,23 +345,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The module's ordering contract: the same source, elaborated
-        /// twice, enumerates byte-identical fault lists (collapsed or
-        /// not, with bridges/transients or not), sorted and
-        /// duplicate-free.
+        /// twice, enumerates byte-identical fault lists (with
+        /// bridges/transients or not), sorted and duplicate-free.
         #[test]
         fn collapsed_list_is_reproducible(
             inputs in 1usize..4,
             gates in proptest::collection::vec(any::<u8>(), 1..8),
             with_reg in any::<bool>(),
-            collapse in any::<bool>(),
             bridges in any::<bool>(),
         ) {
             let src = grown_source(inputs, &gates, with_reg);
             let opts = FaultListOptions {
-                stuck_at: true,
                 bridges,
                 transients: if with_reg { Some(2) } else { None },
-                collapse,
             };
             let d1 = design(&src, "t");
             let d2 = design(&src, "t");

@@ -14,25 +14,27 @@
 //!
 //! 1. **A shared golden trace.** The fault-free run is the same for
 //!    every fault, so it is executed once with the real scalar
-//!    [`Simulator`] under the per-fault [`Limits`] and its per-tick inputs
-//!    and OUT port values (boolean view) are recorded, along with the
-//!    classification of a budget error if the golden run itself runs
-//!    out. Every word clones one fault-free [`PackedSim`] template,
-//!    replays the recorded inputs, and compares each OUT port against
-//!    the trace word-wide, exactly where `run_differential` would have
-//!    compared against a live golden simulator.
-//! 2. **Per-lane budget emulation.** The packed simulator bills its own
-//!    fuel per pattern-word, but each scalar faulty run has its *own*
-//!    governor. Each lane therefore carries a [`LaneBudget`] replaying
-//!    the exact scalar arithmetic — `charge(order + 1)` before the step
-//!    and `charge((sweeps - 1) * order + 1)` after a multi-sweep cycle,
-//!    using the packed engine's per-lane sweep counts — so a fault that
-//!    exhausts its budget on cycle *k* scalar-side is classified
-//!    `BudgetExhausted` on cycle *k* packed-side, before any output
-//!    compare, exactly like `classify_error`. The wall-clock deadline
-//!    is no lane's budget: the golden trace and every word read the
-//!    run's clock every 64 ticks, and once it has passed they stop the
-//!    run instead of classifying a lane.
+//!    [`Simulator`] under the per-fault [`Limits`], and every tick's
+//!    input bits and OUT bits (boolean view) are recorded flat, one
+//!    [`Value`] per bit (14 bytes a tick for `rippleCarry4`), along
+//!    with the classification of a budget error if the golden run
+//!    itself runs out. Every word clones one fault-free [`PackedSim`]
+//!    template, forces the recorded input bits onto the nets `set_port`
+//!    drives, and compares each OUT port against the trace word-wide,
+//!    exactly where `run_differential` would have compared against a
+//!    live golden simulator.
+//! 2. **One billing rule.** Each scalar faulty run has its own budget,
+//!    so each lane holds its own [`StepBudget`] built from the per-fault
+//!    limits and billed in [`Simulator::try_step`]'s order: begin the
+//!    cycle and charge one sweep before the step, then charge the
+//!    re-sweeps after it when a bridge forced more than one (the packed
+//!    engine counts sweeps per lane). A fault that exhausts its budget on
+//!    cycle *k* is therefore classified `BudgetExhausted` on cycle *k*,
+//!    before any output compare, exactly like `classify_error`. The
+//!    run's stop is no lane's budget: the golden trace asks the run's
+//!    stop question every 64 ticks and ends the run on either answer
+//!    (the stop flag or the deadline), while a word reads only the
+//!    deadline, every 64 ticks, and is dropped once it has passed.
 //! 3. **Deterministic merge.** Faults are packed into words in list
 //!    order and the word runner merges finished words by index, reproducing
 //!    the scalar result order no matter how many workers ran.
@@ -44,85 +46,31 @@ use crate::campaign::{
 use crate::checkpoint::CheckpointOptions;
 use crate::list::FaultList;
 use crate::report::CoverageReport;
-use zeus_elab::{Design, Fault, Governor, Limits, NetId};
+use std::ops::ControlFlow;
+use zeus_elab::{find_port, Design, Fault, Governor, Limits, NetId, PartialReason, StepBudget};
 use zeus_sema::Value;
 use zeus_sim::{PackedSim, PackedWord, Simulator, LANES};
 use zeus_syntax::diag::Diagnostic;
-use zeus_syntax::span::Span;
 
 /// The recorded fault-free run, shared read-only by every word.
 struct GoldenTrace {
-    /// The port assignments of every tick the golden run attempted (the
-    /// RSET tick first when the design uses RSET, then one per vector).
-    inputs: Vec<Vec<(String, Vec<Value>)>>,
+    /// The nets `set_port` drives for each input bit, in the stream's
+    /// port order (the first port of each name, as `find_port` finds it).
+    in_nets: Vec<NetId>,
+    /// The input bits of every tick the golden run stepped (the RSET
+    /// tick first when the design uses RSET, then one per vector),
+    /// `in_nets.len()` per tick.
+    inputs: Vec<Value>,
     /// The OUT ports in declaration order, each with its canonical nets.
     outs: Vec<(String, Vec<NetId>)>,
-    /// One entry per successful tick: every OUT bit (boolean view) in
-    /// port order, broadcast to all lanes.
-    ticks: Vec<Vec<PackedWord>>,
+    /// Every OUT bit (boolean view) of every tick the golden run
+    /// stepped, in port order.
+    out_bits: Vec<Value>,
+    /// How many ticks the golden run stepped.
+    ticks: usize,
     /// Classification to apply to lanes still alive when the golden run
-    /// stopped early (its own budget ran out at tick `ticks.len()`).
+    /// stopped early (its own budget ran out at tick `ticks`).
     stopped: Option<Outcome>,
-}
-
-/// Replays the scalar [`Simulator::try_step`] budget arithmetic for one
-/// lane (fuel and step ceiling).
-struct LaneBudget {
-    steps: u64,
-    max_steps: Option<u64>,
-    fuel: Option<u64>,
-    exhausted: bool,
-}
-
-impl LaneBudget {
-    fn new(limits: &Limits) -> LaneBudget {
-        LaneBudget {
-            steps: 0,
-            max_steps: limits.max_steps,
-            fuel: limits.fuel,
-            exhausted: false,
-        }
-    }
-
-    /// `Governor::charge`: draining the tank mid-charge still zeroes it.
-    fn charge(&mut self, amount: u64) -> bool {
-        if let Some(left) = &mut self.fuel {
-            if *left < amount {
-                *left = 0;
-                self.exhausted = true;
-                return false;
-            }
-            *left -= amount;
-        }
-        true
-    }
-
-    /// The pre-step half of `try_step`: the step-count ceiling, then one
-    /// sweep's worth of fuel.
-    fn begin_cycle(&mut self, order: u64) -> bool {
-        if self.exhausted {
-            return false;
-        }
-        if let Some(max) = self.max_steps {
-            if self.steps >= max {
-                self.exhausted = true;
-                return false;
-            }
-        }
-        self.steps += 1;
-        self.charge(order + 1)
-    }
-
-    /// The post-step half: re-sweeps forced by bridge fixpoints.
-    fn settle(&mut self, order: u64, sweeps: u32) -> bool {
-        if self.exhausted {
-            return false;
-        }
-        if sweeps > 1 {
-            return self.charge((sweeps as u64 - 1) * order + 1);
-        }
-        true
-    }
 }
 
 /// Runs a fault campaign with the packed bit-parallel engine, sharded
@@ -150,8 +98,8 @@ pub fn run_campaign_packed(
 /// journaled incrementally as workers deliver them; a panic inside a
 /// worker's word is retried once on a fresh simulator and then
 /// classified [`Outcome::ToolError`](crate::Outcome::ToolError) without
-/// killing the campaign; the cancellation flag and the run's deadline
-/// drain in-flight words and yield a partial report.
+/// killing the campaign; the stop flag and the run's deadline drain
+/// in-flight words and yield a partial report.
 ///
 /// # Errors
 ///
@@ -166,29 +114,37 @@ pub fn run_campaign_packed_with(
 ) -> Result<CoverageReport, Diagnostic> {
     match cfg.engine {
         Engine::Graph => run_words(design, list, cfg, jobs, checkpoint, |limits, clock| {
-            let golden = record_golden(design, cfg, &limits, &clock)?;
-            // The packed simulator runs unbudgeted; each lane's budget is
-            // the [`LaneBudget`] replay in `run_word`.
+            let golden = match record_golden(design, cfg, &limits, &clock)? {
+                ControlFlow::Continue(golden) => golden,
+                ControlFlow::Break(reason) => return Ok(ControlFlow::Break(reason)),
+            };
+            // The packed simulator runs unbudgeted; each lane bills its
+            // own `StepBudget` in `run_word`.
             let mut template = PackedSim::new(design.clone())?;
             template.reseed(cfg.seed);
-            Ok(move |faults: &[Fault]| run_word(&template, faults, &limits, &golden, &clock))
+            Ok(ControlFlow::Continue(move |faults: &[Fault]| {
+                run_word(&template, faults, &limits, &golden, &clock)
+            }))
         }),
         Engine::Switch => run_words(design, list, cfg, jobs, checkpoint, |limits, clock| {
-            Ok(scalar_word(design, cfg, limits, clock))
+            Ok(ControlFlow::Continue(scalar_word(
+                design, cfg, limits, clock,
+            )))
         }),
     }
 }
 
 /// Runs the fault-free simulation once under the per-fault limits and
-/// records everything the faulty lanes need: the inputs of every tick
-/// and the OUT values to compare against. Once the run's `clock` has
-/// passed its deadline the trace stops with `Z905`.
+/// records everything the faulty lanes need: the input bits of every
+/// tick and the OUT bits to compare against. The trace asks the run's
+/// stop question every 64 ticks and breaks with its answer: it is
+/// setup, so nothing is lost.
 fn record_golden(
     design: &Design,
     cfg: &CampaignConfig,
     limits: &Limits,
     clock: &Governor,
-) -> Result<GoldenTrace, Diagnostic> {
+) -> Result<ControlFlow<PartialReason, GoldenTrace>, Diagnostic> {
     // Ports are read by name, as `Simulator::port` reads them.
     let outs: Vec<(String, Vec<NetId>)> = design
         .outputs()
@@ -201,18 +157,28 @@ fn record_golden(
     let mut golden = Simulator::with_limits(design.clone(), limits)?;
     golden.reseed(cfg.seed);
     let mut stream = cfg.stream(design);
-    // The trace grows as it records: the clock may stop it long before
+    let mut in_nets = Vec::new();
+    for (name, _) in stream.ports() {
+        in_nets.extend(&find_port(&design.ports, name)?.1.nets);
+    }
+    // The trace grows as it records: a stop may end it long before
     // `cfg.vectors` ticks, which need not fit in memory.
     let mut trace = GoldenTrace {
+        in_nets,
         inputs: Vec::new(),
-        ticks: Vec::new(),
         outs,
+        out_bits: Vec::new(),
+        ticks: 0,
         stopped: None,
     };
 
     let reset = design.rset.is_some();
     for tick in 0..usize::from(reset) + cfg.vectors as usize {
-        poll_clock(clock, tick)?;
+        if tick % 64 == 0 {
+            if let Some(reason) = clock.stop() {
+                return Ok(ControlFlow::Break(reason));
+            }
+        }
         let vector = if reset && tick == 0 {
             golden.set_rset(true);
             stream.zero_vector()
@@ -222,32 +188,21 @@ fn record_golden(
         for (name, bits) in &vector {
             golden.set_port(name, bits)?;
         }
-        trace.inputs.push(vector);
         if let Err(e) = golden.try_step() {
             trace.stopped = Some(classify_error(e)?);
             break;
         }
+        trace
+            .inputs
+            .extend(vector.iter().flat_map(|(_, bits)| bits));
         let bits = trace.outs.iter().flat_map(|(name, _)| golden.port(name));
-        trace.ticks.push(bits.map(PackedWord::splat).collect());
+        trace.out_bits.extend(bits);
+        trace.ticks += 1;
         if reset && tick == 0 {
             golden.set_rset(false);
         }
     }
-    Ok(trace)
-}
-
-/// The golden trace ran out of ticks: the stop reason is part of the
-/// trace contract (recorded when the fault-free run died early). A
-/// missing one is an internal invariant breach, reported as a `Z999`
-/// diagnostic the driver can classify instead of panicking a worker
-/// thread mid-campaign.
-fn golden_stop(golden: &GoldenTrace) -> Result<Outcome, Diagnostic> {
-    golden.stopped.clone().ok_or_else(|| {
-        Diagnostic::internal(
-            Span::dummy(),
-            "packed campaign: golden trace ended without a recorded stop reason",
-        )
-    })
+    Ok(ControlFlow::Continue(trace))
 }
 
 /// Simulates up to 64 faults — one per lane — on a clone of the
@@ -269,44 +224,43 @@ fn run_word(
     }
     let order = sim.order_len() as u64;
     let reset = usize::from(sim.design().rset.is_some());
+    let in_width = golden.in_nets.len();
+    let out_width: usize = golden.outs.iter().map(|(_, nets)| nets.len()).sum();
 
     let n = faults.len();
-    let mut budgets: Vec<LaneBudget> = (0..n).map(|_| LaneBudget::new(limits)).collect();
+    let mut budgets = vec![StepBudget::new(limits); n];
     let mut outcomes: Vec<Option<Outcome>> = vec![None; n];
     // Lanes still unclassified.
     let mut live = if n >= LANES { !0 } else { (1u64 << n) - 1 };
     let lanes = |mask: u64| (0..n).filter(move |&l| (mask >> l) & 1 == 1);
 
-    for (tick, inputs) in golden.inputs.iter().enumerate() {
+    for tick in 0..golden.ticks {
         if live == 0 {
             break;
         }
         poll_clock(clock, tick)?;
-        // `run_differential` steps the golden side first: when it died
-        // here, every still-unclassified fault inherits that outcome.
-        let Some(gold) = golden.ticks.get(tick) else {
-            let stop = golden_stop(golden)?;
-            for l in lanes(live) {
-                outcomes[l] = Some(stop.clone());
-            }
-            break;
-        };
         if tick < reset {
             sim.set_rset(true);
         }
-        for (name, bits) in inputs {
-            sim.set_port(name, bits)?;
+        let inputs = &golden.inputs[tick * in_width..(tick + 1) * in_width];
+        for (&net, &v) in golden.in_nets.iter().zip(inputs) {
+            sim.force(net, PackedWord::splat(v));
         }
         let mut began = 0u64;
         for l in lanes(live) {
-            if budgets[l].begin_cycle(order) {
+            if budgets[l].begin_cycle().is_ok() && budgets[l].charge_work(order).is_ok() {
                 began |= 1 << l;
             }
         }
         sim.step();
         let sweeps = sim.lane_sweeps();
         for l in lanes(live) {
-            if (began >> l) & 1 == 0 || !budgets[l].settle(order, sweeps[l]) {
+            let billed = (began >> l) & 1 == 1
+                && (sweeps[l] <= 1
+                    || budgets[l]
+                        .charge_work((sweeps[l] as u64 - 1) * order)
+                        .is_ok());
+            if !billed {
                 outcomes[l] = Some(Outcome::Undetected(UndetectedReason::BudgetExhausted));
                 live &= !(1 << l);
             }
@@ -320,11 +274,11 @@ fn run_word(
 
         let cycle = (tick - reset) as u64;
         let unstable = sim.ever_unstable();
-        let mut bits = gold.iter();
+        let mut bits = golden.out_bits[tick * out_width..].iter();
         for (name, nets) in &golden.outs {
             let mut diff = 0u64;
-            for (&net, g) in nets.iter().zip(bits.by_ref()) {
-                diff |= sim.value(net).to_boolean().diff(*g);
+            for (&net, &g) in nets.iter().zip(bits.by_ref()) {
+                diff |= sim.value(net).to_boolean().diff(PackedWord::splat(g));
             }
             for l in lanes(diff & live) {
                 // A divergence driven by a non-settling bridge is
@@ -339,6 +293,14 @@ fn run_word(
                 });
             }
             live &= !diff;
+        }
+    }
+    // `run_differential` steps the golden side first: when it died on
+    // the tick after the trace, every still-unclassified fault inherits
+    // that outcome.
+    if let Some(stop) = &golden.stopped {
+        for l in lanes(live) {
+            outcomes[l] = Some(stop.clone());
         }
     }
 
@@ -371,10 +333,8 @@ mod tests {
 
     fn all_opts() -> FaultListOptions {
         FaultListOptions {
-            stuck_at: true,
             bridges: true,
             transients: Some(3),
-            collapse: true,
         }
     }
 
@@ -427,20 +387,31 @@ mod tests {
 
     #[test]
     fn packed_partial_budget_matches_scalar() {
-        // Enough fuel for a few cycles but not the whole run: the
-        // classification cycle must agree with the scalar governor.
+        // Enough fuel or steps for a few cycles but not the whole run:
+        // the classification cycle must agree with the scalar budget.
         let d = design(COUNTER, "cnt");
         let list = enumerate_faults(&d, &all_opts());
-        for fuel in [10u64, 40, 90, 200] {
+        let fuels = [None, Some(10u64), Some(40), Some(90), Some(200)];
+        for (fuel, max_steps) in fuels.into_iter().flat_map(|f| {
+            [None, Some(3u64), Some(10)]
+                .into_iter()
+                .map(move |m| (f, m))
+        }) {
             let mut cfg = CampaignConfig::new(Engine::Graph, 24, 5);
-            cfg.limits.fuel = Some(fuel);
+            cfg.limits.fuel = fuel;
+            cfg.limits.max_steps = max_steps;
             let scalar = run_campaign(&d, &list, &cfg).unwrap();
             let packed = run_campaign_packed(&d, &list, &cfg, 2).unwrap();
             assert_eq!(
                 scalar.to_json(),
                 packed.to_json(),
-                "fuel={fuel} reports must match"
+                "fuel={fuel:?} max_steps={max_steps:?} reports must match"
             );
+            if max_steps == Some(3) {
+                // The reset tick and two vectors: every fault the first
+                // two vectors miss runs out of steps.
+                assert!(packed.to_json().contains("budget-exhausted"));
+            }
         }
     }
 

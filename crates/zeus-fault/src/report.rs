@@ -9,10 +9,10 @@
 //! and tool-error annotations below are emitted *only* when present, so
 //! a complete, error-free campaign renders exactly as it always has.
 
-use crate::campaign::{outcome_tag, CampaignConfig, FaultResult, Outcome, PartialReason};
+use crate::campaign::{outcome_tag, CampaignConfig, FaultResult, Outcome};
 use crate::list::FaultList;
 use std::fmt::Write as _;
-use zeus_elab::{json, Design};
+use zeus_elab::{json, Design, PartialReason};
 
 /// The result of a whole campaign.
 #[derive(Debug, Clone)]

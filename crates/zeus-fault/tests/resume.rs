@@ -163,7 +163,7 @@ fn cancellation_yields_a_partial_report_and_resume_completes_it() {
     for packed in [false, true] {
         let path = tmp("cancel.jsonl");
         let mut cfg = CampaignConfig::new(Engine::Graph, 12, 3);
-        cfg.cancel = Some(flag(true)); // cancelled before the first word
+        cfg.limits.cancel = Some(flag(true)); // cancelled before the first word
         let opts = CheckpointOptions::new(&path);
         let partial = if packed {
             run_campaign_packed_with(&d, &list, &cfg, 2, Some(&opts)).unwrap()
@@ -180,7 +180,7 @@ fn cancellation_yields_a_partial_report_and_resume_completes_it() {
         assert!(partial.to_text().contains("PARTIAL (interrupted)"));
 
         // Resume with the flag lowered: completes, byte-identical.
-        cfg.cancel = Some(flag(false));
+        cfg.limits.cancel = Some(flag(false));
         let opts = CheckpointOptions::resume(&path);
         let resumed = if packed {
             run_campaign_packed_with(&d, &list, &cfg, 2, Some(&opts)).unwrap()
@@ -191,6 +191,29 @@ fn cancellation_yields_a_partial_report_and_resume_completes_it() {
         assert_eq!(straight.to_json(), resumed.to_json());
         assert_eq!(straight.to_text(), resumed.to_text());
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// The stop flag is read in the golden trace too, not only between
+/// words: a raised flag stops a campaign far longer than its test
+/// before the trace records its vectors.
+#[test]
+fn a_raised_flag_stops_the_golden_trace() {
+    let d = big_design();
+    let list = big_list(&d);
+    let mut cfg = CampaignConfig::new(Engine::Graph, 500_000, 3);
+    cfg.limits.cancel = Some(flag(true));
+    for jobs in [1, 3] {
+        let started = Instant::now();
+        let report = run_campaign_packed(&d, &list, &cfg, jobs).unwrap();
+        let took = started.elapsed();
+        assert_eq!(
+            report.partial,
+            Some(PartialReason::Interrupted),
+            "jobs {jobs}"
+        );
+        assert_eq!(report.total(), 0, "jobs {jobs}");
+        assert!(took < Duration::from_secs(2), "jobs {jobs}: took {took:?}");
     }
 }
 

@@ -191,6 +191,36 @@ impl Enc {
         x
     }
 
+    /// A fresh 0/1 variable as a code (never UNDEF or NOINFL).
+    fn free_bit(&mut self) -> (Code, Var) {
+        let p = self.cnf.fresh();
+        let code = Code {
+            b1: Lit::pos(p),
+            b0: Lit::neg(p),
+            n: self.f(),
+        };
+        (code, p)
+    }
+
+    /// True when a good and a faulty code differ on a rail. The boolean
+    /// view of a slot code is its rails (NOINFL reads as UNDEF =
+    /// (1,1)), so two port bits differ iff a rail differs —
+    /// run_differential's comparison, literally.
+    fn differ(&mut self, good: Code, faulty: Code) -> Lit {
+        let d1 = self.xor(good.b1, faulty.b1);
+        let d0 = self.xor(good.b0, faulty.b0);
+        self.or(&[d1, d0])
+    }
+
+    /// Requires some difference in `diffs`. None possible leaves the
+    /// empty clause, which makes the formula UNSAT without
+    /// special-casing callers.
+    fn require_any(&mut self, mut diffs: Vec<Lit>) {
+        let f = self.f();
+        diffs.retain(|&d| d != f);
+        self.cnf.add(&diffs);
+    }
+
     /// `cond ? then : else` on single literals.
     fn mux(&mut self, cond: Lit, then: Lit, els: Lit) -> Lit {
         let a = self.and(&[cond, then]);
@@ -271,26 +301,108 @@ impl FrameState {
     }
 }
 
-/// Evaluates one symbolic frame of the netlist: drives `forced` slots
-/// and the register outputs from `state`, sweeps `order` with the
+/// The prologue both encoders share: what they read off the design and
+/// the fault before the first frame. Building it allocates no variable.
+struct Circuit<'a> {
+    design: &'a Design,
+    nl: &'a Netlist,
+    /// The value the fault holds its site at.
+    stuck: Value,
+    /// The fault site's slot (its canonical net).
+    site_slot: usize,
+    order: Vec<NodeId>,
+    regs: Vec<NodeId>,
+    /// The OUT port bits' slots, in port order.
+    out_slots: Vec<usize>,
+}
+
+impl<'a> Circuit<'a> {
+    /// Refuses what has no CNF image (non-stuck-at faults, RANDOM nodes,
+    /// combinational cycles) and maps the rest.
+    fn new(design: &'a Design, fault: Fault) -> Result<Circuit<'a>, EncodeError> {
+        let stuck = match fault.kind {
+            FaultKind::StuckAt0 => Value::Zero,
+            FaultKind::StuckAt1 => Value::One,
+            _ => return Err(EncodeError::Unsupported("non-stuck-at fault")),
+        };
+        let nl = &design.netlist;
+        if nl.nodes.iter().any(|n| matches!(n.op, NodeOp::Random)) {
+            return Err(EncodeError::Unsupported("RANDOM node"));
+        }
+        let order = nl
+            .topo_order()
+            .map_err(|_| EncodeError::Unsupported("combinational cycle"))?;
+        let out_slots = design
+            .outputs()
+            .flat_map(|p| p.nets.iter().map(|&n| nl.find_ref(n).index()))
+            .collect();
+        Ok(Circuit {
+            design,
+            nl,
+            stuck,
+            site_slot: nl.find_ref(fault.site).index(),
+            order,
+            regs: nl.registers().collect(),
+            out_slots,
+        })
+    }
+
+    /// Bills one good and one faulty frame to `gov`.
+    fn charge_frame(&self, gov: &mut Governor) -> Result<(), EncodeError> {
+        gov.charge(2 * (self.order.len() as u64 + 1), Span::dummy())
+            .and_then(|()| gov.check_deadline(Span::dummy()))
+            .map_err(|_| EncodeError::Budget)
+    }
+
+    /// The forced drives of one frame: CLK high as in every simulator
+    /// step, RSET `rset`, then every primary-input bit a fresh 0/1
+    /// variable (returned in port order). Later entries for the same net
+    /// replace earlier ones, mirroring the simulator's one-value-per-net
+    /// forced map.
+    fn forced(&self, e: &mut Enc, rset: Option<Code>) -> (Vec<(usize, Code)>, Vec<Var>) {
+        let mut forced: Vec<(usize, Code)> = Vec::new();
+        let force = |slot: usize, code: Code, forced: &mut Vec<(usize, Code)>| {
+            if let Some(entry) = forced.iter_mut().find(|(s, _)| *s == slot) {
+                entry.1 = code;
+            } else {
+                forced.push((slot, code));
+            }
+        };
+        if let Some(clk) = self.design.clk {
+            force(clk.index(), e.code(Value::One), &mut forced);
+        }
+        if let (Some(net), Some(code)) = (self.design.rset, rset) {
+            force(net.index(), code, &mut forced);
+        }
+        let mut pis = Vec::new();
+        for port in self.design.inputs() {
+            for &net in &port.nets {
+                let (code, p) = e.free_bit();
+                pis.push(p);
+                force(net.index(), code, &mut forced);
+            }
+        }
+        (forced, pis)
+    }
+}
+
+/// Evaluates one symbolic frame of `c`: drives `forced` slots and the
+/// register outputs from `state`, sweeps the topological order with the
 /// dual-rail gate algebra, and returns the latched next state plus the
-/// codes of `out_slots`. `clamp` is the faulty copy's stuck-at
-/// override. This is the shared core of [`encode_detection`] (concrete
-/// threaded state) and [`encode_lockstep`] (one frame over a fully
-/// symbolic shared state).
-#[allow(clippy::too_many_arguments)]
+/// codes of the OUT slots. The `faulty` copy clamps the fault site to
+/// its stuck value. This is the shared core of [`encode_detection`]
+/// (concrete threaded state) and [`encode_lockstep`] (one frame over a
+/// fully symbolic shared state).
 fn eval_frame(
     e: &mut Enc,
-    nl: &Netlist,
-    order: &[NodeId],
-    regs: &[NodeId],
-    out_slots: &[usize],
-    slots: usize,
+    c: &Circuit,
     forced: &[(usize, Code)],
     state: &[Code],
-    clamp: Option<(usize, Code)>,
+    faulty: bool,
 ) -> (Vec<Code>, Vec<Code>) {
-    let mut fs = FrameState::new(slots, clamp);
+    let (nl, order, regs, out_slots) = (c.nl, &c.order, &c.regs, &c.out_slots);
+    let clamp = faulty.then(|| (c.site_slot, e.code(c.stuck)));
+    let mut fs = FrameState::new(nl.nets.len(), clamp);
     for &(slot, code) in forced {
         fs.drive(slot, code);
     }
@@ -422,124 +534,41 @@ pub fn encode_detection(
     opts: &EncodeOptions,
     gov: &mut Governor,
 ) -> Result<Detector, EncodeError> {
-    let stuck = match fault.kind {
-        FaultKind::StuckAt0 => Value::Zero,
-        FaultKind::StuckAt1 => Value::One,
-        _ => return Err(EncodeError::Unsupported("non-stuck-at fault")),
-    };
-    let nl = &design.netlist;
-    if nl.nodes.iter().any(|n| matches!(n.op, NodeOp::Random)) {
-        return Err(EncodeError::Unsupported("RANDOM node"));
-    }
-    let order = nl
-        .topo_order()
-        .map_err(|_| EncodeError::Unsupported("combinational cycle"))?;
-    let regs: Vec<NodeId> = nl.registers().collect();
+    let c = Circuit::new(design, fault)?;
     let frames = opts.frames.max(1);
-    let slots = nl.nets.len();
-    let site_slot = nl.find_ref(fault.site).index();
-
     let mut e = Enc::new();
-    let clamp_code = e.code(stuck);
 
     let init = |given: &Option<Vec<Value>>, e: &Enc| -> Vec<Code> {
         match given {
             Some(vals) => vals.iter().map(|&v| e.code(v)).collect(),
-            None => vec![e.code(Value::Undef); regs.len()],
+            None => vec![e.code(Value::Undef); c.regs.len()],
         }
     };
     let mut state_good = init(&opts.init_good, &e);
     let mut state_faulty = init(&opts.init_faulty, &e);
-    debug_assert_eq!(state_good.len(), regs.len());
-    debug_assert_eq!(state_faulty.len(), regs.len());
-
-    let out_slots: Vec<usize> = design
-        .outputs()
-        .flat_map(|p| p.nets.iter().map(|&n| nl.find_ref(n).index()))
-        .collect();
+    debug_assert_eq!(state_good.len(), c.regs.len());
+    debug_assert_eq!(state_faulty.len(), c.regs.len());
 
     let mut pi_vars: Vec<Vec<Var>> = Vec::with_capacity(frames as usize);
     let mut diffs: Vec<Lit> = Vec::new();
 
     for _frame in 0..frames {
-        gov.charge(2 * (order.len() as u64 + 1), Span::dummy())
-            .and_then(|()| gov.check_deadline(Span::dummy()))
-            .map_err(|_| EncodeError::Budget)?;
-
-        // Forced drives: CLK=1, RSET=0 (reset pulses never appear inside
-        // a replayed vector window), then the frame's primary-input
-        // bits, one fresh variable each, restricted to {0,1} by
-        // construction. Later entries for the same net replace earlier
-        // ones, mirroring the simulator's one-value-per-net forced map.
-        let mut forced: Vec<(usize, Code)> = Vec::new();
-        let force = |slot: usize, code: Code, forced: &mut Vec<(usize, Code)>| {
-            if let Some(entry) = forced.iter_mut().find(|(s, _)| *s == slot) {
-                entry.1 = code;
-            } else {
-                forced.push((slot, code));
-            }
-        };
-        if let Some(clk) = design.clk {
-            force(clk.index(), e.code(Value::One), &mut forced);
-        }
-        if let Some(rset) = design.rset {
-            force(rset.index(), e.code(Value::Zero), &mut forced);
-        }
-        let mut frame_pis = Vec::new();
-        for port in design.inputs() {
-            for &net in &port.nets {
-                let p = e.cnf.fresh();
-                frame_pis.push(p);
-                let code = Code {
-                    b1: Lit::pos(p),
-                    b0: Lit::neg(p),
-                    n: e.f(),
-                };
-                force(net.index(), code, &mut forced);
-            }
-        }
+        c.charge_frame(gov)?;
+        // RSET is low: reset pulses never appear inside a replayed
+        // vector window.
+        let rset = e.code(Value::Zero);
+        let (forced, frame_pis) = c.forced(&mut e, Some(rset));
         pi_vars.push(frame_pis);
 
-        let (next_good, outs_good) = eval_frame(
-            &mut e,
-            nl,
-            &order,
-            &regs,
-            &out_slots,
-            slots,
-            &forced,
-            &state_good,
-            None,
-        );
-        let (next_faulty, outs_faulty) = eval_frame(
-            &mut e,
-            nl,
-            &order,
-            &regs,
-            &out_slots,
-            slots,
-            &forced,
-            &state_faulty,
-            Some((site_slot, clamp_code)),
-        );
+        let (next_good, outs_good) = eval_frame(&mut e, &c, &forced, &state_good, false);
+        let (next_faulty, outs_faulty) = eval_frame(&mut e, &c, &forced, &state_faulty, true);
         state_good = next_good;
         state_faulty = next_faulty;
-
-        // The boolean view of a slot code is its rails (NOINFL reads as
-        // UNDEF = (1,1)), so two port bits differ iff a rail differs —
-        // run_differential's comparison, literally.
-        for (g, f) in outs_good.iter().zip(&outs_faulty) {
-            let d1 = e.xor(g.b1, f.b1);
-            let d0 = e.xor(g.b0, f.b0);
-            diffs.push(e.or(&[d1, d0]));
+        for (&g, &f) in outs_good.iter().zip(&outs_faulty) {
+            diffs.push(e.differ(g, f));
         }
     }
-
-    let f = e.f();
-    diffs.retain(|&d| d != f);
-    // No output can ever differ → an empty clause makes it formally
-    // UNSAT without special-casing callers.
-    e.cnf.add(&diffs);
+    e.require_any(diffs);
 
     Ok(Detector {
         cnf: e.cnf,
@@ -573,34 +602,15 @@ pub fn encode_lockstep(
     fault: Fault,
     gov: &mut Governor,
 ) -> Result<Cnf, EncodeError> {
-    let stuck = match fault.kind {
-        FaultKind::StuckAt0 => Value::Zero,
-        FaultKind::StuckAt1 => Value::One,
-        _ => return Err(EncodeError::Unsupported("non-stuck-at fault")),
-    };
-    let nl = &design.netlist;
-    if nl.nodes.iter().any(|n| matches!(n.op, NodeOp::Random)) {
-        return Err(EncodeError::Unsupported("RANDOM node"));
-    }
-    let order = nl
-        .topo_order()
-        .map_err(|_| EncodeError::Unsupported("combinational cycle"))?;
-    let regs: Vec<NodeId> = nl.registers().collect();
-    let slots = nl.nets.len();
-    let site_slot = nl.find_ref(fault.site).index();
-
-    gov.charge(2 * (order.len() as u64 + 1), Span::dummy())
-        .and_then(|()| gov.check_deadline(Span::dummy()))
-        .map_err(|_| EncodeError::Budget)?;
-
+    let c = Circuit::new(design, fault)?;
+    c.charge_frame(gov)?;
     let mut e = Enc::new();
-    let clamp_code = e.code(stuck);
 
     // Shared symbolic state: free rails per register, restricted to the
     // codes the latch rule can store ({0,1,UNDEF} — never (0,0), never
     // NOINFL).
-    let mut state = Vec::with_capacity(regs.len());
-    for _ in &regs {
+    let mut state = Vec::with_capacity(c.regs.len());
+    for _ in &c.regs {
         let s1 = Lit::pos(e.cnf.fresh());
         let s0 = Lit::pos(e.cnf.fresh());
         e.cnf.add(&[s1, s0]);
@@ -608,74 +618,20 @@ pub fn encode_lockstep(
         state.push(Code { b1: s1, b0: s0, n });
     }
 
-    // Forced drives: CLK high as in every simulator step; RSET a free
-    // 0/1 bit so reset cycles are inside the proof obligation; every
-    // primary-input bit a free 0/1 variable.
-    let mut forced: Vec<(usize, Code)> = Vec::new();
-    let force = |slot: usize, code: Code, forced: &mut Vec<(usize, Code)>| {
-        if let Some(entry) = forced.iter_mut().find(|(s, _)| *s == slot) {
-            entry.1 = code;
-        } else {
-            forced.push((slot, code));
-        }
-    };
-    if let Some(clk) = design.clk {
-        force(clk.index(), e.code(Value::One), &mut forced);
-    }
-    if let Some(rset) = design.rset {
-        let r = e.cnf.fresh();
-        let code = Code {
-            b1: Lit::pos(r),
-            b0: Lit::neg(r),
-            n: e.f(),
-        };
-        force(rset.index(), code, &mut forced);
-    }
-    for port in design.inputs() {
-        for &net in &port.nets {
-            let p = e.cnf.fresh();
-            let code = Code {
-                b1: Lit::pos(p),
-                b0: Lit::neg(p),
-                n: e.f(),
-            };
-            force(net.index(), code, &mut forced);
-        }
-    }
+    // RSET is a free 0/1 bit, so reset cycles are inside the proof
+    // obligation.
+    let rset = design.rset.map(|_| e.free_bit().0);
+    let (forced, _) = c.forced(&mut e, rset);
 
-    let out_slots: Vec<usize> = design
-        .outputs()
-        .flat_map(|p| p.nets.iter().map(|&n| nl.find_ref(n).index()))
-        .collect();
-
-    let (next_good, outs_good) = eval_frame(
-        &mut e, nl, &order, &regs, &out_slots, slots, &forced, &state, None,
-    );
-    let (next_faulty, outs_faulty) = eval_frame(
-        &mut e,
-        nl,
-        &order,
-        &regs,
-        &out_slots,
-        slots,
-        &forced,
-        &state,
-        Some((site_slot, clamp_code)),
-    );
-
+    let (next_good, outs_good) = eval_frame(&mut e, &c, &forced, &state, false);
+    let (next_faulty, outs_faulty) = eval_frame(&mut e, &c, &forced, &state, true);
     let mut diffs: Vec<Lit> = Vec::new();
-    for (g, f) in outs_good.iter().zip(&outs_faulty) {
-        let d1 = e.xor(g.b1, f.b1);
-        let d0 = e.xor(g.b0, f.b0);
-        diffs.push(e.or(&[d1, d0]));
+    for (&g, &f) in outs_good.iter().zip(&outs_faulty) {
+        diffs.push(e.differ(g, f));
     }
-    for (g, f) in next_good.iter().zip(&next_faulty) {
-        let d1 = e.xor(g.b1, f.b1);
-        let d0 = e.xor(g.b0, f.b0);
-        diffs.push(e.or(&[d1, d0]));
+    for (&g, &f) in next_good.iter().zip(&next_faulty) {
+        diffs.push(e.differ(g, f));
     }
-    let f = e.f();
-    diffs.retain(|&d| d != f);
-    e.cnf.add(&diffs);
+    e.require_any(diffs);
     Ok(e.cnf)
 }

@@ -16,11 +16,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use zeus_elab::{find_port, Design, Limits, NetId, NodeId, NodeOp};
+use zeus_elab::{find_port, Design, Limits, NetId, NodeId, NodeOp, StepBudget};
 use zeus_sema::value::{self, Value};
 use zeus_syntax::diag::Diagnostic;
 
-use crate::sim::{Conflict, CycleReport, StepBudget};
+use crate::sim::{Conflict, CycleReport};
 
 type EventHeap = std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>>;
 

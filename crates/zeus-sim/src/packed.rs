@@ -36,12 +36,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use zeus_elab::{find_port, Design, Fault, FaultKind, Limits, NetId, NodeOp};
+use zeus_elab::{find_port, Design, Fault, FaultKind, Limits, NetId, NodeOp, StepBudget};
 use zeus_sema::value::Value;
 use zeus_syntax::diag::Diagnostic;
 use zeus_syntax::span::Span;
-
-use crate::sim::StepBudget;
 
 /// The number of independent patterns per packed word.
 pub const LANES: usize = 64;

@@ -14,53 +14,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use zeus_elab::{find_port, Design, Fault, FaultKind, Governor, Limits, NetId, NodeId, NodeOp};
+use zeus_elab::{find_port, Design, Fault, FaultKind, Limits, NetId, NodeId, NodeOp, StepBudget};
 use zeus_sema::value::{self, Value};
-use zeus_syntax::diag::{codes, Diagnostic};
+use zeus_syntax::diag::Diagnostic;
 use zeus_syntax::span::Span;
-
-/// Shared budget bookkeeping for the budgeted (`try_*`) stepping APIs of
-/// both simulators: a step counter against `Limits::max_steps` plus the
-/// fuel/deadline governor.
-#[derive(Debug, Clone)]
-pub(crate) struct StepBudget {
-    max_steps: Option<u64>,
-    steps: u64,
-    gov: Governor,
-}
-
-impl StepBudget {
-    pub(crate) fn new(limits: &Limits) -> StepBudget {
-        StepBudget {
-            max_steps: limits.max_steps,
-            steps: 0,
-            gov: limits.governor(),
-        }
-    }
-
-    /// Pre-cycle check: step budget and deadline.
-    pub(crate) fn begin_cycle(&mut self) -> Result<(), Diagnostic> {
-        if let Some(max) = self.max_steps {
-            if self.steps >= max {
-                return Err(Diagnostic::error(
-                    Span::dummy(),
-                    format!(
-                        "simulation step budget exhausted (limit {max} cycles); raise \
-                         the step limit to continue"
-                    ),
-                )
-                .with_code(codes::LIMIT_STEPS));
-            }
-        }
-        self.steps += 1;
-        self.gov.check_deadline(Span::dummy())
-    }
-
-    /// Post-cycle accounting: one fuel unit per node evaluation.
-    pub(crate) fn charge_work(&mut self, evals: u64) -> Result<(), Diagnostic> {
-        self.gov.charge(evals + 1, Span::dummy())
-    }
-}
 
 /// A runtime violation of the single-active-assignment rule (§8).
 #[derive(Debug, Clone, PartialEq, Eq)]

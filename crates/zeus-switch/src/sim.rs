@@ -15,7 +15,7 @@ use crate::synth::{synthesize, Synth};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use zeus_elab::{find_port, Design, Fault, FaultKind, Governor, Limits, NetId, Port};
+use zeus_elab::{find_port, Design, Fault, FaultKind, Limits, NetId, Port, StepBudget};
 use zeus_sema::Value;
 use zeus_syntax::diag::{codes, Diagnostic};
 use zeus_syntax::span::Span;
@@ -45,9 +45,7 @@ pub struct SwitchSim {
     /// this into a `Z310` diagnostic.
     pub oscillated_last_cycle: bool,
     relax_cap: Option<u32>,
-    max_steps: Option<u64>,
-    steps: u64,
-    gov: Governor,
+    budget: StepBudget,
     faults: Vec<Fault>,
     /// Fault clamps merged into every cycle's forced map (stuck-at sites
     /// and the always-high gates of bridge transistors).
@@ -108,9 +106,7 @@ impl SwitchSim {
             shorts_last_cycle: 0,
             oscillated_last_cycle: false,
             relax_cap: limits.relax_iter_cap,
-            max_steps: limits.max_steps,
-            steps: 0,
-            gov: limits.governor(),
+            budget: StepBudget::new(limits),
             faults: Vec::new(),
             fault_stuck: HashMap::new(),
             fault_flips: Vec::new(),
@@ -364,23 +360,9 @@ impl SwitchSim {
     /// relaxation sweep), or `Z310` when the network oscillated this
     /// cycle (its state is left X-filled, as after [`SwitchSim::step`]).
     pub fn try_step(&mut self) -> Result<(), Diagnostic> {
-        if let Some(max) = self.max_steps {
-            if self.steps >= max {
-                return Err(Diagnostic::error(
-                    Span::dummy(),
-                    format!(
-                        "simulation step budget exhausted (limit {max} cycles); \
-                         raise the step limit to continue"
-                    ),
-                )
-                .with_code(codes::LIMIT_STEPS));
-            }
-        }
-        self.steps += 1;
-        self.gov.check_deadline(Span::dummy())?;
+        self.budget.begin_cycle()?;
         self.step();
-        self.gov
-            .charge(self.iterations_last_cycle as u64 + 1, Span::dummy())?;
+        self.budget.charge_work(self.iterations_last_cycle as u64)?;
         if self.oscillated_last_cycle {
             return Err(Diagnostic::error(
                 Span::dummy(),

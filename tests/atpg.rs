@@ -233,10 +233,8 @@ fn preraised_cancel_flag_yields_a_partial_report() {
     CANCEL.store(true, Ordering::Relaxed);
 
     let d = design("adders", "rippleCarry4", &[]);
-    let cfg = AtpgConfig {
-        cancel: Some(&CANCEL),
-        ..AtpgConfig::default()
-    };
+    let mut cfg = AtpgConfig::default();
+    cfg.limits.cancel = Some(&CANCEL);
     let report = run_atpg(&d, &cfg).unwrap();
     assert!(report.partial, "cancel flag ignored");
     let text = report.to_text();

@@ -140,7 +140,6 @@ fn sharded_campaign_reports_are_job_count_invariant() {
     let opts = FaultListOptions {
         bridges: true,
         transients: Some(2),
-        ..FaultListOptions::default()
     };
     let list = enumerate_faults(&d, &opts);
     let cfg = CampaignConfig::new(Engine::Graph, 32, 1);
@@ -172,7 +171,6 @@ fn sharded_campaign_parity_on_every_bundled_design() {
             let opts = FaultListOptions {
                 bridges: true,
                 transients: Some(2),
-                ..FaultListOptions::default()
             };
             lists.push(enumerate_faults(&d, &opts));
         }
