@@ -281,7 +281,9 @@ impl AtpgReport {
     }
 
     /// Machine-readable report with a deterministic key order. The
-    /// `grade` field embeds the replay campaign's own JSON report.
+    /// `grade` field embeds the replay campaign's own JSON report; when
+    /// the deadline cut that grade, `coverage` and `testable_coverage`
+    /// are left out, as the text report leaves out its percentage.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         let _ = write!(s, "{{\"tool\":\"zeus-atpg\"");
@@ -352,12 +354,14 @@ impl AtpgReport {
             self.vectors.len(),
             self.vector_digest()
         );
-        let _ = write!(
-            s,
-            ",\"coverage\":{:.6},\"testable_coverage\":{:.6}",
-            self.coverage(),
-            self.testable_coverage()
-        );
+        if self.grade.partial.is_none() {
+            let _ = write!(
+                s,
+                ",\"coverage\":{:.6},\"testable_coverage\":{:.6}",
+                self.coverage(),
+                self.testable_coverage()
+            );
+        }
         let _ = write!(s, ",\"redundant\":[");
         for (i, (name, fault)) in self.redundant.iter().enumerate() {
             if i > 0 {

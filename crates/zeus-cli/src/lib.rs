@@ -530,8 +530,8 @@ fn detail(cmd: &str) -> &'static str {
              --report adds the per-pass rewrite counts; --json emits the\n\
              whole report machine-readably; --seed S seeds the lockstep\n\
              verifier (default 0x5EED2E05); --emit FILE writes the optimized\n\
-             design in the `zeus-design` interchange format, loadable by\n\
-             downstream tools and distinguishable from the original by\n\
+             design as `zeus netlist v1` text, which `zeusc import`, `sim`,\n\
+             `fault` and `atpg` read, distinguishable from the original by\n\
              digest."
         }
         "fuzz" => {
@@ -1078,19 +1078,6 @@ fn import_failure(e: &zeus::Diagnostic) -> Failure {
     }
 }
 
-/// The budget untrusted imports run under: `limits`, with
-/// `max_input_bits` raised to the import default (the CLI has no flag
-/// for it, and the elaborator's exhaustive-simulation bound would
-/// reject ISCAS-class benchmark inputs).
-fn import_budget(limits: &Limits) -> Limits {
-    Limits {
-        max_input_bits: limits
-            .max_input_bits
-            .max(zeus::import_limits().max_input_bits),
-        ..limits.clone()
-    }
-}
-
 /// The design a command works on, and the limits its engines run under.
 /// A netlist interchange payload in place of a .zeus program is imported
 /// through the structural validator instead of elaborated: its top
@@ -1110,8 +1097,7 @@ fn load_design(p: &Parsed, sess: &mut Session) -> Result<(zeus::Design, Limits),
             ));
         }
         let limits = sess.limits(p, false)?;
-        let design =
-            zeus::import_design(src, &import_budget(&limits)).map_err(|e| import_failure(&e))?;
+        let design = zeus::import_design(src, &limits).map_err(|e| import_failure(&e))?;
         let claimed = p
             .str_value("--top")
             .or_else(|| p.positionals.get(1).map(String::as_str))
@@ -1197,8 +1183,8 @@ fn cmd_import(p: &Parsed, sess: &mut Session) -> Result<(), Failure> {
             )));
         }
     }
-    let limits = import_budget(&sess.limits(p, false)?);
-    let design = zeus::import_design(src, &limits).map_err(|e| import_failure(&e))?;
+    let design =
+        zeus::import_design(src, &sess.limits(p, false)?).map_err(|e| import_failure(&e))?;
     let digest = zeus::validated_digest(&design);
     if p.has("--validate-only") {
         wln!(sess.out, "valid     : {digest}");
@@ -1448,7 +1434,7 @@ fn cmd_opt(
         }
     }
     if let Some(path) = p.str_value("--emit") {
-        sess.write_file(path, &zeus::design_to_text(&out.design))?;
+        sess.write_file(path, &zeus::netlist_to_text(&out.design))?;
     }
     Ok(())
 }

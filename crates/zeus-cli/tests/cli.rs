@@ -795,6 +795,23 @@ fn atpg_stopped_at_its_deadline_exits_3() {
         "{emitted}"
     );
     let _ = std::fs::remove_file(&vec_path);
+
+    // The JSON states no coverage for the cut grade either; the
+    // embedded grade keeps its planned count.
+    let (code, json, stderr) = zeusc_code(&[
+        "atpg",
+        "@adders",
+        "rippleCarry4",
+        "--seed",
+        "5",
+        "--campaign-timeout",
+        "0",
+        "--json",
+    ]);
+    assert_eq!(code, 3, "{stderr}");
+    let (top, grade) = json.split_once(",\"grade\":").expect("a grade object");
+    assert!(!top.contains("coverage\":"), "{json}");
+    assert!(grade.contains("\"planned\":68"), "{json}");
 }
 
 /// First Ctrl-C: drain in-flight words, flush the checkpoint, report
@@ -923,7 +940,7 @@ fn emitted_files_create_their_directories() {
         (
             "design",
             &["opt", "@mux", "muxtop", "--emit"],
-            "zeus-design",
+            "zeus netlist v1\n",
         ),
         (
             "netlist",
@@ -1429,6 +1446,38 @@ fn import_rejects_garbage_with_z601_and_exit_2() {
     let (code, _, stderr) = zeusc_code(&["import", bad.to_str().unwrap()]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("Z601"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A payload without its `zeus netlist v1` line is refused with Z601 by
+/// `import` and by every netlist consumer alike; it never reaches the
+/// `.zeus` parser.
+#[test]
+fn bare_payload_is_refused_with_z601_everywhere() {
+    let dir = std::env::temp_dir().join(format!("zeusc-test-bare-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ok, text, stderr) = zeusc(&["export", "@mux", "muxtop"]);
+    assert!(ok, "{stderr}");
+    let bare = dir.join("bare.znl");
+    let bare_s = bare.to_str().unwrap();
+    std::fs::write(&bare, text.strip_prefix("zeus netlist v1\n").unwrap()).unwrap();
+    for argv in [
+        &["import", bare_s][..],
+        &["import", bare_s, "--validate-only"],
+        &["import", bare_s, "--format", "text"],
+        &["sim", bare_s, "--cycles", "1"],
+        &["fault", bare_s, "--vectors", "4"],
+        &["opt", bare_s],
+    ] {
+        let (code, stdout, stderr) = zeusc_code(argv);
+        assert_eq!(code, 2, "{argv:?}: {stderr}");
+        assert!(stdout.is_empty(), "{argv:?}: {stdout}");
+        assert!(
+            stderr
+                .contains("error[Z601]: not a zeus netlist: expected the 'zeus netlist v1' header"),
+            "{argv:?}: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

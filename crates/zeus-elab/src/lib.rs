@@ -42,7 +42,6 @@ pub mod hash;
 pub mod json;
 pub mod limits;
 pub mod netlist;
-pub mod serdes;
 pub mod shape;
 
 pub use design::{find_port, Design, Direction, InstanceNode, LayoutItem, Orientation, Port};
@@ -53,7 +52,4 @@ pub use hash::{design_digest, StableHasher};
 pub use json::Json;
 pub use limits::{Governor, Limits, PartialReason, StepBudget};
 pub use netlist::{to_dot, GroupConstraint, Net, NetId, Netlist, Node, NodeId, NodeOp};
-pub use serdes::{
-    design_from_text, design_from_text_checked, design_to_text, SerdesError, DESIGN_MAGIC,
-};
 pub use shape::{BuiltinComponent, FieldShape, RecordShape, Shape};

@@ -238,18 +238,17 @@ impl Netlist {
         self.finished
     }
 
-    /// The raw union-find parent vector, for the cache serializer and the
-    /// optimizer's net-compaction rebuild.
+    /// The raw union-find parent vector, for the `zeus netlist v1` writer
+    /// and the optimizer's net-compaction rebuild.
     pub fn alias_raw(&self) -> &[u32] {
         &self.alias
     }
 
-    /// Reassembles a netlist from stored raw parts (the cache
-    /// deserializer and the `zeus-opt` net-compaction rebuild). The
-    /// caller is responsible for the parts being a faithful copy of a
-    /// previously finished netlist (or a consistent rewrite of one); the
-    /// serdes digest check and the optimizer's equivalence gate enforce
-    /// that end to end.
+    /// Reassembles a netlist from raw parts (the `zeus netlist v1` reader
+    /// and the `zeus-opt` net-compaction rebuild). Nothing is checked
+    /// here: zeus-netlist's validator proves a read netlist consistent
+    /// before anything walks it, and the optimizer's equivalence gate
+    /// checks a rebuilt one end to end.
     pub fn from_raw_parts(
         nets: Vec<Net>,
         nodes: Vec<Node>,
@@ -314,75 +313,28 @@ impl Netlist {
         out
     }
 
-    /// A topological order of the *combinational* nodes (registers first
-    /// conceptually, but they are excluded — their outputs are sources).
+    /// A topological order of the *combinational* nodes. Registers are
+    /// excluded: a `Reg` is evaluated at cycle end, so combinationally
+    /// only its output matters, and that is a source.
     ///
     /// # Errors
     ///
     /// Returns a diagnostic if a combinational cycle exists.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, Diagnostic> {
-        // Node A precedes node B when A.output is an input of B.
-        // Sequential nodes have no intra-cycle dependency on their input,
-        // so they never appear as predecessors... they do: a Reg node is
-        // *evaluated* at cycle end; combinationally only its output
-        // matters, which is a source. We exclude Reg nodes from the order.
-        let mut indegree = vec![0usize; self.nodes.len()];
-        let drivers = self.drivers_by_net();
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for (bi, b) in self.nodes.iter().enumerate() {
-            if b.op.is_sequential() {
-                continue;
-            }
-            for inp in &b.inputs {
-                for a in &drivers[inp.index()] {
-                    if self.nodes[a.index()].op.is_sequential() {
-                        continue;
-                    }
-                    edges[a.index()].push(bi);
-                    indegree[bi] += 1;
-                }
+        match combinational_order(&self.nodes, self.nets.len(), |_| true, []) {
+            Ok(order) => Ok(order.into_iter().map(|i| NodeId(i as u32)).collect()),
+            Err(witness) => {
+                let net = &self.nets[self.nodes[witness].output.index()];
+                Err(Diagnostic::error(
+                    net.span,
+                    format!(
+                        "combinational feedback loop through signal '{}': \
+                         loops must lead through registers (§1)",
+                        net.name
+                    ),
+                ))
             }
         }
-        let mut queue: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| !self.nodes[i].op.is_sequential() && indegree[i] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(self.nodes.len());
-        let mut head = 0;
-        while head < queue.len() {
-            let n = queue[head];
-            head += 1;
-            order.push(NodeId(n as u32));
-            for &m in &edges[n] {
-                indegree[m] -= 1;
-                if indegree[m] == 0 {
-                    queue.push(m);
-                }
-            }
-        }
-        let comb_count = self.nodes.iter().filter(|n| !n.op.is_sequential()).count();
-        if order.len() != comb_count {
-            // Find a net on the cycle for the message.
-            let witness = self
-                .nodes
-                .iter()
-                .enumerate()
-                .find(|(i, n)| !n.op.is_sequential() && indegree[*i] > 0)
-                .map(|(_, n)| n.output);
-            let (name, span) = witness
-                .map(|w| {
-                    let net = &self.nets[w.index()];
-                    (net.name.clone(), net.span)
-                })
-                .unwrap_or_default();
-            return Err(Diagnostic::error(
-                span,
-                format!(
-                    "combinational feedback loop through signal '{name}': \
-                     loops must lead through registers (§1)"
-                ),
-            ));
-        }
-        Ok(order)
     }
 
     /// Checks the SEQUENTIAL/PARALLEL annotations (§4.5): the constraints
@@ -395,25 +347,6 @@ impl Netlist {
     pub fn check_group_compatibility(&self) -> Result<(), Diagnostic> {
         if self.group_constraints.is_empty() {
             return Ok(());
-        }
-        // Build combinational node graph plus group edges, then Kahn.
-        let drivers = self.drivers_by_net();
-        let n = self.nodes.len();
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut indegree = vec![0usize; n];
-        for (bi, b) in self.nodes.iter().enumerate() {
-            if b.op.is_sequential() {
-                continue;
-            }
-            for inp in &b.inputs {
-                for a in &drivers[inp.index()] {
-                    if self.nodes[a.index()].op.is_sequential() {
-                        continue;
-                    }
-                    edges[a.index()].push(bi);
-                    indegree[bi] += 1;
-                }
-            }
         }
         let mut by_group: HashMap<u32, Vec<usize>> = HashMap::new();
         for (i, node) in self.nodes.iter().enumerate() {
@@ -431,51 +364,23 @@ impl Netlist {
                 }
             }
         }
-        for c in &self.group_constraints {
-            let (Some(before), Some(after)) = (by_group.get(&c.before), by_group.get(&c.after))
-            else {
-                continue;
-            };
-            for &a in before {
-                for &b in after {
-                    edges[a].push(b);
-                    indegree[b] += 1;
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..n)
-            .filter(|&i| !self.nodes[i].op.is_sequential() && indegree[i] == 0)
-            .collect();
-        let mut seen = 0usize;
-        let mut head = 0;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            seen += 1;
-            for &m in &edges[x] {
-                indegree[m] -= 1;
-                if indegree[m] == 0 {
-                    queue.push(m);
-                }
-            }
-        }
-        let comb_count = self
-            .nodes
+        let group_edges = self
+            .group_constraints
             .iter()
-            .filter(|nd| !nd.op.is_sequential())
-            .count();
-        if seen != comb_count {
-            let witness = (0..n)
-                .find(|&i| !self.nodes[i].op.is_sequential() && indegree[i] > 0)
-                .map(|i| self.nodes[i].span)
-                .unwrap_or_default();
-            return Err(Diagnostic::error(
-                witness,
+            .filter_map(|c| Some((by_group.get(&c.before)?, by_group.get(&c.after)?)))
+            .flat_map(|(before, after)| {
+                before
+                    .iter()
+                    .flat_map(move |&a| after.iter().map(move |&b| (a, b)))
+            });
+        match combinational_order(&self.nodes, self.nets.len(), |_| true, group_edges) {
+            Ok(_) => Ok(()),
+            Err(witness) => Err(Diagnostic::error(
+                self.nodes[witness].span,
                 "SEQUENTIAL annotation is incompatible with the dataflow order of the \
                  semantics graph (§4.5)",
-            ));
+            )),
         }
-        Ok(())
     }
 
     /// Number of nets.
@@ -526,6 +431,71 @@ impl Netlist {
             .enumerate()
             .filter(|(_, n)| n.op == NodeOp::Reg)
             .map(|(i, _)| NodeId(i as u32))
+    }
+}
+
+/// Kahn's algorithm over the combinational nodes of `nodes` for which
+/// `live` holds: node A precedes node B when A drives an input of B, and
+/// each `(a, b)` of `extra` adds one more such edge. Edges are built in
+/// node-index order and the FIFO queue is seeded in ascending order, so
+/// equal inputs give equal orders; the simulators' RANDOM draws follow
+/// them.
+///
+/// # Errors
+///
+/// The index of the first live combinational node left on or behind a
+/// cycle.
+pub fn combinational_order(
+    nodes: &[Node],
+    net_count: usize,
+    live: impl Fn(usize) -> bool,
+    extra: impl IntoIterator<Item = (usize, usize)>,
+) -> Result<Vec<usize>, usize> {
+    let n = nodes.len();
+    let mut drivers: Vec<Vec<usize>> = vec![Vec::new(); net_count];
+    for (i, node) in nodes.iter().enumerate() {
+        if live(i) {
+            drivers[node.output.index()].push(i);
+        }
+    }
+    let comb = |i: usize| live(i) && !nodes[i].op.is_sequential();
+    let mut indegree = vec![0usize; n];
+    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (bi, b) in nodes.iter().enumerate() {
+        if !comb(bi) {
+            continue;
+        }
+        for inp in &b.inputs {
+            for &a in &drivers[inp.index()] {
+                if nodes[a].op.is_sequential() {
+                    continue;
+                }
+                edges[a].push(bi);
+                indegree[bi] += 1;
+            }
+        }
+    }
+    for (a, b) in extra {
+        edges[a].push(b);
+        indegree[b] += 1;
+    }
+    // The queue is the order: every node enters it once, when its last
+    // predecessor has been placed.
+    let mut order: Vec<usize> = (0..n).filter(|&i| comb(i) && indegree[i] == 0).collect();
+    let mut head = 0;
+    while head < order.len() {
+        let x = order[head];
+        head += 1;
+        for &m in &edges[x] {
+            indegree[m] -= 1;
+            if indegree[m] == 0 {
+                order.push(m);
+            }
+        }
+    }
+    match (0..n).find(|&i| comb(i) && indegree[i] > 0) {
+        Some(witness) => Err(witness),
+        None => Ok(order),
     }
 }
 

@@ -1,46 +1,43 @@
-//! Textual serialization of elaborated designs for the `zeusd` cache.
+//! The codec of `zeus netlist v1`: how a [`Design`] becomes text and
+//! back.
 //!
-//! A [`Design`] is the expensive artifact of the pipeline — elaborating
-//! a large parameterized component can take orders of magnitude longer
-//! than simulating a few cycles of it. The daemon therefore persists
-//! elaborated designs in its content-addressed store and reloads them
-//! on later requests. This module defines that on-disk form: a
-//! line-oriented, human-debuggable text format that round-trips every
-//! field the simulation, fault and ATPG paths consume (netlist with its
-//! alias classes, ports with full shapes, name map, clock/reset nets).
+//! The format is line-oriented and human-debuggable, and it round-trips
+//! every field the simulation, fault, ATPG and optimizer paths consume:
+//! the netlist with its alias classes, ports with full shapes, the name
+//! map, and the clock/reset nets. It is deliberately lossy in three
+//! places: source spans (a read design carries dummy spans, so
+//! diagnostics against the original source come only from a fresh
+//! elaboration), elaboration warnings, and the instance/layout tree (only
+//! the top's type name survives).
 //!
-//! **Deliberately lossy pieces**: source spans (cached designs carry
-//! dummy spans — diagnostics against the original source are only
-//! produced by a fresh elaboration), elaboration warnings (designs with
-//! warnings are not cached, so the CLI's warning output stays
-//! byte-identical), and the instance/layout tree (the layout commands
-//! never run against the cache).
-//!
-//! Every serialized design embeds its [`design_digest`]; the parser
-//! recomputes the digest of the reconstructed design and refuses to
-//! return on mismatch. Together with the store's whole-file checksum
-//! this means a bit-flipped or torn cache entry can never silently
-//! produce a wrong simulation — it is detected, quarantined and
-//! re-elaborated.
+//! Every file embeds the [`design_digest`] of its design; [`decode`]
+//! recomputes the digest of the reconstruction and refuses a mismatch,
+//! so a bit flip that still parses fails closed. The reader raises each
+//! failure as its `Z6xx` diagnostic where it classifies it; the token
+//! helpers return plain strings, which the line they belong to turns
+//! into a `Z601`.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::design::{Design, InstanceNode, Port};
-use crate::hash::design_digest;
-use crate::netlist::{GroupConstraint, Net, NetId, Netlist, Node, NodeOp};
-use crate::shape::{BuiltinComponent, FieldShape, RecordShape, Shape};
+use zeus_elab::netlist::{GroupConstraint, Net, Node, NodeOp};
+use zeus_elab::{
+    design_digest, BuiltinComponent, Design, FieldShape, InstanceNode, NetId, Netlist, Port,
+    RecordShape, Shape,
+};
 use zeus_sema::rules::BasicKind;
 use zeus_sema::value::Value;
 use zeus_syntax::ast::Mode;
-use zeus_syntax::diag::Diagnostics;
+use zeus_syntax::diag::{codes, Code, Diagnostic, Diagnostics};
 use zeus_syntax::span::Span;
 
-/// Magic first line of the format; bump the version on any change.
-/// v2 added the `opt` line (the optimizer provenance flag).
-pub const DESIGN_MAGIC: &str = "zeus-design v2";
-const MAGIC: &str = DESIGN_MAGIC;
+use crate::TEXT_MAGIC;
+
+/// The payload version line that follows [`TEXT_MAGIC`]; bump it on any
+/// change to the payload. v2 added the `opt` line (the optimizer
+/// provenance flag).
+const PAYLOAD_MAGIC: &str = "zeus-design v2";
 
 /// Nesting cap for [`shape_parse`]: deeper shapes in a file are rejected
 /// rather than recursed into (a hostile file could otherwise overflow
@@ -54,43 +51,19 @@ const MAX_SHAPE_DEPTH: usize = 64;
 /// the vectors just grow normally past this point.
 const MAX_PREALLOC: usize = 1 << 20;
 
-/// A classified [`design_from_text_checked`] failure, so callers (the
-/// public interchange layer, the daemon store) can distinguish version
-/// skew from corruption without string matching.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SerdesError {
-    /// The first line is a recognized `zeus-design` header of a
-    /// different version: re-serialize, don't report corruption.
-    Version(String),
-    /// The text is not a well-formed instance of this version
-    /// (unrecognized header, truncated table, malformed token).
-    Parse(String),
-    /// A node line names an operation this toolchain does not know.
-    UnknownOp(String),
-    /// Tables parsed individually but are mutually inconsistent
-    /// (out-of-range net/group reference, alias cycle, bad arity).
-    Structure(String),
-    /// The embedded digest disagrees with the reconstructed design.
-    Digest(String),
+/// A `Z601`: the text is not a well-formed instance of the format
+/// (unknown header, truncated table, malformed token).
+fn malformed(msg: impl Into<String>) -> Diagnostic {
+    Diagnostic::error(Span::dummy(), msg).with_code(codes::NETLIST_FORMAT)
 }
 
-impl SerdesError {
-    /// The human-readable message, without the classification.
-    pub fn message(&self) -> &str {
-        match self {
-            SerdesError::Version(m)
-            | SerdesError::Parse(m)
-            | SerdesError::UnknownOp(m)
-            | SerdesError::Structure(m)
-            | SerdesError::Digest(m) => m,
-        }
-    }
-}
-
-impl std::fmt::Display for SerdesError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.message())
-    }
+/// A header line that is not the one this toolchain speaks.
+fn skew(first: &str, speaks: &str, code: Code) -> Diagnostic {
+    Diagnostic::error(
+        Span::dummy(),
+        format!("version skew: file is '{first}', this toolchain speaks '{speaks}'"),
+    )
+    .with_code(code)
 }
 
 /// Escapes a name so it fits in one whitespace-separated token.
@@ -149,7 +122,8 @@ fn kind_parse(s: &str) -> Result<BasicKind, String> {
     }
 }
 
-fn op_tag(op: &NodeOp) -> String {
+/// The token a node line names its operation by.
+pub(crate) fn op_tag(op: &NodeOp) -> String {
     match op {
         NodeOp::And => "and".to_string(),
         NodeOp::Or => "or".to_string(),
@@ -334,11 +308,12 @@ fn opt_net_parse(s: &str) -> Result<Option<NetId>, String> {
     }
 }
 
-/// Serializes `design` to the cache text form.
-pub fn design_to_text(design: &Design) -> String {
+/// Writes `design` as `zeus netlist v1` text.
+pub(crate) fn encode(design: &Design) -> String {
     let nl = &design.netlist;
     let mut s = String::new();
-    let _ = writeln!(s, "{MAGIC}");
+    let _ = writeln!(s, "{TEXT_MAGIC}");
+    let _ = writeln!(s, "{PAYLOAD_MAGIC}");
     let _ = writeln!(s, "digest {:016x}", design_digest(design));
     let _ = writeln!(s, "top {}", esc(&design.top_type));
     let _ = writeln!(s, "clk {}", opt_net(design.clk));
@@ -402,214 +377,82 @@ pub fn design_to_text(design: &Design) -> String {
         let _ = writeln!(s, "{} {}", esc(name), id.index());
     }
     s.push_str("end\n");
+    // Callers keep the text (to write, send or compare it): hand it over
+    // without the slack its growth left.
+    s.shrink_to_fit();
     s
 }
 
-/// Parses the text form written by [`design_to_text`] and verifies the
-/// embedded digest against the reconstructed design.
+/// Reads `zeus netlist v1` text into a design whose tables are
+/// consistent ([`crate::validate::check_tables`]) and whose digest
+/// matches the one the text embeds. The semantic rules are the
+/// caller's to check, with [`crate::validate_design`].
 ///
 /// # Errors
 ///
-/// A description of the first malformed line, or a digest mismatch
-/// (corruption that survived the store's checksum, or a serializer
-/// version skew). See [`design_from_text_checked`] for the classified
-/// form.
-pub fn design_from_text(text: &str) -> Result<Design, String> {
-    design_from_text_checked(text).map_err(|e| e.to_string())
-}
-
-/// Verifies that a parent-pointer forest (`alias` classes, instance
-/// groups) is well-formed: every parent index is in range and following
-/// parents always terminates at a self-root. Runs in O(n) via tricolor
-/// marking, so a hostile million-entry chain costs one pass, not n².
-fn check_forest(parents: &[u32], what: &str, sentinel: Option<u32>) -> Result<(), SerdesError> {
-    let n = parents.len();
-    // 0 = unvisited, 1 = on the current path, 2 = proven rooted.
-    let mut state = vec![0u8; n];
-    let mut path = Vec::new();
-    for start in 0..n {
-        if state[start] != 0 {
-            continue;
-        }
-        let mut i = start;
-        loop {
-            let raw = parents[i];
-            state[i] = 1;
-            path.push(i);
-            // A root: the sentinel marker (group forests use u32::MAX
-            // for "no parent") or a self-pointer (alias forests).
-            if Some(raw) == sentinel {
-                break;
-            }
-            let p = raw as usize;
-            if p >= n {
-                return Err(SerdesError::Structure(format!(
-                    "{what} parent {p} of entry {i} is out of range (have {n})"
-                )));
-            }
-            if p == i || state[p] == 2 {
-                break;
-            }
-            if state[p] == 1 {
-                return Err(SerdesError::Structure(format!(
-                    "{what} parent chain of entry {start} loops through entry {p}"
-                )));
-            }
-            i = p;
-        }
-        for j in path.drain(..) {
-            state[j] = 2;
-        }
-    }
-    Ok(())
-}
-
-/// Checks the raw tables for mutual consistency before any code walks
-/// them: net/group references in range, alias and group forests rooted,
-/// node arities matching what the evaluators index. Everything here
-/// protects a later phase from an out-of-bounds panic or an infinite
-/// parent walk on hostile input.
-#[allow(clippy::too_many_arguments)]
-fn validate_raw(
-    nets: &[Net],
-    nodes: &[Node],
-    group_constraints: &[GroupConstraint],
-    group_parents: &[u32],
-    alias: &[u32],
-    ports: &[Port],
-    names: &HashMap<String, NetId>,
-    clk: Option<NetId>,
-    rset: Option<NetId>,
-) -> Result<(), SerdesError> {
-    let nnets = nets.len();
-    let ngroups = group_parents.len();
-    let err = |m: String| Err(SerdesError::Structure(m));
-    let check_net = |n: NetId, what: &str| -> Result<(), SerdesError> {
-        if n.index() >= nnets {
-            return Err(SerdesError::Structure(format!(
-                "{what} references net {} but only {nnets} nets are declared",
-                n.index()
+/// `Z601` for a missing or unknown header (a bare `zeus-design`
+/// payload included) and any malformed line, `Z602` for another version
+/// of either header line, `Z606` for an unknown node operation, `Z603`
+/// for inconsistent tables and `Z605` for a digest mismatch.
+pub(crate) fn decode(text: &str) -> Result<Design, Diagnostic> {
+    let Some((first, payload)) = text.split_once('\n') else {
+        return Err(malformed(format!(
+            "not a zeus netlist: expected the '{TEXT_MAGIC}' header line"
+        )));
+    };
+    let first = first.trim_end_matches('\r');
+    if first != TEXT_MAGIC {
+        if first.starts_with("zeus-design v") {
+            return Err(malformed(format!(
+                "not a zeus netlist: expected the '{TEXT_MAGIC}' header line \
+                 before the bare '{first}' payload"
             )));
         }
-        Ok(())
-    };
-    check_forest(alias, "alias", None)?;
-    check_forest(group_parents, "group", Some(u32::MAX))?;
-    for (i, node) in nodes.iter().enumerate() {
-        check_net(node.output, &format!("node {i} output"))?;
-        for inp in &node.inputs {
-            check_net(*inp, &format!("node {i} input"))?;
-        }
-        if let Some(g) = node.group {
-            if (g as usize) >= ngroups {
-                return err(format!(
-                    "node {i} group {g} is out of range (have {ngroups} groups)"
-                ));
-            }
-        }
-        let arity = node.inputs.len();
-        let want: Option<usize> = match &node.op {
-            NodeOp::Not | NodeOp::Buf | NodeOp::Reg => Some(1),
-            NodeOp::If => Some(2),
-            NodeOp::Const(_) | NodeOp::Random => Some(0),
-            NodeOp::Equal { width } => match width.checked_mul(2) {
-                Some(w) => Some(w),
-                None => return err(format!("node {i} equality width overflows")),
-            },
-            NodeOp::And | NodeOp::Or | NodeOp::Nand | NodeOp::Nor | NodeOp::Xor => {
-                if arity == 0 {
-                    return err(format!("node {i} ({}) has no inputs", op_tag(&node.op)));
-                }
-                None
-            }
+        let code = if first.starts_with("zeus netlist v") {
+            codes::NETLIST_VERSION
+        } else {
+            codes::NETLIST_FORMAT
         };
-        if let Some(w) = want {
-            if arity != w {
-                return err(format!(
-                    "node {i} ({}) has {arity} inputs, expected {w}",
-                    op_tag(&node.op)
-                ));
-            }
-        }
+        return Err(skew(first, TEXT_MAGIC, code));
     }
-    for c in group_constraints {
-        if (c.before as usize) >= ngroups || (c.after as usize) >= ngroups {
-            return err(format!(
-                "group constraint {}→{} is out of range (have {ngroups} groups)",
-                c.before, c.after
-            ));
-        }
-    }
-    for p in ports {
-        for n in &p.nets {
-            check_net(*n, &format!("port '{}'", p.name))?;
-        }
-    }
-    for (name, n) in names {
-        check_net(*n, &format!("name '{name}'"))?;
-    }
-    if let Some(c) = clk {
-        check_net(c, "clk")?;
-    }
-    if let Some(r) = rset {
-        check_net(r, "rset")?;
-    }
-    Ok(())
-}
-
-/// [`design_from_text`] with a classified error, and the hardened entry
-/// point: all tables are bounds- and consistency-checked (see
-/// [`validate_raw`]) *before* the digest walk, so arbitrary input can
-/// never index out of range or spin on a forged alias cycle.
-///
-/// # Errors
-///
-/// A [`SerdesError`] classifying the failure: version skew, parse
-/// failure, unknown operation, structural inconsistency, or digest
-/// mismatch.
-pub fn design_from_text_checked(text: &str) -> Result<Design, SerdesError> {
-    let parse = |m: String| SerdesError::Parse(m);
-    let mut lines = text.lines();
+    let mut lines = payload.lines();
     match lines.next() {
-        Some(MAGIC) => {}
+        Some(PAYLOAD_MAGIC) => {}
         Some(first) if first.starts_with("zeus-design v") => {
-            return Err(SerdesError::Version(format!(
-                "version skew: file is '{first}', this toolchain speaks '{MAGIC}'"
-            )))
+            return Err(skew(first, PAYLOAD_MAGIC, codes::NETLIST_VERSION))
         }
-        _ => return Err(SerdesError::Parse(format!("not a {MAGIC} file"))),
+        _ => return Err(malformed(format!("not a {PAYLOAD_MAGIC} file"))),
     }
-    fn field<'a>(lines: &mut std::str::Lines<'a>, key: &str) -> Result<&'a str, SerdesError> {
+    fn field<'a>(lines: &mut std::str::Lines<'a>, key: &str) -> Result<&'a str, Diagnostic> {
         let line = lines
             .next()
-            .ok_or_else(|| SerdesError::Parse(format!("missing '{key}' line")))?;
+            .ok_or_else(|| malformed(format!("missing '{key}' line")))?;
         line.strip_prefix(key)
             .and_then(|r| r.strip_prefix(' '))
-            .ok_or_else(|| SerdesError::Parse(format!("expected '{key} ...', got '{line}'")))
+            .ok_or_else(|| malformed(format!("expected '{key} ...', got '{line}'")))
     }
     let digest = u64::from_str_radix(field(&mut lines, "digest")?, 16)
-        .map_err(|e| parse(format!("bad digest: {e}")))?;
-    let top = unesc(field(&mut lines, "top")?).map_err(parse)?;
-    let clk = opt_net_parse(field(&mut lines, "clk")?).map_err(parse)?;
-    let rset = opt_net_parse(field(&mut lines, "rset")?).map_err(parse)?;
+        .map_err(|e| malformed(format!("bad digest: {e}")))?;
+    let top = unesc(field(&mut lines, "top")?).map_err(malformed)?;
+    let clk = opt_net_parse(field(&mut lines, "clk")?).map_err(malformed)?;
+    let rset = opt_net_parse(field(&mut lines, "rset")?).map_err(malformed)?;
     let optimized = field(&mut lines, "opt")? == "1";
     let finished = field(&mut lines, "finished")? == "1";
 
     let nnets: usize = field(&mut lines, "nets")?
         .parse()
-        .map_err(|_| parse("bad net count".to_string()))?;
+        .map_err(|_| malformed("bad net count"))?;
     let mut nets = Vec::with_capacity(nnets.min(MAX_PREALLOC));
     let mut alias = Vec::with_capacity(nnets.min(MAX_PREALLOC));
     for _ in 0..nnets {
         let line = lines
             .next()
-            .ok_or_else(|| parse("net table truncated".to_string()))?;
+            .ok_or_else(|| malformed("net table truncated"))?;
         let mut t = line.split(' ');
-        let kind = kind_parse(t.next().ok_or_else(|| parse("bad net line".to_string()))?)
-            .map_err(parse)?;
-        let parent = next_u32(&mut t).map_err(parse)?;
-        let name =
-            unesc(t.next().ok_or_else(|| parse("bad net line".to_string()))?).map_err(parse)?;
+        let kind =
+            kind_parse(t.next().ok_or_else(|| malformed("bad net line"))?).map_err(malformed)?;
+        let parent = next_u32(&mut t).map_err(malformed)?;
+        let name = unesc(t.next().ok_or_else(|| malformed("bad net line"))?).map_err(malformed)?;
         nets.push(Net {
             kind,
             name,
@@ -620,27 +463,28 @@ pub fn design_from_text_checked(text: &str) -> Result<Design, SerdesError> {
 
     let nnodes: usize = field(&mut lines, "nodes")?
         .parse()
-        .map_err(|_| parse("bad node count".to_string()))?;
+        .map_err(|_| malformed("bad node count"))?;
     let mut nodes = Vec::with_capacity(nnodes.min(MAX_PREALLOC));
     for _ in 0..nnodes {
         let line = lines
             .next()
-            .ok_or_else(|| parse("node table truncated".to_string()))?;
+            .ok_or_else(|| malformed("node table truncated"))?;
         let mut t = line.split(' ');
-        let op = op_parse(t.next().ok_or_else(|| parse("bad node line".to_string()))?)
-            .map_err(SerdesError::UnknownOp)?;
-        let group = match t.next().ok_or_else(|| parse("bad node line".to_string()))? {
+        let op = op_parse(t.next().ok_or_else(|| malformed("bad node line"))?).map_err(|m| {
+            Diagnostic::error(Span::dummy(), m).with_code(codes::NETLIST_UNKNOWN_OP)
+        })?;
+        let group = match t.next().ok_or_else(|| malformed("bad node line"))? {
             "-" => None,
             g => Some(
                 g.parse::<u32>()
-                    .map_err(|_| parse(format!("bad group '{g}'")))?,
+                    .map_err(|_| malformed(format!("bad group '{g}'")))?,
             ),
         };
-        let output = NetId(next_u32(&mut t).map_err(parse)?);
-        let nin = next_usize(&mut t).map_err(parse)?;
+        let output = NetId(next_u32(&mut t).map_err(malformed)?);
+        let nin = next_usize(&mut t).map_err(malformed)?;
         let mut inputs = Vec::with_capacity(nin.min(MAX_PREALLOC));
         for _ in 0..nin {
-            inputs.push(NetId(next_u32(&mut t).map_err(parse)?));
+            inputs.push(NetId(next_u32(&mut t).map_err(malformed)?));
         }
         nodes.push(Node {
             op,
@@ -653,46 +497,45 @@ pub fn design_from_text_checked(text: &str) -> Result<Design, SerdesError> {
 
     let ncons: usize = field(&mut lines, "constraints")?
         .parse()
-        .map_err(|_| parse("bad constraint count".to_string()))?;
+        .map_err(|_| malformed("bad constraint count"))?;
     let mut group_constraints = Vec::with_capacity(ncons.min(MAX_PREALLOC));
     for _ in 0..ncons {
         let line = lines
             .next()
-            .ok_or_else(|| parse("constraint table truncated".to_string()))?;
+            .ok_or_else(|| malformed("constraint table truncated"))?;
         let mut t = line.split(' ');
         group_constraints.push(GroupConstraint {
-            before: next_u32(&mut t).map_err(parse)?,
-            after: next_u32(&mut t).map_err(parse)?,
+            before: next_u32(&mut t).map_err(malformed)?,
+            after: next_u32(&mut t).map_err(malformed)?,
         });
     }
 
     let gline = field(&mut lines, "groupparents")?;
     let mut t = gline.split(' ');
-    let ngroups = next_usize(&mut t).map_err(parse)?;
+    let ngroups = next_usize(&mut t).map_err(malformed)?;
     let mut group_parents = Vec::with_capacity(ngroups.min(MAX_PREALLOC));
     for _ in 0..ngroups {
-        group_parents.push(next_u32(&mut t).map_err(parse)?);
+        group_parents.push(next_u32(&mut t).map_err(malformed)?);
     }
 
     let nports: usize = field(&mut lines, "ports")?
         .parse()
-        .map_err(|_| parse("bad port count".to_string()))?;
+        .map_err(|_| malformed("bad port count"))?;
     let mut ports = Vec::with_capacity(nports.min(MAX_PREALLOC));
     for _ in 0..nports {
         let line = lines
             .next()
-            .ok_or_else(|| parse("port table truncated".to_string()))?;
+            .ok_or_else(|| malformed("port table truncated"))?;
         let mut t = line.split(' ');
-        let name =
-            unesc(t.next().ok_or_else(|| parse("bad port line".to_string()))?).map_err(parse)?;
-        let mode = mode_parse(t.next().ok_or_else(|| parse("bad port line".to_string()))?)
-            .map_err(parse)?;
-        let nnets = next_usize(&mut t).map_err(parse)?;
+        let name = unesc(t.next().ok_or_else(|| malformed("bad port line"))?).map_err(malformed)?;
+        let mode =
+            mode_parse(t.next().ok_or_else(|| malformed("bad port line"))?).map_err(malformed)?;
+        let nnets = next_usize(&mut t).map_err(malformed)?;
         let mut pnets = Vec::with_capacity(nnets.min(MAX_PREALLOC));
         for _ in 0..nnets {
-            pnets.push(NetId(next_u32(&mut t).map_err(parse)?));
+            pnets.push(NetId(next_u32(&mut t).map_err(malformed)?));
         }
-        let shape = shape_parse(&mut t, 0).map_err(parse)?;
+        let shape = shape_parse(&mut t, 0).map_err(malformed)?;
         ports.push(Port {
             name,
             mode,
@@ -703,34 +546,19 @@ pub fn design_from_text_checked(text: &str) -> Result<Design, SerdesError> {
 
     let nnames: usize = field(&mut lines, "names")?
         .parse()
-        .map_err(|_| parse("bad name count".to_string()))?;
+        .map_err(|_| malformed("bad name count"))?;
     let mut names = HashMap::with_capacity(nnames.min(MAX_PREALLOC));
     for _ in 0..nnames {
         let line = lines
             .next()
-            .ok_or_else(|| parse("name table truncated".to_string()))?;
+            .ok_or_else(|| malformed("name table truncated"))?;
         let mut t = line.split(' ');
-        let name =
-            unesc(t.next().ok_or_else(|| parse("bad name line".to_string()))?).map_err(parse)?;
-        names.insert(name, NetId(next_u32(&mut t).map_err(parse)?));
+        let name = unesc(t.next().ok_or_else(|| malformed("bad name line"))?).map_err(malformed)?;
+        names.insert(name, NetId(next_u32(&mut t).map_err(malformed)?));
     }
     if lines.next() != Some("end") {
-        return Err(parse(
-            "missing 'end' terminator (truncated file)".to_string(),
-        ));
+        return Err(malformed("missing 'end' terminator (truncated file)"));
     }
-
-    validate_raw(
-        &nets,
-        &nodes,
-        &group_constraints,
-        &group_parents,
-        &alias,
-        &ports,
-        &names,
-        clk,
-        rset,
-    )?;
 
     let netlist = Netlist::from_raw_parts(
         nets,
@@ -754,11 +582,16 @@ pub fn design_from_text_checked(text: &str) -> Result<Design, SerdesError> {
         names,
         optimized,
     };
+    // The digest walk follows alias parents and indexes nets by the ids
+    // the tables carry: prove them in range and rooted first.
+    crate::validate::check_tables(&design)?;
     let actual = design_digest(&design);
     if actual != digest {
-        return Err(SerdesError::Digest(format!(
-            "design digest mismatch: stored {digest:016x}, reconstructed {actual:016x}"
-        )));
+        return Err(Diagnostic::error(
+            Span::dummy(),
+            format!("design digest mismatch: stored {digest:016x}, reconstructed {actual:016x}"),
+        )
+        .with_code(codes::NETLIST_DIGEST));
     }
     Ok(design)
 }
@@ -766,14 +599,14 @@ pub fn design_from_text_checked(text: &str) -> Result<Design, SerdesError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elaborate;
+    use zeus_elab::elaborate;
     use zeus_syntax::parse_program;
 
     fn roundtrip(src: &str, top: &str) {
         let program = parse_program(src).expect("parse");
         let design = elaborate(&program, top, &[]).expect("elaborate");
-        let text = design_to_text(&design);
-        let back = design_from_text(&text).expect("roundtrip parse");
+        let text = encode(&design);
+        let back = decode(&text).expect("roundtrip parse");
         assert_eq!(design_digest(&design), design_digest(&back));
         assert_eq!(design.top_type, back.top_type);
         assert_eq!(design.netlist.nets.len(), back.netlist.nets.len());
@@ -793,7 +626,7 @@ mod tests {
             assert_eq!(design.netlist.find_ref(id), back.netlist.find_ref(id));
         }
         // Serializing the reconstruction reproduces the text exactly.
-        assert_eq!(text, design_to_text(&back));
+        assert_eq!(text, encode(&back));
     }
 
     #[test]
@@ -821,15 +654,16 @@ mod tests {
         )
         .unwrap();
         let design = elaborate(&program, "inv", &[]).unwrap();
-        let text = design_to_text(&design);
+        let text = encode(&design);
         // Flip a node op: the digest check must catch it.
         let bad = text.replace("not 0", "buf 0");
         if bad != text {
-            let err = design_from_text(&bad).unwrap_err();
-            assert!(err.contains("digest mismatch"), "{err}");
+            let err = decode(&bad).unwrap_err();
+            assert_eq!(err.code, Some(codes::NETLIST_DIGEST));
+            assert!(err.message.contains("digest mismatch"), "{err}");
         }
         // Truncation is caught before the digest stage.
         let torn = &text[..text.len() / 2];
-        assert!(design_from_text(torn).is_err());
+        assert!(decode(torn).is_err());
     }
 }

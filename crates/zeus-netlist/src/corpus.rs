@@ -214,7 +214,7 @@ mod tests {
             "want >=160 gates, have {}",
             d.netlist.nodes.len()
         );
-        validate_design(&d, &crate::import_limits()).expect("c432-like validates");
+        validate_design(&d, &Limits::default()).expect("c432-like validates");
     }
 
     #[test]

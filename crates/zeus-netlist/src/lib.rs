@@ -1,19 +1,19 @@
-//! The public **`zeus netlist v1`** interchange.
+//! The public **`zeus netlist v1`** interchange: the one door for
+//! designs as bytes.
 //!
-//! [`zeus_elab::serdes`] serializes a [`Design`] losslessly; this crate
-//! promotes that format into a versioned public interchange and adds the
-//! two things an *untrusted* netlist needs that the elaborator's own
-//! output does not:
+//! This crate alone knows how a [`Design`] becomes bytes and back. Its
+//! writers are [`netlist_to_text`] and [`yosys_to_json`]; its readers
+//! are [`netlist_from_text`], [`netlist_from_text_limited`] and the
+//! [`yosys`] pair. Every reader returns a design that has passed
+//! **the structural validator** ([`validate_design`]): driver
+//! uniqueness, port/net width agreement, REG-broken acyclicity,
+//! group-constraint compatibility, and the net and node budgets of
+//! [`Limits`]. Downstream phases (sim, fault, ATPG, opt) therefore keep
+//! their "the elaborator produced this" indexing assumptions.
 //!
-//! 1. **A structural validator** ([`validate_design`]): driver
-//!    uniqueness, port/net width agreement, REG-broken acyclicity,
-//!    group-constraint compatibility, and [`Limits`] budgets. Every
-//!    import — text or Yosys-JSON — passes it before a `Design` is
-//!    returned, so downstream phases (sim, fault, ATPG, opt) keep their
-//!    "the elaborator produced this" indexing assumptions.
-//! 2. **A Yosys-JSON bridge** ([`yosys`]): import/export of the
-//!    `$and`/`$or`/`$xor`/`$not`/`$mux`/`$dff` cell subset with
-//!    constant drivers and multi-bit ports.
+//! The text codec is private; the **Yosys-JSON bridge** ([`yosys`])
+//! imports and exports the `$and`/`$or`/`$xor`/`$not`/`$mux`/`$dff`
+//! cell subset with constant drivers and multi-bit ports.
 //!
 //! Every failure is a `Z6xx` diagnostic ([`zeus_syntax::diag::codes`]):
 //!
@@ -31,13 +31,13 @@
 //! digests, alias cycles, and claimed-size bombs all come back as
 //! `Err`.
 
+mod codec;
 pub mod corpus;
 pub mod validate;
 pub mod yosys;
 
-use zeus_elab::{design_digest, Design, Limits, SerdesError};
-use zeus_syntax::diag::{codes, Diagnostic};
-use zeus_syntax::span::Span;
+use zeus_elab::{design_digest, Design, Limits};
+use zeus_syntax::diag::Diagnostic;
 
 pub use validate::validate_design;
 pub use yosys::{yosys_from_json, yosys_from_json_limited, yosys_to_json};
@@ -48,8 +48,9 @@ pub const TEXT_MAGIC: &str = "zeus netlist v1";
 /// What an interchange payload looks like, by cheap sniffing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetlistFormat {
-    /// `zeus netlist v1` (or a bare `zeus-design` payload, as
-    /// `zeusc opt --emit` writes).
+    /// `zeus netlist v1` text. A bare `zeus-design` payload sniffs as
+    /// text too, so that the reader refuses it (`Z601`) instead of a
+    /// `.zeus` parser misreading it.
     Text,
     /// A Yosys-JSON document.
     YosysJson,
@@ -71,88 +72,40 @@ pub fn detect_format(text: &str) -> NetlistFormat {
     }
 }
 
-/// The default budget for untrusted imports. Identical to
-/// [`Limits::default`] except `max_input_bits`, which is raised from the
-/// exhaustive-simulation bound (20 bits would reject c432's 36 inputs)
-/// to a value sized for vectored campaigns; exhaustive phases still
-/// apply their own tighter bound.
-pub fn import_limits() -> Limits {
-    Limits {
-        max_input_bits: 4096,
-        ..Limits::default()
-    }
-}
-
-/// Maps a classified serdes error to its `Z6xx` diagnostic.
-fn serdes_diag(e: &SerdesError) -> Diagnostic {
-    let code = match e {
-        SerdesError::Version(_) => codes::NETLIST_VERSION,
-        SerdesError::Parse(_) => codes::NETLIST_FORMAT,
-        SerdesError::UnknownOp(_) => codes::NETLIST_UNKNOWN_OP,
-        SerdesError::Structure(_) => codes::NETLIST_STRUCTURE,
-        SerdesError::Digest(_) => codes::NETLIST_DIGEST,
-    };
-    Diagnostic::error(Span::dummy(), e.to_string()).with_code(code)
-}
-
 /// Serializes a design to `zeus netlist v1` text. Deterministic: equal
 /// designs produce byte-identical text, and the design digest is
 /// embedded (and re-verified on import).
 pub fn netlist_to_text(design: &Design) -> String {
-    format!("{TEXT_MAGIC}\n{}", zeus_elab::design_to_text(design))
+    codec::encode(design)
 }
 
-/// Parses `zeus netlist v1` text under the default import budget.
+/// Parses `zeus netlist v1` text under [`Limits::default`].
 ///
 /// # Errors
 ///
 /// See [`netlist_from_text_limited`].
 pub fn netlist_from_text(text: &str) -> Result<Design, Diagnostic> {
-    netlist_from_text_limited(text, &import_limits())
+    netlist_from_text_limited(text, &Limits::default())
 }
 
-/// Parses `zeus netlist v1` text under an explicit budget. A bare
-/// `zeus-design` payload (as written by `zeusc opt --emit`) is accepted
-/// too — it is the same serialization minus the outer header. The returned design has passed digest
-/// verification and the full structural validator either way.
+/// Parses `zeus netlist v1` text under an explicit budget. The returned
+/// design has passed digest verification and the full structural
+/// validator.
 ///
 /// # Errors
 ///
-/// `Z601`/`Z602` for framing and version problems, `Z603`–`Z607` per
-/// the crate-level table.
+/// `Z601`/`Z602` for framing and version problems (a bare `zeus-design`
+/// payload without the `zeus netlist v1` header is a `Z601`),
+/// `Z603`–`Z607` per the crate-level table.
 pub fn netlist_from_text_limited(text: &str, limits: &Limits) -> Result<Design, Diagnostic> {
-    let Some((first, rest)) = text.split_once('\n') else {
-        return Err(Diagnostic::error(
-            Span::dummy(),
-            format!("not a zeus netlist: expected the '{TEXT_MAGIC}' header line"),
-        )
-        .with_code(codes::NETLIST_FORMAT));
-    };
-    let first = first.trim_end_matches('\r');
-    let payload = if first == TEXT_MAGIC {
-        rest
-    } else if first.starts_with("zeus-design v") {
-        text // bare inner payload; its own magic line is re-checked below
-    } else {
-        let code = if first.starts_with("zeus netlist v") {
-            codes::NETLIST_VERSION
-        } else {
-            codes::NETLIST_FORMAT
-        };
-        return Err(Diagnostic::error(
-            Span::dummy(),
-            format!("version skew: file is '{first}', this toolchain speaks '{TEXT_MAGIC}'"),
-        )
-        .with_code(code));
-    };
-    let design = zeus_elab::design_from_text_checked(payload).map_err(|e| serdes_diag(&e))?;
+    let design = codec::decode(text)?;
     validate_design(&design, limits)?;
     Ok(design)
 }
 
-/// The digest of a validated design, hex-encoded — the identity used by
-/// checkpoint journals and the daemon cache. Compute it only *after*
-/// validation (a design that fails the validator has no identity).
+/// The digest of a validated design, hex-encoded: the identity
+/// `zeusc import` prints. Compute it only *after* validation (a design
+/// that fails the validator has no identity).
 pub fn validated_digest(design: &Design) -> String {
     format!("{:016x}", design_digest(design))
 }
@@ -161,6 +114,7 @@ pub fn validated_digest(design: &Design) -> String {
 mod tests {
     use super::*;
     use zeus_elab::elaborate;
+    use zeus_syntax::diag::codes;
     use zeus_syntax::parse_program;
 
     fn design(src: &str, top: &str) -> Design {
@@ -201,6 +155,20 @@ mod tests {
         t = t.replacen("zeus netlist v1", "zeus netlist v9", 1);
         let err = netlist_from_text(&t).unwrap_err();
         assert_eq!(err.code, Some(codes::NETLIST_VERSION));
+    }
+
+    #[test]
+    fn bare_payload_is_z601() {
+        // The payload without its `zeus netlist v1` line, as `zeusc opt
+        // --emit` once wrote it, in this and the previous version.
+        let t = netlist_to_text(&half_adder());
+        let bare = t.strip_prefix("zeus netlist v1\n").unwrap();
+        for payload in [bare.to_string(), bare.replacen("v2", "v1", 1)] {
+            assert_eq!(detect_format(&payload), NetlistFormat::Text);
+            let err = netlist_from_text(&payload).unwrap_err();
+            assert_eq!(err.code, Some(codes::NETLIST_FORMAT), "{err}");
+            assert!(err.message.contains("'zeus netlist v1' header"), "{err}");
+        }
     }
 
     #[test]
@@ -248,7 +216,7 @@ mod tests {
         let t = netlist_to_text(&half_adder());
         let tight = Limits {
             max_nets: 1,
-            ..import_limits()
+            ..Limits::default()
         };
         let err = netlist_from_text_limited(&t, &tight).unwrap_err();
         assert_eq!(err.code, Some(codes::NETLIST_LIMIT));

@@ -476,13 +476,13 @@ fn conn_bits(cell: &Json, name: &str, port: &str) -> Result<Vec<Bit>, Diagnostic
     bits.iter().map(parse_bit).collect()
 }
 
-/// Imports a Yosys-JSON netlist under the default import budget.
+/// Imports a Yosys-JSON netlist under [`Limits::default`].
 ///
 /// # Errors
 ///
 /// See [`yosys_from_json_limited`].
 pub fn yosys_from_json(text: &str) -> Result<Design, Diagnostic> {
-    yosys_from_json_limited(text, &crate::import_limits())
+    yosys_from_json_limited(text, &Limits::default())
 }
 
 /// Imports a Yosys-JSON netlist under an explicit budget. The result has

@@ -1,19 +1,20 @@
-//! Hostile-input robustness for the serdes decoder and the interchange
-//! importers: whatever the bytes, the answer is `Ok` or a Z-coded
-//! diagnostic — never a panic, never a code-less error.
+//! Hostile-input robustness for the interchange readers: whatever the
+//! bytes, the answer is `Ok` or a Z-coded diagnostic — never a panic,
+//! never a code-less error.
 //!
 //! The exhaustive part (every byte-length truncation of a real payload)
 //! is a plain test; the randomized splice/noise barrage rides on
 //! proptest.
 
 use proptest::prelude::*;
-use zeus_elab::{design_from_text_checked, design_to_text, elaborate};
-use zeus_netlist::{netlist_from_text, netlist_to_text, yosys_to_json};
+use zeus_elab::elaborate;
+use zeus_netlist::{netlist_from_text, netlist_to_text, yosys_to_json, TEXT_MAGIC};
 use zeus_syntax::parse_program;
 
 /// A payload with some structural variety: shared subterms, a register
 /// and a full-adder cone, so the serialized form exercises nodes,
-/// groups and multi-line sections.
+/// groups and multi-line sections. The text is everything below the
+/// `zeus netlist v1` line; [`decode_is_total`] puts that line back.
 fn payload() -> (zeus_elab::Design, String) {
     let program = "TYPE fa = COMPONENT (IN a,b,cin,en: boolean; OUT cout,s,q: boolean) IS
          SIGNAL t1,t2,t3: boolean; SIGNAL r: REG;
@@ -22,14 +23,17 @@ fn payload() -> (zeus_elab::Design, String) {
                r.in := XOR(r.out, en); q := r.out END;";
     let ast = parse_program(program).expect("payload parses");
     let design = elaborate(&ast, "fa", &[]).expect("payload elaborates");
-    let text = design_to_text(&design);
-    (design, text)
+    let text = netlist_to_text(&design);
+    let payload = text.strip_prefix(TEXT_MAGIC).expect("header line");
+    (design, payload[1..].to_string())
 }
 
-/// Every decode failure must be a structured `SerdesError`; getting one
-/// is fine, panicking or succeeding with a different digest is not.
+/// Every read failure must be a Z-coded diagnostic; getting one is
+/// fine, panicking or succeeding with a different digest is not. The
+/// mutated payload is read behind an intact header, so every mutation
+/// reaches the codec.
 fn decode_is_total(text: &str, original_digest: &str) {
-    match design_from_text_checked(text) {
+    match netlist_from_text(&format!("{TEXT_MAGIC}\n{text}")) {
         Ok(d) => {
             // Accepting mutated bytes is only sound when the digest
             // (recomputed from the reconstruction) still matches.
@@ -40,7 +44,8 @@ fn decode_is_total(text: &str, original_digest: &str) {
             );
         }
         Err(e) => {
-            // A structured error; rendering it must not panic either.
+            // A coded error; rendering it must not panic either.
+            assert!(e.code.is_some(), "read failure lost its Z-code: {e}");
             let _ = e.to_string();
         }
     }

@@ -465,8 +465,8 @@ mod tests {
         assert_eq!(again.report.total_rewrites(), 0, "{:?}", again.report);
         assert_eq!(again.report.verification, Verification::Unchanged);
         assert_eq!(
-            zeus_elab::design_to_text(&out.design),
-            zeus_elab::design_to_text(&again.design),
+            zeus_netlist::netlist_to_text(&out.design),
+            zeus_netlist::netlist_to_text(&again.design),
             "a second run must be byte-identical"
         );
     }

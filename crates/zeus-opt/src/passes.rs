@@ -15,6 +15,7 @@
 //! compaction in [`crate::optimize`].
 
 use std::collections::BTreeMap;
+use zeus_elab::netlist::combinational_order;
 use zeus_elab::{Design, NetId, Node, NodeOp};
 use zeus_sema::value::{self, Value};
 
@@ -94,45 +95,12 @@ impl Rewriter {
         d
     }
 
-    /// A topological order of the alive combinational nodes (local Kahn —
-    /// [`zeus_elab::Netlist::topo_order`] works on the original node
-    /// array, not the working copy).
+    /// A topological order of the alive combinational nodes of the
+    /// working copy. The copy stays acyclic (its input is finished, and
+    /// no rewrite adds a combinational edge); were it not, folding
+    /// nothing is the safe answer.
     fn topo(&self) -> Vec<usize> {
-        let drivers = self.drivers();
-        let n = self.nodes.len();
-        let mut indegree = vec![0usize; n];
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (bi, b) in self.nodes.iter().enumerate() {
-            if !self.alive[bi] || b.op.is_sequential() {
-                continue;
-            }
-            for inp in &b.inputs {
-                for &a in &drivers[inp.index()] {
-                    if self.nodes[a].op.is_sequential() {
-                        continue;
-                    }
-                    edges[a].push(bi);
-                    indegree[bi] += 1;
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..n)
-            .filter(|&i| self.alive[i] && !self.nodes[i].op.is_sequential() && indegree[i] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        let mut head = 0;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            order.push(x);
-            for &m in &edges[x] {
-                indegree[m] -= 1;
-                if indegree[m] == 0 {
-                    queue.push(m);
-                }
-            }
-        }
-        order
+        combinational_order(&self.nodes, self.net_count, |i| self.alive[i], []).unwrap_or_default()
     }
 }
 

@@ -36,9 +36,9 @@ pub use zeus_atpg::{
     Strategy as AtpgStrategy,
 };
 pub use zeus_elab::{
-    design_digest, design_from_text, design_to_text, to_dot, write_durable, Design, Direction,
-    Fault, FaultKind, InstanceNode, Json, LayoutItem, Limits, Net, NetId, Netlist, Node, NodeId,
-    NodeOp, Orientation, Port, Shape, StableHasher,
+    design_digest, to_dot, write_durable, Design, Direction, Fault, FaultKind, InstanceNode, Json,
+    LayoutItem, Limits, Net, NetId, Netlist, Node, NodeId, NodeOp, Orientation, Port, Shape,
+    StableHasher,
 };
 pub use zeus_fault::{
     campaign_digest, enumerate_faults, read_header, run_campaign, run_campaign_packed,
@@ -48,9 +48,9 @@ pub use zeus_fault::{
 };
 pub use zeus_layout::{floorplan, floorplan_of, Floorplan, PlacedPin, PlacedRect};
 pub use zeus_netlist::{
-    detect_format, import_limits, netlist_from_text, netlist_from_text_limited, netlist_to_text,
-    validate_design, validated_digest, yosys_from_json, yosys_from_json_limited, yosys_to_json,
-    NetlistFormat, TEXT_MAGIC as NETLIST_TEXT_MAGIC,
+    detect_format, netlist_from_text, netlist_from_text_limited, netlist_to_text, validate_design,
+    validated_digest, yosys_from_json, yosys_from_json_limited, yosys_to_json, NetlistFormat,
+    TEXT_MAGIC as NETLIST_TEXT_MAGIC,
 };
 pub use zeus_opt::{
     metrics, optimize, Metrics, OptConfig, OptReport, Optimized, PassStats, Verification,

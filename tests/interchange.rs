@@ -11,8 +11,8 @@
 //! pipeline with the real binary.
 
 use zeus::{
-    examples, import_design, import_limits, netlist_to_text, validated_digest, yosys_from_json,
-    yosys_to_json, Simulator, Value, Zeus,
+    examples, import_design, netlist_to_text, validated_digest, yosys_from_json, yosys_to_json,
+    Limits, Simulator, Value, Zeus,
 };
 
 /// (example name, top, args) — same table as `packed_equiv.rs`.
@@ -58,7 +58,7 @@ fn text_round_trip_is_byte_identical_on_every_bundled_design() {
     for &(name, top, targs) in TOPS {
         let d = design_for(name, top, targs);
         let t1 = netlist_to_text(&d);
-        let d2 = import_design(&t1, &import_limits())
+        let d2 = import_design(&t1, &Limits::default())
             .unwrap_or_else(|e| panic!("{name}/{top}: reimport failed: {e}"));
         assert_eq!(
             validated_digest(&d2),
@@ -106,7 +106,7 @@ fn vendored_corpus_imports_and_simulates() {
             .join(file);
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("benchmarks/{file}: {e}"));
-        let d = import_design(&text, &import_limits())
+        let d = import_design(&text, &Limits::default())
             .unwrap_or_else(|e| panic!("benchmarks/{file}: import failed: {e}"));
         assert_eq!(
             netlist_to_text(&d),
@@ -146,7 +146,7 @@ fn c17_computes_its_nand_semantics() {
         .join("benchmarks")
         .join("c17.znl");
     let text = std::fs::read_to_string(path).unwrap();
-    let d = import_design(&text, &import_limits()).unwrap();
+    let d = import_design(&text, &Limits::default()).unwrap();
     let mut sim = Simulator::new(d).unwrap();
     for p in ["N1", "N2", "N3", "N6", "N7"] {
         sim.set_port_bit(p, Value::One).unwrap();

@@ -43,21 +43,23 @@ fn opt_json_report_is_machine_readable() {
     }
 }
 
+/// `--emit` writes `zeus netlist v1` text, which the importer and the
+/// netlist-consuming commands read back.
 #[test]
 fn opt_emit_writes_a_loadable_design() {
-    let path = scratch("emitted.design");
-    let (code, _, err) = run_captured(&args(&[
-        "opt",
-        "@trees",
-        "rtree",
-        "8",
-        "--emit",
-        path.to_str().unwrap(),
-    ]));
+    let path = scratch("emitted.znl");
+    let file = path.to_str().unwrap();
+    let (code, _, err) = run_captured(&args(&["opt", "@trees", "rtree", "8", "--emit", file]));
     assert_eq!(code, 0, "stderr: {err}");
     let text = std::fs::read_to_string(&path).unwrap();
-    let d = zeus::design_from_text(&text).unwrap();
+    assert!(text.starts_with("zeus netlist v1\n"), "{text}");
+    let d = zeus::netlist_from_text(&text).unwrap();
     assert!(d.optimized, "emitted design must carry the optimized flag");
+    let (code, out, err) = run_captured(&args(&["import", file, "--validate-only"]));
+    assert_eq!(code, 0, "stderr: {err}");
+    assert_eq!(out, format!("valid     : {}\n", zeus::validated_digest(&d)));
+    let (code, _, err) = run_captured(&args(&["sim", file, "--cycles", "2"]));
+    assert_eq!(code, 0, "stderr: {err}");
     let _ = std::fs::remove_file(&path);
 }
 

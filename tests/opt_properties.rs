@@ -14,7 +14,7 @@
 //!   miscompiling, which is exactly what this property hunts for).
 
 use proptest::prelude::*;
-use zeus::{design_to_text, optimize, OptConfig, Zeus};
+use zeus::{netlist_from_text, netlist_to_text, optimize, OptConfig, Zeus};
 use zeus_fuzz::gen::generate;
 use zeus_syntax::print_program;
 
@@ -47,7 +47,7 @@ proptest! {
         let b = optimize(&d, &cfg)
             .unwrap_or_else(|e| panic!("gate failed on seed={seed} case={case}: {e}"));
         // Determinism: same input, same pipeline, same bytes.
-        prop_assert_eq!(design_to_text(&a.design), design_to_text(&b.design));
+        prop_assert_eq!(netlist_to_text(&a.design), netlist_to_text(&b.design));
         prop_assert_eq!(a.report.total_rewrites(), b.report.total_rewrites());
         prop_assert_eq!(a.report.iterations, b.report.iterations);
         prop_assert_eq!(&a.report.after, &b.report.after);
@@ -56,7 +56,7 @@ proptest! {
         let twice = optimize(&a.design, &cfg)
             .unwrap_or_else(|e| panic!("re-run gate failed on seed={seed} case={case}: {e}"));
         prop_assert_eq!(twice.report.total_rewrites(), 0);
-        prop_assert_eq!(design_to_text(&a.design), design_to_text(&twice.design));
+        prop_assert_eq!(netlist_to_text(&a.design), netlist_to_text(&twice.design));
     }
 
     /// The optimized design never gets worse on either recorded metric,
@@ -74,8 +74,8 @@ proptest! {
         let r = &out.report;
         prop_assert!(r.after.gates <= r.before.gates, "gates grew: {:?}", r);
         prop_assert!(r.after.depth <= r.before.depth, "depth grew: {:?}", r);
-        let text = design_to_text(&out.design);
-        let back = zeus::design_from_text(&text).unwrap();
+        let text = netlist_to_text(&out.design);
+        let back = netlist_from_text(&text).unwrap();
         prop_assert_eq!(zeus::design_digest(&back), zeus::design_digest(&out.design));
     }
 }

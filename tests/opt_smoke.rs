@@ -5,7 +5,7 @@
 //! depth reduction on a wide majority of the designs, and no regression
 //! against the committed `BENCH_opt.json` baseline on any of them.
 
-use zeus::{design_digest, design_to_text, enumerate_faults, examples};
+use zeus::{design_digest, enumerate_faults, examples, netlist_from_text, netlist_to_text};
 use zeus::{metrics, optimize, FaultListOptions, OptConfig, Verification, Zeus};
 
 /// (example name, top, args) — the same table the packed-equivalence and
@@ -98,8 +98,8 @@ fn every_bundled_design_passes_the_equivalence_gate() {
     );
 }
 
-/// The optimized design re-simulates: its serialized form round-trips,
-/// its digest differs from the original, and its collapsed fault
+/// The optimized design re-simulates: its `zeus netlist v1` text reads
+/// back through the validator, its digest differs from the original, and its collapsed fault
 /// universe is no larger than the original's.
 #[test]
 fn optimized_designs_are_usable_downstream() {
@@ -111,8 +111,8 @@ fn optimized_designs_are_usable_downstream() {
             design_digest(&out.design),
             "{name}/{top}: digests must differ"
         );
-        let text = design_to_text(&out.design);
-        let back = zeus::design_from_text(&text)
+        let text = netlist_to_text(&out.design);
+        let back = netlist_from_text(&text)
             .unwrap_or_else(|e| panic!("{name}/{top}: round-trip failed: {e}"));
         assert_eq!(design_digest(&back), design_digest(&out.design));
 
@@ -145,8 +145,8 @@ fn pipeline_is_idempotent_on_every_bundled_design() {
             twice.report
         );
         assert_eq!(
-            design_to_text(&once.design),
-            design_to_text(&twice.design),
+            netlist_to_text(&once.design),
+            netlist_to_text(&twice.design),
             "{name}/{top}: second run must serialize byte-identically"
         );
     }
