@@ -29,7 +29,7 @@ use zeus_elab::{
 use zeus_sema::rules::BasicKind;
 use zeus_sema::value::Value;
 use zeus_syntax::ast::Mode;
-use zeus_syntax::diag::{codes, Code, Diagnostic, Diagnostics};
+use zeus_syntax::diag::{codes, Diagnostic, Diagnostics};
 use zeus_syntax::span::Span;
 
 use crate::TEXT_MAGIC;
@@ -57,13 +57,13 @@ fn malformed(msg: impl Into<String>) -> Diagnostic {
     Diagnostic::error(Span::dummy(), msg).with_code(codes::NETLIST_FORMAT)
 }
 
-/// A header line that is not the one this toolchain speaks.
-fn skew(first: &str, speaks: &str, code: Code) -> Diagnostic {
+/// A `Z602`: a header line of another version of this format.
+fn skew(first: &str, speaks: &str) -> Diagnostic {
     Diagnostic::error(
         Span::dummy(),
         format!("version skew: file is '{first}', this toolchain speaks '{speaks}'"),
     )
-    .with_code(code)
+    .with_code(codes::NETLIST_VERSION)
 }
 
 /// Escapes a name so it fits in one whitespace-separated token.
@@ -386,7 +386,8 @@ pub(crate) fn encode(design: &Design) -> String {
 /// Reads `zeus netlist v1` text into a design whose tables are
 /// consistent ([`crate::validate::check_tables`]) and whose digest
 /// matches the one the text embeds. The semantic rules are the
-/// caller's to check, with [`crate::validate_design`].
+/// caller's to check, with [`crate::validate_design`]. Leading
+/// whitespace is skipped, as [`crate::detect_format`] skips it.
 ///
 /// # Errors
 ///
@@ -395,31 +396,29 @@ pub(crate) fn encode(design: &Design) -> String {
 /// of either header line, `Z606` for an unknown node operation, `Z603`
 /// for inconsistent tables and `Z605` for a digest mismatch.
 pub(crate) fn decode(text: &str) -> Result<Design, Diagnostic> {
-    let Some((first, payload)) = text.split_once('\n') else {
-        return Err(malformed(format!(
-            "not a zeus netlist: expected the '{TEXT_MAGIC}' header line"
-        )));
+    let not_ours = |more: &str| {
+        malformed(format!(
+            "not a zeus netlist: expected the '{TEXT_MAGIC}' header line{more}"
+        ))
+    };
+    let Some((first, payload)) = crate::skip_leading_space(text).split_once('\n') else {
+        return Err(not_ours(""));
     };
     let first = first.trim_end_matches('\r');
     if first != TEXT_MAGIC {
-        if first.starts_with("zeus-design v") {
-            return Err(malformed(format!(
-                "not a zeus netlist: expected the '{TEXT_MAGIC}' header line \
-                 before the bare '{first}' payload"
-            )));
+        if first.starts_with("zeus netlist v") {
+            return Err(skew(first, TEXT_MAGIC));
         }
-        let code = if first.starts_with("zeus netlist v") {
-            codes::NETLIST_VERSION
-        } else {
-            codes::NETLIST_FORMAT
-        };
-        return Err(skew(first, TEXT_MAGIC, code));
+        if first.starts_with("zeus-design v") {
+            return Err(not_ours(&format!(" before the bare '{first}' payload")));
+        }
+        return Err(not_ours(""));
     }
     let mut lines = payload.lines();
     match lines.next() {
         Some(PAYLOAD_MAGIC) => {}
         Some(first) if first.starts_with("zeus-design v") => {
-            return Err(skew(first, PAYLOAD_MAGIC, codes::NETLIST_VERSION))
+            return Err(skew(first, PAYLOAD_MAGIC))
         }
         _ => return Err(malformed(format!("not a {PAYLOAD_MAGIC} file"))),
     }

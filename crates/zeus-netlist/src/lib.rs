@@ -62,7 +62,7 @@ pub enum NetlistFormat {
 /// skew still sniffs as [`NetlistFormat::Text`] — the parser is what
 /// reports `Z602`.
 pub fn detect_format(text: &str) -> NetlistFormat {
-    let head = text.trim_start();
+    let head = skip_leading_space(text);
     if head.starts_with("zeus netlist v") || head.starts_with("zeus-design v") {
         NetlistFormat::Text
     } else if head.starts_with('{') {
@@ -70,6 +70,13 @@ pub fn detect_format(text: &str) -> NetlistFormat {
     } else {
         NetlistFormat::Unknown
     }
+}
+
+/// Skips what may precede a payload: leading whitespace, blank lines
+/// included. The sniffer and the text reader share this rule, so a file
+/// that sniffs as text is read from the line it was sniffed by.
+pub(crate) fn skip_leading_space(text: &str) -> &str {
+    text.trim_start()
 }
 
 /// Serializes a design to `zeus netlist v1` text. Deterministic: equal
@@ -176,6 +183,30 @@ mod tests {
         for bad in ["", "\n", "ELF\x7f\n\n", "zeus netlist", "{\"modules\":{}}"] {
             let err = netlist_from_text(bad).unwrap_err();
             assert_eq!(err.code, Some(codes::NETLIST_FORMAT), "input {bad:?}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_first_line_is_not_a_netlist() {
+        for bad in ["not a netlist at all\n", "\n\nELF\x7f\nzeus netlist v1\n"] {
+            let err = netlist_from_text(bad).unwrap_err();
+            assert_eq!(err.code, Some(codes::NETLIST_FORMAT), "input {bad:?}");
+            assert_eq!(
+                err.message, "not a zeus netlist: expected the 'zeus netlist v1' header line",
+                "input {bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn leading_whitespace_is_skipped_by_sniffer_and_reader_alike() {
+        let c17 = include_str!("../../../benchmarks/c17.znl");
+        let digest = validated_digest(&netlist_from_text(c17).unwrap());
+        for lead in ["\n", "\r\n", " \t\n\n  "] {
+            let text = format!("{lead}{c17}");
+            assert_eq!(detect_format(&text), NetlistFormat::Text);
+            let design = netlist_from_text(&text).unwrap_or_else(|e| panic!("{lead:?}: {e}"));
+            assert_eq!(validated_digest(&design), digest, "{lead:?}");
         }
     }
 

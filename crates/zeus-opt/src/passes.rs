@@ -13,8 +13,15 @@
 //!
 //! Nets are never renumbered here; dead nets are swept by the final
 //! compaction in [`crate::optimize`].
+//!
+//! The topology passes ([`cse`], [`buf_elim`], [`dead_sweep`]) build
+//! their driver and reader indices at most once per call and keep them
+//! current as they rewrite, so a call costs about O(nodes + inputs),
+//! never rewrites × nodes. The unit tests check each against a
+//! reference that rescans the whole netlist instead.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use zeus_elab::netlist::combinational_order;
 use zeus_elab::{Design, NetId, Node, NodeOp};
 use zeus_sema::value::{self, Value};
@@ -95,6 +102,22 @@ impl Rewriter {
         d
     }
 
+    /// Alive reader nodes per net (a node may be listed more than once).
+    /// The passes that rewire inputs keep it current with
+    /// [`rewire_readers`]; a node that dies stays listed, so users skip
+    /// dead entries. Every alive entry of a net's list reads that net.
+    fn readers(&self) -> Vec<Vec<usize>> {
+        let mut r = vec![Vec::new(); self.net_count];
+        for (i, n) in self.nodes.iter().enumerate() {
+            if self.alive[i] {
+                for inp in &n.inputs {
+                    r[inp.index()].push(i);
+                }
+            }
+        }
+        r
+    }
+
     /// A topological order of the alive combinational nodes of the
     /// working copy. The copy stays acyclic (its input is finished, and
     /// no rewrite adds a combinational edge); were it not, folding
@@ -102,6 +125,31 @@ impl Rewriter {
     fn topo(&self) -> Vec<usize> {
         combinational_order(&self.nodes, self.net_count, |i| self.alive[i], []).unwrap_or_default()
     }
+}
+
+/// Rewires every alive reader of net `from` to read `to` instead and
+/// moves it onto `to`'s list in `readers`. Returns the number of input
+/// occurrences moved.
+fn rewire_readers(rw: &mut Rewriter, readers: &mut [Vec<usize>], from: NetId, to: NetId) -> u32 {
+    let mut moved = 0;
+    for r in std::mem::take(&mut readers[from.index()]) {
+        if !rw.alive[r] {
+            continue;
+        }
+        let mut k = 0;
+        for inp in &mut rw.nodes[r].inputs {
+            if *inp == from {
+                *inp = to;
+                k += 1;
+            }
+        }
+        // A node listed twice was rewired at its first entry.
+        if k > 0 {
+            moved += k;
+            readers[to.index()].push(r);
+        }
+    }
+    moved
 }
 
 /// Evaluates one combinational operation on fully known input values,
@@ -433,6 +481,27 @@ pub(crate) fn chain_collapse(rw: &mut Rewriter) -> usize {
     changes
 }
 
+/// The operation part of a node's structural-hashing key.
+fn op_key(op: &NodeOp) -> (u64, u64) {
+    match op {
+        NodeOp::And => (0, 0),
+        NodeOp::Or => (1, 0),
+        NodeOp::Nand => (2, 0),
+        NodeOp::Nor => (3, 0),
+        NodeOp::Xor => (4, 0),
+        NodeOp::Not => (5, 0),
+        NodeOp::Equal { width } => (6, *width as u64),
+        NodeOp::Buf => (7, 0),
+        NodeOp::If => (8, 0),
+        NodeOp::Const(Value::Zero) => (9, 0),
+        NodeOp::Const(Value::One) => (9, 1),
+        NodeOp::Const(Value::Undef) => (9, 2),
+        NodeOp::Const(Value::NoInfl) => (9, 3),
+        NodeOp::Random => (10, 0),
+        NodeOp::Reg => (11, 0),
+    }
+}
+
 /// Structural hashing / common-subexpression merging: two alive nodes
 /// with the same operation and the same input list (sorted for the
 /// commutative folds) compute the same value every cycle, so every reader
@@ -445,31 +514,12 @@ pub(crate) fn chain_collapse(rw: &mut Rewriter) -> usize {
 /// sources draw distinct streams); registers do (same data net → same
 /// latched trajectory from the shared UNDEF reset).
 pub(crate) fn cse(rw: &mut Rewriter) -> usize {
-    // Driver counts only shrink as merged nodes die, and a dead node's
-    // output net is never revisited, so the snapshot stays conservative
-    // for the whole sweep.
+    // A merge kills the sole driver of its own net and no other driver,
+    // so every other net keeps the driver count built here.
     let drivers = rw.drivers();
     let single = |n: NetId| drivers[n.index()].len() == 1;
-
-    fn op_key(op: &NodeOp) -> (u64, u64) {
-        match op {
-            NodeOp::And => (0, 0),
-            NodeOp::Or => (1, 0),
-            NodeOp::Nand => (2, 0),
-            NodeOp::Nor => (3, 0),
-            NodeOp::Xor => (4, 0),
-            NodeOp::Not => (5, 0),
-            NodeOp::Equal { width } => (6, *width as u64),
-            NodeOp::Buf => (7, 0),
-            NodeOp::If => (8, 0),
-            NodeOp::Const(Value::Zero) => (9, 0),
-            NodeOp::Const(Value::One) => (9, 1),
-            NodeOp::Const(Value::Undef) => (9, 2),
-            NodeOp::Const(Value::NoInfl) => (9, 3),
-            NodeOp::Random => (10, 0),
-            NodeOp::Reg => (11, 0),
-        }
-    }
+    // Built at the first merge: most calls merge nothing.
+    let mut readers = None;
 
     let mut seen: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
     let mut changes = 0usize;
@@ -494,16 +544,8 @@ pub(crate) fn cse(rw: &mut Rewriter) -> usize {
         match seen.get(&key).copied() {
             Some(canon) => {
                 let keep = rw.nodes[canon].output;
-                for (oi, other) in rw.nodes.iter_mut().enumerate() {
-                    if !rw.alive[oi] {
-                        continue;
-                    }
-                    for inp in &mut other.inputs {
-                        if *inp == out {
-                            *inp = keep;
-                        }
-                    }
-                }
+                let readers = readers.get_or_insert_with(|| rw.readers());
+                rewire_readers(rw, readers, out, keep);
                 rw.alive[ni] = false;
                 changes += 1;
             }
@@ -534,84 +576,373 @@ pub(crate) fn cse(rw: &mut Rewriter) -> usize {
 ///   into the driver's cone would have been a cycle through the Buf
 ///   already.
 ///
-/// Snapshots of the driver/reader indices are invalidated by a retarget,
-/// so the pass restarts its scan after every rewrite (Buf counts are
-/// small).
+/// The rewrites apply in a fixed order: always to the lowest-index Buf
+/// that qualifies at that moment, as a rescan from index 0 after every
+/// rewrite would pick. A min-heap of candidate Bufs stands in for the
+/// rescan; a popped Buf that does not qualify leaves it. Only one
+/// rewrite can make a Buf newly qualify: a reader rewire (`out` → `src`)
+/// that leaves `src` with a single reader, which a retarget may now
+/// absorb, so that reader is queued again. The readers moved onto `src`
+/// keep their outputs, and a retarget leaves every driver count as it
+/// was and gives the driver the dead Buf's output, on which that Buf
+/// did not qualify for a rewire either.
 pub(crate) fn buf_elim(rw: &mut Rewriter) -> usize {
+    let mut drivers = rw.drivers();
+    let mut occ = rw.reader_occurrences();
+    // Built at the first reader rewire.
+    let mut readers = None;
+    let mut queue: BinaryHeap<Reverse<usize>> = (0..rw.nodes.len())
+        .filter(|&i| rw.nodes[i].op == NodeOp::Buf)
+        .map(Reverse)
+        .collect();
     let mut changes = 0usize;
-    'restart: loop {
-        let drivers = rw.drivers();
-        let occ = rw.reader_occurrences();
-        for ni in 0..rw.nodes.len() {
-            if !rw.alive[ni] || rw.nodes[ni].op != NodeOp::Buf {
-                continue;
+    while let Some(Reverse(ni)) = queue.pop() {
+        if !rw.alive[ni] || rw.nodes[ni].op != NodeOp::Buf {
+            continue;
+        }
+        let out = rw.nodes[ni].output;
+        let src = rw.nodes[ni].inputs[0];
+        if !rw.protected[out.index()] && drivers[out.index()].len() == 1 {
+            // Reader rewire. (A Buf reading its own output sits on a
+            // combinational loop and has no other reader to rewire.)
+            let readers = readers.get_or_insert_with(|| rw.readers());
+            if src != out {
+                let moved = rewire_readers(rw, readers, out, src);
+                occ[out.index()] -= moved;
+                occ[src.index()] += moved;
             }
-            let out = rw.nodes[ni].output;
-            let src = rw.nodes[ni].inputs[0];
-            if !rw.protected[out.index()] && drivers[out.index()].len() == 1 {
-                // Reader rewire.
-                for (oi, other) in rw.nodes.iter_mut().enumerate() {
-                    if !rw.alive[oi] || oi == ni {
-                        continue;
-                    }
-                    for inp in &mut other.inputs {
-                        if *inp == out {
-                            *inp = src;
-                        }
-                    }
-                }
+            rw.alive[ni] = false;
+            occ[src.index()] -= 1;
+            drivers[out.index()].clear();
+            if occ[src.index()] == 1 {
+                let list = &mut readers[src.index()];
+                list.retain(|&r| rw.alive[r]);
+                queue.push(Reverse(list[0]));
+            }
+            changes += 1;
+        } else if !rw.protected[src.index()]
+            && occ[src.index()] == 1
+            && drivers[src.index()].len() == 1
+        {
+            // Driver retarget.
+            let d = drivers[src.index()][0];
+            if d != ni {
+                rw.nodes[d].output = out;
                 rw.alive[ni] = false;
+                occ[src.index()] = 0;
+                drivers[src.index()].clear();
+                drivers[out.index()].retain(|&x| x != ni);
+                drivers[out.index()].push(d);
                 changes += 1;
-                continue 'restart;
-            }
-            if !rw.protected[src.index()]
-                && occ[src.index()] == 1
-                && drivers[src.index()].len() == 1
-            {
-                // Driver retarget.
-                let d = drivers[src.index()][0];
-                if d != ni {
-                    rw.nodes[d].output = out;
-                    rw.alive[ni] = false;
-                    changes += 1;
-                    continue 'restart;
-                }
             }
         }
-        return changes;
     }
+    changes
 }
 
 /// Dead-logic sweep: a node whose output net is unprotected and read by
 /// nobody contributes to nothing observable — it dies, which may strand
-/// its upstream cone for the next round (the loop runs to a fixed point).
+/// its upstream cone in turn. A work list of such nodes runs the sweep to
+/// its fixed point; the order of deaths does not change which nodes die.
 pub(crate) fn dead_sweep(rw: &mut Rewriter) -> usize {
-    let mut changes = 0usize;
-    loop {
-        let occ = rw.reader_occurrences();
-        let mut round = 0usize;
-        for ni in 0..rw.nodes.len() {
-            if !rw.alive[ni] {
-                continue;
-            }
-            let out = rw.nodes[ni].output;
-            if !rw.protected[out.index()] && occ[out.index()] == 0 {
-                rw.alive[ni] = false;
-                round += 1;
-            }
-        }
-        if round == 0 {
-            return changes;
-        }
-        changes += round;
+    let mut occ = rw.reader_occurrences();
+    let mut work: Vec<usize> = (0..rw.nodes.len())
+        .filter(|&i| rw.alive[i])
+        .filter(|&i| {
+            let out = rw.nodes[i].output.index();
+            !rw.protected[out] && occ[out] == 0
+        })
+        .collect();
+    if work.is_empty() {
+        return 0;
     }
+    let drivers = rw.drivers();
+    let mut changes = 0usize;
+    // A net's count reaches 0 at most once, so no node is listed twice.
+    while let Some(ni) = work.pop() {
+        rw.alive[ni] = false;
+        changes += 1;
+        for inp in &rw.nodes[ni].inputs {
+            let n = inp.index();
+            occ[n] -= 1;
+            if occ[n] == 0 && !rw.protected[n] {
+                work.extend(drivers[n].iter().filter(|&&d| rw.alive[d]));
+            }
+        }
+    }
+    changes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use zeus_syntax::span::Span;
 
     const ALL: [Value; 4] = [Value::Zero, Value::One, Value::Undef, Value::NoInfl];
+
+    /// Reference for [`cse`]: each merge walks every node to rewire the
+    /// merged net's readers.
+    fn cse_walk(rw: &mut Rewriter) -> usize {
+        // Driver counts only shrink as merged nodes die, and a dead node's
+        // output net is never revisited, so the snapshot stays conservative
+        // for the whole sweep.
+        let drivers = rw.drivers();
+        let single = |n: NetId| drivers[n.index()].len() == 1;
+
+        let mut seen: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+        let mut changes = 0usize;
+        for ni in 0..rw.nodes.len() {
+            if !rw.alive[ni] || rw.nodes[ni].op == NodeOp::Random {
+                continue;
+            }
+            let out = rw.nodes[ni].output;
+            if rw.protected[out.index()] || !single(out) {
+                continue;
+            }
+            let (tag, param) = op_key(&rw.nodes[ni].op);
+            let mut key: Vec<u64> = vec![tag, param];
+            let mut ins: Vec<u64> = rw.nodes[ni].inputs.iter().map(|n| u64::from(n.0)).collect();
+            if matches!(
+                rw.nodes[ni].op,
+                NodeOp::And | NodeOp::Or | NodeOp::Nand | NodeOp::Nor | NodeOp::Xor
+            ) {
+                ins.sort_unstable();
+            }
+            key.extend(ins);
+            match seen.get(&key).copied() {
+                Some(canon) => {
+                    let keep = rw.nodes[canon].output;
+                    for (oi, other) in rw.nodes.iter_mut().enumerate() {
+                        if !rw.alive[oi] {
+                            continue;
+                        }
+                        for inp in &mut other.inputs {
+                            if *inp == out {
+                                *inp = keep;
+                            }
+                        }
+                    }
+                    rw.alive[ni] = false;
+                    changes += 1;
+                }
+                None => {
+                    seen.insert(key, ni);
+                }
+            }
+        }
+        changes
+    }
+
+    /// Reference for [`buf_elim`]: rebuilds the driver and reader
+    /// indices and rescans from index 0 after every rewrite.
+    fn buf_elim_restart(rw: &mut Rewriter) -> usize {
+        let mut changes = 0usize;
+        'restart: loop {
+            let drivers = rw.drivers();
+            let occ = rw.reader_occurrences();
+            for ni in 0..rw.nodes.len() {
+                if !rw.alive[ni] || rw.nodes[ni].op != NodeOp::Buf {
+                    continue;
+                }
+                let out = rw.nodes[ni].output;
+                let src = rw.nodes[ni].inputs[0];
+                if !rw.protected[out.index()] && drivers[out.index()].len() == 1 {
+                    // Reader rewire.
+                    for (oi, other) in rw.nodes.iter_mut().enumerate() {
+                        if !rw.alive[oi] || oi == ni {
+                            continue;
+                        }
+                        for inp in &mut other.inputs {
+                            if *inp == out {
+                                *inp = src;
+                            }
+                        }
+                    }
+                    rw.alive[ni] = false;
+                    changes += 1;
+                    continue 'restart;
+                }
+                if !rw.protected[src.index()]
+                    && occ[src.index()] == 1
+                    && drivers[src.index()].len() == 1
+                {
+                    // Driver retarget.
+                    let d = drivers[src.index()][0];
+                    if d != ni {
+                        rw.nodes[d].output = out;
+                        rw.alive[ni] = false;
+                        changes += 1;
+                        continue 'restart;
+                    }
+                }
+            }
+            return changes;
+        }
+    }
+
+    /// Reference for [`dead_sweep`]: rescans every node once per round.
+    fn dead_sweep_rounds(rw: &mut Rewriter) -> usize {
+        let mut changes = 0usize;
+        loop {
+            let occ = rw.reader_occurrences();
+            let mut round = 0usize;
+            for ni in 0..rw.nodes.len() {
+                if !rw.alive[ni] {
+                    continue;
+                }
+                let out = rw.nodes[ni].output;
+                if !rw.protected[out.index()] && occ[out.index()] == 0 {
+                    rw.alive[ni] = false;
+                    round += 1;
+                }
+            }
+            if round == 0 {
+                return changes;
+            }
+            changes += round;
+        }
+    }
+
+    /// A small deterministic generator (SplitMix64) for random netlists.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n` (`n > 0`).
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// True with probability `pct`%.
+        fn pct(&mut self, pct: usize) -> bool {
+            self.below(100) < pct
+        }
+    }
+
+    /// A random finished netlist as rewriter state. Nets are numbered in
+    /// data-flow order: a combinational node reads only nets below its
+    /// output, so the graph is acyclic, while a register may read any
+    /// net, its own output included (registers on loops). Half the
+    /// nodes are Bufs, most reading the net just below their output, so
+    /// Buf chains are long; some nodes repeat an earlier node's
+    /// operation and inputs (duplicates); some nets get two drivers or
+    /// are protected. The node array is then kept in data-flow order,
+    /// reversed (Buf chains against the data flow) or shuffled, and a
+    /// few nodes start dead, as an earlier pass would leave them.
+    fn random_rewriter(seed: u64) -> Rewriter {
+        let mut g = Gen(seed);
+        let net_count = 6 + g.below(60);
+        let inputs = 1 + g.below(4);
+        let protected: Vec<bool> = (0..net_count)
+            .map(|n| g.pct(if n < inputs { 50 } else { 12 }))
+            .collect();
+        let net = |n: usize| NetId(n as u32);
+        let mut nodes: Vec<Node> = Vec::new();
+        let node = |op: NodeOp, inputs: Vec<NetId>, output: usize| Node {
+            op,
+            inputs,
+            output: net(output),
+            group: None,
+            span: Span::dummy(),
+        };
+        for o in inputs..net_count {
+            let drivers = if g.pct(10) { 2 } else { 1 };
+            for _ in 0..drivers {
+                let below = |g: &mut Gen| net(g.below(o));
+                let n = match g.below(20) {
+                    0..=9 => {
+                        let src = if g.pct(60) { net(o - 1) } else { below(&mut g) };
+                        node(NodeOp::Buf, vec![src], o)
+                    }
+                    10 | 11 if !nodes.is_empty() => {
+                        // The twin's inputs lie below its output, so
+                        // below this one.
+                        let twin = &nodes[g.below(nodes.len())];
+                        node(twin.op.clone(), twin.inputs.clone(), o)
+                    }
+                    12 => node(NodeOp::Reg, vec![net(g.below(net_count))], o),
+                    13 => node(NodeOp::Const(ALL[g.below(4)]), vec![], o),
+                    14 => node(NodeOp::Not, vec![below(&mut g)], o),
+                    15 => node(NodeOp::If, vec![below(&mut g), below(&mut g)], o),
+                    _ => {
+                        let ops = [NodeOp::And, NodeOp::Or, NodeOp::Xor, NodeOp::Nand];
+                        let arity = 1 + g.below(3);
+                        let ins = (0..arity).map(|_| below(&mut g)).collect();
+                        node(ops[g.below(ops.len())].clone(), ins, o)
+                    }
+                };
+                nodes.push(n);
+            }
+        }
+        match g.below(3) {
+            0 => {}
+            1 => nodes.reverse(),
+            _ => {
+                for i in (1..nodes.len()).rev() {
+                    nodes.swap(i, g.below(i + 1));
+                }
+            }
+        }
+        let alive = (0..nodes.len()).map(|_| !g.pct(5)).collect();
+        Rewriter {
+            nodes,
+            alive,
+            protected,
+            net_count,
+        }
+    }
+
+    /// The rewriter state a pass leaves, for comparison: each node's
+    /// operation, inputs, output and liveness.
+    type State = Vec<(NodeOp, Vec<NetId>, NetId, bool)>;
+
+    fn state(rw: &Rewriter) -> State {
+        let node = |(n, &alive): (&Node, &bool)| (n.op.clone(), n.inputs.clone(), n.output, alive);
+        rw.nodes.iter().zip(&rw.alive).map(node).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The indexed passes apply exactly the rewrites of their
+        /// rescanning references, in the same order: through a whole
+        /// pipeline run, each leaves the same nodes, liveness and
+        /// rewrite count.
+        #[test]
+        fn indexed_passes_match_their_rescanning_references(seed in any::<u64>()) {
+            let mut fast = random_rewriter(seed);
+            let mut slow = random_rewriter(seed);
+            type Pass = fn(&mut Rewriter) -> usize;
+            let pairs: [(&str, Pass, Pass); 3] = [
+                ("cse", cse, cse_walk),
+                ("buf-elim", buf_elim, buf_elim_restart),
+                ("dead-sweep", dead_sweep, dead_sweep_rounds),
+            ];
+            for round in 0..8 {
+                let mut total = const_fold(&mut fast) + chain_collapse(&mut fast);
+                const_fold(&mut slow);
+                chain_collapse(&mut slow);
+                for (name, pass, reference) in pairs {
+                    let got = pass(&mut fast);
+                    let want = reference(&mut slow);
+                    prop_assert_eq!(got, want, "{} rewrites, round {}, seed {:#x}", name, round, seed);
+                    prop_assert!(state(&fast) == state(&slow), "{} state, round {}, seed {:#x}", name, round, seed);
+                    total += got;
+                }
+                if total == 0 {
+                    break;
+                }
+            }
+        }
+    }
 
     /// The neutral-element laws the partial folds rely on, enumerated
     /// over the whole domain.

@@ -152,6 +152,107 @@ fn pipeline_is_idempotent_on_every_bundled_design() {
     }
 }
 
+/// A large design for the scaling check, with its pinned results.
+struct Large {
+    example: &'static str,
+    top: &'static str,
+    args: &'static [i64],
+    gates: (usize, usize),
+    /// Rewrites per pass, in pipeline order.
+    passes: [usize; 5],
+    /// `StableHasher` digest of the optimized design's netlist text.
+    text: u64,
+    /// Bound on the rewrite phase in release and debug builds, ms.
+    bound_ms: Option<(u64, u64)>,
+}
+
+const LARGE: &[Large] = &[
+    Large {
+        example: "routing",
+        top: "routingnetwork",
+        args: &[64],
+        gates: (18_752, 8_512),
+        passes: [0, 0, 0, 10_240, 0],
+        text: 0x7381_f13b_db59_4d65,
+        bound_ms: Some((700, 3_000)),
+    },
+    Large {
+        example: "adders",
+        top: "rippleCarry",
+        args: &[1024],
+        gates: (19_457, 5_120),
+        passes: [0, 0, 0, 14_337, 0],
+        text: 0xc805_3d42_7439_302e,
+        bound_ms: Some((1_200, 5_000)),
+    },
+    Large {
+        example: "ram",
+        top: "ram",
+        args: &[256, 16, 8],
+        gates: (21_009, 12_818),
+        passes: [0, 0, 8_190, 0, 1],
+        text: 0xf66b_a34d_ca5d_8fee,
+        bound_ms: None,
+    },
+];
+
+/// The rewrite passes stay near-linear on designs of about 20k gates
+/// whose Buf and duplicate-gate counts grow with the design, and their
+/// results stay as pinned: gate counts, rewrites per pass and the bytes
+/// of the optimized netlist. The wall-clock bound times the rewrite
+/// phase: with a zero step budget the equivalence gate stops (`Z908`)
+/// as its first cycle begins, so the call costs the passes, the rebuild
+/// and the gate's set-up. Each bound sits over ten times above what the
+/// near-linear passes take and over ten times below what passes that
+/// rescan the netlist per rewrite take.
+#[test]
+fn large_designs_optimize_in_near_linear_time() {
+    use std::time::Instant;
+    use zeus::{codes, Limits, StableHasher};
+
+    for l in LARGE {
+        let d = design(l.example, l.top, l.args);
+        let out = optimize(&d, &OptConfig::default())
+            .unwrap_or_else(|e| panic!("{}: optimizer refused: {e}", l.top));
+        let r = &out.report;
+        let passes: Vec<usize> = r.passes.iter().map(|p| p.rewrites).collect();
+        let mut h = StableHasher::new();
+        h.write_bytes(netlist_to_text(&out.design).as_bytes());
+        let text = h.finish();
+        println!(
+            "{} {:?}: gates {} -> {}, passes {passes:?}, text {text:#018x}",
+            l.top, l.args, r.before.gates, r.after.gates
+        );
+        assert_eq!((r.before.gates, r.after.gates), l.gates, "{}", l.top);
+        assert_eq!(passes, l.passes, "{}: rewrites per pass", l.top);
+        assert_eq!(text, l.text, "{}: optimized netlist text", l.top);
+
+        let Some((release, debug)) = l.bound_ms else {
+            continue;
+        };
+        let bound = if cfg!(debug_assertions) {
+            debug
+        } else {
+            release
+        };
+        let cfg = OptConfig {
+            limits: Limits::default().with_max_steps(0),
+            ..OptConfig::default()
+        };
+        let start = Instant::now();
+        let stopped = optimize(&d, &cfg).expect_err("a zero step budget stops the gate");
+        let took = start.elapsed().as_millis() as u64;
+        assert_eq!(stopped.code, Some(codes::LIMIT_STEPS), "{stopped}");
+        println!("{} {:?}: rewrite phase {took} ms", l.top, l.args);
+        assert!(
+            took <= bound,
+            "{} {:?}: rewrite phase took {took} ms, bound {bound} ms",
+            l.top,
+            l.args
+        );
+    }
+}
+
 /// The report's measurements match independent recomputation.
 #[test]
 fn report_metrics_match_recomputation() {
