@@ -16,7 +16,7 @@
 //!   1 — unless the user passed `--remote-or-local`, in which case the
 //!   client warns on stderr and falls back to local execution.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -143,7 +143,9 @@ fn jitter_ms(max: u64) -> u64 {
     RandomState::new().build_hasher().finish() % max
 }
 
-/// One request/response exchange over a fresh connection.
+/// One request/response exchange over a fresh connection. `line` is
+/// the whole request line, newline included, so it goes out in one
+/// write and the daemon's reader reads it in one go.
 fn exchange(opts: &RemoteOpts, line: &str) -> Result<Response, String> {
     let mut stream = UnixStream::connect(&opts.socket)
         .map_err(|e| format!("cannot connect to {}: {e}", opts.socket.display()))?;
@@ -151,20 +153,19 @@ fn exchange(opts: &RemoteOpts, line: &str) -> Result<Response, String> {
     // forever; the server's own deadline fires well before these.
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_read_timeout(Some(Duration::from_secs(600)));
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .map_err(|e| format!("cannot send request: {e}"))?;
+    // A daemon past its reader bound answers before it reads anything
+    // and closes: the send may then fail, and a read past the answer
+    // line reports a reset. Only the answer line counts.
+    let sent = stream.write_all(line.as_bytes());
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut buf = String::new();
-    stream
-        .read_to_string(&mut buf)
-        .map_err(|e| format!("cannot read response: {e}"))?;
-    let line = buf.lines().next().unwrap_or("");
-    if line.is_empty() {
+    let mut answer = String::new();
+    let read = BufReader::new(&stream).read_line(&mut answer);
+    if answer.is_empty() {
+        sent.map_err(|e| format!("cannot send request: {e}"))?;
+        read.map_err(|e| format!("cannot read response: {e}"))?;
         return Err("daemon closed the connection without responding".to_string());
     }
-    Response::decode(line).map_err(|e| format!("malformed response: {e}"))
+    Response::decode(answer.trim_end()).map_err(|e| format!("malformed response: {e}"))
 }
 
 /// Runs `argv` against the daemon, with retries per the module docs.
@@ -190,7 +191,8 @@ pub fn run_remote(opts: &RemoteOpts, argv: &[String]) -> RemoteOutcome {
         deadline_ms: None,
         chaos_panic: false,
     };
-    let line = req.encode();
+    let mut line = req.encode();
+    line.push('\n');
     let mut last_error = String::new();
     let mut saw_overload = false;
     for attempt in 0..MAX_ATTEMPTS {

@@ -14,7 +14,8 @@ options:
   --socket PATH        Unix socket to listen on (required)
   --cache DIR          store root for cached artifacts (required)
   --workers N          worker threads (default 2)
-  --queue N            queued-request bound before shedding (default 32)
+  --queue N            admission bound: request lines read at once, and
+                       requests queued, before shedding (default 32)
   --deadline-ms N      default/maximum per-request deadline (default 300000)
   --chaos              honor chaos_panic request hooks (tests only)
   --chaos-fail-every N inject a store write failure every Nth write
@@ -94,8 +95,8 @@ fn main() -> ExitCode {
     };
 
     // Graceful drain on both the service signal (TERM) and a terminal
-    // Ctrl-C (INT). The handler only flips an atomic; the accept loop
-    // notices within one poll interval.
+    // Ctrl-C (INT). The handler only flips an atomic; the server
+    // notices within 25 ms and wakes its readers blocked in accept.
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
     unsafe {

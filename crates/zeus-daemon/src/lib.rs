@@ -10,9 +10,11 @@
 //!   that propagates into the limits of every engine it runs; a stuck
 //!   request cannot wedge a worker, and a run that reaches the deadline
 //!   answers `Z905` instead of a clock-dependent answer ([`server`]).
-//! * **Backpressure** — the request queue is bounded and fair across
-//!   clients; past the bound, clients are told `overloaded` with a
-//!   retry hint instead of queueing unboundedly.
+//! * **Backpressure** — each connection's request line is read on a
+//!   reader of its own, so a slow client holds up no other; the readers
+//!   and the request queue are bounded, and the queue is fair across
+//!   clients; past a bound, clients are told `overloaded` with a retry
+//!   hint instead of queueing unboundedly.
 //! * **Panic isolation** — a request that panics the compiler returns
 //!   a Z-coded internal error; the daemon keeps serving.
 //! * **Graceful drain** — SIGTERM/SIGINT stop intake, answer queued

@@ -1,5 +1,6 @@
-//! The `zeusd` server loop: bounded fair queue, worker pool, deadlines,
-//! panic isolation and graceful drain.
+//! The `zeusd` server loop: blocking accept, bounded line readers, a
+//! bounded fair queue, worker pool, deadlines, panic isolation and
+//! graceful drain.
 //!
 //! # Lifecycle
 //!
@@ -9,11 +10,23 @@
 //! travels per connection: a single JSON line in, a single JSON line
 //! out (see `zeus_cli::proto`).
 //!
+//! A pool of reader threads blocks in `accept` on the shared listener.
+//! The reader that accepts a connection reads and decodes its request
+//! line and enqueues the job, then accepts again; the pool grows so one
+//! reader always waits in `accept`. A client that paces its bytes slowly
+//! holds only its own reader, never another client. Nothing on a
+//! request's path sleeps or polls, and once the pool has grown to the
+//! load none starts a thread: the thread that called [`run`] checks
+//! [`SHUTDOWN`] every 25 ms and wakes the blocked readers when it goes
+//! high, so a bare store to the flag drains the daemon too.
+//!
 //! # Backpressure
 //!
-//! The queue is bounded. When it is full the acceptor answers
-//! `overloaded` immediately — with a `retry_after_ms` hint scaled to
-//! the backlog — rather than letting latency grow without bound.
+//! Both stages are bounded by `queue_limit`. A connection that finds
+//! that many lines being read, or a request that finds that many jobs
+//! queued, is answered `overloaded` immediately — with a
+//! `retry_after_ms` hint scaled to the backlog — rather than letting
+//! latency grow without bound.
 //! Within the bound, jobs are scheduled fairly: each client (keyed by
 //! the request `id`, which `zeusc` sets to its process id) gets its own
 //! FIFO lane and workers round-robin across lanes, so one client
@@ -21,8 +34,8 @@
 //!
 //! # Deadlines
 //!
-//! Every request carries a deadline from the moment it is accepted:
-//! the client's `deadline_ms` clamped to the server maximum, or the
+//! Every request carries a deadline from the moment its line has been
+//! read: the client's `deadline_ms` clamped to the server maximum, or the
 //! server default. Queue wait burns deadline — that is the point; a
 //! request that waited too long is answered with a Z905 error instead
 //! of being executed late. During execution the remaining budget is
@@ -40,22 +53,29 @@
 //!
 //! # Drain
 //!
-//! On shutdown the acceptor answers new connections with
-//! `shutting_down`, queued-but-unstarted jobs are answered
-//! `shutting_down`, and in-flight jobs see the shared cancel flag:
-//! campaigns stop in their golden trace or at the next fault word,
-//! flush their checkpoint journal (kept under the store root), and
-//! report partial results.
+//! On shutdown the daemon stops listening: it shuts the listening socket
+//! down and removes the socket file, so new connections are refused at
+//! once and the client's retry or local fallback takes over. A reader
+//! still waiting for its line gives up within 100 ms; it, a connection
+//! still in the listen backlog, a line completed after the drain began
+//! and every queued-but-unstarted job are answered `shutting_down`.
+//! In-flight jobs see the shared cancel flag: campaigns stop in their
+//! golden trace or at the next fault word, flush their checkpoint
+//! journal (kept under the store root), and report partial results.
 //! A restarted daemon resumes those journals automatically when the
 //! same request returns.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::Shutdown;
+use std::os::fd::OwnedFd;
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use zeus_cli::proto::{Request, Response};
@@ -80,8 +100,10 @@ pub struct ServerConfig {
     pub cache_dir: PathBuf,
     /// Worker threads executing requests.
     pub workers: usize,
-    /// Maximum queued (accepted but unstarted) requests before the
-    /// acceptor sheds load.
+    /// The admission bound, applied twice: at most this many request
+    /// lines are read at once, and at most this many read requests wait
+    /// for a worker. Past either bound the client is answered
+    /// `overloaded`.
     pub queue_limit: usize,
     /// Default and maximum per-request deadline.
     pub default_deadline: Duration,
@@ -130,14 +152,22 @@ struct Queue {
     inner: Mutex<QueueInner>,
     ready: Condvar,
     limit: usize,
+    workers: usize,
 }
 
 fn unpoisoned<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The load-shedding answer: a backoff hint proportional to the backlog
+/// per worker, so a thundering herd spreads out.
+fn overloaded(backlog: usize, workers: usize) -> Response {
+    let retry_after_ms = (25 * backlog as u64 / workers.max(1) as u64).clamp(25, 1000);
+    Response::Overloaded { retry_after_ms }
+}
+
 impl Queue {
-    fn new(limit: usize) -> Queue {
+    fn new(limit: usize, workers: usize) -> Queue {
         Queue {
             inner: Mutex::new(QueueInner {
                 lanes: Vec::new(),
@@ -147,16 +177,25 @@ impl Queue {
             }),
             ready: Condvar::new(),
             limit,
+            workers,
         }
     }
 
-    /// Enqueues into the client's lane, or reports the backlog size
-    /// when the bound is hit (the caller sheds the request).
-    fn push(&self, job: Job) -> Result<(), (Job, usize)> {
+    /// Enqueues into the client's lane and returns true, or answers the
+    /// client instead and returns false: `overloaded` at the bound,
+    /// `shutting_down` once the queue is draining (no worker would ever
+    /// start the job).
+    fn push(&self, mut job: Job) -> bool {
         let mut q = unpoisoned(self.inner.lock());
-        if q.len >= self.limit {
-            let backlog = q.len;
-            return Err((job, backlog));
+        if q.draining || q.len >= self.limit {
+            let answer = if q.draining {
+                Response::ShuttingDown
+            } else {
+                overloaded(q.len, self.workers)
+            };
+            drop(q);
+            respond(&mut job.stream, &answer);
+            return false;
         }
         let client = job.req.id;
         match q.lanes.iter_mut().find(|(id, _)| *id == client) {
@@ -170,7 +209,7 @@ impl Queue {
         q.len += 1;
         drop(q);
         self.ready.notify_one();
-        Ok(())
+        true
     }
 
     /// Pops the next job, round-robining across client lanes. Returns
@@ -197,12 +236,13 @@ impl Queue {
             if q.draining {
                 return None;
             }
-            q = unpoisoned(self.ready.wait_timeout(q, Duration::from_millis(100))).0;
+            // Every push notifies one waiter and `drain` all of them.
+            q = unpoisoned(self.ready.wait(q));
         }
     }
 
-    /// Flips to draining and hands back every unstarted job so the
-    /// caller can answer `shutting_down`.
+    /// Flips to draining (later pushes are refused) and hands back every
+    /// unstarted job so the caller can answer `shutting_down`.
     fn drain(&self) -> Vec<Job> {
         let mut q = unpoisoned(self.inner.lock());
         q.draining = true;
@@ -292,23 +332,40 @@ fn handle(job: Job, store: &Store, cfg: &ServerConfig) {
 /// How long a client may take to send its whole request line.
 const REQUEST_LINE_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// The longest a reader waits for request bytes before it looks at
+/// [`SHUTDOWN`] again, and so the longest a drain waits on a slow line.
+/// A client that sends its bytes promptly never waits out a slice.
+const READ_SLICE: Duration = Duration::from_millis(100);
+
+/// How often [`run`] looks at [`SHUTDOWN`]; it is off every request's
+/// path.
+const SHUTDOWN_CHECK: Duration = Duration::from_millis(25);
+
 /// Reads the single request line from a fresh connection, giving the
 /// whole line one `timeout` (a socket read timeout alone restarts on
-/// every byte, so a client trickling bytes could hold the acceptor
-/// forever). `None` on timeout, disconnect, or unreadable bytes (the
-/// connection is simply dropped — there is nothing to answer).
+/// every byte, so a client trickling bytes could hold its reader
+/// forever). It waits in slices of at most [`READ_SLICE`] and gives up
+/// once [`SHUTDOWN`] is high. `None` on timeout, drain, disconnect, or
+/// unreadable bytes.
 fn read_request_line(stream: &UnixStream, timeout: Duration) -> Option<String> {
     let deadline = Instant::now() + timeout;
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+        if left.is_zero()
+            || SHUTDOWN.load(Ordering::SeqCst)
+            || stream.set_read_timeout(Some(left.min(READ_SLICE))).is_err()
+        {
             return None;
         }
         let buf = match reader.fill_buf() {
             Ok(buf) => buf,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            // A slice ran out (a read timeout reads as `WouldBlock` on
+            // Unix) or a signal arrived: look at the clocks again.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                continue
+            }
             Err(_) => return None,
         };
         if buf.is_empty() {
@@ -330,8 +387,119 @@ fn read_request_line(stream: &UnixStream, timeout: Duration) -> Option<String> {
     String::from_utf8(line).ok()
 }
 
+/// The reader pool: threads that each block in `accept` on the shared
+/// listener, read one request line and enqueue its job, then accept
+/// again. A connection is read by the thread that accepted it and is
+/// never handed to another before its line is in. The pool grows by one
+/// thread whenever all its readers are reading (and keeps it), so a
+/// reader always waits in `accept`, up to `limit + 1` threads: at most
+/// `limit` lines are read at once, and the spare answers a connection
+/// past that bound `overloaded` at once. Readers leave in the drain.
+struct Readers<'a> {
+    listener: &'a UnixListener,
+    queue: &'a Queue,
+    limit: usize,
+    max_deadline_ms: u64,
+    /// Reader threads started.
+    started: AtomicUsize,
+    /// Request lines being read.
+    reading: AtomicUsize,
+}
+
+impl Readers<'_> {
+    /// Starts one more reader unless the pool is full; a failed spawn
+    /// leaves the pool as it was.
+    fn grow<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>) {
+        if self.started.fetch_add(1, Ordering::SeqCst) > self.limit {
+            self.started.fetch_sub(1, Ordering::SeqCst);
+            return;
+        }
+        let reader = std::thread::Builder::new().spawn_scoped(scope, || self.serve(scope));
+        if reader.is_err() {
+            self.started.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// One reader's loop, until the drain has emptied the backlog.
+    fn serve<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>) {
+        loop {
+            let conn = self.listener.accept();
+            if SHUTDOWN.load(Ordering::SeqCst) {
+                // Once [`Readers::stop`] has run, `accept` fails as soon
+                // as the backlog is empty.
+                let Ok((mut stream, _)) = conn else { return };
+                respond(&mut stream, &Response::ShuttingDown);
+                continue;
+            }
+            let Ok((mut stream, _)) = conn else { continue };
+            let reading = self.reading.fetch_add(1, Ordering::SeqCst) + 1;
+            if reading > self.limit {
+                self.reading.fetch_sub(1, Ordering::SeqCst);
+                respond(&mut stream, &overloaded(self.limit, self.queue.workers));
+                continue;
+            }
+            if reading == self.started.load(Ordering::SeqCst) {
+                self.grow(scope);
+            }
+            self.read_job(stream);
+        }
+    }
+
+    /// Reads and decodes one request line, then enqueues it. The reading
+    /// slot frees once the line is in, before its answer can reach the
+    /// client, and the request's deadline starts then.
+    fn read_job(&self, mut stream: UnixStream) {
+        let line = read_request_line(&stream, REQUEST_LINE_TIMEOUT);
+        self.reading.fetch_sub(1, Ordering::SeqCst);
+        let Some(line) = line else {
+            // A line cut short by the drain is told so. One that timed
+            // out, or whose client left, is dropped: there is nothing to
+            // answer.
+            if SHUTDOWN.load(Ordering::SeqCst) {
+                respond(&mut stream, &Response::ShuttingDown);
+            }
+            return;
+        };
+        let req = match Request::decode(line.trim_end()) {
+            Ok(req) => req,
+            Err(msg) => {
+                respond(&mut stream, &Response::BadRequest { msg });
+                return;
+            }
+        };
+        let budget_ms = req
+            .deadline_ms
+            .map_or(self.max_deadline_ms, |ms| ms.min(self.max_deadline_ms));
+        self.queue.push(Job {
+            stream,
+            req,
+            deadline: Instant::now() + Duration::from_millis(budget_ms),
+        });
+    }
+
+    /// Stops listening and wakes every reader blocked in `accept`. The
+    /// listener turns non-blocking first, so the readers answer the
+    /// backlog `shutting_down` and leave once it is empty. On Linux,
+    /// shutting the listening socket down wakes every blocked `accept`
+    /// and refuses new connections at once, whatever became of the
+    /// socket file; where that is refused, one connection to the socket
+    /// path per reader wakes them instead.
+    fn stop(&self, socket: &Path) {
+        let _ = self.listener.set_nonblocking(true);
+        let shut = self
+            .listener
+            .try_clone()
+            .and_then(|l| UnixStream::from(OwnedFd::from(l)).shutdown(Shutdown::Both));
+        if shut.is_err() {
+            for _ in 0..self.started.load(Ordering::SeqCst) {
+                let _ = UnixStream::connect(socket);
+            }
+        }
+    }
+}
+
 /// Runs the daemon until [`SHUTDOWN`] goes high, then drains. Returns
-/// after the socket file is removed and all workers have exited.
+/// after all readers and workers have exited.
 ///
 /// # Errors
 ///
@@ -351,7 +519,10 @@ pub fn run(cfg: &ServerConfig) -> std::io::Result<()> {
     // fail; the store recovery above already proved the cache is ours.
     let _ = std::fs::remove_file(&cfg.socket);
     let listener = UnixListener::bind(&cfg.socket)?;
-    listener.set_nonblocking(true)?;
+    // A daemon started later on the same path replaces this file; the
+    // drain must leave that one alone.
+    let file_id = |m: std::fs::Metadata| (m.dev(), m.ino());
+    let ours = file_id(std::fs::metadata(&cfg.socket)?);
     eprintln!(
         "zeusd: listening on {} (workers {}, queue {})",
         cfg.socket.display(),
@@ -359,63 +530,50 @@ pub fn run(cfg: &ServerConfig) -> std::io::Result<()> {
         cfg.queue_limit
     );
 
-    let queue = Queue::new(cfg.queue_limit);
-    let max_deadline_ms = cfg.default_deadline.as_millis() as u64;
+    let workers = cfg.workers.max(1);
+    let queue = &Queue::new(cfg.queue_limit, workers);
+    let readers = &Readers {
+        listener: &listener,
+        queue,
+        limit: cfg.queue_limit,
+        max_deadline_ms: cfg.default_deadline.as_millis() as u64,
+        started: AtomicUsize::new(0),
+        reading: AtomicUsize::new(0),
+    };
 
     std::thread::scope(|scope| {
-        for _ in 0..cfg.workers.max(1) {
+        for _ in 0..workers {
             scope.spawn(|| {
                 while let Some(job) = queue.pop() {
                     handle(job, &store, cfg);
                 }
             });
         }
+        // The first reader starts as the workers do: failing to start
+        // it panics.
+        readers.started.store(1, Ordering::SeqCst);
+        scope.spawn(|| readers.serve(scope));
 
+        // This thread watches the flag a bare store may raise; it is off
+        // every request's path.
         while !SHUTDOWN.load(Ordering::SeqCst) {
-            let (mut stream, _) = match listener.accept() {
-                Ok(conn) => conn,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                    continue;
-                }
-                Err(_) => continue,
-            };
-            let Some(line) = read_request_line(&stream, REQUEST_LINE_TIMEOUT) else {
-                continue;
-            };
-            let req = match Request::decode(line.trim_end()) {
-                Ok(req) => req,
-                Err(msg) => {
-                    respond(&mut stream, &Response::BadRequest { msg });
-                    continue;
-                }
-            };
-            let budget_ms = req
-                .deadline_ms
-                .map_or(max_deadline_ms, |ms| ms.min(max_deadline_ms));
-            let job = Job {
-                stream,
-                req,
-                deadline: Instant::now() + Duration::from_millis(budget_ms),
-            };
-            if let Err((mut shed, backlog)) = queue.push(job) {
-                // Load shed: hint a backoff proportional to the backlog
-                // per worker, so a thundering herd spreads out.
-                let retry_after_ms =
-                    (25 * backlog as u64 / cfg.workers.max(1) as u64).clamp(25, 1000);
-                respond(&mut shed.stream, &Response::Overloaded { retry_after_ms });
-            }
+            std::thread::sleep(SHUTDOWN_CHECK);
         }
-
+        readers.stop(&cfg.socket);
+        // The listener still holds its file, so a successor's cannot
+        // have reused the identity.
+        if std::fs::symlink_metadata(&cfg.socket).map(file_id).ok() == Some(ours) {
+            let _ = std::fs::remove_file(&cfg.socket);
+        }
         eprintln!("zeusd: draining — rejecting queued work, finishing in-flight requests");
         for mut job in queue.drain() {
             respond(&mut job.stream, &Response::ShuttingDown);
         }
-        // Scope join: workers finish their in-flight jobs (campaigns see
-        // the cancel flag and stop at the next fault boundary).
+        // Scope join: readers give up within a read slice, and workers
+        // finish their in-flight jobs (campaigns see the cancel flag and
+        // stop at the next fault boundary).
     });
 
-    let _ = std::fs::remove_file(&cfg.socket);
     eprintln!("zeusd: drained, exiting");
     Ok(())
 }
@@ -436,12 +594,12 @@ mod tests {
     }
 
     fn push(q: &Queue, client: u64) {
-        assert!(q.push(job(client)).is_ok(), "queue refused client {client}");
+        assert!(q.push(job(client)), "queue refused client {client}");
     }
 
     #[test]
     fn emptied_lanes_leave_and_the_rotation_holds() {
-        let q = Queue::new(64);
+        let q = Queue::new(64, 1);
         // Every zeusc invocation is a new client id.
         for batch in 0..20u64 {
             for client in batch * 50..(batch + 1) * 50 {
@@ -465,6 +623,36 @@ mod tests {
         order.extend((0..4).map(|_| q.pop().unwrap().req.id));
         assert_eq!(order, [1, 2, 3, 1, 2, 1]);
         assert!(unpoisoned(q.inner.lock()).lanes.is_empty());
+    }
+
+    #[test]
+    fn a_full_or_draining_queue_answers_instead_of_queueing() {
+        let q = Queue::new(1, 2);
+        push(&q, 1);
+        // What the client of a refused job reads.
+        let refused = |client: u64| {
+            let (stream, peer) = UnixStream::pair().unwrap();
+            let req = Request {
+                id: client,
+                ..Request::default()
+            };
+            let deadline = Instant::now();
+            assert!(
+                !q.push(Job {
+                    stream,
+                    req,
+                    deadline
+                }),
+                "took client {client}"
+            );
+            let mut answer = String::new();
+            BufReader::new(peer).read_line(&mut answer).unwrap();
+            Response::decode(answer.trim_end())
+        };
+        assert_eq!(refused(2), Ok(Response::Overloaded { retry_after_ms: 25 }));
+        assert_eq!(q.drain().len(), 1);
+        assert_eq!(refused(3), Ok(Response::ShuttingDown));
+        assert!(q.pop().is_none(), "a draining queue still hands out work");
     }
 
     #[test]

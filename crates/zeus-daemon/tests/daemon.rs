@@ -1,13 +1,16 @@
 //! End-to-end tests against a live `zeusd` process: contract parity
-//! with local `zeusc`, caching, backpressure, panic isolation, graceful
-//! drain with journaled resume, and cache-hit latency.
+//! with local `zeusc`, caching, backpressure, slow clients, panic
+//! isolation, graceful drain with journaled resume, and cache-hit
+//! latency.
 
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use zeus_cli::proto::{Request, Response};
@@ -70,9 +73,18 @@ impl Daemon {
 
     /// SIGTERM + wait: the graceful path the daemon advertises.
     fn terminate(&mut self) {
+        self.signal_term();
+        self.wait_exit();
+    }
+
+    /// Sends SIGTERM and returns at once: the drain has begun.
+    fn signal_term(&self) {
         let _ = Command::new("kill")
             .args(["-TERM", &self.child.id().to_string()])
             .status();
+    }
+
+    fn wait_exit(&mut self) {
         let start = Instant::now();
         loop {
             match self.child.try_wait() {
@@ -101,32 +113,63 @@ fn argv(parts: &[&str]) -> Vec<String> {
 
 /// A raw protocol exchange, bypassing the retrying client (so tests can
 /// see `overloaded` / `shutting_down` / `cached` verbatim).
-fn raw(socket: &PathBuf, req: &Request) -> Response {
+fn raw(socket: &Path, req: &Request) -> Response {
+    let mut line = req.encode();
+    line.push('\n');
+    raw_bytes(socket, line.as_bytes())
+}
+
+/// Sends `bytes` as the whole request (no framing added) and decodes
+/// the answer. A daemon past its reader bound answers and closes before
+/// reading anything, so a failed send still leaves an answer to read.
+fn raw_bytes(socket: &Path, bytes: &[u8]) -> Response {
     let mut stream = UnixStream::connect(socket).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(600)))
         .unwrap();
-    let mut line = req.encode();
-    line.push('\n');
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let _ = stream.write_all(bytes);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut answer = String::new();
     BufReader::new(stream).read_line(&mut answer).unwrap();
     Response::decode(answer.trim_end()).expect("decode response")
 }
 
-/// Sends `bytes` as the whole request (no framing added) and decodes
-/// the answer.
-fn raw_bytes(socket: &PathBuf, bytes: &[u8]) -> Response {
-    let mut stream = UnixStream::connect(socket).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream.write_all(bytes).unwrap();
-    stream.shutdown(std::net::Shutdown::Write).unwrap();
-    let mut answer = String::new();
-    BufReader::new(stream).read_line(&mut answer).unwrap();
-    Response::decode(answer.trim_end()).expect("decode response")
+/// A client that connects, sends the first byte of a request line, and
+/// then one more byte every 100 ms, never a newline, until dropped or
+/// the daemon closes the connection.
+struct Trickler {
+    stream: UnixStream,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Trickler {
+    /// Connects and returns once the daemon has surely accepted the
+    /// connection and is reading it.
+    fn start(socket: &Path) -> Trickler {
+        let mut stream = UnixStream::connect(socket).expect("connect");
+        stream.write_all(b"{").unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let thread = std::thread::spawn(move || {
+            while writer.write_all(b" ").is_ok() {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        Trickler {
+            stream,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Trickler {
+    fn drop(&mut self) {
+        // The next write fails, and the thread ends.
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 fn request(parts: &[&str]) -> Request {
@@ -511,6 +554,65 @@ fn retrying_client_rides_out_an_overload() {
 }
 
 // -------------------------------------------------------------------
+// Slow clients: a trickled request line holds only its own reader.
+// -------------------------------------------------------------------
+
+#[test]
+fn a_trickling_client_does_not_hold_up_another() {
+    let daemon = Daemon::spawn("trickle", &[]);
+    let _slow = Trickler::start(&daemon.socket);
+    let case = argv(&[
+        "sim",
+        "@adders",
+        "rippleCarry4",
+        "--cycles",
+        "4",
+        "--seed",
+        "7",
+    ]);
+    let want = zeus_cli::run_captured(&case);
+    let start = Instant::now();
+    let got = run_remote(&daemon.opts(), &case);
+    let took = start.elapsed();
+    match got {
+        RemoteOutcome::Done { code, out, err, .. } => {
+            assert_eq!((code, out, err), want, "remote bytes diverged")
+        }
+        other => panic!("remote sim did not complete: {other:?}"),
+    }
+    assert!(
+        took < Duration::from_secs(2),
+        "a trickling client held another's request for {took:?}"
+    );
+}
+
+#[test]
+fn past_the_reader_bound_a_connection_is_shed_at_once() {
+    let daemon = Daemon::spawn("readers", &["--queue", "1"]);
+    // The trickler holds the only reader slot.
+    let _slow = Trickler::start(&daemon.socket);
+    let start = Instant::now();
+    match raw(&daemon.socket, &request(&["help"])) {
+        Response::Overloaded { retry_after_ms } => assert!(
+            (25..=1000).contains(&retry_after_ms),
+            "retry hint {retry_after_ms}ms outside the advertised range"
+        ),
+        other => panic!("expected overloaded, got {other:?}"),
+    }
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "shed after {took:?}");
+
+    // zeusc reads the same answer, although the daemon closed before
+    // reading its request: its retries end in the overload exit.
+    match run_remote(&daemon.opts(), &argv(&["help"])) {
+        RemoteOutcome::Done { code: 3, err, .. } => {
+            assert!(err.contains("overloaded"), "not an overload: {err}")
+        }
+        other => panic!("expected the persistent-overload exit, got {other:?}"),
+    }
+}
+
+// -------------------------------------------------------------------
 // Panic isolation: a poisoned request answers Z999; the daemon lives.
 // -------------------------------------------------------------------
 
@@ -628,7 +730,38 @@ fn sigterm_mid_campaign_drains_and_restart_resumes_byte_identical() {
     });
     // Let the campaign get well into its fault list, then pull the plug.
     std::thread::sleep(Duration::from_millis(900));
-    daemon.terminate();
+    daemon.signal_term();
+
+    // Connections made once the drain has begun, at once and once the
+    // daemon has surely stopped listening, are refused or answered
+    // `shutting_down` at once: none waits on the in-flight work.
+    for pause in [0, 200] {
+        std::thread::sleep(Duration::from_millis(pause));
+        let start = Instant::now();
+        if let Ok(mut stream) = UnixStream::connect(&socket) {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut line = request(&["help"]).encode();
+            line.push('\n');
+            let _ = stream.write_all(line.as_bytes());
+            let mut answer = String::new();
+            // A reset reads as an error: refused as well.
+            if BufReader::new(stream).read_line(&mut answer).is_ok() && !answer.is_empty() {
+                assert_eq!(
+                    Response::decode(answer.trim_end()),
+                    Ok(Response::ShuttingDown),
+                    "a connection {pause} ms into the drain"
+                );
+            }
+        }
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "a connection {pause} ms into the drain waited {took:?}"
+        );
+    }
+    daemon.wait_exit();
 
     // The in-flight request was not dropped: it answered with partial
     // results and the interrupted exit code, exactly like local Ctrl-C.
@@ -721,6 +854,124 @@ fn draining_daemon_tells_clients_to_go_away() {
     );
 }
 
+#[test]
+fn sigterm_does_not_wait_on_a_trickling_client() {
+    let mut daemon = Daemon::spawn("trickleterm", &[]);
+    let _slow = Trickler::start(&daemon.socket);
+    let start = Instant::now();
+    daemon.terminate();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(2), "drain took {took:?}");
+}
+
+/// The acceptor is woken without the socket file: a drain after the
+/// file was unlinked is as prompt as any.
+#[test]
+fn sigterm_drains_after_the_socket_file_was_unlinked() {
+    let mut daemon = Daemon::spawn("unlinked", &[]);
+    std::fs::remove_file(&daemon.socket).unwrap();
+    let start = Instant::now();
+    daemon.terminate();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "drain took {took:?}");
+}
+
+/// Every reader waiting in `accept` wakes in the drain, not just one:
+/// three slow lines grow the pool to four readers, which all wait in
+/// `accept` again once those clients leave. The socket file is gone, so
+/// only the listening socket itself can wake them.
+#[test]
+fn sigterm_wakes_every_idle_reader() {
+    let mut daemon = Daemon::spawn("idlereaders", &[]);
+    drop(
+        (0..3)
+            .map(|_| Trickler::start(&daemon.socket))
+            .collect::<Vec<_>>(),
+    );
+    std::thread::sleep(Duration::from_millis(200));
+    std::fs::remove_file(&daemon.socket).unwrap();
+    let start = Instant::now();
+    daemon.terminate();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "drain took {took:?}");
+}
+
+/// Requests one at a time reuse the reader pool: zeusd keeps its main
+/// thread, its worker and two readers however many it serves. Each
+/// line read while every reader is busy adds one reader.
+#[cfg(target_os = "linux")]
+#[test]
+fn the_reader_pool_grows_only_while_every_reader_is_busy() {
+    let daemon = Daemon::spawn("pool", &["--workers", "1"]);
+    let threads = || {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.child.id()));
+        let status = status.expect("zeusd's /proc status");
+        let line = status.lines().find(|l| l.starts_with("Threads:"));
+        line.and_then(|l| l[8..].trim().parse::<usize>().ok())
+            .expect("a Threads: line")
+    };
+    // The pool never shrinks before the drain, so the count settles.
+    let settles_at = |want: usize, what: &str| {
+        let start = Instant::now();
+        while threads() != want {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "{} threads, not {want}: {what}",
+                threads()
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    };
+    let serve = || match raw(&daemon.socket, &request(&["help"])) {
+        Response::Ok { code: 0, .. } => {}
+        other => panic!("help failed: {other:?}"),
+    };
+    for _ in 0..20 {
+        serve();
+    }
+    settles_at(4, "main, worker and two readers");
+    let _slow: Vec<Trickler> = (0..3).map(|_| Trickler::start(&daemon.socket)).collect();
+    settles_at(6, "the third slow line found every reader busy");
+    for _ in 0..20 {
+        serve();
+    }
+    settles_at(7, "one reader more than the slow lines hold");
+}
+
+/// A daemon started on the same path replaces the socket file; the
+/// first daemon's drain leaves the successor's file, and so its
+/// service, alone.
+#[test]
+fn a_drain_leaves_a_successors_socket_file_alone() {
+    let mut first = Daemon::spawn("successor", &[]);
+    let socket = first.socket.clone();
+    let replaced = std::fs::metadata(&socket).unwrap().ino();
+    let root = first.root.join("second");
+    let second = Daemon {
+        child: Command::new(env!("CARGO_BIN_EXE_zeusd"))
+            .arg("--socket")
+            .arg(&socket)
+            .arg("--cache")
+            .arg(root.join("cache"))
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn zeusd"),
+        socket: socket.clone(),
+        root,
+    };
+    let start = Instant::now();
+    while std::fs::metadata(&socket).map(|m| m.ino()).ok() == Some(replaced) {
+        assert!(start.elapsed() < Duration::from_secs(20), "never replaced");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    first.terminate();
+    match raw(&second.socket, &request(&["help"])) {
+        Response::Ok { code: 0, .. } => {}
+        other => panic!("the successor stopped serving: {other:?}"),
+    }
+}
+
 // -------------------------------------------------------------------
 // Cache-hit latency vs a cold run.
 // -------------------------------------------------------------------
@@ -728,9 +979,9 @@ fn draining_daemon_tells_clients_to_go_away() {
 #[test]
 fn cache_hit_latency_beats_cold_by_a_wide_margin() {
     let daemon = Daemon::spawn("bench", &[]);
-    // The cold run must cost well above the up-to-25 ms the accept loop
-    // can add to the warm one: about half of blackjack's faults stay
-    // undetected, so they run all 128 vectors.
+    // The cold run must cost well above the warm one's transport and
+    // store read: about half of blackjack's faults stay undetected, so
+    // they run all 128 vectors.
     let req = request(&[
         "fault",
         "@blackjack",

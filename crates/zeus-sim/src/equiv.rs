@@ -256,10 +256,12 @@ pub fn check_equivalent_with(
 }
 
 /// Compares two designs on seeded random stimulus, a falsifier: `rounds`
-/// trials on fresh simulators under `limits`, each a common reset cycle
-/// (RSET high, inputs 0) and then `cycles` cycles, comparing every OUT
-/// bit. Each cycle draws one `u64` (64 lanes) per IN bit, in port order
-/// and LSB-first, from one `StdRng` seeded with `seed`.
+/// trials, each on a pristine copy of one pair of simulators built under
+/// `limits`, each a common reset cycle (RSET high, inputs 0) and then
+/// `cycles` cycles, comparing every OUT bit. Each cycle draws one `u64`
+/// (64 lanes) per IN bit, in port order and LSB-first, from one `StdRng`
+/// seeded with `seed`. Fuel and steps are budgeted per trial; the
+/// deadline bounds the whole call.
 ///
 /// # Errors
 ///
@@ -275,9 +277,14 @@ pub fn check_lockstep(
 ) -> Result<Option<LockstepDivergence>, Diagnostic> {
     let miter = Miter::new(a, b)?;
     let mut rng = StdRng::seed_from_u64(seed);
+    // Built once; each round starts from a clone of the pristine pair,
+    // which shares the compiled programs.
+    let fresh = (
+        PackedSim::with_limits(a.clone(), limits)?,
+        PackedSim::with_limits(b.clone(), limits)?,
+    );
     for round in 0..rounds {
-        let mut sa = PackedSim::with_limits(a.clone(), limits)?;
-        let mut sb = PackedSim::with_limits(b.clone(), limits)?;
+        let (mut sa, mut sb) = fresh.clone();
         sa.set_rset(true);
         sb.set_rset(true);
         miter.step(&mut sa, &mut sb, 0, |_| PackedWord::ZERO)?;
