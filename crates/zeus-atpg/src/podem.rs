@@ -166,14 +166,14 @@ fn equal_set(a: &[Set], b: &[Set]) -> Set {
         let un = x & UU != 0 || y & UU != 0;
         (du, de, un)
     };
-    let states: Vec<(bool, bool, bool)> = a.iter().zip(b).map(|(&x, &y)| pair(x, y)).collect();
-    if states.iter().any(|&(du, _, _)| du) {
+    let states = || a.iter().zip(b).map(|(&x, &y)| pair(x, y));
+    if states().any(|(du, _, _)| du) {
         out |= Z0;
     }
-    if states.iter().all(|&(_, de, _)| de) {
+    if states().all(|(_, de, _)| de) {
         out |= Z1;
     }
-    if states.iter().all(|&(_, de, un)| de || un) && states.iter().any(|&(_, _, un)| un) {
+    if states().all(|(_, de, un)| de || un) && states().any(|(_, _, un)| un) {
         out |= UU;
     }
     out
@@ -258,8 +258,64 @@ pub(crate) struct Podem<'a> {
     pi_of: HashMap<usize, usize>,
     out_nets: Vec<NetId>,
     drivers: Vec<Vec<NodeId>>,
-    /// Scratch: contribution lists per net, reused across imply calls.
-    contribs: Vec<Vec<Set>>,
+    /// Output nets of the Reg and Random nodes, in node order.
+    sources: Vec<usize>,
+    /// The sets of the last implication pass, and its scratch.
+    sets: Implied,
+}
+
+/// What [`Podem::imply`] computes, kept between passes so that a pass
+/// allocates nothing.
+struct Implied {
+    /// Good and faulty possible-value set per net.
+    g: Vec<Set>,
+    f: Vec<Set>,
+    /// Whether a net's set is resolved yet in this pass.
+    g_done: Vec<bool>,
+    f_done: Vec<bool>,
+    /// Contribution lists per net, good and faulty.
+    gc: Vec<Vec<Set>>,
+    fc: Vec<Vec<Set>>,
+    /// The input sets of the node being evaluated.
+    gi: Vec<Set>,
+    fi: Vec<Set>,
+}
+
+impl Implied {
+    fn new(nets: usize) -> Implied {
+        Implied {
+            g: vec![0; nets],
+            f: vec![0; nets],
+            g_done: vec![false; nets],
+            f_done: vec![false; nets],
+            gc: vec![Vec::new(); nets],
+            fc: vec![Vec::new(); nets],
+            gi: Vec::new(),
+            fi: Vec::new(),
+        }
+    }
+}
+
+/// A net's possible values, resolved from its contributions on first
+/// read in a pass and clamped when it is the fault site.
+fn net_of(
+    sets: &mut [Set],
+    done: &mut [bool],
+    contribs: &[Vec<Set>],
+    clamp: Option<(usize, Set)>,
+    i: usize,
+) -> Set {
+    if !done[i] {
+        let mut s = resolve(&contribs[i]);
+        if let Some((site, sv)) = clamp {
+            if site == i {
+                s = sv;
+            }
+        }
+        sets[i] = s;
+        done[i] = true;
+    }
+    sets[i]
 }
 
 impl<'a> Podem<'a> {
@@ -285,6 +341,13 @@ impl<'a> Podem<'a> {
             .outputs()
             .flat_map(|p| p.nets.iter().copied())
             .collect();
+        let sources = design
+            .netlist
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.op, NodeOp::Reg | NodeOp::Random))
+            .map(|n| n.output.index())
+            .collect();
         Ok(Podem {
             design,
             order,
@@ -293,7 +356,8 @@ impl<'a> Podem<'a> {
             pi_of,
             out_nets,
             drivers: design.netlist.drivers_by_net(),
-            contribs: vec![Vec::new(); design.netlist.net_count()],
+            sources,
+            sets: Implied::new(design.netlist.net_count()),
         })
     }
 
@@ -303,77 +367,50 @@ impl<'a> Podem<'a> {
     }
 
     /// One implication pass: computes the good and faulty possible-value
-    /// sets of every net under the partial PI assignment.
-    fn imply(&mut self, assign: &[Option<Value>], site: usize, sv: Value) -> (Vec<Set>, Vec<Set>) {
+    /// sets of every net under the partial PI assignment into
+    /// `self.sets.g` and `self.sets.f`.
+    fn imply(&mut self, assign: &[Option<Value>], site: usize, sv: Value) {
         let nl = &self.design.netlist;
-        let n = nl.net_count();
-        for c in &mut self.contribs {
+        let s = &mut self.sets;
+        for c in s.gc.iter_mut().chain(s.fc.iter_mut()) {
             c.clear();
         }
+        s.g_done.fill(false);
+        s.f_done.fill(false);
         // PI forces are contributions like any other drive; an
         // unassigned PI ranges over the {0,1} a vector stream can apply.
         for (i, &net) in self.pi_nets.iter().enumerate() {
-            self.contribs[net.index()].push(match assign[i] {
+            let v = match assign[i] {
                 Some(v) => singleton(v),
                 None => Z0 | Z1,
-            });
+            };
+            s.gc[net.index()].push(v);
+            s.fc[net.index()].push(v);
         }
         // Sequential/Random sources never appear in combinational mode,
         // but stay sound if they do: their outputs can be anything
         // active.
-        for node in &nl.nodes {
-            if matches!(node.op, NodeOp::Reg | NodeOp::Random) {
-                self.contribs[node.output.index()].push(Z0 | Z1 | UU);
-            }
-        }
-
-        let mut g: Vec<Set> = vec![0; n];
-        let mut f: Vec<Set> = vec![0; n];
-        let mut g_done = vec![false; n];
-        let mut f_done = vec![false; n];
-        // Good-circuit contributions accumulate in `contribs`; faulty
-        // ones in a parallel scratch seeded identically.
-        let mut fcontribs: Vec<Vec<Set>> = self.contribs.clone();
-
-        fn net_of(
-            sets: &mut [Set],
-            done: &mut [bool],
-            contribs: &[Vec<Set>],
-            clamp: Option<(usize, Set)>,
-            i: usize,
-        ) -> Set {
-            if !done[i] {
-                let mut s = resolve(&contribs[i]);
-                if let Some((site, sv)) = clamp {
-                    if site == i {
-                        s = sv;
-                    }
-                }
-                sets[i] = s;
-                done[i] = true;
-            }
-            sets[i]
+        for &net in &self.sources {
+            s.gc[net].push(Z0 | Z1 | UU);
+            s.fc[net].push(Z0 | Z1 | UU);
         }
 
         let clamp = Some((site, singleton(sv)));
-        for k in 0..self.order.len() {
-            let node = &nl.nodes[self.order[k].index()];
-            let gi: Vec<Set> = node
-                .inputs
-                .iter()
-                .map(|p| net_of(&mut g, &mut g_done, &self.contribs, None, p.index()))
-                .collect();
-            let fi: Vec<Set> = node
-                .inputs
-                .iter()
-                .map(|p| net_of(&mut f, &mut f_done, &fcontribs, clamp, p.index()))
-                .collect();
+        for &nid in &self.order {
+            let node = &nl.nodes[nid.index()];
+            s.gi.clear();
+            s.fi.clear();
+            for p in &node.inputs {
+                s.gi.push(net_of(&mut s.g, &mut s.g_done, &s.gc, None, p.index()));
+                s.fi.push(net_of(&mut s.f, &mut s.f_done, &s.fc, clamp, p.index()));
+            }
+            let (gi, fi) = (&s.gi, &s.fi);
             let (gv, fv) = match &node.op {
-                NodeOp::And => (and_set(&gi), and_set(&fi)),
-                NodeOp::Or => (or_set(&gi), or_set(&fi)),
-                NodeOp::Nand => (not_set(and_set(&gi)), not_set(and_set(&fi))),
-                NodeOp::Nor => (not_set(or_set(&gi)), not_set(or_set(&fi))),
-                NodeOp::Xor => (xor_set(&gi), xor_set(&fi)),
+                NodeOp::And => (and_set(gi), and_set(fi)),
+                NodeOp::Or => (or_set(gi), or_set(fi)),
+                NodeOp::Nand => (not_set(and_set(gi)), not_set(and_set(fi))),
+                NodeOp::Nor => (not_set(or_set(gi)), not_set(or_set(fi))),
+                NodeOp::Xor => (xor_set(gi), xor_set(fi)),
                 NodeOp::Not => (not_set(gi[0]), not_set(fi[0])),
                 NodeOp::Equal { width } => {
                     let (ga, gb) = gi.split_at(*width);
@@ -385,15 +422,14 @@ impl<'a> Podem<'a> {
                 NodeOp::Const(v) => (singleton(*v), singleton(*v)),
                 NodeOp::Random | NodeOp::Reg => continue,
             };
-            self.contribs[node.output.index()].push(gv);
-            fcontribs[node.output.index()].push(fv);
+            s.gc[node.output.index()].push(gv);
+            s.fc[node.output.index()].push(fv);
         }
         // Finalize every net that was never read (outputs, the site).
-        for i in 0..n {
-            net_of(&mut g, &mut g_done, &self.contribs, None, i);
-            net_of(&mut f, &mut f_done, &fcontribs, clamp, i);
+        for i in 0..s.g.len() {
+            net_of(&mut s.g, &mut s.g_done, &s.gc, None, i);
+            net_of(&mut s.f, &mut s.f_done, &s.fc, clamp, i);
         }
-        (g, f)
     }
 
     /// Backtrace: walks from `net` toward an unassigned PI, complementing
@@ -483,7 +519,8 @@ impl<'a> Podem<'a> {
             if gov.charge(cost, Span::dummy()).is_err() {
                 return PodemOutcome::Aborted;
             }
-            let (g, f) = self.imply(&assign, site.index(), sv);
+            self.imply(&assign, site.index(), sv);
+            let (g, f) = (&self.sets.g, &self.sets.f);
 
             let detected = self
                 .out_nets
@@ -651,6 +688,176 @@ mod tests {
         let s = xor_set(&[Z0 | Z1, Z0 | Z1]);
         assert!(s & Z0 != 0 && s & Z1 != 0);
         assert_eq!(s & UU, 0);
+    }
+
+    /// The implication pass as it was before it kept its buffers in
+    /// [`Podem`], verbatim: the reference the in-place pass must match.
+    struct Reference<'a> {
+        design: &'a Design,
+        order: Vec<NodeId>,
+        pi_nets: Vec<NetId>,
+        contribs: Vec<Vec<Set>>,
+    }
+
+    impl Reference<'_> {
+        fn imply(
+            &mut self,
+            assign: &[Option<Value>],
+            site: usize,
+            sv: Value,
+        ) -> (Vec<Set>, Vec<Set>) {
+            let nl = &self.design.netlist;
+            let n = nl.net_count();
+            for c in &mut self.contribs {
+                c.clear();
+            }
+            // PI forces are contributions like any other drive; an
+            // unassigned PI ranges over the {0,1} a vector stream can apply.
+            for (i, &net) in self.pi_nets.iter().enumerate() {
+                self.contribs[net.index()].push(match assign[i] {
+                    Some(v) => singleton(v),
+                    None => Z0 | Z1,
+                });
+            }
+            // Sequential/Random sources never appear in combinational mode,
+            // but stay sound if they do: their outputs can be anything
+            // active.
+            for node in &nl.nodes {
+                if matches!(node.op, NodeOp::Reg | NodeOp::Random) {
+                    self.contribs[node.output.index()].push(Z0 | Z1 | UU);
+                }
+            }
+
+            let mut g: Vec<Set> = vec![0; n];
+            let mut f: Vec<Set> = vec![0; n];
+            let mut g_done = vec![false; n];
+            let mut f_done = vec![false; n];
+            // Good-circuit contributions accumulate in `contribs`; faulty
+            // ones in a parallel scratch seeded identically.
+            let mut fcontribs: Vec<Vec<Set>> = self.contribs.clone();
+
+            fn net_of(
+                sets: &mut [Set],
+                done: &mut [bool],
+                contribs: &[Vec<Set>],
+                clamp: Option<(usize, Set)>,
+                i: usize,
+            ) -> Set {
+                if !done[i] {
+                    let mut s = resolve(&contribs[i]);
+                    if let Some((site, sv)) = clamp {
+                        if site == i {
+                            s = sv;
+                        }
+                    }
+                    sets[i] = s;
+                    done[i] = true;
+                }
+                sets[i]
+            }
+
+            let clamp = Some((site, singleton(sv)));
+            for k in 0..self.order.len() {
+                let node = &nl.nodes[self.order[k].index()];
+                let gi: Vec<Set> = node
+                    .inputs
+                    .iter()
+                    .map(|p| net_of(&mut g, &mut g_done, &self.contribs, None, p.index()))
+                    .collect();
+                let fi: Vec<Set> = node
+                    .inputs
+                    .iter()
+                    .map(|p| net_of(&mut f, &mut f_done, &fcontribs, clamp, p.index()))
+                    .collect();
+                let (gv, fv) = match &node.op {
+                    NodeOp::And => (and_set(&gi), and_set(&fi)),
+                    NodeOp::Or => (or_set(&gi), or_set(&fi)),
+                    NodeOp::Nand => (not_set(and_set(&gi)), not_set(and_set(&fi))),
+                    NodeOp::Nor => (not_set(or_set(&gi)), not_set(or_set(&fi))),
+                    NodeOp::Xor => (xor_set(&gi), xor_set(&fi)),
+                    NodeOp::Not => (not_set(gi[0]), not_set(fi[0])),
+                    NodeOp::Equal { width } => {
+                        let (ga, gb) = gi.split_at(*width);
+                        let (fa, fb) = fi.split_at(*width);
+                        (equal_set(ga, gb), equal_set(fa, fb))
+                    }
+                    NodeOp::Buf => (gi[0], fi[0]),
+                    NodeOp::If => (if_set(gi[0], gi[1]), if_set(fi[0], fi[1])),
+                    NodeOp::Const(v) => (singleton(*v), singleton(*v)),
+                    NodeOp::Random | NodeOp::Reg => continue,
+                };
+                self.contribs[node.output.index()].push(gv);
+                fcontribs[node.output.index()].push(fv);
+            }
+            // Finalize every net that was never read (outputs, the site).
+            for i in 0..n {
+                net_of(&mut g, &mut g_done, &self.contribs, None, i);
+                net_of(&mut f, &mut f_done, &fcontribs, clamp, i);
+            }
+            (g, f)
+        }
+    }
+
+    #[test]
+    fn implication_matches_the_reference_pass() {
+        use zeus_elab::elaborate;
+        use zeus_syntax::parse_program;
+
+        const C17: &str = "TYPE c17 = COMPONENT \
+             (IN n1,n2,n3,n6,n7: boolean; OUT n22,n23: boolean) IS \
+             SIGNAL n10,n11,n16,n19: boolean; \
+             BEGIN n10 := NAND(n1,n3); n11 := NAND(n3,n6); \
+             n16 := NAND(n2,n11); n19 := NAND(n11,n7); \
+             n22 := NAND(n10,n16); n23 := NAND(n16,n19) END;";
+        let program = |file: &str| {
+            let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../zeus-programs");
+            std::fs::read_to_string(format!("{dir}/{file}")).unwrap()
+        };
+        let designs = [
+            (program("adders.zeus"), "rippleCarry4", &[][..]),
+            (program("mux.zeus"), "muxtop", &[]),
+            (program("sorter.zeus"), "sorter", &[2, 5]),
+            (C17.to_string(), "c17", &[]),
+        ];
+        // SplitMix64: a fixed seed gives fixed partial assignments.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for (src, top, args) in designs {
+            let d = elaborate(&parse_program(&src).unwrap(), top, args).unwrap();
+            let mut podem = Podem::new(&d).unwrap();
+            let mut reference = Reference {
+                design: &d,
+                order: podem.order.clone(),
+                pi_nets: podem.pi_nets.clone(),
+                contribs: vec![Vec::new(); d.netlist.net_count()],
+            };
+            for net in 0..d.netlist.net_count() {
+                let site = d.netlist.find_ref(NetId(net as u32)).index();
+                for sv in [Value::Zero, Value::One] {
+                    for _ in 0..3 {
+                        let assign: Vec<Option<Value>> = (0..podem.pi_nets.len())
+                            .map(|_| match next() % 3 {
+                                0 => None,
+                                1 => Some(Value::Zero),
+                                _ => Some(Value::One),
+                            })
+                            .collect();
+                        podem.imply(&assign, site, sv);
+                        let want = reference.imply(&assign, site, sv);
+                        assert!(
+                            (&podem.sets.g, &podem.sets.f) == (&want.0, &want.1),
+                            "{top}: net {net} stuck at {sv}, assignment {assign:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use crate::design::{Design, Direction, InstanceNode, LayoutItem, Orientation, Port};
@@ -99,17 +99,18 @@ struct Env<'a> {
 
 impl<'a> Env<'a> {
     fn root() -> Rc<Env<'a>> {
-        Rc::new(Env {
-            parent: None,
-            consts: RefCell::new(HashMap::new()),
-            types: RefCell::new(HashMap::new()),
-            signals: RefCell::new(HashMap::new()),
-        })
+        Env::new(None)
     }
 
     fn child(parent: &Rc<Env<'a>>) -> Rc<Env<'a>> {
+        Env::new(Some(Rc::clone(parent)))
+    }
+
+    fn new(parent: Option<Rc<Env<'a>>>) -> Rc<Env<'a>> {
+        #[cfg(test)]
+        tests::LIVE_ENVS.with(|n| n.set(n.get() + 1));
         Rc::new(Env {
-            parent: Some(Rc::clone(parent)),
+            parent,
             consts: RefCell::new(HashMap::new()),
             types: RefCell::new(HashMap::new()),
             signals: RefCell::new(HashMap::new()),
@@ -128,6 +129,13 @@ impl<'a> Env<'a> {
             return Some(Rc::clone(s));
         }
         self.parent.as_deref().and_then(|p| p.lookup_signal(name))
+    }
+}
+
+#[cfg(test)]
+impl Drop for Env<'_> {
+    fn drop(&mut self) {
+        tests::LIVE_ENVS.with(|n| n.set(n.get() - 1));
     }
 }
 
@@ -295,6 +303,17 @@ struct Elab<'a> {
     children: HashMap<String, Vec<(String, String, String)>>, // parent → (key, path, type)
     layouts: HashMap<String, Vec<LayoutItem>>,
     names: HashMap<String, NetId>,
+    /// Every environment that declares a TYPE. Its closures hold it
+    /// (`TypeClosure::env`), an `Rc` cycle that dropping `Elab` breaks.
+    typed_envs: Vec<Weak<Env<'a>>>,
+}
+
+impl Drop for Elab<'_> {
+    fn drop(&mut self) {
+        for env in self.typed_envs.iter().filter_map(Weak::upgrade) {
+            env.types.borrow_mut().clear();
+        }
+    }
 }
 
 type R<T> = Result<T, Diagnostic>;
@@ -323,6 +342,7 @@ impl<'a> Elab<'a> {
             children: HashMap::new(),
             layouts: HashMap::new(),
             names: HashMap::new(),
+            typed_envs: Vec::new(),
         }
     }
 
@@ -418,6 +438,9 @@ impl<'a> Elab<'a> {
                 }
                 ast::Decl::Type(defs) => {
                     for def in defs {
+                        if env.types.borrow().is_empty() {
+                            self.typed_envs.push(Rc::downgrade(env));
+                        }
                         env.types.borrow_mut().insert(
                             def.name.name.clone(),
                             TypeClosure {
@@ -2988,4 +3011,38 @@ fn reg_shape<'a>() -> (Shape, Rc<BindTree<'a>>) {
             vec![Rc::new(BindTree::Leaf), Rc::new(BindTree::Leaf)],
         )),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+    use zeus_syntax::parse_program;
+
+    thread_local! {
+        /// Environments built and not yet freed on this thread.
+        pub(super) static LIVE_ENVS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    #[test]
+    fn elaboration_frees_every_environment() {
+        // A root TYPE, a component that declares its own TYPE, and an
+        // instance of it: each environment that holds a TYPE closure is
+        // part of a cycle unless elaboration breaks it.
+        let src = "TYPE inv = COMPONENT (IN a: boolean; OUT q: boolean) IS \
+             BEGIN q := NOT a END; \
+             top = COMPONENT (IN a: boolean; OUT q: boolean) IS \
+             TYPE buf = COMPONENT (IN a: boolean; OUT q: boolean) IS \
+             BEGIN q := a END; \
+             SIGNAL i: inv; b: buf; \
+             BEGIN i.a := a; b.a := i.q; q := b.q END;";
+        let program = parse_program(src).unwrap();
+        assert_eq!(LIVE_ENVS.with(Cell::get), 0);
+        elaborate(&program, "top", &[]).expect("elaborates");
+        assert_eq!(LIVE_ENVS.with(Cell::get), 0, "after an Ok elaboration");
+        elaborate(&program, "missing", &[]).expect_err("no such top");
+        assert_eq!(LIVE_ENVS.with(Cell::get), 0, "after an Err elaboration");
+        elaborate(&program, "top", &[1]).expect_err("top takes no argument");
+        assert_eq!(LIVE_ENVS.with(Cell::get), 0, "after a failed instance");
+    }
 }

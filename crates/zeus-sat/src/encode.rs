@@ -24,11 +24,26 @@
 //! divergence, and UNSAT is a proof that no 0/1 input sequence of that
 //! length can.
 //!
+//! The faulty copy is **restricted to the fault's fanout cone** without
+//! computing one (the standard SAT-ATPG formulation, Larrabee 1992).
+//! Every AND is hash-consed on its folded literal set, and OR, MUX and
+//! every gate rule go through AND. The faulty copy reads the same input
+//! and state literals as the good one, so each gate outside the fault
+//! site's transitive fanout resolves to the good copy's literal. An
+//! output or next-state rail outside the cone is then one literal in
+//! both copies, its difference folds to false, and it drops out of the
+//! difference clause; a fault whose cone holds no compared rail leaves
+//! the empty clause. Sharing only merges equivalent definitions, so the
+//! formula is equisatisfiable with the unshared one over the same
+//! primary-input variables, with fewer variables and clauses.
+//!
 //! Sequential designs are handled by **time-frame expansion**: `frames`
 //! copies of the transition relation, register state threaded between
 //! them through the latch rule `state' = (d == NOINFL ? state : d)`,
 //! with concrete initial states supplied by the caller (captured from a
 //! replay of the already-emitted vector set).
+
+use std::collections::HashMap;
 
 use crate::cnf::{Cnf, Lit, Var};
 use zeus_elab::{Design, Fault, FaultKind, Governor, Netlist, NodeId, NodeOp};
@@ -96,10 +111,15 @@ struct Code {
     n: Lit,
 }
 
-/// Tseitin builder with a constant-true literal and structural folding.
+/// Tseitin builder with a constant-true literal, structural folding and
+/// structural hashing.
 struct Enc {
     cnf: Cnf,
     t: Lit,
+    /// Every AND defined so far: its sorted literal set → the literal
+    /// that defines it. Only ever looked up, never iterated, so the
+    /// variable numbering stays a function of the call sequence.
+    ands: HashMap<Vec<Lit>, Lit>,
 }
 
 impl Enc {
@@ -107,7 +127,11 @@ impl Enc {
         let mut cnf = Cnf::new();
         let t = Lit::pos(cnf.fresh());
         cnf.add(&[t]);
-        Enc { cnf, t }
+        Enc {
+            cnf,
+            t,
+            ands: HashMap::new(),
+        }
     }
 
     fn f(&self) -> Lit {
@@ -125,7 +149,9 @@ impl Enc {
     }
 
     /// A literal equivalent to the conjunction of `lits`, folding
-    /// constants and duplicates.
+    /// constants and duplicates. A conjunction of the same literal set
+    /// as an earlier one returns that one's literal, so a gate whose
+    /// inputs are the same literals in both copies is defined once.
     fn and(&mut self, lits: &[Lit]) -> Lit {
         let f = self.f();
         let mut v: Vec<Lit> = Vec::with_capacity(lits.len());
@@ -145,6 +171,11 @@ impl Enc {
             0 => self.t,
             1 => v[0],
             _ => {
+                let mut key = v.clone();
+                key.sort_unstable();
+                if let Some(&x) = self.ands.get(&key) {
+                    return x;
+                }
                 let x = Lit::pos(self.cnf.fresh());
                 for &l in &v {
                     self.cnf.add(&[x.negate(), l]);
@@ -152,6 +183,7 @@ impl Enc {
                 let mut long: Vec<Lit> = v.iter().map(|l| l.negate()).collect();
                 long.push(x);
                 self.cnf.add(&long);
+                self.ands.insert(key, x);
                 x
             }
         }
@@ -634,4 +666,106 @@ pub fn encode_lockstep(
     }
     e.require_any(diffs);
     Ok(e.cnf)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zeus_elab::{elaborate, Limits};
+    use zeus_syntax::parse_program;
+
+    fn design(src: &str, top: &str) -> Design {
+        elaborate(&parse_program(src).unwrap(), top, &[]).unwrap()
+    }
+
+    fn detection(d: &Design, fault: Fault) -> Cnf {
+        let opts = EncodeOptions {
+            frames: 1,
+            ..EncodeOptions::default()
+        };
+        let mut gov = Limits::new().governor();
+        encode_detection(d, fault, &opts, &mut gov).unwrap().cnf
+    }
+
+    fn lockstep(d: &Design, fault: Fault) -> Cnf {
+        encode_lockstep(d, fault, &mut Limits::new().governor()).unwrap()
+    }
+
+    fn size(cnf: &Cnf) -> (u32, usize) {
+        (cnf.num_vars, cnf.clauses.len())
+    }
+
+    /// The variables and clauses of one good frame of `d` on its own.
+    fn good_copy(d: &Design, fault: Fault) -> (u32, usize) {
+        let c = Circuit::new(d, fault).unwrap();
+        let mut e = Enc::new();
+        let rset = e.code(Value::Zero);
+        let (forced, _) = c.forced(&mut e, Some(rset));
+        eval_frame(&mut e, &c, &forced, &[], false);
+        size(&e.cnf)
+    }
+
+    #[test]
+    fn a_fault_that_reaches_no_output_encodes_the_empty_clause() {
+        // `t` feeds nothing; the register and both gates on the output
+        // path are the same literals in both copies.
+        let d = design(
+            "TYPE dangle = COMPONENT (IN a,b,c: boolean; OUT q: boolean) IS \
+             SIGNAL t: boolean; r: REG; \
+             BEGIN t := AND(a,b); r.in := XOR(c, r.out); q := AND(r.out, a) END;",
+            "dangle",
+        );
+        let site = d.names["dangle.t"];
+        for fault in [Fault::stuck_at_0(site), Fault::stuck_at_1(site)] {
+            for (name, cnf) in [
+                ("detection", detection(&d, fault)),
+                ("lockstep", lockstep(&d, fault)),
+            ] {
+                assert!(
+                    cnf.clauses.iter().any(Vec::is_empty),
+                    "{name} formula of {:?} lacks the empty clause",
+                    fault.kind
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_cone_a_fault_cannot_reach_is_encoded_once() {
+        // Two output cones that share no gate; the fault sits in `p`'s.
+        // Deepening `q`'s cone must grow the formula by what it grows
+        // the good copy alone: the faulty copy shares all of it.
+        let src = |depth: usize| {
+            let mut q = "AND(c,d)".to_string();
+            for i in 0..depth {
+                q = if i % 2 == 0 {
+                    format!("OR(c, {q})")
+                } else {
+                    format!("AND(d, {q})")
+                };
+            }
+            format!(
+                "TYPE two = COMPONENT (IN a,b,c,d: boolean; OUT p,q: boolean) IS \
+                 BEGIN p := AND(a,b); q := {q} END;"
+            )
+        };
+        let (small, large) = (design(&src(2), "two"), design(&src(8), "two"));
+        let fault = |d: &Design| Fault::stuck_at_0(d.port("p").unwrap().nets[0]);
+        let grow = |a: (u32, usize), b: (u32, usize)| (b.0 - a.0, b.1 - a.1);
+        let good = grow(
+            good_copy(&small, fault(&small)),
+            good_copy(&large, fault(&large)),
+        );
+        assert!(good.0 > 0 && good.1 > 0, "q's cone did not grow: {good:?}");
+        for (name, encode) in [
+            ("detection", detection as fn(&Design, Fault) -> Cnf),
+            ("lockstep", lockstep),
+        ] {
+            let formula = grow(
+                size(&encode(&small, fault(&small))),
+                size(&encode(&large, fault(&large))),
+            );
+            assert_eq!(formula, good, "{name}: (vars, clauses) growth");
+        }
+    }
 }
