@@ -299,7 +299,7 @@ struct Elab<'a> {
     rset: Option<NetId>,
     /// Pins of the top component: externally driven, exempt from the
     /// never-assigned warning.
-    top_pins: HashSet<u32>,
+    top_pins: Vec<NetId>,
     children: HashMap<String, Vec<(String, String, String)>>, // parent → (key, path, type)
     layouts: HashMap<String, Vec<LayoutItem>>,
     names: HashMap<String, NetId>,
@@ -338,7 +338,7 @@ impl<'a> Elab<'a> {
             instance_count: 0,
             clk: None,
             rset: None,
-            top_pins: HashSet::new(),
+            top_pins: Vec::new(),
             children: HashMap::new(),
             layouts: HashMap::new(),
             names: HashMap::new(),
@@ -653,19 +653,13 @@ impl<'a> Elab<'a> {
     }
 
     fn make_nets(&mut self, shape: &Shape, path: &str, span: Span) -> Vec<NetId> {
-        let mut names = Vec::with_capacity(shape.bit_len());
-        shape.bit_names(path, &mut names);
-        let kinds = shape.bits_with_modes();
-        debug_assert_eq!(names.len(), kinds.len());
-        names
-            .into_iter()
-            .zip(kinds)
-            .map(|(name, (kind, _))| {
-                let id = self.nl.add_net(kind, name.clone(), span);
-                self.names.insert(name, id);
-                id
-            })
-            .collect()
+        let mut nets = Vec::with_capacity(shape.bit_len());
+        shape.for_each_bit(&mut path.to_string(), &mut |name, kind| {
+            let id = self.nl.add_net(kind, name, span);
+            self.names.insert(name.to_string(), id);
+            nets.push(id);
+        });
+        nets
     }
 
     /// Registers pending instances for every record-with-body in the slot.
@@ -884,7 +878,7 @@ impl<'a> Elab<'a> {
         // are externally driven, so exempt them from driver warnings.
         for &n in &nets {
             self.touch(n, F_READ);
-            self.top_pins.insert(n.0);
+            self.top_pins.push(n);
         }
 
         let top_pending = Pending {
@@ -2908,11 +2902,11 @@ impl<'a> Elab<'a> {
             cond: u32,
             span: Span,
         }
-        let mut by_class: HashMap<u32, Acc> = HashMap::new();
-        let recs = std::mem::take(&mut self.drivers);
-        for rec in &recs {
-            let rep = self.nl.find(NetId(rec.net));
-            let acc = by_class.entry(rep.0).or_default();
+        // One tally per net, indexed by alias representative, so the
+        // errors come out in ascending net order.
+        let mut by_class: Vec<Acc> = vec![Acc::default(); self.nl.nets.len()];
+        for rec in std::mem::take(&mut self.drivers) {
+            let acc = &mut by_class[self.nl.find(NetId(rec.net)).index()];
             if rec.cond {
                 acc.cond += 1;
             } else {
@@ -2920,8 +2914,8 @@ impl<'a> Elab<'a> {
             }
             acc.span = rec.span;
         }
-        for (net, acc) in &by_class {
-            let name = self.nl.nets[*net as usize].name.clone();
+        for (net, acc) in by_class.iter().enumerate() {
+            let name = &self.nl.nets[net].name;
             if acc.uncond > 1 {
                 self.errs.push(Diagnostic::error(
                     acc.span,
@@ -2942,25 +2936,21 @@ impl<'a> Elab<'a> {
             }
         }
         // Warn about boolean signals that are read but never driven.
-        let drivers = self.nl.drivers_by_net();
-        let mut port_nets: HashSet<u32> = HashSet::new();
-        if let Some(c) = self.clk {
-            port_nets.insert(self.nl.find(c).0);
+        let mut driven = vec![false; self.nl.nets.len()];
+        for node in &self.nl.nodes {
+            driven[node.output.index()] = true;
         }
-        if let Some(rst) = self.rset {
-            port_nets.insert(self.nl.find(rst).0);
+        // Externally driven: exempt.
+        let mut port_net = vec![false; self.nl.nets.len()];
+        for n in self.clk.into_iter().chain(self.rset) {
+            port_net[self.nl.find(n).index()] = true;
         }
-        let pins: Vec<u32> = self.top_pins.iter().copied().collect();
-        for p in pins {
-            let rep = self.nl.find(NetId(p));
-            port_nets.insert(rep.0);
+        for &n in &self.top_pins {
+            port_net[self.nl.find(n).index()] = true;
         }
         for (i, net) in self.nl.nets.iter().enumerate() {
             let rep = self.nl.find_ref(NetId(i as u32));
-            if rep.0 != i as u32 {
-                continue;
-            }
-            if port_nets.contains(&rep.0) {
+            if rep.0 != i as u32 || port_net[i] {
                 continue;
             }
             let read = self
@@ -2969,7 +2959,7 @@ impl<'a> Elab<'a> {
                 .map(|f| f & F_READ != 0)
                 .unwrap_or(false);
             if read
-                && drivers[i].is_empty()
+                && !driven[i]
                 && net.kind == BasicKind::Boolean
                 && self
                     .touched

@@ -191,18 +191,7 @@ impl Netlist {
 
     /// Finds the alias-class representative of a net (path-compressing).
     pub fn find(&mut self, n: NetId) -> NetId {
-        let mut root = n.0;
-        while self.alias[root as usize] != root {
-            root = self.alias[root as usize];
-        }
-        // Path compression.
-        let mut cur = n.0;
-        while self.alias[cur as usize] != root {
-            let next = self.alias[cur as usize];
-            self.alias[cur as usize] = root;
-            cur = next;
-        }
-        NetId(root)
+        find_compressing(&mut self.alias, n)
     }
 
     /// Non-compressing find for shared references.
@@ -276,12 +265,14 @@ impl Netlist {
     /// rule "we disallow feedback loops which do not lead through
     /// registers" (§1).
     pub fn finish(&mut self) -> Result<(), Diagnostics> {
-        for i in 0..self.nodes.len() {
-            let inputs: Vec<NetId> = self.nodes[i].inputs.clone();
-            let mapped: Vec<NetId> = inputs.into_iter().map(|n| self.find(n)).collect();
-            self.nodes[i].inputs = mapped;
-            let out = self.nodes[i].output;
-            self.nodes[i].output = self.find(out);
+        // In place, in the order `find` would be called node by node:
+        // path compression leaves the alias vector the writer exports.
+        let Netlist { nodes, alias, .. } = self;
+        for node in nodes {
+            for n in &mut node.inputs {
+                *n = find_compressing(alias, *n);
+            }
+            node.output = find_compressing(alias, node.output);
         }
         self.finished = true;
         match self.topo_order() {
@@ -321,7 +312,7 @@ impl Netlist {
     ///
     /// Returns a diagnostic if a combinational cycle exists.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, Diagnostic> {
-        match combinational_order(&self.nodes, self.nets.len(), |_| true, []) {
+        match combinational_order(&self.nodes, self.nets.len(), |_| true, &[]) {
             Ok(order) => Ok(order.into_iter().map(|i| NodeId(i as u32)).collect()),
             Err(witness) => {
                 let net = &self.nets[self.nodes[witness].output.index()];
@@ -364,7 +355,7 @@ impl Netlist {
                 }
             }
         }
-        let group_edges = self
+        let group_edges: Vec<(usize, usize)> = self
             .group_constraints
             .iter()
             .filter_map(|c| Some((by_group.get(&c.before)?, by_group.get(&c.after)?)))
@@ -372,8 +363,9 @@ impl Netlist {
                 before
                     .iter()
                     .flat_map(move |&a| after.iter().map(move |&b| (a, b)))
-            });
-        match combinational_order(&self.nodes, self.nets.len(), |_| true, group_edges) {
+            })
+            .collect();
+        match combinational_order(&self.nodes, self.nets.len(), |_| true, &group_edges) {
             Ok(_) => Ok(()),
             Err(witness) => Err(Diagnostic::error(
                 self.nodes[witness].span,
@@ -434,12 +426,34 @@ impl Netlist {
     }
 }
 
+/// The representative of `n`'s alias class; every net on the way
+/// is pointed straight at it.
+fn find_compressing(alias: &mut [u32], n: NetId) -> NetId {
+    let mut root = n.0;
+    while alias[root as usize] != root {
+        root = alias[root as usize];
+    }
+    let mut cur = n.0;
+    while alias[cur as usize] != root {
+        let next = alias[cur as usize];
+        alias[cur as usize] = root;
+        cur = next;
+    }
+    NetId(root)
+}
+
 /// Kahn's algorithm over the combinational nodes of `nodes` for which
 /// `live` holds: node A precedes node B when A drives an input of B, and
-/// each `(a, b)` of `extra` adds one more such edge. Edges are built in
-/// node-index order and the FIFO queue is seeded in ascending order, so
-/// equal inputs give equal orders; the simulators' RANDOM draws follow
-/// them.
+/// each `(a, b)` of `extra` adds one more such edge. A node's successors
+/// are taken in node-index order (once per input that reads it), then
+/// its `extra` edges in the order given, and the FIFO queue is seeded in
+/// ascending order, so equal inputs give equal orders; the simulators'
+/// RANDOM draws follow them.
+///
+/// The graph is held flat: a node's data successors are the readers of
+/// its output net, one offsets array and one index array over all nets,
+/// and its in-degree is the number of combinational drivers summed over
+/// its inputs. No list is allocated per node or per net.
 ///
 /// # Errors
 ///
@@ -449,35 +463,47 @@ pub fn combinational_order(
     nodes: &[Node],
     net_count: usize,
     live: impl Fn(usize) -> bool,
-    extra: impl IntoIterator<Item = (usize, usize)>,
+    extra: &[(usize, usize)],
 ) -> Result<Vec<usize>, usize> {
     let n = nodes.len();
-    let mut drivers: Vec<Vec<usize>> = vec![Vec::new(); net_count];
-    for (i, node) in nodes.iter().enumerate() {
-        if live(i) {
-            drivers[node.output.index()].push(i);
-        }
-    }
     let comb = |i: usize| live(i) && !nodes[i].op.is_sequential();
-    let mut indegree = vec![0usize; n];
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (bi, b) in nodes.iter().enumerate() {
-        if !comb(bi) {
-            continue;
-        }
-        for inp in &b.inputs {
-            for &a in &drivers[inp.index()] {
-                if nodes[a].op.is_sequential() {
-                    continue;
-                }
-                edges[a].push(bi);
-                indegree[bi] += 1;
+    // Combinational drivers per net, and per net the end of its reader
+    // list in `readers`.
+    let mut drivers = vec![0usize; net_count];
+    let mut start = vec![0usize; net_count + 1];
+    for (i, node) in nodes.iter().enumerate() {
+        if comb(i) {
+            drivers[node.output.index()] += 1;
+            for inp in &node.inputs {
+                start[inp.index()] += 1;
             }
         }
     }
-    for (a, b) in extra {
-        edges[a].push(b);
+    let total = prefix_sums(&mut start);
+    // Filled back to front, so each list ends up in node-index order and
+    // `start[net]..start[net + 1]` spans it.
+    let mut readers = vec![0u32; total];
+    let mut indegree = vec![0usize; n];
+    for (i, node) in nodes.iter().enumerate().rev() {
+        if comb(i) {
+            for inp in &node.inputs {
+                start[inp.index()] -= 1;
+                readers[start[inp.index()]] = i as u32;
+                indegree[i] += drivers[inp.index()];
+            }
+        }
+    }
+    // The extra edges by source, likewise.
+    let mut extra_start = vec![0usize; n + 1];
+    for &(a, b) in extra {
+        extra_start[a] += 1;
         indegree[b] += 1;
+    }
+    prefix_sums(&mut extra_start);
+    let mut extra_dst = vec![0u32; extra.len()];
+    for &(a, b) in extra.iter().rev() {
+        extra_start[a] -= 1;
+        extra_dst[extra_start[a]] = b as u32;
     }
     // The queue is the order: every node enters it once, when its last
     // predecessor has been placed.
@@ -486,7 +512,15 @@ pub fn combinational_order(
     while head < order.len() {
         let x = order[head];
         head += 1;
-        for &m in &edges[x] {
+        let data: &[u32] = if comb(x) {
+            let net = nodes[x].output.index();
+            &readers[start[net]..start[net + 1]]
+        } else {
+            &[]
+        };
+        let more = &extra_dst[extra_start[x]..extra_start[x + 1]];
+        for &m in data.iter().chain(more) {
+            let m = m as usize;
             indegree[m] -= 1;
             if indegree[m] == 0 {
                 order.push(m);
@@ -499,9 +533,21 @@ pub fn combinational_order(
     }
 }
 
+/// Turns per-slot counts into inclusive running sums and returns the
+/// total. A zero-count slot at the end ends up holding the total too.
+fn prefix_sums(counts: &mut [usize]) -> usize {
+    let mut acc = 0;
+    for c in counts {
+        acc += *c;
+        *c = acc;
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bnet(nl: &mut Netlist, name: &str) -> NetId {
         nl.add_net(BasicKind::Boolean, name, Span::dummy())
@@ -603,6 +649,182 @@ mod tests {
             after: 0,
         });
         assert!(nl.check_group_compatibility().is_err());
+    }
+
+    /// The parent version of [`combinational_order`], kept as the
+    /// reference the flat one must match: edges as one `Vec` per node,
+    /// drivers as one `Vec` per net.
+    fn combinational_order_reference(
+        nodes: &[Node],
+        net_count: usize,
+        live: impl Fn(usize) -> bool,
+        extra: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Result<Vec<usize>, usize> {
+        let n = nodes.len();
+        let mut drivers: Vec<Vec<usize>> = vec![Vec::new(); net_count];
+        for (i, node) in nodes.iter().enumerate() {
+            if live(i) {
+                drivers[node.output.index()].push(i);
+            }
+        }
+        let comb = |i: usize| live(i) && !nodes[i].op.is_sequential();
+        let mut indegree = vec![0usize; n];
+        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (bi, b) in nodes.iter().enumerate() {
+            if !comb(bi) {
+                continue;
+            }
+            for inp in &b.inputs {
+                for &a in &drivers[inp.index()] {
+                    if nodes[a].op.is_sequential() {
+                        continue;
+                    }
+                    edges[a].push(bi);
+                    indegree[bi] += 1;
+                }
+            }
+        }
+        for (a, b) in extra {
+            edges[a].push(b);
+            indegree[b] += 1;
+        }
+        let mut order: Vec<usize> = (0..n).filter(|&i| comb(i) && indegree[i] == 0).collect();
+        let mut head = 0;
+        while head < order.len() {
+            let x = order[head];
+            head += 1;
+            for &m in &edges[x] {
+                indegree[m] -= 1;
+                if indegree[m] == 0 {
+                    order.push(m);
+                }
+            }
+        }
+        match (0..n).find(|&i| comb(i) && indegree[i] > 0) {
+            Some(witness) => Err(witness),
+            None => Ok(order),
+        }
+    }
+
+    /// A small deterministic generator (SplitMix64) for random graphs.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n` (`n > 0`).
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// True with probability `pct`%.
+        fn pct(&mut self, pct: usize) -> bool {
+            self.below(100) < pct
+        }
+    }
+
+    /// A random node array with a liveness mask and extra edges. Most
+    /// combinational nodes read nets numbered below their output, so
+    /// the graph is mostly layered; registers read anything; some nets
+    /// get several drivers, some nodes read one net twice, and a few
+    /// reads go upward, which plants cycles. The node array is then
+    /// shuffled. Extra edges join random node pairs, registers and dead
+    /// nodes included.
+    #[allow(clippy::type_complexity)]
+    fn random_graph(seed: u64) -> (Vec<Node>, usize, Vec<bool>, Vec<(usize, usize)>) {
+        let mut g = Gen(seed);
+        let net_count = 2 + g.below(40);
+        let ops = [
+            NodeOp::And,
+            NodeOp::Or,
+            NodeOp::Xor,
+            NodeOp::Not,
+            NodeOp::Buf,
+            NodeOp::If,
+            NodeOp::Reg,
+            NodeOp::Random,
+            NodeOp::Const(Value::One),
+        ];
+        let mut nodes = Vec::new();
+        for o in 1..net_count {
+            let drivers = [1, 1, 1, 2, 3][g.below(5)];
+            for _ in 0..drivers {
+                let op = ops[g.below(ops.len())].clone();
+                let arity = match op {
+                    NodeOp::Const(_) | NodeOp::Random => 0,
+                    NodeOp::Not | NodeOp::Buf | NodeOp::Reg => 1,
+                    NodeOp::If => 2,
+                    _ => 1 + g.below(4),
+                };
+                let mut inputs: Vec<NetId> = Vec::new();
+                for _ in 0..arity {
+                    let n = if op == NodeOp::Reg || g.pct(4) {
+                        g.below(net_count)
+                    } else if !inputs.is_empty() && g.pct(15) {
+                        inputs[g.below(inputs.len())].index()
+                    } else {
+                        g.below(o)
+                    };
+                    inputs.push(NetId(n as u32));
+                }
+                nodes.push(Node {
+                    op,
+                    inputs,
+                    output: NetId(o as u32),
+                    group: None,
+                    span: Span::dummy(),
+                });
+            }
+        }
+        for i in (1..nodes.len()).rev() {
+            nodes.swap(i, g.below(i + 1));
+        }
+        let live = (0..nodes.len()).map(|_| !g.pct(10)).collect();
+        let mut extra = Vec::new();
+        if !nodes.is_empty() && g.pct(50) {
+            for _ in 0..g.below(12) {
+                extra.push((g.below(nodes.len()), g.below(nodes.len())));
+            }
+        }
+        (nodes, net_count, live, extra)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The flat Kahn pass gives the reference's order, or its
+        /// witness, on every graph: live masks, registers, multi-driver
+        /// nets, repeated inputs, extra edges and planted cycles.
+        #[test]
+        fn flat_order_matches_the_reference(seed in any::<u64>()) {
+            let (nodes, nets, live, extra) = random_graph(seed);
+            let got = combinational_order(&nodes, nets, |i| live[i], &extra);
+            let want = combinational_order_reference(&nodes, nets, |i| live[i], extra.iter().copied());
+            prop_assert_eq!(got, want, "seed {:#x}", seed);
+        }
+    }
+
+    #[test]
+    fn random_graphs_cover_orders_and_cycles() {
+        let (mut ordered, mut cyclic) = (0, 0);
+        for seed in 0..400 {
+            let (nodes, nets, live, extra) = random_graph(seed);
+            match combinational_order(&nodes, nets, |i| live[i], &extra) {
+                Ok(order) if order.len() > 3 => ordered += 1,
+                Ok(_) => {}
+                Err(_) => cyclic += 1,
+            }
+        }
+        assert!(
+            ordered > 40 && cyclic > 40,
+            "{ordered} ordered, {cyclic} cyclic"
+        );
     }
 
     #[test]

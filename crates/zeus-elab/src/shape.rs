@@ -7,6 +7,7 @@
 //! assignment compatibility ("we require that the type of e has the same
 //! number of substructures of basic type as the type of s").
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 use zeus_sema::rules::BasicKind;
 use zeus_syntax::ast::Mode;
@@ -133,20 +134,29 @@ impl Shape {
         v
     }
 
-    /// Hierarchical names for all bits in natural order, e.g.
-    /// `top.add[1].cout`.
-    pub fn bit_names(&self, prefix: &str, out: &mut Vec<String>) {
+    /// Calls `f` with the hierarchical name (e.g. `top.add[1].cout`) and
+    /// the basic kind of every bit, in natural order. `name` holds the
+    /// prefix on entry and again on return: each level appends its
+    /// selector to it and truncates it back, so no level formats a
+    /// string of its own.
+    pub fn for_each_bit<F: FnMut(&str, BasicKind)>(&self, name: &mut String, f: &mut F) {
+        let len = name.len();
         match self {
-            Shape::Basic(_) => out.push(prefix.to_string()),
+            Shape::Basic(k) => f(name, *k),
             Shape::Virtual => {}
             Shape::Array { lo, hi, elem } => {
                 for i in 0..Shape::array_len(*lo, *hi) {
-                    elem.bit_names(&format!("{prefix}[{}]", lo + i as i64), out);
+                    let _ = write!(name, "[{}]", lo + i as i64);
+                    elem.for_each_bit(name, f);
+                    name.truncate(len);
                 }
             }
             Shape::Record(r) => {
-                for f in &r.fields {
-                    f.shape.bit_names(&format!("{prefix}.{}", f.name), out);
+                for field in &r.fields {
+                    name.push('.');
+                    name.push_str(&field.name);
+                    field.shape.for_each_bit(name, f);
+                    name.truncate(len);
                 }
             }
         }
@@ -288,6 +298,35 @@ mod tests {
         assert_eq!((i, off), (1, 3));
         assert_eq!(f.mode, Mode::Out);
         assert!(r.field("zz").is_none());
+    }
+
+    #[test]
+    fn bits_are_named_and_kinded_in_natural_order() {
+        let pair = Shape::Array {
+            lo: -1,
+            hi: 0,
+            elem: Arc::new(Shape::boolean()),
+        };
+        let shape = rec(
+            vec![
+                ("a", Mode::In, pair),
+                ("v", Mode::In, Shape::Virtual),
+                ("m", Mode::Out, Shape::multiplex()),
+            ],
+            true,
+        );
+        let mut name = String::from("top");
+        let mut bits = Vec::new();
+        shape.for_each_bit(&mut name, &mut |n, k| bits.push((n.to_string(), k)));
+        assert_eq!(name, "top", "the prefix is restored");
+        let b = BasicKind::Boolean;
+        let want = [
+            ("top.a[-1]", b),
+            ("top.a[0]", b),
+            ("top.m", BasicKind::Multiplex),
+        ];
+        let want: Vec<(String, BasicKind)> = want.iter().map(|&(n, k)| (n.into(), k)).collect();
+        assert_eq!(bits, want);
     }
 
     #[test]

@@ -300,3 +300,36 @@ fn design_and_simulator_are_send() {
     });
     assert_eq!(handle.join().unwrap(), Some(0));
 }
+
+#[test]
+fn driver_diagnostics_come_out_in_ascending_net_order() {
+    // Five doubly assigned outputs, declared t..p, and one signal that
+    // is assigned both ways: the diagnostics follow the nets, whatever
+    // order a hash map would visit them in.
+    let src = "TYPE top = COMPONENT (IN a,b,c: boolean; OUT t,s,r,q,p,m: boolean) IS \
+         BEGIN p := a; r := b; t := a; q := b; s := a; \
+               q := a; t := b; p := b; s := b; r := a; \
+               m := c; IF a THEN m := b END END;";
+    let program = parse_program(src).expect("parse");
+    let first = elaborate(&program, "top", &[])
+        .map(|_| ())
+        .expect_err("double assignments")
+        .to_string();
+    let named: Vec<&str> = ["top.t", "top.s", "top.r", "top.q", "top.p", "top.m"]
+        .into_iter()
+        .filter(|n| first.contains(&format!("'{n}'")))
+        .collect();
+    assert_eq!(named.len(), 6, "{first}");
+    let at = |n: &str| first.find(&format!("'{n}'")).unwrap();
+    assert!(
+        named.windows(2).all(|w| at(w[0]) < at(w[1])),
+        "not in net order:\n{first}"
+    );
+    for _ in 0..20 {
+        let again = elaborate(&program, "top", &[])
+            .map(|_| ())
+            .expect_err("double assignments")
+            .to_string();
+        assert_eq!(again, first);
+    }
+}

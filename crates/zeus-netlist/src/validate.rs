@@ -17,8 +17,6 @@
 //! Every failure is a `Z6xx` diagnostic (see
 //! [`zeus_syntax::diag::codes`]); the validator never panics.
 
-use std::collections::HashMap;
-
 use zeus_elab::netlist::NodeOp;
 use zeus_elab::{Design, Limits, NetId, Shape};
 use zeus_sema::BasicKind;
@@ -263,21 +261,21 @@ pub fn validate_design(design: &Design, limits: &Limits) -> Result<(), Diagnosti
     // guarded `If` contributions (§4.7/§8 — the runtime resolves "at
     // most one active assignment" over them), so a boolean net may
     // collect several drivers only when *every* one is an `If` node.
-    let mut drivers: HashMap<u32, (u32, u32)> = HashMap::new();
+    // Counted per net, so the lowest offending net is the one named.
+    let mut drivers: Vec<(u32, u32)> = vec![(0, 0); nl.nets.len()];
     for node in &nl.nodes {
-        let e = drivers.entry(node.output.0).or_insert((0, 0));
-        e.0 += 1;
+        let (total, non_if) = &mut drivers[node.output.index()];
+        *total += 1;
         if !matches!(node.op, NodeOp::If) {
-            e.1 += 1;
+            *non_if += 1;
         }
     }
-    for (net, (total, non_if)) in &drivers {
-        let id = NetId(*net);
-        if *total > 1 && *non_if > 0 && nl.nets[id.index()].kind == BasicKind::Boolean {
+    for (net, &(total, non_if)) in nl.nets.iter().zip(&drivers) {
+        if total > 1 && non_if > 0 && net.kind == BasicKind::Boolean {
             return Err(structure(format!(
                 "boolean net '{}' has {total} drivers; only multiplex nets \
                  or guarded IF contributions may collect multiple drivers",
-                nl.nets[id.index()].name
+                net.name
             )));
         }
     }
@@ -460,6 +458,42 @@ mod tests {
                 "{}",
                 err.message
             );
+        }
+    }
+
+    #[test]
+    fn double_driven_nets_report_the_lowest_one() {
+        let program = parse_program(
+            "TYPE chain = COMPONENT (IN a: boolean; OUT q: boolean) IS
+             SIGNAL t: ARRAY [1..9] OF boolean;
+             BEGIN t[1] := NOT a;
+                   FOR i := 2 TO 9 DO t[i] := NOT t[i-1] END;
+                   q := t[9] END;",
+        )
+        .unwrap();
+        let mut d = elaborate(&program, "chain", &[]).unwrap();
+        // A second driver on each of t[1..9].
+        let nets = &d.netlist.nets;
+        let twins: Vec<_> = d
+            .netlist
+            .nodes
+            .iter()
+            .filter(|n| nets[n.output.index()].name.starts_with("chain.t["))
+            .cloned()
+            .collect();
+        assert_eq!(twins.len(), 9);
+        let lowest = twins.iter().map(|n| n.output).min().unwrap();
+        d.netlist.nodes.extend(twins);
+        let want = format!(
+            "boolean net '{}' has 2 drivers",
+            d.netlist.nets[lowest.index()].name
+        );
+        let text = netlist_to_text(&d);
+        // Each read builds its own tables.
+        for _ in 0..20 {
+            let err = netlist_from_text(&text).unwrap_err();
+            assert_eq!(err.code, Some(codes::NETLIST_STRUCTURE));
+            assert!(err.message.starts_with(&want), "{}", err.message);
         }
     }
 

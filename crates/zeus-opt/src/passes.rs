@@ -21,7 +21,10 @@
 //! reference that rescans the whole netlist instead.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::hash_map::RandomState;
+use std::collections::BinaryHeap;
+use std::hash::BuildHasher;
+use std::ops::Range;
 use zeus_elab::netlist::combinational_order;
 use zeus_elab::{Design, NetId, Node, NodeOp};
 use zeus_sema::value::{self, Value};
@@ -123,7 +126,7 @@ impl Rewriter {
     /// no rewrite adds a combinational edge); were it not, folding
     /// nothing is the safe answer.
     fn topo(&self) -> Vec<usize> {
-        combinational_order(&self.nodes, self.net_count, |i| self.alive[i], []).unwrap_or_default()
+        combinational_order(&self.nodes, self.net_count, |i| self.alive[i], &[]).unwrap_or_default()
     }
 }
 
@@ -515,46 +518,90 @@ fn op_key(op: &NodeOp) -> (u64, u64) {
 /// latched trajectory from the shared UNDEF reset).
 pub(crate) fn cse(rw: &mut Rewriter) -> usize {
     // A merge kills the sole driver of its own net and no other driver,
-    // so every other net keeps the driver count built here.
-    let drivers = rw.drivers();
-    let single = |n: NetId| drivers[n.index()].len() == 1;
+    // so every other net keeps the driver count taken here.
+    let mut drivers = vec![0u32; rw.net_count];
+    for (n, _) in rw.nodes.iter().zip(&rw.alive).filter(|(_, &a)| a) {
+        drivers[n.output.index()] += 1;
+    }
     // Built at the first merge: most calls merge nothing.
     let mut readers = None;
 
-    let mut seen: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+    let mut seen = KeyTable::with_capacity(rw.nodes.len());
+    let mut key: Vec<u64> = Vec::new();
     let mut changes = 0usize;
     for ni in 0..rw.nodes.len() {
         if !rw.alive[ni] || rw.nodes[ni].op == NodeOp::Random {
             continue;
         }
         let out = rw.nodes[ni].output;
-        if rw.protected[out.index()] || !single(out) {
+        if rw.protected[out.index()] || drivers[out.index()] != 1 {
             continue;
         }
         let (tag, param) = op_key(&rw.nodes[ni].op);
-        let mut key: Vec<u64> = vec![tag, param];
-        let mut ins: Vec<u64> = rw.nodes[ni].inputs.iter().map(|n| u64::from(n.0)).collect();
+        key.clear();
+        key.extend([tag, param]);
+        key.extend(rw.nodes[ni].inputs.iter().map(|n| u64::from(n.0)));
         if matches!(
             rw.nodes[ni].op,
             NodeOp::And | NodeOp::Or | NodeOp::Nand | NodeOp::Nor | NodeOp::Xor
         ) {
-            ins.sort_unstable();
+            key[2..].sort_unstable();
         }
-        key.extend(ins);
-        match seen.get(&key).copied() {
-            Some(canon) => {
-                let keep = rw.nodes[canon].output;
-                let readers = readers.get_or_insert_with(|| rw.readers());
-                rewire_readers(rw, readers, out, keep);
-                rw.alive[ni] = false;
-                changes += 1;
-            }
-            None => {
-                seen.insert(key, ni);
-            }
+        if let Some(canon) = seen.get_or_insert(&key, ni) {
+            let keep = rw.nodes[canon].output;
+            let readers = readers.get_or_insert_with(|| rw.readers());
+            rewire_readers(rw, readers, out, keep);
+            rw.alive[ni] = false;
+            changes += 1;
         }
     }
     changes
+}
+
+/// The canonical node of each structural key [`cse`] has met: an
+/// open-addressed table over keys stored end to end in one arena. It is
+/// only ever looked up, never iterated, so its layout cannot reach a
+/// rewrite.
+struct KeyTable {
+    /// Per slot: 0 when empty, else 1 + an index into `entries`.
+    slots: Vec<u32>,
+    /// Per key: its hash, its range in `arena`, and its node.
+    entries: Vec<(u64, Range<usize>, usize)>,
+    arena: Vec<u64>,
+    /// Randomly seeded, as `HashMap`'s is: a design read from a file
+    /// must not be able to pick keys that collide.
+    hasher: RandomState,
+}
+
+impl KeyTable {
+    /// A table for up to `n` keys, at most half full.
+    fn with_capacity(n: usize) -> KeyTable {
+        KeyTable {
+            slots: vec![0; (2 * n).next_power_of_two().max(2)],
+            entries: Vec::with_capacity(n),
+            arena: Vec::new(),
+            hasher: RandomState::new(),
+        }
+    }
+
+    /// The node filed under `key`, or `None` after filing `node` there.
+    fn get_or_insert(&mut self, key: &[u64], node: usize) -> Option<usize> {
+        let hash = self.hasher.hash_one(key);
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        while let Some(e) = self.slots[slot].checked_sub(1) {
+            let (h, range, canon) = &self.entries[e as usize];
+            if *h == hash && self.arena[range.clone()] == *key {
+                return Some(*canon);
+            }
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = self.entries.len() as u32 + 1;
+        let start = self.arena.len();
+        self.arena.extend_from_slice(key);
+        self.entries.push((hash, start..self.arena.len(), node));
+        None
+    }
 }
 
 /// Copy propagation, in both directions:
@@ -677,6 +724,7 @@ pub(crate) fn dead_sweep(rw: &mut Rewriter) -> usize {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use zeus_syntax::span::Span;
 
     const ALL: [Value; 4] = [Value::Zero, Value::One, Value::Undef, Value::NoInfl];
