@@ -397,6 +397,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                 strategy = Strategy::Timeframe;
                 let ss = sat_stats.as_mut().expect("sat stats exist when sat is on");
                 let order = design.netlist.nodes.len() as u64 + 1;
+                let shared = zeus_sat::Lockstep::new(design).ok();
                 'faults: for (fi, r) in campaign.results.iter().enumerate() {
                     stop = gov.stop();
                     if stop.is_some() {
@@ -414,7 +415,9 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     // good one everywhere, so no sequence of any length
                     // can observe the fault — promote it to redundant
                     // and skip the unroll entirely.
-                    let locked = sat::check_lockstep(design, fault, cfg, &mut gov);
+                    let locked = shared
+                        .as_ref()
+                        .and_then(|l| sat::check_lockstep(l, design, fault, cfg, &mut gov));
                     stop = past_deadline(&gov);
                     if stop.is_some() {
                         break;
@@ -426,8 +429,10 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                         redundant.push((fi, r.site_name.clone(), fault));
                         continue;
                     }
+                    // A full set takes no more vectors, but the faults
+                    // after this one still get their lockstep proofs.
                     if set.len() >= cfg.max_vectors {
-                        break;
+                        continue;
                     }
                     // Bill the in-context replay to the shared budget.
                     if gov

@@ -10,7 +10,7 @@
 
 use zeus_elab::{Design, Fault, Governor};
 use zeus_sat::{
-    decode_model, encode_detection, encode_lockstep, Cnf, EncodeOptions, SatOutcome, Solver,
+    decode_model, encode_detection, sample_model, Cnf, EncodeOptions, Lockstep, SatOutcome, Solver,
 };
 use zeus_sema::Value;
 use zeus_sim::{run_differential, Simulator, VectorSet, VectorStream};
@@ -26,14 +26,14 @@ pub(crate) type Audit = Option<String>;
 /// headed by comment lines naming the formula, the design and the fault.
 fn audit(
     cfg: &AtpgConfig,
-    cnf: &Cnf,
+    cnf: impl FnOnce() -> Cnf,
     design: &Design,
     fault: Fault,
     formula: &str,
     frames: &str,
 ) -> Audit {
     cfg.emit_cnf.then(|| {
-        cnf.to_dimacs(&[
+        cnf().to_dimacs(&[
             formula.to_string(),
             format!("top: {}", design.top_type),
             format!(
@@ -83,7 +83,7 @@ pub(crate) fn check(
         SatOutcome::Unknown => SatAnswer::Unknown,
         SatOutcome::Unsat => SatAnswer::Undetectable(audit(
             cfg,
-            &det.cnf,
+            || det.cnf,
             design,
             fault,
             "zeus-sat fault-detection formula (UNSAT = undetectable)",
@@ -112,18 +112,27 @@ pub(crate) fn check(
 /// bounded window. Returns the proof's audit on success; `None` when
 /// the formula is satisfiable (the distinguishing state may be
 /// unreachable, so that is *inconclusive*, never a detection) or the
-/// budget ran out.
+/// budget ran out. `shared` holds the design's good frame, encoded
+/// once for all its faults. Only the formula's cone is searched, and
+/// only when random states and inputs ([`sample_model`]) find no model
+/// of it, which would settle it as a search does; the audit is the
+/// whole formula.
 pub(crate) fn check_lockstep(
+    shared: &Lockstep,
     design: &Design,
     fault: Fault,
     cfg: &AtpgConfig,
     gov: &mut Governor,
 ) -> Option<Audit> {
-    let cnf = encode_lockstep(design, fault, gov).ok()?;
-    match Solver::from_cnf(&cnf).solve(cfg.sat_conflicts, gov) {
+    let formula = shared.encode(fault, gov).ok()?;
+    let cone = formula.cone();
+    if sample_model(&cone).is_some() {
+        return None; // satisfiable: inconclusive
+    }
+    match Solver::from_cnf(&cone).solve(cfg.sat_conflicts, gov) {
         SatOutcome::Unsat => Some(audit(
             cfg,
-            &cnf,
+            || formula.to_cnf(),
             design,
             fault,
             "zeus-sat lockstep-equivalence formula (UNSAT = sequentially redundant)",

@@ -346,10 +346,11 @@ fn a_run_past_the_deadline_answers_z905_and_stores_nothing() {
     assert!(cache.kinds().is_empty(), "{:?}", cache.kinds());
 }
 
-/// ram(16, 8, 8) capped at 52 vectors spends most of its time (under a
-/// second in a debug build) in one SAT solve while over a thousand faults
-/// are pending: a deadline sliced into per-fault shares would cut that
-/// solve short and change the answer.
+/// ram(16, 8, 8) capped at 52 vectors fills its cap with one SAT solve
+/// while over a thousand faults are pending, then gives each of them a
+/// lockstep proof (about two seconds in all in a debug build): a
+/// deadline sliced into per-fault shares would cut that solve short and
+/// change the answer.
 const RAM_SAT: [&str; 11] = [
     "atpg",
     "@ram",

@@ -183,14 +183,14 @@ fn request(parts: &[&str]) -> Request {
 /// A campaign that keeps a worker busy for about three seconds in
 /// either build profile. A fifth of am2901's faults stay undetected, so
 /// its run grows with the vector count, which is scaled to the profile
-/// (a release build is about ten times faster). One thread spreads the
-/// run over 32 fault words, each journaled when done. `seed` keeps
-/// concurrent requests distinct.
+/// (a release build is about ten times faster). One thread runs its 32
+/// fault words in four windows of eight, each journaled when done.
+/// `seed` keeps concurrent requests distinct.
 fn slow_campaign(seed: &str) -> [&str; 9] {
     let vectors = if cfg!(debug_assertions) {
-        "800"
+        "3600"
     } else {
-        "8000"
+        "36000"
     };
     [
         "fault",

@@ -10,15 +10,16 @@
 //! budget and is classified — it never hangs or aborts the campaign.
 //!
 //! Campaigns execute in *words* of up to 64 faults (the packed engine's
-//! lane width) on one runner, [`run_words`], which owns crash-safe
-//! checkpointing ([`crate::checkpoint`]), per-word panic isolation (a
-//! poisoned word is retried once on a fresh simulator and then
-//! classified [`Outcome::ToolError`] instead of killing the campaign),
-//! graceful interruption (the run's stop question, [`Governor::stop`],
-//! is asked between words and in the golden trace, its deadline also
-//! mid-word, and either answer yields a partial report) and sharding
+//! lane width), run a *window* of words at a time, on one runner,
+//! [`run_words`], which owns crash-safe checkpointing
+//! ([`crate::checkpoint`]), per-word panic isolation (a poisoned word is
+//! retried once on a fresh simulator and then classified
+//! [`Outcome::ToolError`] instead of killing the campaign), graceful
+//! interruption (the run's stop question, [`Governor::stop`], is asked
+//! between windows and in the golden trace, its deadline also
+//! mid-window, and either answer yields a partial report) and sharding
 //! over threads. An engine supplies only the function that simulates
-//! one word. The scalar runner here, one golden/faulty pair per fault,
+//! one window. The scalar runner here, one golden/faulty pair per fault,
 //! is the reference the production packed runner
 //! ([`crate::run_campaign_packed`]) is checked against.
 
@@ -73,11 +74,13 @@ pub struct CampaignConfig {
     /// vectors plus the reset cycle and slack) apply to each fault's run
     /// and may classify it `BudgetExhausted`. The `deadline` and the
     /// `cancel` flag bound the whole run and never classify a fault:
-    /// either stops it with a partial report, between words or in the
-    /// golden trace. The deadline also drops an unfinished word; after
-    /// the flag, in-flight words finish, and the checkpoint is flushed.
+    /// either stops it with a partial report, between windows of words
+    /// or in the golden trace. The deadline also drops an unfinished
+    /// window; after the flag, in-flight windows finish, and the
+    /// checkpoint is flushed.
     pub limits: Limits,
-    /// Test-only chaos: panic while simulating this word.
+    /// Test-only chaos: panic while simulating this word, alone or in a
+    /// window.
     pub chaos_panic_word: Option<usize>,
     /// Test-only chaos: how many attempts at `chaos_panic_word` panic
     /// before one succeeds. `1` exercises the retry path, `2` (or more)
@@ -234,36 +237,37 @@ pub fn run_campaign_with(
     cfg: &CampaignConfig,
     checkpoint: Option<&CheckpointOptions>,
 ) -> Result<CoverageReport, Diagnostic> {
-    run_words(design, list, cfg, 1, checkpoint, |limits, clock| {
-        Ok(ControlFlow::Continue(scalar_word(
+    run_words(design, list, cfg, 1, checkpoint, 1, |limits, clock| {
+        Ok(ControlFlow::Continue(scalar_words(
             design, cfg, limits, clock,
         )))
     })
 }
 
-/// The scalar word simulator: each fault of the word on its own
+/// The scalar word simulator: each fault of each word on its own
 /// golden/faulty pair of `cfg.engine`'s simulator.
-pub(crate) fn scalar_word<'a>(
+pub(crate) fn scalar_words<'a>(
     design: &'a Design,
     cfg: &'a CampaignConfig,
     limits: Limits,
     clock: Governor,
-) -> impl Fn(&[Fault]) -> Result<Vec<Outcome>, Diagnostic> + Sync + 'a {
-    move |faults| {
-        faults
+) -> impl Fn(&[&[Fault]]) -> Result<Vec<Vec<Outcome>>, Diagnostic> + Sync + 'a {
+    move |words| {
+        let one = |&fault: &Fault| match cfg.engine {
+            Engine::Graph => run_one_graph(design, fault, cfg, &limits, &clock),
+            Engine::Switch => run_one_switch(design, fault, cfg, &limits, &clock),
+        };
+        words
             .iter()
-            .map(|&fault| match cfg.engine {
-                Engine::Graph => run_one_graph(design, fault, cfg, &limits, &clock),
-                Engine::Switch => run_one_switch(design, fault, cfg, &limits, &clock),
-            })
+            .map(|faults| faults.iter().map(one).collect())
             .collect()
     }
 }
 
-/// Reads the run's clock every 64 ticks of a word: `Z905` once its
+/// Reads the run's clock every 64 ticks of a window: `Z905` once its
 /// deadline has passed, which [`run_words`] turns into a partial
-/// report, dropping the word, and never into an outcome. The stop flag
-/// is not read here: in-flight words finish.
+/// report, dropping the window, and never into an outcome. The stop
+/// flag is not read here: in-flight windows finish.
 pub(crate) fn poll_clock(clock: &Governor, tick: usize) -> Result<(), Diagnostic> {
     match tick % 64 {
         0 => clock.check_deadline(Span::dummy()),
@@ -285,37 +289,39 @@ fn clamp_jobs(jobs: usize, pending_words: usize) -> usize {
 
 /// The word runner behind every campaign entry point. `engine` receives
 /// the effective per-fault limits (after the vector set is validated)
-/// and the run's governor, and returns the function that simulates one
-/// word of up to 64 faults, yielding their outcomes in list order, or
-/// breaks with the answer of the run's stop question when it asked it
-/// during setup (the golden trace). The deadline counts from the call.
-/// The stop question ([`Governor::stop`]) is asked between words; a
-/// word reads only the deadline ([`poll_clock`]), and a word it cuts is
-/// dropped.
+/// and the run's governor, and returns the function that simulates a
+/// *window* of up to `window` words of up to 64 faults each, yielding
+/// each word's outcomes in list order, or breaks with the answer of the
+/// run's stop question when it asked it during setup (the golden
+/// trace). The deadline counts from the call. The stop question
+/// ([`Governor::stop`]) is asked between windows; a window reads only
+/// the deadline ([`poll_clock`]), and a window it cuts is dropped.
 ///
 /// Pending words (those not already in a resumed journal) run on the
 /// calling thread when `jobs` is 1, and otherwise in contiguous ranges
-/// over `jobs` scoped workers that stream finished words back, so the
-/// journal flushes while the campaign runs. Merging by word index makes
-/// the report independent of `jobs`. A first error (or interruption)
-/// makes every worker stop at its next word boundary, draining
-/// in-flight work.
+/// over `jobs` scoped workers; each takes its range `window` words at a
+/// time and streams finished windows back, so the journal flushes once
+/// per window while the campaign runs. Merging by word index makes the
+/// report independent of `jobs` and `window`. A first error (or
+/// interruption) makes every worker stop at its next window boundary,
+/// draining in-flight work.
 pub(crate) fn run_words<W>(
     design: &Design,
     list: &FaultList,
     cfg: &CampaignConfig,
     jobs: usize,
     checkpoint: Option<&CheckpointOptions>,
+    window: usize,
     engine: impl FnOnce(Limits, Governor) -> Result<ControlFlow<PartialReason, W>, Diagnostic>,
 ) -> Result<CoverageReport, Diagnostic>
 where
-    W: Fn(&[Fault]) -> Result<Vec<Outcome>, Diagnostic> + Sync,
+    W: Fn(&[&[Fault]]) -> Result<Vec<Vec<Outcome>>, Diagnostic> + Sync,
 {
     // The run's governor: only its stop question is ever asked.
     let clock = cfg.limits.governor();
     cfg.validate(design)?;
-    let sim_word = match engine(cfg.effective_limits(), clock.clone())? {
-        ControlFlow::Continue(sim_word) => sim_word,
+    let sim_words = match engine(cfg.effective_limits(), clock.clone())? {
+        ControlFlow::Continue(sim_words) => sim_words,
         // The run stopped during the engine's setup (the golden trace).
         ControlFlow::Break(reason) => {
             let (_, done) = Journal::open(design, list, cfg, checkpoint)?;
@@ -326,39 +332,45 @@ where
     let words: Vec<&[Fault]> = list.faults.chunks(LANES).collect();
     let pending: Vec<usize> = (0..words.len()).filter(|w| !done.contains_key(w)).collect();
     let jobs = clamp_jobs(jobs, pending.len());
-    let run = |w: usize| run_word_isolated(w, cfg, words[w].len(), || sim_word(words[w]));
+    let run = |ws: &[usize]| run_window_isolated(ws, &words, cfg, &sim_words);
+    // One journal write per finished window.
+    let mut finish = |ws: &[usize], outcomes: Vec<Vec<Outcome>>| {
+        let finished: Vec<(usize, Vec<Outcome>)> = ws.iter().copied().zip(outcomes).collect();
+        if let Some(j) = journal.as_mut() {
+            j.record(&finished)?;
+        }
+        done.extend(finished);
+        Ok::<_, Diagnostic>(())
+    };
 
     if jobs == 1 {
-        for &w in &pending {
+        for ws in pending.chunks(window) {
             if clock.stop().is_some() {
                 break;
             }
-            let outcomes = match run(w) {
+            let outcomes = match run(ws) {
                 Err(e) if stopped_by_clock(&e) => break,
                 outcomes => outcomes?,
             };
-            if let Some(j) = journal.as_mut() {
-                j.record(w, &outcomes)?;
-            }
-            done.insert(w, outcomes);
+            finish(ws, outcomes)?;
         }
     } else {
         let stop = AtomicBool::new(false);
         let mut first_err: Option<Diagnostic> = None;
         let chunk = pending.len().div_ceil(jobs);
-        let (tx, rx) = mpsc::channel::<(usize, Result<Vec<Outcome>, Diagnostic>)>();
+        let (tx, rx) = mpsc::channel::<(&[usize], Result<Vec<Vec<Outcome>>, Diagnostic>)>();
         std::thread::scope(|scope| {
             for shard in pending.chunks(chunk) {
                 let tx = tx.clone();
                 let (run, stop, clock) = (&run, &stop, &clock);
                 scope.spawn(move || {
-                    for &w in shard {
+                    for ws in shard.chunks(window) {
                         if stop.load(Ordering::Relaxed) || clock.stop().is_some() {
                             break;
                         }
-                        let res = run(w);
+                        let res = run(ws);
                         let failed = res.is_err();
-                        let _ = tx.send((w, res));
+                        let _ = tx.send((ws, res));
                         if failed {
                             break;
                         }
@@ -366,16 +378,10 @@ where
                 });
             }
             drop(tx);
-            for (w, res) in rx {
-                let recorded = res.and_then(|outcomes| {
-                    if let Some(j) = journal.as_mut() {
-                        j.record(w, &outcomes)?;
-                    }
-                    done.insert(w, outcomes);
-                    Ok(())
-                });
+            for (ws, res) in rx {
+                let recorded = res.and_then(|outcomes| finish(ws, outcomes));
                 if let Err(e) = recorded {
-                    // A word the clock cut is dropped, not an error.
+                    // A window the clock cut is dropped, not an error.
                     if !stopped_by_clock(&e) {
                         first_err.get_or_insert(e);
                     }
@@ -395,6 +401,43 @@ where
         "missing words without an interruption"
     );
     Ok(assemble(design, list, cfg, done, partial))
+}
+
+/// Runs a window of words under the panic firewall. A window of several
+/// words that panics reruns each of them alone under
+/// [`run_word_isolated`], so a panic still costs only the word that
+/// raises it. `chaos_panic_*` panic every window holding the chaos word
+/// too.
+fn run_window_isolated<W>(
+    ws: &[usize],
+    words: &[&[Fault]],
+    cfg: &CampaignConfig,
+    sim_words: &W,
+) -> Result<Vec<Vec<Outcome>>, Diagnostic>
+where
+    W: Fn(&[&[Fault]]) -> Result<Vec<Vec<Outcome>>, Diagnostic>,
+{
+    if ws.len() > 1 {
+        let chaos =
+            cfg.chaos_panic_attempts > 0 && cfg.chaos_panic_word.is_some_and(|w| ws.contains(&w));
+        let window: Vec<&[Fault]> = ws.iter().map(|&w| words[w]).collect();
+        if let Ok(result) = catch_panic(|| {
+            if chaos {
+                panic!("chaos: injected worker panic (window of words {ws:?})");
+            }
+            sim_words(&window)
+        }) {
+            return result;
+        }
+    }
+    ws.iter()
+        .map(|&w| {
+            run_word_isolated(w, cfg, words[w].len(), || {
+                let mut outcomes = sim_words(&[words[w]])?;
+                Ok(outcomes.pop().expect("one word in, one word out"))
+            })
+        })
+        .collect()
 }
 
 /// Runs one word's simulation under the panic firewall. A panic retries

@@ -6,10 +6,11 @@
 //! [`zeus_elab::json`]), after a header line that keys the journal to
 //! the exact campaign configuration (a [`StableHasher`] digest of the
 //! design structure, seed, vector count, engine, resource limits and the
-//! fault list). Every flush rewrites the journal to a temporary file and
+//! fault list). The journal is flushed once per finished window of
+//! words. Every flush rewrites the journal to a temporary file and
 //! renames it over the target, so the on-disk journal is always either
 //! the previous complete state or the new complete state — a crash can
-//! lose at most the in-flight words, never corrupt the finished ones.
+//! lose at most the in-flight windows, never corrupt the finished words.
 //!
 //! On `--resume` the journal is validated against the digest of the
 //! *current* invocation and completed words are merged back, so the
@@ -178,9 +179,13 @@ impl Journal {
         Ok((Some(journal), done))
     }
 
-    /// Appends a completed word and flushes atomically.
-    pub(crate) fn record(&mut self, word: usize, outcomes: &[Outcome]) -> Result<(), Diagnostic> {
-        self.lines.push(entry_line(word, outcomes));
+    /// Appends completed words and flushes atomically: one durable
+    /// write per call, however many words it brings.
+    pub(crate) fn record(&mut self, finished: &[(usize, Vec<Outcome>)]) -> Result<(), Diagnostic> {
+        let lines = finished
+            .iter()
+            .map(|(w, outcomes)| entry_line(*w, outcomes));
+        self.lines.extend(lines);
         self.flush()
     }
 
@@ -474,7 +479,7 @@ mod tests {
         let (journal, done) = Journal::open(&d, &list, &cfg, Some(&opts)).unwrap();
         assert!(done.is_empty());
         let outcomes = sample_outcomes(list.faults.len().min(LANES));
-        journal.unwrap().record(0, &outcomes).unwrap();
+        journal.unwrap().record(&[(0, outcomes.clone())]).unwrap();
 
         let opts = CheckpointOptions::resume(&path);
         let (_, done) = Journal::open(&d, &list, &cfg, Some(&opts)).unwrap();
@@ -515,7 +520,7 @@ mod tests {
         let opts = CheckpointOptions::new(&path);
         let (journal, _) = Journal::open(&d, &list, &cfg, Some(&opts)).unwrap();
         let outcomes = sample_outcomes(list.faults.len().min(LANES));
-        journal.unwrap().record(0, &outcomes).unwrap();
+        journal.unwrap().record(&[(0, outcomes.clone())]).unwrap();
 
         // Simulate a crash mid-append: a second entry torn in half.
         let mut text = std::fs::read_to_string(&path).unwrap();
@@ -545,7 +550,7 @@ mod tests {
         let opts = CheckpointOptions::new(&path);
         let (journal, _) = Journal::open(&d, &list, &cfg, Some(&opts)).unwrap();
         let outcomes = sample_outcomes(list.faults.len().min(LANES));
-        journal.unwrap().record(0, &outcomes).unwrap();
+        journal.unwrap().record(&[(0, outcomes.clone())]).unwrap();
 
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("{\"word\":garbage}\n");

@@ -9,8 +9,8 @@
 //! semantics graph, so on the switch engine each word's faults run one
 //! at a time on the scalar word simulator.
 //!
-//! Three ingredients keep the packed graph words identical to the
-//! scalar path:
+//! Four ingredients keep the packed graph words identical to the
+//! scalar path and spend their sweeps on unclassified faults:
 //!
 //! 1. **A shared golden trace.** The fault-free run is the same for
 //!    every fault, so it is executed once with the real scalar
@@ -33,14 +33,25 @@
 //!    before any output compare, exactly like `classify_error`. The
 //!    run's stop is no lane's budget: the golden trace asks the run's
 //!    stop question every 64 ticks and ends the run on either answer
-//!    (the stop flag or the deadline), while a word reads only the
+//!    (the stop flag or the deadline), while a window reads only the
 //!    deadline, every 64 ticks, and is dropped once it has passed.
 //! 3. **Deterministic merge.** Faults are packed into words in list
 //!    order and the word runner merges finished words by index, reproducing
 //!    the scalar result order no matter how many workers ran.
+//! 4. **Repacking.** A worker steps its fault words [`WINDOW`] at a time,
+//!    together, one tick at a time. A word's simulator keeps the faults
+//!    of its live (unclassified) lanes only, and after any tick whose
+//!    live lanes fit in fewer words, the lanes of the emptiest words
+//!    move into the free lanes of the fullest ([`PackedSim::adopt_lane`])
+//!    and the emptied words are dropped. A lane's outcome depends only on
+//!    its own fault, the golden trace and the RANDOM stream, which every
+//!    word at a tick shares; net planes are rebuilt by every sweep. So a
+//!    move carries the lane's fault, register bits and oscillation
+//!    record, its `StepBudget` and its home slot, and each outcome is
+//!    scattered back to its home word.
 
 use crate::campaign::{
-    classify_error, poll_clock, run_words, scalar_word, CampaignConfig, Engine, Outcome,
+    classify_error, poll_clock, run_words, scalar_words, CampaignConfig, Engine, Outcome,
     UndetectedReason,
 };
 use crate::checkpoint::CheckpointOptions;
@@ -49,7 +60,7 @@ use crate::report::CoverageReport;
 use std::ops::ControlFlow;
 use zeus_elab::{find_port, Design, Fault, Governor, Limits, NetId, PartialReason, StepBudget};
 use zeus_sema::Value;
-use zeus_sim::{PackedSim, PackedWord, Simulator, LANES};
+use zeus_sim::{lanes_in, PackedSim, PackedWord, Simulator, LANES};
 use zeus_syntax::diag::Diagnostic;
 
 /// The recorded fault-free run, shared read-only by every word.
@@ -95,11 +106,12 @@ pub fn run_campaign_packed(
 /// [`run_campaign_packed`] with optional crash-safe checkpointing (see
 /// [`crate::run_campaign_with`] — the journal format is shared, so a
 /// scalar checkpoint resumes packed and vice versa). Completed words are
-/// journaled incrementally as workers deliver them; a panic inside a
-/// worker's word is retried once on a fresh simulator and then
-/// classified [`Outcome::ToolError`](crate::Outcome::ToolError) without
-/// killing the campaign; the stop flag and the run's deadline drain
-/// in-flight words and yield a partial report.
+/// journaled incrementally as workers deliver them, one write per
+/// window; a panic inside a worker's word is retried once on a fresh
+/// simulator and then classified
+/// [`Outcome::ToolError`](crate::Outcome::ToolError) without killing the
+/// campaign; the stop flag lets in-flight windows finish, the run's
+/// deadline drops them, and either yields a partial report.
 ///
 /// # Errors
 ///
@@ -113,21 +125,29 @@ pub fn run_campaign_packed_with(
     checkpoint: Option<&CheckpointOptions>,
 ) -> Result<CoverageReport, Diagnostic> {
     match cfg.engine {
-        Engine::Graph => run_words(design, list, cfg, jobs, checkpoint, |limits, clock| {
-            let golden = match record_golden(design, cfg, &limits, &clock)? {
-                ControlFlow::Continue(golden) => golden,
-                ControlFlow::Break(reason) => return Ok(ControlFlow::Break(reason)),
-            };
-            // The packed simulator runs unbudgeted; each lane bills its
-            // own `StepBudget` in `run_word`.
-            let mut template = PackedSim::new(design.clone())?;
-            template.reseed(cfg.seed);
-            Ok(ControlFlow::Continue(move |faults: &[Fault]| {
-                run_word(&template, faults, &limits, &golden, &clock)
-            }))
-        }),
-        Engine::Switch => run_words(design, list, cfg, jobs, checkpoint, |limits, clock| {
-            Ok(ControlFlow::Continue(scalar_word(
+        Engine::Graph => run_words(
+            design,
+            list,
+            cfg,
+            jobs,
+            checkpoint,
+            WINDOW,
+            |limits, clock| {
+                let golden = match record_golden(design, cfg, &limits, &clock)? {
+                    ControlFlow::Continue(golden) => golden,
+                    ControlFlow::Break(reason) => return Ok(ControlFlow::Break(reason)),
+                };
+                // The packed simulator runs unbudgeted; each lane bills
+                // its own `StepBudget` in `Word::step`.
+                let mut template = PackedSim::new(design.clone())?;
+                template.reseed(cfg.seed);
+                Ok(ControlFlow::Continue(move |window: &[&[Fault]]| {
+                    run_window(&template, window, &limits, &golden, &clock)
+                }))
+            },
+        ),
+        Engine::Switch => run_words(design, list, cfg, jobs, checkpoint, 1, |limits, clock| {
+            Ok(ControlFlow::Continue(scalar_words(
                 design, cfg, limits, clock,
             )))
         }),
@@ -205,40 +225,116 @@ fn record_golden(
     Ok(ControlFlow::Continue(trace))
 }
 
-/// Simulates up to 64 faults — one per lane — on a clone of the
-/// fault-free `template` against the golden trace, returning their
-/// outcomes in lane order. Detection is word-wide: each OUT port's
-/// difference mask covers every lane at once, and a newly differing
-/// lane takes the first such port in declaration order. Once the run's
-/// `clock` has passed its deadline the word stops with `Z905`.
-fn run_word(
+/// How many home words a worker steps together. Each holds a simulator
+/// for as long as it has live lanes, so a wider window costs memory.
+const WINDOW: usize = 8;
+
+/// One simulated word of a window: a simulator whose live lanes each
+/// carry one unclassified fault, with that fault's budget and home.
+struct Word {
+    sim: PackedSim,
+    /// The lanes whose fault is unclassified. The simulator carries the
+    /// faults of these lanes only.
+    live: u64,
+    /// Per lane: its fault's home word in the window and lane in it.
+    home: [(usize, usize); LANES],
+    /// Per lane: its fault's own budget.
+    budgets: Vec<StepBudget>,
+    /// Lanes a repack moved here.
+    #[cfg(test)]
+    moved: u64,
+}
+
+/// Simulates a window of up to [`WINDOW`] home words of up to 64 faults
+/// each — one fault per lane — on clones of the fault-free `template`
+/// against the golden trace, returning each home word's outcomes in
+/// lane order. The words step together, one tick at a time; after each
+/// tick whose live lanes fit in fewer words, [`repack`] moves them into
+/// the fullest words and drops the rest. Detection is word-wide: each
+/// OUT port's difference mask covers every lane at once, and a newly
+/// differing lane takes the first such port in declaration order. Once
+/// the run's `clock` has passed its deadline the window stops with
+/// `Z905`.
+fn run_window(
     template: &PackedSim,
-    faults: &[Fault],
+    window: &[&[Fault]],
     limits: &Limits,
     golden: &GoldenTrace,
     clock: &Governor,
-) -> Result<Vec<Outcome>, Diagnostic> {
-    let mut sim = template.clone();
-    for (lane, &fault) in faults.iter().enumerate() {
-        sim.inject_lanes(fault, 1u64 << lane)?;
+) -> Result<Vec<Vec<Outcome>>, Diagnostic> {
+    let mut outcomes: Vec<Vec<Option<Outcome>>> = window
+        .iter()
+        .map(|faults| vec![None; faults.len()])
+        .collect();
+    let mut words = Vec::with_capacity(window.len());
+    for (h, faults) in window.iter().enumerate() {
+        let mut sim = template.clone();
+        for (lane, &fault) in faults.iter().enumerate() {
+            sim.inject_lanes(fault, 1 << lane)?;
+        }
+        let n = faults.len();
+        words.push(Word {
+            sim,
+            live: if n >= LANES { !0 } else { (1 << n) - 1 },
+            home: std::array::from_fn(|l| (h, l)),
+            budgets: vec![StepBudget::new(limits); LANES],
+            #[cfg(test)]
+            moved: 0,
+        });
     }
-    let order = sim.order_len() as u64;
-    let reset = usize::from(sim.design().rset.is_some());
-    let in_width = golden.in_nets.len();
-    let out_width: usize = golden.outs.iter().map(|(_, nets)| nets.len()).sum();
-
-    let n = faults.len();
-    let mut budgets = vec![StepBudget::new(limits); n];
-    let mut outcomes: Vec<Option<Outcome>> = vec![None; n];
-    // Lanes still unclassified.
-    let mut live = if n >= LANES { !0 } else { (1u64 << n) - 1 };
-    let lanes = |mask: u64| (0..n).filter(move |&l| (mask >> l) & 1 == 1);
 
     for tick in 0..golden.ticks {
-        if live == 0 {
+        if words.is_empty() {
             break;
         }
         poll_clock(clock, tick)?;
+        for word in &mut words {
+            word.step(tick, golden, &mut outcomes);
+        }
+        repack(&mut words);
+    }
+    // `run_differential` steps the golden side first: when it died on
+    // the tick after the trace, every still-unclassified fault inherits
+    // that outcome.
+    for word in &words {
+        let unstable = word.sim.ever_unstable();
+        for l in lanes_in(word.live) {
+            let (h, i) = word.home[l];
+            outcomes[h][i] = Some(match &golden.stopped {
+                Some(stop) => stop.clone(),
+                None if (unstable >> l) & 1 == 1 => Outcome::Hyperactive,
+                None => Outcome::Undetected(UndetectedReason::NotObserved),
+            });
+        }
+    }
+    Ok(outcomes
+        .into_iter()
+        .map(|word| {
+            let classified = word
+                .into_iter()
+                .map(|o| o.expect("every lane is classified"));
+            classified.collect()
+        })
+        .collect())
+}
+
+impl Word {
+    /// Steps the word through tick `tick` of the golden trace and
+    /// classifies the lanes it settles into their home slots of
+    /// `outcomes`; the simulator then keeps the faults of the lanes
+    /// still live only.
+    fn step(&mut self, tick: usize, golden: &GoldenTrace, outcomes: &mut [Vec<Option<Outcome>>]) {
+        let sim = &mut self.sim;
+        let order = sim.order_len() as u64;
+        let reset = usize::from(sim.design().rset.is_some());
+        let in_width = golden.in_nets.len();
+        let out_width: usize = golden.outs.iter().map(|(_, nets)| nets.len()).sum();
+        let was_live = self.live;
+        let mut classify = |l: usize, outcome: Outcome| {
+            let (h, i) = self.home[l];
+            outcomes[h][i] = Some(outcome);
+        };
+
         if tick < reset {
             sim.set_rset(true);
         }
@@ -247,76 +343,129 @@ fn run_word(
             sim.force(net, PackedWord::splat(v));
         }
         let mut began = 0u64;
-        for l in lanes(live) {
-            if budgets[l].begin_cycle().is_ok() && budgets[l].charge_work(order).is_ok() {
+        for l in lanes_in(self.live) {
+            let budget = &mut self.budgets[l];
+            if budget.begin_cycle().is_ok() && budget.charge_work(order).is_ok() {
                 began |= 1 << l;
             }
         }
         sim.step();
+        #[cfg(test)]
+        probe::bump(&probe::WORD_STEPS);
         let sweeps = sim.lane_sweeps();
-        for l in lanes(live) {
+        for l in lanes_in(self.live) {
             let billed = (began >> l) & 1 == 1
                 && (sweeps[l] <= 1
-                    || budgets[l]
+                    || self.budgets[l]
                         .charge_work((sweeps[l] as u64 - 1) * order)
                         .is_ok());
             if !billed {
-                outcomes[l] = Some(Outcome::Undetected(UndetectedReason::BudgetExhausted));
-                live &= !(1 << l);
+                #[cfg(test)]
+                if (self.moved >> l) & 1 == 1 {
+                    probe::bump(&probe::MOVED_EXHAUSTED);
+                }
+                classify(l, Outcome::Undetected(UndetectedReason::BudgetExhausted));
+                self.live &= !(1 << l);
             }
         }
         if tick < reset {
             // The reset pulse, exactly like the scalar campaign: no
             // output compare on this tick.
             sim.set_rset(false);
-            continue;
-        }
-
-        let cycle = (tick - reset) as u64;
-        let unstable = sim.ever_unstable();
-        let mut bits = golden.out_bits[tick * out_width..].iter();
-        for (name, nets) in &golden.outs {
-            let mut diff = 0u64;
-            for (&net, &g) in nets.iter().zip(bits.by_ref()) {
-                diff |= sim.value(net).to_boolean().diff(PackedWord::splat(g));
+        } else {
+            let cycle = (tick - reset) as u64;
+            let unstable = sim.ever_unstable();
+            let mut bits = golden.out_bits[tick * out_width..].iter();
+            for (name, nets) in &golden.outs {
+                let mut diff = 0u64;
+                for (&net, &g) in nets.iter().zip(bits.by_ref()) {
+                    diff |= sim.value(net).to_boolean().diff(PackedWord::splat(g));
+                }
+                for l in lanes_in(diff & self.live) {
+                    // A divergence driven by a non-settling bridge is
+                    // hyperactivity, not clean detection.
+                    classify(
+                        l,
+                        if (unstable >> l) & 1 == 1 {
+                            Outcome::Hyperactive
+                        } else {
+                            Outcome::Detected {
+                                cycle,
+                                port: name.clone(),
+                            }
+                        },
+                    );
+                }
+                self.live &= !diff;
             }
-            for l in lanes(diff & live) {
-                // A divergence driven by a non-settling bridge is
-                // hyperactivity, not clean detection.
-                outcomes[l] = Some(if (unstable >> l) & 1 == 1 {
-                    Outcome::Hyperactive
-                } else {
-                    Outcome::Detected {
-                        cycle,
-                        port: name.clone(),
-                    }
-                });
-            }
-            live &= !diff;
         }
-    }
-    // `run_differential` steps the golden side first: when it died on
-    // the tick after the trace, every still-unclassified fault inherits
-    // that outcome.
-    if let Some(stop) = &golden.stopped {
-        for l in lanes(live) {
-            outcomes[l] = Some(stop.clone());
+        if self.live != was_live {
+            sim.retain_lanes(self.live);
         }
     }
 
-    let unstable = sim.ever_unstable();
-    let final_outcomes = outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(l, o)| {
-            o.unwrap_or(if (unstable >> l) & 1 == 1 {
-                Outcome::Hyperactive
-            } else {
-                Outcome::Undetected(UndetectedReason::NotObserved)
-            })
-        })
-        .collect();
-    Ok(final_outcomes)
+    /// Moves lane `from` of `src` into the free lane `to`: its fault,
+    /// register bits and oscillation record, its budget and its home.
+    fn adopt(&mut self, src: &Word, from: usize, to: usize) {
+        self.sim.adopt_lane(&src.sim, from, to);
+        self.live |= 1 << to;
+        self.home[to] = src.home[from];
+        self.budgets[to] = src.budgets[from].clone();
+        #[cfg(test)]
+        {
+            self.moved |= 1 << to;
+        }
+    }
+}
+
+/// Drops the words without live lanes, and once the live lanes fit in
+/// fewer words, moves the lanes of the emptiest words into the free
+/// lanes of the fullest and drops the emptied ones. Every word stands at
+/// the same tick, so a moved lane continues exactly where it was.
+fn repack(words: &mut Vec<Word>) {
+    words.retain(|w| w.live != 0);
+    let live: usize = words.iter().map(|w| w.live.count_ones() as usize).sum();
+    let keep = live.div_ceil(LANES);
+    if keep == words.len() {
+        return;
+    }
+    words.sort_by_key(|w| std::cmp::Reverse(w.live.count_ones()));
+    let donors = words.split_off(keep);
+    let mut r = 0;
+    for donor in &donors {
+        for from in lanes_in(donor.live) {
+            while words[r].live == !0 {
+                r += 1;
+            }
+            let to = (!words[r].live).trailing_zeros() as usize;
+            words[r].adopt(donor, from, to);
+        }
+    }
+}
+
+/// Test-only counts of the window runner's work on this thread.
+#[cfg(test)]
+mod probe {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
+    thread_local! {
+        /// Word-steps: one `PackedSim::step` of one word.
+        pub static WORD_STEPS: Cell<u64> = const { Cell::new(0) };
+        /// Lanes that ran out of budget after a repack moved them.
+        pub static MOVED_EXHAUSTED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub fn bump(counter: &'static LocalKey<Cell<u64>>) {
+        counter.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Runs `f` and returns what it added to `counter` on this thread.
+    pub fn count<T>(counter: &'static LocalKey<Cell<u64>>, f: impl FnOnce() -> T) -> (T, u64) {
+        let before = counter.with(Cell::get);
+        let out = f();
+        (out, counter.with(Cell::get) - before)
+    }
 }
 
 #[cfg(test)]
@@ -411,6 +560,82 @@ mod tests {
                 // The reset tick and two vectors: every fault the first
                 // two vectors miss runs out of steps.
                 assert!(packed.to_json().contains("budget-exhausted"));
+            }
+        }
+    }
+
+    const ADDERS: &str = include_str!("../../../zeus-programs/adders.zeus");
+    const ROUTING: &str = include_str!("../../../zeus-programs/routing.zeus");
+
+    /// A bank of toggle registers behind a three-input enable: a
+    /// register's faults show only while all three enables are 1, so
+    /// many stay live for a while, and a bridge between two enables
+    /// re-sweeps on every tick they differ.
+    const BANK: &str = "TYPE bank(n) = COMPONENT \
+         (IN x: ARRAY[1..n] OF boolean; IN e: ARRAY[1..3] OF boolean; \
+          OUT q: ARRAY[1..n] OF boolean) IS \
+         SIGNAL r: ARRAY[1..n] OF REG; \
+         BEGIN FOR i := 1 TO n DO \
+           IF RSET THEN r[i].in := 0 ELSE r[i].in := XOR(r[i].out, x[i]) END; \
+           q[i] := AND(AND(r[i].out, e[1]), AND(e[2], e[3])) \
+         END END;";
+
+    fn example(src: &str, top: &str, args: &[i64]) -> Design {
+        elaborate(&parse_program(src).unwrap(), top, args).unwrap()
+    }
+
+    /// The benchmark's two early-detecting campaigns (stuck-at faults,
+    /// 16 vectors, seed 1983) take 272 and 356 word-steps one word at a
+    /// time, most of them over lanes already classified.
+    #[test]
+    fn repacking_stops_sweeping_classified_lanes() {
+        for (src, top, arg, most) in [
+            (ADDERS, "rippleCarry", 128, 110),
+            (ROUTING, "routingnetwork", 16, 120),
+        ] {
+            let d = example(src, top, &[arg]);
+            let list = enumerate_faults(&d, &FaultListOptions::default());
+            let cfg = CampaignConfig::new(Engine::Graph, 16, 1983);
+            let (_, steps) = probe::count(&probe::WORD_STEPS, || {
+                run_campaign_packed(&d, &list, &cfg, 1).unwrap()
+            });
+            assert!(
+                steps <= most,
+                "{top} {arg}: {steps} word-steps, want at most {most}"
+            );
+        }
+    }
+
+    /// Two windows of a design with registers and RSET, with bridges and
+    /// transient flips, under fuel (and step) budgets that run out after
+    /// repacks have moved lanes: every moved lane carries its budget, so
+    /// the reports match the scalar reference for any job count.
+    #[test]
+    fn moved_lanes_keep_their_budgets() {
+        let d = example(BANK, "bank", &[40]);
+        let list = enumerate_faults(&d, &all_opts());
+        assert!(list.faults.len() > WINDOW * LANES, "two windows");
+        // What one tick bills a lane without bridge re-sweeps.
+        let tick = PackedSim::new(d.clone()).unwrap().order_len() as u64 + 1;
+        for (fuel, max_steps) in [
+            (6 * tick + tick / 2, None),
+            (10 * tick + tick / 2, None),
+            (8 * tick, Some(6)),
+        ] {
+            let mut cfg = CampaignConfig::new(Engine::Graph, 24, 5);
+            cfg.limits.fuel = Some(fuel);
+            cfg.limits.max_steps = max_steps;
+            let scalar = run_campaign(&d, &list, &cfg).unwrap();
+            let (packed, moved_out) = probe::count(&probe::MOVED_EXHAUSTED, || {
+                run_campaign_packed(&d, &list, &cfg, 1).unwrap()
+            });
+            let at = format!("fuel={fuel} max_steps={max_steps:?}");
+            assert!(moved_out > 0, "{at}: no moved lane ran out of budget");
+            assert_eq!(scalar.to_text(), packed.to_text(), "{at}");
+            assert_eq!(scalar.to_json(), packed.to_json(), "{at}");
+            for jobs in [2, 3] {
+                let packed = run_campaign_packed(&d, &list, &cfg, jobs).unwrap();
+                assert_eq!(scalar.to_json(), packed.to_json(), "{at} jobs={jobs}");
             }
         }
     }

@@ -44,9 +44,10 @@
 //! replay of the already-emitted vector set).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::cnf::{Cnf, Lit, Var};
-use zeus_elab::{Design, Fault, FaultKind, Governor, Netlist, NodeId, NodeOp};
+use zeus_elab::{Design, Fault, FaultKind, Governor, Netlist, Node, NodeId, NodeOp};
 use zeus_sema::Value;
 use zeus_syntax::span::Span;
 
@@ -104,7 +105,7 @@ pub fn decode_model(det: &Detector, model: &[bool]) -> Vec<Vec<Value>> {
 
 /// A three-lit code for one net slot: dual rails of the boolean view
 /// plus the NOINFL bit. Invariant: `n ⟹ b1 ∧ b0`.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct Code {
     b1: Lit,
     b0: Lit,
@@ -113,17 +114,26 @@ struct Code {
 
 /// Tseitin builder with a constant-true literal, structural folding and
 /// structural hashing.
-struct Enc {
+///
+/// Every clause but the difference clause ([`Enc::require_any`]) is
+/// added together with a fresh variable and mentions it, so that
+/// variable is the largest in the clause and the clauses that share it
+/// define it as a function of older variables (`[s1, s0]` of a
+/// symbolic register only excludes one code, which `s0` can always
+/// avoid). [`LockstepCnf::cone`] relies on this.
+struct Enc<'b> {
     cnf: Cnf,
     t: Lit,
     /// Every AND defined so far: its sorted literal set → the literal
     /// that defines it. Only ever looked up, never iterated, so the
     /// variable numbering stays a function of the call sequence.
     ands: HashMap<Vec<Lit>, Lit>,
+    /// The ANDs of the encoder this one extends ([`Enc::extend`]).
+    base: Option<&'b HashMap<Vec<Lit>, Lit>>,
 }
 
-impl Enc {
-    fn new() -> Enc {
+impl Enc<'static> {
+    fn new() -> Enc<'static> {
         let mut cnf = Cnf::new();
         let t = Lit::pos(cnf.fresh());
         cnf.add(&[t]);
@@ -131,6 +141,27 @@ impl Enc {
             cnf,
             t,
             ands: HashMap::new(),
+            base: None,
+        }
+    }
+}
+
+impl<'b> Enc<'b> {
+    /// An encoder that continues `base` without changing it: its
+    /// variables are numbered after `base`'s, an AND `base` defines
+    /// resolves to `base`'s literal, and its `cnf` holds only the
+    /// clauses added after `base`'s. `base`'s clauses followed by these
+    /// are the formula one encoder making all the calls would build.
+    fn extend(base: &'b Enc<'_>) -> Enc<'b> {
+        debug_assert!(base.base.is_none(), "one level of extension");
+        Enc {
+            cnf: Cnf {
+                num_vars: base.cnf.num_vars,
+                clauses: Vec::new(),
+            },
+            t: base.t,
+            ands: HashMap::new(),
+            base: Some(&base.ands),
         }
     }
 
@@ -173,7 +204,8 @@ impl Enc {
             _ => {
                 let mut key = v.clone();
                 key.sort_unstable();
-                if let Some(&x) = self.ands.get(&key) {
+                let known = self.base.and_then(|b| b.get(&key));
+                if let Some(&x) = known.or_else(|| self.ands.get(&key)) {
                     return x;
                 }
                 let x = Lit::pos(self.cnf.fresh());
@@ -333,15 +365,26 @@ impl FrameState {
     }
 }
 
-/// The prologue both encoders share: what they read off the design and
-/// the fault before the first frame. Building it allocates no variable.
+/// The faulty copy's clamp: the fault site's slot (its canonical net)
+/// and the value a stuck-at fault holds it at.
+///
+/// # Errors
+///
+/// [`EncodeError::Unsupported`] for a fault that is not a stuck-at.
+fn stuck_clamp(nl: &Netlist, fault: Fault) -> Result<(usize, Value), EncodeError> {
+    let stuck = match fault.kind {
+        FaultKind::StuckAt0 => Value::Zero,
+        FaultKind::StuckAt1 => Value::One,
+        _ => return Err(EncodeError::Unsupported("non-stuck-at fault")),
+    };
+    Ok((nl.find_ref(fault.site).index(), stuck))
+}
+
+/// The prologue both encoders share: what they read off the design
+/// before the first frame. Building it allocates no variable.
 struct Circuit<'a> {
     design: &'a Design,
     nl: &'a Netlist,
-    /// The value the fault holds its site at.
-    stuck: Value,
-    /// The fault site's slot (its canonical net).
-    site_slot: usize,
     order: Vec<NodeId>,
     regs: Vec<NodeId>,
     /// The OUT port bits' slots, in port order.
@@ -349,14 +392,9 @@ struct Circuit<'a> {
 }
 
 impl<'a> Circuit<'a> {
-    /// Refuses what has no CNF image (non-stuck-at faults, RANDOM nodes,
-    /// combinational cycles) and maps the rest.
-    fn new(design: &'a Design, fault: Fault) -> Result<Circuit<'a>, EncodeError> {
-        let stuck = match fault.kind {
-            FaultKind::StuckAt0 => Value::Zero,
-            FaultKind::StuckAt1 => Value::One,
-            _ => return Err(EncodeError::Unsupported("non-stuck-at fault")),
-        };
+    /// Refuses what has no CNF image (RANDOM nodes, combinational
+    /// cycles) and maps the rest.
+    fn new(design: &'a Design) -> Result<Circuit<'a>, EncodeError> {
         let nl = &design.netlist;
         if nl.nodes.iter().any(|n| matches!(n.op, NodeOp::Random)) {
             return Err(EncodeError::Unsupported("RANDOM node"));
@@ -371,8 +409,6 @@ impl<'a> Circuit<'a> {
         Ok(Circuit {
             design,
             nl,
-            stuck,
-            site_slot: nl.find_ref(fault.site).index(),
             order,
             regs: nl.registers().collect(),
             out_slots,
@@ -418,139 +454,171 @@ impl<'a> Circuit<'a> {
     }
 }
 
+/// The code `node` drives in a frame whose slots `fs` resolves (`None`
+/// for a register, whose output the frame's state drives). The dual-rail
+/// gate algebra, one arm per operation.
+fn node_code(e: &mut Enc, fs: &mut FrameState, node: &Node) -> Option<Code> {
+    let ins: Vec<usize> = node.inputs.iter().map(|n| n.index()).collect();
+    let code = match &node.op {
+        NodeOp::And | NodeOp::Nand => {
+            let i1: Vec<Lit> = ins.iter().map(|&i| fs.read(e, i).b1).collect();
+            let i0: Vec<Lit> = ins.iter().map(|&i| fs.read(e, i).b0).collect();
+            let (b1, b0) = (e.and(&i1), e.or(&i0));
+            let (b1, b0) = if matches!(node.op, NodeOp::Nand) {
+                (b0, b1) // NOT is a rail swap
+            } else {
+                (b1, b0)
+            };
+            Code { b1, b0, n: e.f() }
+        }
+        NodeOp::Or | NodeOp::Nor => {
+            let i1: Vec<Lit> = ins.iter().map(|&i| fs.read(e, i).b1).collect();
+            let i0: Vec<Lit> = ins.iter().map(|&i| fs.read(e, i).b0).collect();
+            let (b1, b0) = (e.or(&i1), e.and(&i0));
+            let (b1, b0) = if matches!(node.op, NodeOp::Nor) {
+                (b0, b1)
+            } else {
+                (b1, b0)
+            };
+            Code { b1, b0, n: e.f() }
+        }
+        NodeOp::Xor => {
+            // Left fold from the neutral 0, exactly like
+            // value::xor: an UNDEF operand saturates the
+            // accumulator at (1,1).
+            let mut acc = e.code(Value::Zero);
+            for &i in &ins {
+                let c = fs.read(e, i);
+                let b1 = {
+                    let x = e.and(&[acc.b1, c.b0]);
+                    let y = e.and(&[acc.b0, c.b1]);
+                    e.or(&[x, y])
+                };
+                let b0 = {
+                    let x = e.and(&[acc.b1, c.b1]);
+                    let y = e.and(&[acc.b0, c.b0]);
+                    e.or(&[x, y])
+                };
+                acc = Code { b1, b0, n: e.f() };
+            }
+            acc
+        }
+        NodeOp::Not => {
+            let c = fs.read(e, ins[0]);
+            Code {
+                b1: c.b0,
+                b0: c.b1,
+                n: e.f(),
+            }
+        }
+        NodeOp::Equal { width } => {
+            // defined-unequal pair forces 0; all pairs
+            // defined-equal gives 1; otherwise UNDEF. Rails
+            // never read (0,0), so "x is the defined value
+            // 1" is exactly ¬b0 and "x is 0" exactly ¬b1.
+            let (av, bv) = ins.split_at(*width);
+            let mut du = Vec::with_capacity(*width);
+            let mut de = Vec::with_capacity(*width);
+            for (&ai, &bi) in av.iter().zip(bv) {
+                let x = fs.read(e, ai);
+                let y = fs.read(e, bi);
+                let u1 = e.and(&[x.b0.negate(), y.b1.negate()]);
+                let u2 = e.and(&[x.b1.negate(), y.b0.negate()]);
+                du.push(e.or(&[u1, u2]));
+                let q1 = e.and(&[x.b0.negate(), y.b0.negate()]);
+                let q2 = e.and(&[x.b1.negate(), y.b1.negate()]);
+                de.push(e.or(&[q1, q2]));
+            }
+            let b1 = e.or(&du).negate();
+            let b0 = e.and(&de).negate();
+            Code { b1, b0, n: e.f() }
+        }
+        NodeOp::Buf => fs.read(e, ins[0]),
+        NodeOp::If => {
+            // cond=0 → NOINFL, cond=1 → data (raw, NOINFL
+            // included), else UNDEF. Raw 0 is exactly ¬b1,
+            // raw 1 exactly ¬b0 (n ⟹ both rails set).
+            let c = fs.read(e, ins[0]);
+            let d = fs.read(e, ins[1]);
+            let b1 = e.or(&[c.b1.negate(), c.b0, d.b1]);
+            let b0 = e.or(&[c.b1.negate(), c.b0, d.b0]);
+            let n = {
+                let take_d = e.and(&[c.b0.negate(), d.n]);
+                e.or(&[c.b1.negate(), take_d])
+            };
+            Code { b1, b0, n }
+        }
+        NodeOp::Const(v) => e.code(*v),
+        NodeOp::Random => unreachable!("rejected by Circuit::new"),
+        NodeOp::Reg => return None,
+    };
+    Some(code)
+}
+
+/// Register `ri`'s next state under the latch rule
+/// `state' = (d == NOINFL ? state : d)`.
+fn next_state(e: &mut Enc, fs: &mut FrameState, c: &Circuit, state: &[Code], ri: usize) -> Code {
+    let d = fs.read(e, c.nl.nodes[c.regs[ri].index()].inputs[0].index());
+    let s = state[ri];
+    let b1 = e.mux(d.n, s.b1, d.b1);
+    let b0 = e.mux(d.n, s.b0, d.b0);
+    Code { b1, b0, n: e.f() }
+}
+
+/// One evaluated frame.
+struct Frame {
+    /// The latched next state, one code per register.
+    next: Vec<Code>,
+    /// The codes of the OUT slots.
+    outs: Vec<Code>,
+    /// Per slot, the code its reads resolved to (`None`: never read).
+    resolved: Vec<Option<Code>>,
+    /// Per position of the topological order, the code that node drove
+    /// (`None` for a register).
+    driven: Vec<Option<Code>>,
+}
+
 /// Evaluates one symbolic frame of `c`: drives `forced` slots and the
 /// register outputs from `state`, sweeps the topological order with the
-/// dual-rail gate algebra, and returns the latched next state plus the
-/// codes of the OUT slots. The `faulty` copy clamps the fault site to
-/// its stuck value. This is the shared core of [`encode_detection`]
-/// (concrete threaded state) and [`encode_lockstep`] (one frame over a
-/// fully symbolic shared state).
+/// dual-rail gate algebra, and latches the next state. A faulty copy
+/// passes its `clamp` (see [`stuck_clamp`]). This is the shared core of
+/// [`encode_detection`] (concrete threaded state) and [`Lockstep`] (one
+/// good frame over a fully symbolic shared state).
 fn eval_frame(
     e: &mut Enc,
     c: &Circuit,
     forced: &[(usize, Code)],
     state: &[Code],
-    faulty: bool,
-) -> (Vec<Code>, Vec<Code>) {
-    let (nl, order, regs, out_slots) = (c.nl, &c.order, &c.regs, &c.out_slots);
-    let clamp = faulty.then(|| (c.site_slot, e.code(c.stuck)));
+    clamp: Option<(usize, Value)>,
+) -> Frame {
+    let nl = c.nl;
+    let clamp = clamp.map(|(slot, v)| (slot, e.code(v)));
     let mut fs = FrameState::new(nl.nets.len(), clamp);
     for &(slot, code) in forced {
         fs.drive(slot, code);
     }
-    for (ri, &r) in regs.iter().enumerate() {
+    for (ri, &r) in c.regs.iter().enumerate() {
         fs.drive(nl.nodes[r.index()].output.index(), state[ri]);
     }
-    for &nid in order {
+    let mut driven = Vec::with_capacity(c.order.len());
+    for &nid in &c.order {
         let node = &nl.nodes[nid.index()];
-        let out = node.output.index();
-        let ins: Vec<usize> = node.inputs.iter().map(|n| n.index()).collect();
-        let code = match &node.op {
-            NodeOp::And | NodeOp::Nand => {
-                let i1: Vec<Lit> = ins.iter().map(|&i| fs.read(e, i).b1).collect();
-                let i0: Vec<Lit> = ins.iter().map(|&i| fs.read(e, i).b0).collect();
-                let (b1, b0) = (e.and(&i1), e.or(&i0));
-                let (b1, b0) = if matches!(node.op, NodeOp::Nand) {
-                    (b0, b1) // NOT is a rail swap
-                } else {
-                    (b1, b0)
-                };
-                Code { b1, b0, n: e.f() }
-            }
-            NodeOp::Or | NodeOp::Nor => {
-                let i1: Vec<Lit> = ins.iter().map(|&i| fs.read(e, i).b1).collect();
-                let i0: Vec<Lit> = ins.iter().map(|&i| fs.read(e, i).b0).collect();
-                let (b1, b0) = (e.or(&i1), e.and(&i0));
-                let (b1, b0) = if matches!(node.op, NodeOp::Nor) {
-                    (b0, b1)
-                } else {
-                    (b1, b0)
-                };
-                Code { b1, b0, n: e.f() }
-            }
-            NodeOp::Xor => {
-                // Left fold from the neutral 0, exactly like
-                // value::xor: an UNDEF operand saturates the
-                // accumulator at (1,1).
-                let mut acc = e.code(Value::Zero);
-                for &i in &ins {
-                    let c = fs.read(e, i);
-                    let b1 = {
-                        let x = e.and(&[acc.b1, c.b0]);
-                        let y = e.and(&[acc.b0, c.b1]);
-                        e.or(&[x, y])
-                    };
-                    let b0 = {
-                        let x = e.and(&[acc.b1, c.b1]);
-                        let y = e.and(&[acc.b0, c.b0]);
-                        e.or(&[x, y])
-                    };
-                    acc = Code { b1, b0, n: e.f() };
-                }
-                acc
-            }
-            NodeOp::Not => {
-                let c = fs.read(e, ins[0]);
-                Code {
-                    b1: c.b0,
-                    b0: c.b1,
-                    n: e.f(),
-                }
-            }
-            NodeOp::Equal { width } => {
-                // defined-unequal pair forces 0; all pairs
-                // defined-equal gives 1; otherwise UNDEF. Rails
-                // never read (0,0), so "x is the defined value
-                // 1" is exactly ¬b0 and "x is 0" exactly ¬b1.
-                let (av, bv) = ins.split_at(*width);
-                let mut du = Vec::with_capacity(*width);
-                let mut de = Vec::with_capacity(*width);
-                for (&ai, &bi) in av.iter().zip(bv) {
-                    let x = fs.read(e, ai);
-                    let y = fs.read(e, bi);
-                    let u1 = e.and(&[x.b0.negate(), y.b1.negate()]);
-                    let u2 = e.and(&[x.b1.negate(), y.b0.negate()]);
-                    du.push(e.or(&[u1, u2]));
-                    let q1 = e.and(&[x.b0.negate(), y.b0.negate()]);
-                    let q2 = e.and(&[x.b1.negate(), y.b1.negate()]);
-                    de.push(e.or(&[q1, q2]));
-                }
-                let b1 = e.or(&du).negate();
-                let b0 = e.and(&de).negate();
-                Code { b1, b0, n: e.f() }
-            }
-            NodeOp::Buf => fs.read(e, ins[0]),
-            NodeOp::If => {
-                // cond=0 → NOINFL, cond=1 → data (raw, NOINFL
-                // included), else UNDEF. Raw 0 is exactly ¬b1,
-                // raw 1 exactly ¬b0 (n ⟹ both rails set).
-                let c = fs.read(e, ins[0]);
-                let d = fs.read(e, ins[1]);
-                let b1 = e.or(&[c.b1.negate(), c.b0, d.b1]);
-                let b0 = e.or(&[c.b1.negate(), c.b0, d.b0]);
-                let n = {
-                    let take_d = e.and(&[c.b0.negate(), d.n]);
-                    e.or(&[c.b1.negate(), take_d])
-                };
-                Code { b1, b0, n }
-            }
-            NodeOp::Const(v) => e.code(*v),
-            NodeOp::Random => unreachable!("rejected above"),
-            NodeOp::Reg => continue,
-        };
-        fs.drive(out, code);
+        let code = node_code(e, &mut fs, node);
+        if let Some(code) = code {
+            fs.drive(node.output.index(), code);
+        }
+        driven.push(code);
     }
-    // Latch rule: state' = (d == NOINFL ? state : d).
-    let mut next = Vec::with_capacity(regs.len());
-    for (ri, &r) in regs.iter().enumerate() {
-        let d = fs.read(e, nl.nodes[r.index()].inputs[0].index());
-        let s = state[ri];
-        let b1 = e.mux(d.n, s.b1, d.b1);
-        let b0 = e.mux(d.n, s.b0, d.b0);
-        next.push(Code { b1, b0, n: e.f() });
+    let next = (0..c.regs.len())
+        .map(|ri| next_state(e, &mut fs, c, state, ri))
+        .collect();
+    let outs = c.out_slots.iter().map(|&s| fs.read(e, s)).collect();
+    Frame {
+        next,
+        outs,
+        resolved: fs.resolved,
+        driven,
     }
-    let outs: Vec<Code> = out_slots.iter().map(|&s| fs.read(e, s)).collect();
-    (next, outs)
 }
 
 /// Builds the detection CNF for `fault` on `design` over
@@ -566,7 +634,8 @@ pub fn encode_detection(
     opts: &EncodeOptions,
     gov: &mut Governor,
 ) -> Result<Detector, EncodeError> {
-    let c = Circuit::new(design, fault)?;
+    let clamp = stuck_clamp(&design.netlist, fault)?;
+    let c = Circuit::new(design)?;
     let frames = opts.frames.max(1);
     let mut e = Enc::new();
 
@@ -592,11 +661,11 @@ pub fn encode_detection(
         let (forced, frame_pis) = c.forced(&mut e, Some(rset));
         pi_vars.push(frame_pis);
 
-        let (next_good, outs_good) = eval_frame(&mut e, &c, &forced, &state_good, false);
-        let (next_faulty, outs_faulty) = eval_frame(&mut e, &c, &forced, &state_faulty, true);
-        state_good = next_good;
-        state_faulty = next_faulty;
-        for (&g, &f) in outs_good.iter().zip(&outs_faulty) {
+        let good = eval_frame(&mut e, &c, &forced, &state_good, None);
+        let faulty = eval_frame(&mut e, &c, &forced, &state_faulty, Some(clamp));
+        state_good = good.next;
+        state_faulty = faulty.next;
+        for (&g, &f) in good.outs.iter().zip(&faulty.outs) {
             diffs.push(e.differ(g, f));
         }
     }
@@ -634,48 +703,511 @@ pub fn encode_lockstep(
     fault: Fault,
     gov: &mut Governor,
 ) -> Result<Cnf, EncodeError> {
-    let c = Circuit::new(design, fault)?;
-    c.charge_frame(gov)?;
-    let mut e = Enc::new();
+    stuck_clamp(&design.netlist, fault)?;
+    Ok(Lockstep::new(design)?.encode(fault, gov)?.to_cnf())
+}
 
-    // Shared symbolic state: free rails per register, restricted to the
-    // codes the latch rule can store ({0,1,UNDEF} — never (0,0), never
-    // NOINFL).
-    let mut state = Vec::with_capacity(c.regs.len());
-    for _ in &c.regs {
-        let s1 = Lit::pos(e.cnf.fresh());
-        let s0 = Lit::pos(e.cnf.fresh());
-        e.cnf.add(&[s1, s0]);
-        let n = e.f();
-        state.push(Code { b1: s1, b0: s0, n });
+/// The part of every [`encode_lockstep`] formula over one design that
+/// no fault changes, encoded once: the shared symbolic register state
+/// (free rails per register, restricted to the codes the latch rule can
+/// store: {0,1,UNDEF}, never (0,0), never NOINFL), RSET as a free 0/1
+/// bit (so reset cycles are inside the proof obligation), the free
+/// input bits and the good frame. [`Lockstep::encode`] adds a fault's
+/// faulty frame, evaluating only the nodes whose inputs it changed, so
+/// proving many faults of one design costs each its own cone rather
+/// than the whole design.
+pub struct Lockstep<'a> {
+    c: Circuit<'a>,
+    e: Enc<'static>,
+    state: Vec<Code>,
+    forced: Vec<(usize, Code)>,
+    good: Frame,
+    /// Per slot, the drives it takes in order, numbered as a frame makes
+    /// them: the forced slots, then the register outputs, then each
+    /// position of the topological order.
+    drives: Vec<Vec<u32>>,
+    /// Per variable of `e`, the clauses that define it (see [`Enc`]).
+    defs: Vec<Range<u32>>,
+}
+
+impl<'a> Lockstep<'a> {
+    /// Encodes the good half of `design`'s lockstep formulas.
+    ///
+    /// # Errors
+    ///
+    /// [`EncodeError::Unsupported`] for RANDOM nodes or combinational
+    /// cycles.
+    pub fn new(design: &'a Design) -> Result<Lockstep<'a>, EncodeError> {
+        let c = Circuit::new(design)?;
+        let mut e = Enc::new();
+        let mut state = Vec::with_capacity(c.regs.len());
+        for _ in &c.regs {
+            let s1 = Lit::pos(e.cnf.fresh());
+            let s0 = Lit::pos(e.cnf.fresh());
+            e.cnf.add(&[s1, s0]);
+            let n = e.f();
+            state.push(Code { b1: s1, b0: s0, n });
+        }
+        let rset = design.rset.map(|_| e.free_bit().0);
+        let (forced, _) = c.forced(&mut e, rset);
+        let good = eval_frame(&mut e, &c, &forced, &state, None);
+
+        let nl = c.nl;
+        let mut drives = vec![Vec::new(); nl.nets.len()];
+        let outputs = forced.iter().map(|&(slot, _)| slot).chain(
+            c.regs
+                .iter()
+                .chain(&c.order)
+                .map(|r| nl.nodes[r.index()].output.index()),
+        );
+        for (k, slot) in outputs.enumerate() {
+            drives[slot].push(k as u32);
+        }
+        let mut defs = vec![0..0; e.cnf.num_vars as usize];
+        for (i, clause) in (0u32..).zip(&e.cnf.clauses) {
+            if let Some(v) = max_var(clause) {
+                let def = &mut defs[v as usize];
+                if def.start == def.end {
+                    *def = i..i;
+                }
+                debug_assert_eq!(def.end, i, "a variable's clauses are consecutive");
+                def.end = i + 1;
+            }
+        }
+        Ok(Lockstep {
+            c,
+            e,
+            state,
+            forced,
+            good,
+            drives,
+            defs,
+        })
     }
 
-    // RSET is a free 0/1 bit, so reset cycles are inside the proof
-    // obligation.
-    let rset = design.rset.map(|_| e.free_bit().0);
-    let (forced, _) = c.forced(&mut e, rset);
+    /// The good frame's code for drive `k` (numbered as in `drives`).
+    fn good_drive(&self, k: usize) -> Code {
+        let (f, r) = (self.forced.len(), self.state.len());
+        if k < f {
+            self.forced[k].1
+        } else if k < f + r {
+            self.state[k - f]
+        } else {
+            self.good.driven[k - f - r].expect("registers drive through the state")
+        }
+    }
 
-    let (next_good, outs_good) = eval_frame(&mut e, &c, &forced, &state, false);
-    let (next_faulty, outs_faulty) = eval_frame(&mut e, &c, &forced, &state, true);
-    let mut diffs: Vec<Lit> = Vec::new();
-    for (&g, &f) in outs_good.iter().zip(&outs_faulty) {
-        diffs.push(e.differ(g, f));
+    /// Builds `fault`'s lockstep formula on the shared good frame. The
+    /// faulty frame is the good one except where the fault reaches: a
+    /// node none of whose input slots changed makes exactly the calls
+    /// the good frame made, each of which resolves to the good frame's
+    /// literal, so it is skipped and its slot keeps the good code.
+    /// Every other node is evaluated in topological order as
+    /// [`eval_frame`] would, so the clauses added are those a whole
+    /// faulty frame adds, in the same order.
+    ///
+    /// # Errors
+    ///
+    /// [`EncodeError::Unsupported`] for a fault that is not a stuck-at;
+    /// [`EncodeError::Budget`] when `gov` runs out.
+    pub fn encode(&self, fault: Fault, gov: &mut Governor) -> Result<LockstepCnf<'_>, EncodeError> {
+        let (c, nl, good) = (&self.c, self.c.nl, &self.good);
+        let (site, stuck) = stuck_clamp(nl, fault)?;
+        c.charge_frame(gov)?;
+        let mut e = Enc::extend(&self.e);
+        let clamp = e.code(stuck);
+
+        // Slots whose faulty code differs from the good one. Every other
+        // slot reads as it did in the good frame.
+        let mut changed = vec![false; nl.nets.len()];
+        changed[site] = good.resolved[site] != Some(clamp);
+        let mut fs = FrameState {
+            contribs: vec![Vec::new(); nl.nets.len()],
+            resolved: good.resolved.clone(),
+            clamp: Some((site, clamp)),
+        };
+        fs.resolved[site] = None;
+        let first_node = self.forced.len() + self.state.len();
+        for (p, &nid) in c.order.iter().enumerate() {
+            let Some(was) = good.driven[p] else {
+                continue;
+            };
+            let node = &nl.nodes[nid.index()];
+            let code = if node.inputs.iter().any(|n| changed[n.index()]) {
+                node_code(&mut e, &mut fs, node).expect("not a register")
+            } else {
+                was
+            };
+            let out = node.output.index();
+            if code != was && !changed[out] {
+                // The slot resolves anew: its earlier drives are the
+                // good frame's.
+                changed[out] = true;
+                fs.resolved[out] = None;
+                for &k in self.drives[out]
+                    .iter()
+                    .take_while(|&&k| (k as usize) < first_node + p)
+                {
+                    let earlier = self.good_drive(k as usize);
+                    fs.drive(out, earlier);
+                }
+            }
+            if changed[out] {
+                fs.drive(out, code);
+            }
+        }
+        let next: Vec<Code> = (0..c.regs.len())
+            .map(|ri| {
+                let d = nl.nodes[c.regs[ri].index()].inputs[0].index();
+                if changed[d] {
+                    next_state(&mut e, &mut fs, c, &self.state, ri)
+                } else {
+                    good.next[ri]
+                }
+            })
+            .collect();
+        let outs: Vec<Code> = c
+            .out_slots
+            .iter()
+            .zip(&good.outs)
+            .map(|(&s, &was)| if changed[s] { fs.read(&mut e, s) } else { was })
+            .collect();
+
+        let mut diffs: Vec<Lit> = Vec::new();
+        for (&g, &f) in good.outs.iter().zip(&outs) {
+            diffs.push(e.differ(g, f));
+        }
+        for (&g, &f) in good.next.iter().zip(&next) {
+            diffs.push(e.differ(g, f));
+        }
+        e.require_any(diffs);
+        Ok(LockstepCnf {
+            prefix: &self.e.cnf,
+            defs: &self.defs,
+            tail: e.cnf,
+        })
     }
-    for (&g, &f) in next_good.iter().zip(&next_faulty) {
-        diffs.push(e.differ(g, f));
+}
+
+/// One fault's lockstep formula: the shared good part's clauses, then
+/// the clauses the fault's cone and the difference clause add.
+pub struct LockstepCnf<'l> {
+    prefix: &'l Cnf,
+    /// Per variable of `prefix`, the clauses that define it.
+    defs: &'l [Range<u32>],
+    /// The fault's clauses, the difference clause last; its `num_vars`
+    /// counts the whole formula's.
+    tail: Cnf,
+}
+
+/// The largest variable of `clause` (`None` when it is empty).
+fn max_var(clause: &[Lit]) -> Option<Var> {
+    clause.iter().map(|l| l.var()).max()
+}
+
+impl LockstepCnf<'_> {
+    /// The whole formula, as one [`Cnf`].
+    pub fn to_cnf(&self) -> Cnf {
+        let mut clauses = self.prefix.clauses.clone();
+        clauses.extend(self.tail.clauses.iter().cloned());
+        Cnf {
+            num_vars: self.tail.num_vars,
+            clauses,
+        }
     }
-    e.require_any(diffs);
-    Ok(e.cnf)
+
+    /// The formula cut to what its difference clause depends on, with
+    /// the variables renumbered in their order and the clauses kept in
+    /// theirs: satisfiable exactly when the whole formula is, and
+    /// usually a small part of it.
+    ///
+    /// The difference clause is kept; walking back from it, a clause is
+    /// kept when its largest variable occurs in a kept clause, and then
+    /// all its variables do. Every other clause has an unkept largest
+    /// variable, which it defines from older ones (see [`Enc`]), so a
+    /// model of the kept clauses extends to the dropped ones by setting
+    /// their variables in increasing order. The model itself means
+    /// nothing to a lockstep caller, which only asks whether one exists.
+    pub fn cone(&self) -> Cnf {
+        let n = self.tail.num_vars as usize;
+        let mut needed = vec![false; n];
+        // Kept clauses, newest first.
+        let mut kept: Vec<&[Lit]> = Vec::new();
+        let last = self.tail.clauses.len() - 1;
+        let tail = self.tail.clauses.iter().enumerate().rev();
+        for (i, clause) in tail {
+            if i == last || max_var(clause).is_none_or(|v| needed[v as usize]) {
+                kept.push(clause);
+                for l in clause {
+                    needed[l.var() as usize] = true;
+                }
+            }
+        }
+        for v in (0..self.defs.len()).rev() {
+            if needed[v] {
+                let def = self.defs[v].start as usize..self.defs[v].end as usize;
+                for clause in self.prefix.clauses[def].iter().rev() {
+                    kept.push(clause);
+                    for l in clause {
+                        needed[l.var() as usize] = true;
+                    }
+                }
+            }
+        }
+        let mut renumber = vec![0; n];
+        let mut cone = Cnf::new();
+        for v in 0..n {
+            if needed[v] {
+                renumber[v] = cone.fresh();
+            }
+        }
+        let map = |l: &Lit| {
+            let v = renumber[l.var() as usize];
+            if l.is_neg() {
+                Lit::neg(v)
+            } else {
+                Lit::pos(v)
+            }
+        };
+        cone.clauses = kept
+            .iter()
+            .rev()
+            .map(|c| c.iter().map(map).collect())
+            .collect();
+        cone
+    }
+}
+
+/// Rounds of [`sample_model`]: 256 assignments in all.
+const SAMPLE_ROUNDS: u32 = 4;
+
+/// Looks for a model of `cnf` among [`SAMPLE_ROUNDS`] × 64 random
+/// assignments, 64 at a time, bit-parallel. A variable with no clauses of its own
+/// draws a random bit; every other, in increasing order, takes the
+/// value its clauses force, where they leave a choice a random one.
+/// Where that is not possible, or the last clause fails, the assignment
+/// is dropped. A formula whose clauses define their largest variables
+/// in order ([`LockstepCnf::cone`]'s; see [`Enc`]) then yields one of
+/// its models whenever some assignment of its free variables satisfies
+/// the last clause. The result is checked against every clause, so a
+/// returned model is one for any `cnf`; `None` proves nothing.
+pub fn sample_model(cnf: &Cnf) -> Option<Vec<bool>> {
+    let n = cnf.num_vars as usize;
+    let (last, defs) = cnf.clauses.split_last()?;
+    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+    let mut random = move || {
+        // splitmix64
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let lit = |val: &[u64], l: Lit| {
+        let v = val[l.var() as usize];
+        if l.is_neg() {
+            !v
+        } else {
+            v
+        }
+    };
+    let mut val = vec![0u64; n];
+    for _ in 0..SAMPLE_ROUNDS {
+        let mut alive = !0u64;
+        // The next variable to assign, and the next clause to read.
+        let (mut v, mut i) = (0, 0);
+        while i < defs.len() {
+            let x = max_var(&defs[i])? as usize;
+            if x < v {
+                return None; // not in definition order
+            }
+            while v < x {
+                val[v] = random();
+                v += 1;
+            }
+            // Lanes where x must be 1, and where it must be 0.
+            let (mut one, mut zero) = (0u64, 0u64);
+            while i < defs.len() && max_var(&defs[i]) == Some(x as Var) {
+                let mut rest = 0u64;
+                let mut sign = None;
+                for &l in &defs[i] {
+                    if l.var() as usize == x {
+                        sign = Some(l.is_neg());
+                    } else {
+                        rest |= lit(&val, l);
+                    }
+                }
+                match sign {
+                    Some(false) => one |= !rest,
+                    Some(true) => zero |= !rest,
+                    None => unreachable!("x is the clause's largest variable"),
+                }
+                i += 1;
+            }
+            alive &= !(one & zero);
+            val[x] = one | (random() & !zero);
+            v = x + 1;
+        }
+        while v < n {
+            val[v] = random();
+            v += 1;
+        }
+        let hits = alive & last.iter().fold(0, |m, &l| m | lit(&val, l));
+        if hits != 0 {
+            let lane = hits.trailing_zeros();
+            let model: Vec<bool> = val.iter().map(|w| w >> lane & 1 == 1).collect();
+            if cnf.eval(&model) {
+                return Some(model);
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zeus_elab::{elaborate, Limits};
+    use crate::solver::{SatOutcome, Solver};
+    use zeus_elab::{elaborate, Limits, NetId};
     use zeus_syntax::parse_program;
 
     fn design(src: &str, top: &str) -> Design {
         elaborate(&parse_program(src).unwrap(), top, &[]).unwrap()
+    }
+
+    /// Bundled sequential designs: RSET (counter), address-decoded
+    /// multi-driver buses (ram), shift structures (queue, stack) and a
+    /// datapath (am2901). The last field keeps every n-th net's faults.
+    const SEQUENTIAL: &[(&str, &str, &[i64], usize)] = &[
+        (
+            include_str!("../../../zeus-programs/counter.zeus"),
+            "counter",
+            &[4],
+            1,
+        ),
+        (
+            include_str!("../../../zeus-programs/ram.zeus"),
+            "ram",
+            &[4, 2, 2],
+            1,
+        ),
+        (
+            include_str!("../../../zeus-programs/queue.zeus"),
+            "systolicqueue",
+            &[2, 2],
+            1,
+        ),
+        (
+            include_str!("../../../zeus-programs/stack.zeus"),
+            "systolicstack",
+            &[2, 2],
+            1,
+        ),
+        (
+            include_str!("../../../zeus-programs/am2901.zeus"),
+            "am2901",
+            &[],
+            13,
+        ),
+    ];
+
+    /// Each SEQUENTIAL design with its sampled stuck-at faults.
+    fn sequential() -> impl Iterator<Item = (Design, Vec<Fault>)> {
+        SEQUENTIAL.iter().map(|&(src, top, args, step)| {
+            let d = elaborate(&parse_program(src).unwrap(), top, args).unwrap();
+            let faults = (0..d.netlist.nets.len())
+                .step_by(step)
+                .flat_map(|n| {
+                    let site = NetId(n as u32);
+                    [Fault::stuck_at_0(site), Fault::stuck_at_1(site)]
+                })
+                .collect();
+            (d, faults)
+        })
+    }
+
+    /// The lockstep formula of one encoder that evaluates the good and
+    /// the faulty frame over the whole design.
+    fn whole_lockstep(d: &Design, fault: Fault) -> Cnf {
+        let clamp = stuck_clamp(&d.netlist, fault).unwrap();
+        let c = Circuit::new(d).unwrap();
+        let mut e = Enc::new();
+        let mut state = Vec::new();
+        for _ in &c.regs {
+            let s1 = Lit::pos(e.cnf.fresh());
+            let s0 = Lit::pos(e.cnf.fresh());
+            e.cnf.add(&[s1, s0]);
+            let n = e.f();
+            state.push(Code { b1: s1, b0: s0, n });
+        }
+        let rset = d.rset.map(|_| e.free_bit().0);
+        let (forced, _) = c.forced(&mut e, rset);
+        let good = eval_frame(&mut e, &c, &forced, &state, None);
+        let faulty = eval_frame(&mut e, &c, &forced, &state, Some(clamp));
+        let mut diffs = Vec::new();
+        for (&g, &f) in good.outs.iter().zip(&faulty.outs) {
+            diffs.push(e.differ(g, f));
+        }
+        for (&g, &f) in good.next.iter().zip(&faulty.next) {
+            diffs.push(e.differ(g, f));
+        }
+        e.require_any(diffs);
+        e.cnf
+    }
+
+    #[test]
+    fn a_shared_good_frame_builds_the_whole_formula() {
+        for (d, faults) in sequential() {
+            let shared = Lockstep::new(&d).unwrap();
+            for fault in faults {
+                let mut gov = Limits::new().governor();
+                let formula = shared.encode(fault, &mut gov).unwrap().to_cnf();
+                assert!(
+                    formula == whole_lockstep(&d, fault),
+                    "{} {fault:?}",
+                    d.top_type
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_cone_is_satisfiable_exactly_when_the_formula_is() {
+        let verdict = |cnf: &Cnf| {
+            let mut gov = Limits::new().governor();
+            match Solver::from_cnf(cnf).solve(u64::MAX, &mut gov) {
+                SatOutcome::Sat(model) => {
+                    assert!(cnf.eval(&model));
+                    true
+                }
+                SatOutcome::Unsat => false,
+                SatOutcome::Unknown => unreachable!("no budget"),
+            }
+        };
+        let (mut sat, mut unsat, mut sampled) = (0, 0, 0);
+        for (d, faults) in sequential() {
+            let shared = Lockstep::new(&d).unwrap();
+            for fault in faults {
+                let mut gov = Limits::new().governor();
+                let formula = shared.encode(fault, &mut gov).unwrap();
+                let (whole, cone) = (formula.to_cnf(), formula.cone());
+                assert!(cone.clauses.len() <= whole.clauses.len());
+                let v = verdict(&cone);
+                assert_eq!(v, verdict(&whole), "{} {fault:?}", d.top_type);
+                if let Some(model) = sample_model(&cone) {
+                    assert!(cone.eval(&model));
+                    sampled += 1;
+                }
+                if v {
+                    sat += 1;
+                } else {
+                    unsat += 1;
+                }
+            }
+        }
+        assert!(sat > 0 && unsat > 0, "{sat} sat, {unsat} unsat");
+        // Most satisfiable cones need no search.
+        assert!(2 * sampled > sat, "{sampled} of {sat} sampled");
     }
 
     fn detection(d: &Design, fault: Fault) -> Cnf {
@@ -696,12 +1228,12 @@ mod tests {
     }
 
     /// The variables and clauses of one good frame of `d` on its own.
-    fn good_copy(d: &Design, fault: Fault) -> (u32, usize) {
-        let c = Circuit::new(d, fault).unwrap();
+    fn good_copy(d: &Design) -> (u32, usize) {
+        let c = Circuit::new(d).unwrap();
         let mut e = Enc::new();
         let rset = e.code(Value::Zero);
         let (forced, _) = c.forced(&mut e, Some(rset));
-        eval_frame(&mut e, &c, &forced, &[], false);
+        eval_frame(&mut e, &c, &forced, &[], None);
         size(&e.cnf)
     }
 
@@ -717,6 +1249,10 @@ mod tests {
         );
         let site = d.names["dangle.t"];
         for fault in [Fault::stuck_at_0(site), Fault::stuck_at_1(site)] {
+            let shared = Lockstep::new(&d).unwrap();
+            let mut gov = Limits::new().governor();
+            let cone = shared.encode(fault, &mut gov).unwrap().cone();
+            assert_eq!(cone.clauses, [vec![]], "cone of {:?}", fault.kind);
             for (name, cnf) in [
                 ("detection", detection(&d, fault)),
                 ("lockstep", lockstep(&d, fault)),
@@ -752,10 +1288,7 @@ mod tests {
         let (small, large) = (design(&src(2), "two"), design(&src(8), "two"));
         let fault = |d: &Design| Fault::stuck_at_0(d.port("p").unwrap().nets[0]);
         let grow = |a: (u32, usize), b: (u32, usize)| (b.0 - a.0, b.1 - a.1);
-        let good = grow(
-            good_copy(&small, fault(&small)),
-            good_copy(&large, fault(&large)),
-        );
+        let good = grow(good_copy(&small), good_copy(&large));
         assert!(good.0 > 0 && good.1 > 0, "q's cone did not grow: {good:?}");
         for (name, encode) in [
             ("detection", detection as fn(&Design, Fault) -> Cnf),

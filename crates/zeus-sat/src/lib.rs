@@ -33,7 +33,8 @@ pub mod solver;
 
 pub use cnf::{Cnf, Lit, Var};
 pub use encode::{
-    decode_model, encode_detection, encode_lockstep, Detector, EncodeError, EncodeOptions,
+    decode_model, encode_detection, encode_lockstep, sample_model, Detector, EncodeError,
+    EncodeOptions, Lockstep, LockstepCnf,
 };
 pub use solver::{SatOutcome, Solver};
 

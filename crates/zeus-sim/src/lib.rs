@@ -55,7 +55,7 @@ pub use equiv::{
     Divergence, LockstepDivergence,
 };
 pub use event::EventSimulator;
-pub use packed::{PackedConflict, PackedCycleReport, PackedSim, PackedWord, LANES};
+pub use packed::{lanes_in, PackedConflict, PackedCycleReport, PackedSim, PackedWord, LANES};
 pub use sim::{Conflict, CycleReport, Simulator};
 pub use trace::Recorder;
 pub use vectors::{Assignment, VectorSet, VectorStream};

@@ -277,7 +277,8 @@ impl PackedCycleReport {
 const NONE: u32 = u32::MAX;
 
 /// The lane indices set in `mask`, ascending.
-fn lanes_in(mut mask: u64) -> impl Iterator<Item = usize> {
+#[inline]
+pub fn lanes_in(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let lane = mask.trailing_zeros() as usize;
@@ -884,6 +885,14 @@ impl PackedSim {
             FaultKind::BridgeWith(other) => FaultKind::BridgeWith(canon(other)?),
             k => k,
         };
+        self.insert_fault(Fault { site, kind }, lanes);
+        Ok(())
+    }
+
+    /// Enters a fault whose nets are canonical into the tables of the
+    /// lanes of `lanes`.
+    fn insert_fault(&mut self, fault: Fault, lanes: u64) {
+        let Fault { site, kind } = fault;
         let f = &mut self.faults;
         match kind {
             FaultKind::StuckAt0 => {
@@ -917,8 +926,7 @@ impl PackedSim {
                 }
             }
         }
-        f.list.push((Fault { site, kind }, lanes));
-        Ok(())
+        f.list.push((fault, lanes));
     }
 
     /// Removes all injected faults from all lanes, in time proportional
@@ -927,6 +935,48 @@ impl PackedSim {
         self.faults.clear();
         self.unstable_last_cycle = 0;
         self.ever_unstable = 0;
+    }
+
+    /// Keeps the injected faults of the lanes in `mask` only, in their
+    /// injection order: every other lane runs fault-free from the next
+    /// step on and forgets that it oscillated. Costs time in the number
+    /// of faults injected.
+    pub fn retain_lanes(&mut self, mask: u64) {
+        let list = std::mem::take(&mut self.faults.list);
+        self.faults.clear();
+        for (fault, lanes) in list {
+            if lanes & mask != 0 {
+                self.insert_fault(fault, lanes & mask);
+            }
+        }
+        self.unstable_last_cycle &= mask;
+        self.ever_unstable &= mask;
+    }
+
+    /// Moves lane `from` of `src` into lane `to` of this simulator: the
+    /// lane's injected faults (in their order), its register bits and
+    /// its oscillation record. Lane `to` must carry no faults, and both
+    /// simulators must be clones of one simulator stepped through the
+    /// same cycles with the same forces, as the words of a fault
+    /// campaign are: the net planes are rebuilt by every sweep and the
+    /// RANDOM stream is shared, so from the next step on lane `to`
+    /// computes exactly what lane `from` would have.
+    pub fn adopt_lane(&mut self, src: &PackedSim, from: usize, to: usize) {
+        debug_assert!(Arc::ptr_eq(&self.prog, &src.prog), "one design");
+        debug_assert_eq!(self.cycle, src.cycle, "one cycle");
+        let (f, t) = (1u64 << from, 1u64 << to);
+        debug_assert!(self.faults.list.iter().all(|&(_, m)| m & t == 0));
+        for &(fault, lanes) in &src.faults.list {
+            if lanes & f != 0 {
+                self.insert_fault(fault, t);
+            }
+        }
+        for (r, s) in self.regs.iter_mut().zip(&src.regs) {
+            r.set(to, s.get(from));
+        }
+        let carry = |dst: u64, src: u64| (dst & !t) | (((src >> from) & 1) << to);
+        self.unstable_last_cycle = carry(self.unstable_last_cycle, src.unstable_last_cycle);
+        self.ever_unstable = carry(self.ever_unstable, src.ever_unstable);
     }
 
     /// The injected faults with their lane masks, in injection order.
@@ -1677,43 +1727,62 @@ mod tests {
                 }
             }
             let report = self.packed.step();
-            let cycle = report.cycle;
             for (l, s) in &mut self.lanes {
-                let conflicts: Vec<NetId> = s.step().conflicts.iter().map(|c| c.net).collect();
-                let lane_conflicts: Vec<NetId> = report
-                    .conflicts
-                    .iter()
-                    .filter(|c| (c.lanes >> *l) & 1 == 1)
-                    .map(|c| c.net)
-                    .collect();
-                assert_eq!(
-                    lane_conflicts, conflicts,
-                    "conflicts lane {l} cycle {cycle}"
-                );
-                for port in &self.design.ports {
-                    assert_eq!(
-                        self.packed.port_lane(&port.name, *l),
-                        s.port(&port.name),
-                        "port {} lane {l} cycle {cycle}",
-                        port.name
-                    );
-                }
-                for i in 0..self.design.netlist.net_count() {
-                    let net = NetId(i as u32);
-                    assert_eq!(
-                        self.packed.value_lane(net, *l),
-                        s.value(net),
-                        "net {} lane {l} cycle {cycle}",
-                        self.design.netlist.nets[i].name
-                    );
-                }
-                assert_eq!(
-                    self.packed.lane_sweeps()[*l],
-                    s.sweeps_last_cycle(),
-                    "sweeps lane {l} cycle {cycle}"
-                );
+                assert_lane(&self.packed, &report, *l, s);
             }
         }
+    }
+
+    /// Steps `scalar` and asserts that lane `l` of `packed`, just stepped
+    /// with `report`, holds what it then holds: the conflicted nets,
+    /// every port, every net's raw value, the sweep count and the
+    /// oscillation record.
+    fn assert_lane(
+        packed: &PackedSim,
+        report: &PackedCycleReport,
+        l: usize,
+        scalar: &mut Simulator,
+    ) {
+        let design = packed.design();
+        let cycle = report.cycle;
+        let conflicts: Vec<NetId> = scalar.step().conflicts.iter().map(|c| c.net).collect();
+        let lane_conflicts: Vec<NetId> = report
+            .conflicts
+            .iter()
+            .filter(|c| (c.lanes >> l) & 1 == 1)
+            .map(|c| c.net)
+            .collect();
+        assert_eq!(
+            lane_conflicts, conflicts,
+            "conflicts lane {l} cycle {cycle}"
+        );
+        for port in &design.ports {
+            assert_eq!(
+                packed.port_lane(&port.name, l),
+                scalar.port(&port.name),
+                "port {} lane {l} cycle {cycle}",
+                port.name
+            );
+        }
+        for i in 0..design.netlist.net_count() {
+            let net = NetId(i as u32);
+            assert_eq!(
+                packed.value_lane(net, l),
+                scalar.value(net),
+                "net {} lane {l} cycle {cycle}",
+                design.netlist.nets[i].name
+            );
+        }
+        assert_eq!(
+            packed.lane_sweeps()[l],
+            scalar.sweeps_last_cycle(),
+            "sweeps lane {l} cycle {cycle}"
+        );
+        assert_eq!(
+            (packed.ever_unstable() >> l) & 1 == 1,
+            scalar.first_unstable_cycle().is_some(),
+            "oscillation record lane {l} cycle {cycle}"
+        );
     }
 
     const INPUTS: [[bool; 3]; 8] = [
@@ -1847,6 +1916,87 @@ mod tests {
         faulted.clear_faults();
         assert!(template.injected_faults().is_empty());
         assert_eq!(run(&mut template, &[]), before, "template's next run");
+    }
+
+    /// A campaign's repack: lanes dropped from one word and lanes moved
+    /// into their place from another, mid-run, at the same cycle. Every
+    /// lane still carrying a fault stays bit-identical, cycle for cycle,
+    /// to a scalar simulator carrying that fault alone, with register
+    /// state, a bridge and a flip due after the move carried along.
+    #[test]
+    fn kept_and_adopted_lanes_match_scalar_lane_by_lane() {
+        let d = design(FAULTABLE, "t");
+        let net = |name: &str| d.names[&format!("t.{name}")];
+        let (x, y, z, h, m) = (net("x"), net("y"), net("z"), net("h"), net("m"));
+        let mut template = PackedSim::new(d.clone()).unwrap();
+        template.reseed(5);
+        let words = [
+            vec![
+                Fault::stuck_at_1(x),
+                Fault::transient_flip(h, 2),
+                Fault::bridge(h, z),
+                Fault::stuck_at_0(m),
+                Fault::bridge(m, y),
+            ],
+            vec![
+                Fault::stuck_at_1(m),
+                Fault::transient_flip(m, 6),
+                Fault::bridge(x, z),
+                Fault::stuck_at_0(h),
+                Fault::transient_flip(y, 7),
+            ],
+        ];
+        let mut sims = [template.clone(), template.clone()];
+        // (word, lane, scalar twin) of every lane carrying a fault, plus
+        // the fault-free lane 63 of word 0.
+        let mut twins = Vec::new();
+        for (w, faults) in words.iter().enumerate() {
+            for (l, &fault) in faults.iter().enumerate() {
+                sims[w].inject_lanes(fault, 1 << l).unwrap();
+                let mut scalar = Simulator::new(d.clone()).unwrap();
+                scalar.reseed(5);
+                scalar.inject(fault).unwrap();
+                twins.push((w, l, scalar));
+            }
+        }
+        let mut clean = Simulator::new(d.clone()).unwrap();
+        clean.reseed(5);
+        twins.push((0, 63, clean));
+
+        for (cycle, abc) in INPUTS.iter().chain(&INPUTS).enumerate() {
+            // After cycle 4 the register holds different values across
+            // the lanes (0, 1 or UNDEF, as `m` is stuck or conflicted).
+            if cycle == 5 {
+                // Word 0 keeps lanes 0, 2 and 4; word 1's lanes 0 and 2
+                // move into lanes 1 and 3, its lane 4 into lane 5.
+                let keep = 0b1_0101 | 1 << 63;
+                sims[0].retain_lanes(keep);
+                twins.retain(|&(w, l, _)| w != 0 || (keep >> l) & 1 == 1);
+                let [to, from] = &mut sims;
+                for (src, dst) in [(0, 1), (2, 3), (4, 5)] {
+                    to.adopt_lane(from, src, dst);
+                    for twin in twins.iter_mut().filter(|t| (t.0, t.1) == (1, src)) {
+                        (twin.0, twin.1) = (0, dst);
+                    }
+                }
+                from.retain_lanes(0b0_1010);
+            }
+            for sim in &mut sims {
+                for (port, v) in ["a", "b", "c"].into_iter().zip(*abc) {
+                    sim.set_port(port, &[Value::from_bool(v)]).unwrap();
+                }
+            }
+            let reports = sims.each_mut().map(PackedSim::step);
+            for (w, l, scalar) in &mut twins {
+                for (port, v) in ["a", "b", "c"].into_iter().zip(*abc) {
+                    scalar.set_port(port, &[Value::from_bool(v)]).unwrap();
+                }
+                assert_lane(&sims[*w], &reports[*w], *l, scalar);
+            }
+        }
+        let mut word0: Vec<usize> = twins.iter().filter(|t| t.0 == 0).map(|t| t.1).collect();
+        word0.sort_unstable();
+        assert_eq!(word0, [0, 1, 2, 3, 4, 5, 63], "the lanes word 0 ends with");
     }
 
     #[test]

@@ -123,6 +123,30 @@ fn lockstep_promotions_survive_a_much_longer_random_campaign() {
     }
 }
 
+/// A lockstep proof adds no vector, so the faults it promotes must not
+/// depend on when the vector cap fills: every fault of the SAT pass
+/// gets its proof, however small `max_vectors` is.
+#[test]
+fn lockstep_promotions_do_not_depend_on_the_vector_cap() {
+    let d = design("counter", "counter", &[4]);
+    let promoted = |max_vectors: usize| {
+        let cfg = AtpgConfig {
+            sat: true,
+            seed: 5,
+            max_vectors,
+            ..AtpgConfig::default()
+        };
+        let report = run_atpg(&d, &cfg).unwrap();
+        let promoted = report.sat.expect("sat stats present").promoted_redundant;
+        (promoted, report.redundant)
+    };
+    let uncapped = promoted(256);
+    assert!(uncapped.0 > 0, "expected lockstep promotions");
+    for cap in [2, 8] {
+        assert_eq!(promoted(cap), uncapped, "max_vectors {cap}");
+    }
+}
+
 /// Every input vector of a combinational design, as an explicit set.
 fn exhaustive_set(d: &Design) -> VectorSet {
     let widths: Vec<usize> = d.inputs().map(|p| p.width()).collect();
